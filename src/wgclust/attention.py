@@ -34,10 +34,7 @@ __all__ = [
     "AttentionStructure",
     "AttentionRecord",
     "ForwardOptions",
-    "edge_weight_factor",
     "build_attention_structure",
-    "layer_forward",
-    "network_forward",
     "network_forward_cached",
     "network_backward",
     "init_model_params",
@@ -98,21 +95,23 @@ class ModelParams:
         )
 
 
-def init_model_params(n, dims, heads, rng) -> ModelParams:
+def init_model_params(n, dims, attn_dim, heads, rng) -> ModelParams:
     """Seeded initialization.
 
     The embedding table is uniform(-0.05, 0.05) over all n nodes (node ids
-    are the only input feature, so the table is the trainable input). W1/W2
-    use scaled uniform fan-in/fan-out init; gamma starts at 1/heads so the
-    fused output begins as the head average.
+    are the only input feature, so the table is the trainable input). Layer
+    i maps width dims[i] to dims[i + 1]; its W1 projects to attn_dim for the
+    logits. W1/W2 use scaled uniform fan-in/fan-out init; gamma starts at
+    1/heads so the fused output begins as the head average.
     """
     d0 = dims[0]
     embedding = rng.uniform(-0.05, 0.05, size=(n, d0))
     layers = []
     for d_in, d_out in zip(dims[:-1], dims[1:]):
-        bound1 = np.sqrt(6.0 / (d_in + d_out))
-        w1 = rng.uniform(-bound1, bound1, size=(heads, d_in, d_out))
-        w2 = rng.uniform(-bound1, bound1, size=(heads, d_in, d_out))
+        bound1 = np.sqrt(6.0 / (d_in + attn_dim))
+        bound2 = np.sqrt(6.0 / (d_in + d_out))
+        w1 = rng.uniform(-bound1, bound1, size=(heads, d_in, attn_dim))
+        w2 = rng.uniform(-bound2, bound2, size=(heads, d_in, d_out))
         layers.append(LayerParams(w1=w1, w2=w2, gamma=np.full(heads, 1.0 / heads)))
     return ModelParams(embedding=embedding, layers=layers)
 
@@ -152,23 +151,13 @@ def _self_loop_weights(g: WeightedGraph, mode: str) -> np.ndarray:
     return w_self
 
 
-def edge_weight_factor(g: WeightedGraph, i: int, mode: str = "max") -> dict[int, float]:
-    """Logit offsets f_iz for one node, keyed by candidate id (including i).
-
-    The self-loop weight is the max (default), mean, or min of the incident
-    weights; every candidate weight is divided by the node's weighted degree
-    plus the self-loop weight. An isolated node gets {i: 1.0}.
-    """
-    w_self = float(_self_loop_weights(g, mode)[i])
-    nbrs = g.neighbors(i)
-    denom = sum(w for _, w in nbrs) + w_self
-    out = {z: w / denom for z, w in nbrs}
-    out[i] = w_self / denom
-    return out
-
-
 def build_attention_structure(g: WeightedGraph, self_loop_mode: str = "max") -> AttentionStructure:
-    """Precompute the candidate-entry arrays and f_iz for a working graph."""
+    """Precompute the candidate-entry arrays and f_iz for a working graph.
+
+    f_iz is the candidate's weight divided by node i's weighted degree plus
+    its self-loop weight, which is the max (default), mean, or min of the
+    incident weights; an isolated node's only candidate is itself with f = 1.
+    """
     w_self = _self_loop_weights(g, self_loop_mode)
     deg = np.diff(g.indptr)
     n_entries = int(deg.sum()) + g.n
@@ -247,10 +236,6 @@ class AttentionRecord:
         """Head-averaged final-layer coefficient per entry (drives the edge-weight refinement)."""
         return self.coefficients[-1].mean(axis=1)
 
-    def final_head_average_on_edges(self) -> np.ndarray:
-        """As above, restricted to real edges, aligned with the graph's directed CSR."""
-        return self.final_head_average()[self.structure.edge_pos]
-
 
 @dataclass
 class _LayerCache:
@@ -295,7 +280,7 @@ def _elu_grad(x: np.ndarray) -> np.ndarray:
     return np.where(x > 0, 1.0, np.exp(np.minimum(x, 0.0)))
 
 
-def _layer_forward(structure, h_in, params, opts) -> tuple[np.ndarray, _LayerCache]:
+def _forward_layer(structure, h_in, params, opts) -> tuple[np.ndarray, _LayerCache]:
     heads = params.heads
     proj_attn = np.einsum("nd,hde->hne", h_in, params.w1)
     proj_val = np.einsum("nd,hde->hne", h_in, params.w2)
@@ -330,7 +315,7 @@ def _layer_forward(structure, h_in, params, opts) -> tuple[np.ndarray, _LayerCac
     return h_out, cache
 
 
-def _layer_backward(structure, params, opts, cache, d_out, d_coeffs_extra=None):
+def _backward_layer(structure, params, opts, cache, d_out, d_coeffs_extra=None):
     """Reverse sweep of one layer.
 
     d_out: gradient w.r.t. the fused output. d_coeffs_extra: additional
@@ -366,18 +351,6 @@ def _layer_backward(structure, params, opts, cache, d_out, d_coeffs_extra=None):
     return d_h_in, LayerParams(w1=d_w1, w2=d_w2, gamma=d_gamma)
 
 
-def layer_forward(g, h_in, params: LayerParams, alpha: float, self_loop_mode: str = "max"):
-    """Run one attention layer on a graph; returns (h_out, (entries, heads) coefficients).
-
-    Convenience wrapper that builds the candidate structure; the trainer uses
-    the cached multi-layer path instead.
-    """
-    structure = build_attention_structure(g, self_loop_mode)
-    opts = ForwardOptions(alpha=alpha)
-    h_out, cache = _layer_forward(structure, np.asarray(h_in, dtype=np.float64), params, opts)
-    return h_out, AttentionRecord(structure=structure, coefficients=[cache.coeffs])
-
-
 def network_forward_cached(structure, model: ModelParams, opts: ForwardOptions):
     """Full forward pass keeping per-layer caches for the backward sweep."""
     h = model.embedding
@@ -385,25 +358,13 @@ def network_forward_cached(structure, model: ModelParams, opts: ForwardOptions):
     coeffs: list[np.ndarray] = []
     for li, params in enumerate(model.layers):
         try:
-            h, cache = _layer_forward(structure, h, params, opts)
+            h, cache = _forward_layer(structure, h, params, opts)
         except FloatingPointError as exc:
             raise FloatingPointError(f"layer {li}: {exc}") from None
         caches.append(cache)
         coeffs.append(cache.coeffs)
     record = AttentionRecord(structure=structure, coefficients=coeffs)
     return h, record, caches
-
-
-def network_forward(g, model: ModelParams, alpha: float, self_loop_mode: str = "max",
-                    opts: ForwardOptions | None = None):
-    """Chain all layers over a graph; returns (H_final, AttentionRecord)."""
-    if not model.layers:
-        raise ValueError("model must have at least one layer")
-    structure = build_attention_structure(g, self_loop_mode)
-    if opts is None:
-        opts = ForwardOptions(alpha=alpha)
-    h, record, _ = network_forward_cached(structure, model, opts)
-    return h, record
 
 
 def network_backward(structure, model, opts, caches, d_h_final, d_final_coeffs=None) -> ModelParams:
@@ -418,7 +379,7 @@ def network_backward(structure, model, opts, caches, d_h_final, d_final_coeffs=N
     last = len(model.layers) - 1
     for li in range(last, -1, -1):
         extra = d_final_coeffs if li == last else None
-        d_h, layer_grads = _layer_backward(
+        d_h, layer_grads = _backward_layer(
             structure, model.layers[li], opts, caches[li], d_h, extra
         )
         grads.layers[li] = layer_grads

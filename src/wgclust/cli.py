@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
 import hashlib
 import json
 import sys
@@ -28,7 +29,7 @@ from .trainer import infer, load_checkpoint, save_checkpoint, train, write_loss_
 
 ABLATIONS = {
     "cgc": {"random_sampling": True},
-    "ewsgat": {"vanilla_gat": True},
+    "ewsgat": {"softmax_instead_of_entmax": True, "drop_f_iz": True},
     "entmax": {"softmax_instead_of_entmax": True},
     "f_iz": {"drop_f_iz": True},
     "ewo": {"no_weight_update": True},
@@ -164,13 +165,14 @@ def cmd_contract(args) -> int:
     out = _outdir(args)
     t0 = time.perf_counter()
     g = graphio.load_edge_list(args.edges)
-    cc = ContractionConfig(
-        core_count=args.cores,
-        density_weight=args.density_weight if args.density_weight is not None else 0.5,
-        teleport=args.teleport if args.teleport is not None else 0.5,
-        importance_threshold=args.threshold if args.threshold is not None else 0.0,
-        distance_mode=args.distance_mode,
-    )
+    flags = {
+        "core_count": args.cores,
+        "density_weight": args.density_weight,
+        "teleport": args.teleport,
+        "importance_threshold": args.threshold,
+        "distance_mode": args.distance_mode,
+    }
+    cc = ContractionConfig(**{k: v for k, v in flags.items() if v is not None})
     sel = contract(g, cc, args.clusters)
     graphio.save_edge_list(sel.subgraph, out / "subgraph_edges.tsv")
     with open(out / "selection.tsv", "w", encoding="utf-8") as fh:
@@ -186,15 +188,9 @@ def cmd_contract(args) -> int:
         f"{sel.subgraph.n} nodes / {sel.subgraph.num_edges} edges"
     )
     outputs = [out / "subgraph_edges.tsv", out / "selection.tsv", out / "cores.tsv"]
-    _write_manifest(out, "contract", dataclass_dict(cc), [args.edges], outputs,
+    _write_manifest(out, "contract", dataclasses.asdict(cc), [args.edges], outputs,
                     time.perf_counter() - t0, g.num_edges, sel.subgraph.num_edges)
     return 0
-
-
-def dataclass_dict(obj) -> dict:
-    import dataclasses
-
-    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
 
 
 def _run_single_training(edges_path, clusters, config: TrainConfig, outdir: Path):
@@ -223,7 +219,7 @@ def cmd_train(args) -> int:
         seconds, before, after = _run_single_training(args.edges, args.clusters, config, out)
         outputs = [out / name for name in
                    ("checkpoint.npz", "loss_history.csv", "config_echo.txt", "assignment.csv")]
-        _write_manifest(out, "train", dataclass_dict(config), [args.edges], outputs,
+        _write_manifest(out, "train", dataclasses.asdict(config), [args.edges], outputs,
                         time.perf_counter() - t0, before, after)
         print(f"trained in {seconds:.2f}s; outputs in {out}")
         return 0
@@ -253,7 +249,7 @@ def cmd_train(args) -> int:
             for name in ("checkpoint.npz", "loss_history.csv", "config_echo.txt", "assignment.csv")
         )
     before, after = results[seeds[0]][1], results[seeds[0]][2]
-    _write_manifest(out, "train-sweep", dataclass_dict(config), [args.edges], outputs,
+    _write_manifest(out, "train-sweep", dataclasses.asdict(config), [args.edges], outputs,
                     time.perf_counter() - t0, before, after)
     print(f"trained {len(seeds)} seeds; outputs in {out}")
     return 0
@@ -267,7 +263,7 @@ def cmd_infer(args) -> int:
     assignment = infer(g, model, cluster_count=args.clusters)
     _write_assignment(out / "assignment.csv", assignment, node_ids=g.node_ids)
     print(f"inferred labels for {g.n} nodes")
-    _write_manifest(out, "infer", dataclass_dict(model.config), [args.checkpoint, args.edges],
+    _write_manifest(out, "infer", dataclasses.asdict(model.config), [args.checkpoint, args.edges],
                     [out / "assignment.csv"], time.perf_counter() - t0)
     return 0
 
@@ -356,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--density-weight", type=float, default=None)
     p.add_argument("--teleport", type=float, default=None)
     p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--distance-mode", choices=("reciprocal", "unit"), default="reciprocal")
+    p.add_argument("--distance-mode", choices=("reciprocal", "unit"), default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_contract)
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
+from .contraction import ContractionConfig
+
 __all__ = ["TrainConfig", "parse_config_text", "load_config_file", "config_to_text"]
 
 
@@ -18,17 +20,20 @@ class TrainConfig:
     """Every knob of the training pipeline.
 
     Contraction: density_weight blends density/distance ranks, teleport is
-    the PageRank restart, core_count (None = max(K, ceil(0.02 n))) and
-    importance_threshold shape the subgraph.
-    Network: heads per layer, layer count, embedding/attention/hidden dims,
+    the PageRank restart, core_count (None = max(K, ceil(0.02 n))),
+    importance_threshold and distance_mode shape the subgraph; the
+    ``contraction`` property bundles them as a ContractionConfig, which is
+    where they are validated.
+    Network: heads per layer, layer count, embedding dim, attn_dim (width of
+    the logit projections), hidden_dim (width of every layer's output),
     entmax_alpha, self_loop_mode (max/mean/min).
     Objective: modularity_weight scales the modularity loss, negatives is
     the per-node negative-sample count.
     Optimization: adaptive-moment updates with decay 0.9/0.999, eps 1e-8.
     Ablations: no_contraction, random_sampling (contraction replaced by a
     same-size uniform node sample), softmax_instead_of_entmax, drop_f_iz,
-    no_weight_update (modularity on unrefined weights), vanilla_gat
-    (softmax + no weight factor).
+    no_weight_update (modularity on unrefined weights). A plain GAT is
+    softmax_instead_of_entmax plus drop_f_iz.
     """
 
     density_weight: float = 0.5          # rank blend in core selection
@@ -60,15 +65,11 @@ class TrainConfig:
     softmax_instead_of_entmax: bool = False
     drop_f_iz: bool = False
     no_weight_update: bool = False
-    vanilla_gat: bool = False
 
     def __post_init__(self):
-        if not (0.0 <= self.density_weight <= 1.0):
-            raise ValueError("density_weight must lie in [0, 1]")
+        self.contraction  # ContractionConfig validates the contraction fields
         if self.entmax_alpha <= 1.0:
             raise ValueError("entmax_alpha must be > 1")
-        if not (0.0 < self.teleport <= 1.0):
-            raise ValueError("teleport must lie in (0, 1]")
         if self.modularity_weight < 0:
             raise ValueError("modularity_weight must be >= 0")
         if self.learning_rate <= 0:
@@ -89,16 +90,17 @@ class TrainConfig:
             raise ValueError("fcm_mode must be 'similarity-proportional' or 'literal'")
         if self.self_loop_mode not in ("max", "mean", "min"):
             raise ValueError("self_loop_mode must be max, mean, or min")
-        if self.distance_mode not in ("reciprocal", "unit"):
-            raise ValueError("distance_mode must be 'reciprocal' or 'unit'")
 
     @property
-    def use_softmax(self) -> bool:
-        return self.softmax_instead_of_entmax or self.vanilla_gat
-
-    @property
-    def use_weight_factor(self) -> bool:
-        return not (self.drop_f_iz or self.vanilla_gat)
+    def contraction(self) -> ContractionConfig:
+        """The contraction fields as the ContractionConfig that validates them."""
+        return ContractionConfig(
+            core_count=self.core_count,
+            density_weight=self.density_weight,
+            teleport=self.teleport,
+            importance_threshold=self.importance_threshold,
+            distance_mode=self.distance_mode,
+        )
 
     def layer_dims(self) -> list[int]:
         return [self.embed_dim] + [self.hidden_dim] * self.layer_count

@@ -27,7 +27,6 @@ __all__ = [
     "draw_structure_samples",
     "structure_loss_from_samples",
     "structure_loss_grad",
-    "structure_loss",
     "total_loss",
 ]
 
@@ -153,8 +152,8 @@ def draw_structure_samples(g: WeightedGraph, sampler: NegativeSampler, rng) -> S
     """Sample positives (weight-proportional neighbors) and negatives per node.
 
     Negatives follow the sampler's distribution, rejecting the node itself
-    and its neighbors; nodes whose exclusion set covers the whole graph keep
-    whatever remains valid (their negative slots are truncated to none).
+    and its neighbors; a node for which every node of positive sampling
+    probability is excluded gets no negatives (its slots are masked as self).
     Deterministic for a given rng state.
     """
     n = g.n
@@ -175,9 +174,13 @@ def draw_structure_samples(g: WeightedGraph, sampler: NegativeSampler, rng) -> S
         cdf = np.cumsum(sampler.probs)
         cdf[-1] = 1.0
         nbr_sets = [set(g.indices[g.indptr[i] : g.indptr[i + 1]].tolist()) for i in range(n)]
+        # per node: drawable (positive-probability) nodes that are neither it nor a neighbor
+        drawable = sampler.probs > 0
+        nbr_drawable = np.bincount(g.directed_src()[drawable[g.indices]], minlength=n)
+        valid_count = int(drawable.sum()) - drawable - nbr_drawable
         for i in np.flatnonzero(active):
             excluded = nbr_sets[i]
-            if len(excluded) + 1 >= n:
+            if valid_count[i] <= 0:
                 negatives[i] = i  # no valid negative exists; masked as self below
                 continue
             found = 0
@@ -252,10 +255,3 @@ def structure_loss_grad(h: np.ndarray, samples: StructureSamples) -> np.ndarray:
     grad[idx] += np.einsum("nq,nqd->nd", c_neg, h[negs])
     np.add.at(grad, negs.ravel(), (c_neg[:, :, None] * h[idx][:, None, :]).reshape(-1, h.shape[1]))
     return grad
-
-
-def structure_loss(h, g: WeightedGraph, sampler: NegativeSampler, seed: int) -> float:
-    """Draw samples with a fresh seeded rng and evaluate the loss."""
-    rng = np.random.default_rng(seed)
-    samples = draw_structure_samples(g, sampler, rng)
-    return structure_loss_from_samples(np.asarray(h, dtype=np.float64), samples)

@@ -20,6 +20,7 @@ import numpy as np
 
 from .attention import (
     ForwardOptions,
+    LayerParams,
     ModelParams,
     build_attention_structure,
     init_model_params,
@@ -27,7 +28,7 @@ from .attention import (
     network_forward_cached,
 )
 from .config import TrainConfig, config_to_text, parse_config_text
-from .contraction import ContractionConfig, SubgraphSelection, contract
+from .contraction import SubgraphSelection, contract
 from .fcm import fcm_fit
 from .graph import WeightedGraph, build_graph, induce_subgraph
 from .losses import (
@@ -98,8 +99,8 @@ class TrainedModel:
 def _forward_options(config: TrainConfig) -> ForwardOptions:
     return ForwardOptions(
         alpha=config.entmax_alpha,
-        normalizer="softmax" if config.use_softmax else "entmax",
-        use_weight_factor=config.use_weight_factor,
+        normalizer="softmax" if config.softmax_instead_of_entmax else "entmax",
+        use_weight_factor=not config.drop_f_iz,
     )
 
 
@@ -107,14 +108,7 @@ def _select_training_graph(g, cluster_count, config):
     """Contract (or randomly sample, or pass through) the training graph."""
     if config.no_contraction:
         return None, g
-    cc = ContractionConfig(
-        core_count=config.core_count,
-        density_weight=config.density_weight,
-        teleport=config.teleport,
-        importance_threshold=config.importance_threshold,
-        distance_mode=config.distance_mode,
-    )
-    selection = contract(g, cc, cluster_count)
+    selection = contract(g, config.contraction, cluster_count)
     if config.random_sampling:
         rng = _rng(config.seed, _RNG_SAMPLE_ABLATION)
         nodes = np.sort(rng.choice(g.n, size=selection.selected.size, replace=False))
@@ -170,18 +164,26 @@ def _refinement_coeff_grad(working, refined, record, modularity_weight, labels, 
     return d_coeffs
 
 
-def _epoch_losses_and_grads(working, structure, model, opts, config, labels, samples):
-    """Forward + losses + full parameter gradient for fixed labels and samples."""
+def _epoch_step(working, structure, model, opts, config, epoch_constants, backward=True):
+    """One epoch: forward, refinement, objective and (unless ``backward`` is off) gradient.
+
+    ``epoch_constants(h, refined)`` returns the (labels, samples) that stay
+    fixed for the epoch: ``train`` clusters ``h`` and samples the refined
+    graph, ``gradient_check`` returns the same pair every time. Returns
+    (LossBreakdown, refined graph, parameter gradients or None).
+    """
     h_final, record, caches = network_forward_cached(structure, model, opts)
-    if config.no_weight_update:
-        refined = working
-    else:
-        refined = update_edge_weights(working, record)
+    refined = working if config.no_weight_update else update_edge_weights(working, record)
     if refined.num_edges == 0:
-        raise RuntimeError("all edges pruned by the weight refinement")
+        raise RuntimeError("weight refinement pruned every edge")
+    labels, samples = epoch_constants(h_final, refined)
     q = modularity(refined, labels)
     l_g = structure_loss_from_samples(h_final, samples)
     breakdown = total_loss(l_g, -q, config.modularity_weight)
+    if not np.isfinite(breakdown.total):
+        raise RuntimeError(f"training diverged (loss {breakdown.total})")
+    if not backward:
+        return breakdown, refined, None
     d_h = structure_loss_grad(h_final, samples)
     d_coeffs = None
     if not config.no_weight_update and config.modularity_weight != 0.0:
@@ -189,7 +191,7 @@ def _epoch_losses_and_grads(working, structure, model, opts, config, labels, sam
             working, refined, record, config.modularity_weight, labels, config.heads
         )
     grads = network_backward(structure, model, opts, caches, d_h, d_coeffs)
-    return h_final, record, refined, breakdown, grads
+    return breakdown, refined, grads
 
 
 def train(g: WeightedGraph, cluster_count: int, config: TrainConfig) -> TrainedModel:
@@ -206,7 +208,7 @@ def train(g: WeightedGraph, cluster_count: int, config: TrainConfig) -> TrainedM
     sub_nodes = selection.selected if selection is not None else np.arange(g.n)
 
     init_rng = _rng(config.seed, _RNG_INIT)
-    params = init_model_params(g.n, config.layer_dims(), config.heads, init_rng)
+    params = init_model_params(g.n, config.layer_dims(), config.attn_dim, config.heads, init_rng)
     opts = _forward_options(config)
     epoch_rng = _rng(config.seed, _RNG_EPOCH)
     fcm_seed = int(_rng(config.seed, _RNG_FCM).integers(2**31))
@@ -219,45 +221,27 @@ def train(g: WeightedGraph, cluster_count: int, config: TrainConfig) -> TrainedM
     structure = build_attention_structure(working, config.self_loop_mode)
     target_2m = working.total_weight_2m
 
+    def cluster_and_sample(h, refined):
+        nonlocal centers
+        assignment = fcm_fit(
+            h, cluster_count, iters=config.fcm_iters, mode=config.fcm_mode, seed=fcm_seed,
+            restarts=config.fcm_restarts,
+            initial_centers=centers if config.warm_start_fcm else None,
+        )
+        centers = assignment.centers
+        sampler = NegativeSampler.for_graph(refined, config.negatives)
+        return assignment.labels, draw_structure_samples(refined, sampler, epoch_rng)
+
     for epoch in range(config.epochs):
         sub_model = ModelParams(embedding=params.embedding[sub_nodes], layers=params.layers)
-        h_probe, record, caches = network_forward_cached(structure, sub_model, opts)
-        if config.warm_start_fcm and centers is not None:
-            assignment = fcm_fit(
-                h_probe, cluster_count, iters=config.fcm_iters, mode=config.fcm_mode,
-                seed=fcm_seed, restarts=1, initial_centers=centers,
+        try:
+            breakdown, refined, grads = _epoch_step(
+                working, structure, sub_model, opts, config, cluster_and_sample
             )
-        else:
-            assignment = fcm_fit(
-                h_probe, cluster_count, iters=config.fcm_iters, mode=config.fcm_mode,
-                seed=fcm_seed, restarts=config.fcm_restarts,
-            )
-        centers = assignment.centers
-        labels = assignment.labels
-
-        if config.no_weight_update:
-            refined = working
-        else:
-            refined = update_edge_weights(working, record)
-        if refined.num_edges == 0:
-            raise RuntimeError(f"epoch {epoch}: weight refinement pruned every edge")
-        sampler = NegativeSampler.for_graph(refined, config.negatives)
-        samples = draw_structure_samples(refined, sampler, epoch_rng)
-
-        q = modularity(refined, labels)
-        l_g = structure_loss_from_samples(h_probe, samples)
-        breakdown = total_loss(l_g, -q, config.modularity_weight)
-        if not np.isfinite(breakdown.total):
-            raise RuntimeError(f"epoch {epoch}: training diverged (loss {breakdown.total})")
+        except RuntimeError as exc:
+            raise RuntimeError(f"epoch {epoch}: {exc}") from None
         history.append(breakdown)
 
-        d_h = structure_loss_grad(h_probe, samples)
-        d_coeffs = None
-        if not config.no_weight_update and config.modularity_weight != 0.0:
-            d_coeffs = _refinement_coeff_grad(
-                working, refined, record, config.modularity_weight, labels, config.heads
-            )
-        grads = network_backward(structure, sub_model, opts, caches, d_h, d_coeffs)
         full_emb_grad = np.zeros_like(params.embedding)
         full_emb_grad[sub_nodes] = grads.embedding
         grads_full = ModelParams(embedding=full_emb_grad, layers=grads.layers)
@@ -302,16 +286,11 @@ def infer(g: WeightedGraph, model: TrainedModel, cluster_count: int | None = Non
     structure = build_attention_structure(g, config.self_loop_mode)
     h, record, _ = network_forward_cached(structure, model.params, _forward_options(config))
     infer_seed = int(_rng(config.seed, _RNG_INFER).integers(2**31))
-    if config.reuse_centers and model.centers is not None and model.centers.shape[0] == k:
-        assignment = fcm_fit(
-            h, k, iters=config.fcm_iters, mode=config.fcm_mode,
-            seed=infer_seed, restarts=1, initial_centers=model.centers,
-        )
-    else:
-        assignment = fcm_fit(
-            h, k, iters=config.fcm_iters, mode=config.fcm_mode,
-            seed=infer_seed, restarts=config.fcm_restarts,
-        )
+    reuse = config.reuse_centers and model.centers is not None and model.centers.shape[0] == k
+    assignment = fcm_fit(
+        h, k, iters=config.fcm_iters, mode=config.fcm_mode, seed=infer_seed,
+        restarts=config.fcm_restarts, initial_centers=model.centers if reuse else None,
+    )
     if return_attention:
         return assignment, record
     return assignment
@@ -322,7 +301,8 @@ def gradient_check(config: TrainConfig, g: WeightedGraph, fd_step: float = 1e-5)
 
     Labels and contrastive samples are drawn once and held fixed; every
     scalar parameter (embedding rows, both projection stacks, head fusion)
-    is perturbed by +-fd_step. Per coordinate the error is
+    is perturbed by +-fd_step. Both sides evaluate the training epoch step.
+    Per coordinate the error is
     |g_a - g_fd| / max(|g_a| + |g_fd|, 1e-3 * gradient_scale, 1e-8), so
     coordinates far below the gradient's dominant magnitude are measured
     against that scale instead of their own finite-difference noise.
@@ -331,21 +311,21 @@ def gradient_check(config: TrainConfig, g: WeightedGraph, fd_step: float = 1e-5)
         raise ValueError("gradient_check expects a tiny graph (n <= 8)")
     structure = build_attention_structure(g, config.self_loop_mode)
     opts = _forward_options(config)
-    params = init_model_params(g.n, config.layer_dims(), config.heads, _rng(config.seed, _RNG_INIT))
-    h0, record0, _ = network_forward_cached(structure, params, opts)
-    k = min(3, g.n)
-    labels = fcm_fit(h0, k, iters=config.fcm_iters, seed=0, restarts=2).labels
+    params = init_model_params(
+        g.n, config.layer_dims(), config.attn_dim, config.heads, _rng(config.seed, _RNG_INIT)
+    )
+    h0, _, _ = network_forward_cached(structure, params, opts)
+    labels = fcm_fit(h0, min(3, g.n), iters=config.fcm_iters, seed=0, restarts=2).labels
     sampler = NegativeSampler.for_graph(g, config.negatives)
     samples = draw_structure_samples(g, sampler, _rng(config.seed, _RNG_EPOCH))
 
-    def loss_of(model: ModelParams) -> float:
-        h, record, _ = network_forward_cached(structure, model, opts)
-        refined = g if config.no_weight_update else update_edge_weights(g, record)
-        q = modularity(refined, labels)
-        l_g = structure_loss_from_samples(h, samples)
-        return l_g + config.modularity_weight * (-q)
+    def fixed(h, refined):
+        return labels, samples
 
-    _, _, _, _, grads = _epoch_losses_and_grads(g, structure, params, opts, config, labels, samples)
+    def loss_of(model: ModelParams) -> float:
+        return _epoch_step(g, structure, model, opts, config, fixed, backward=False)[0].total
+
+    _, _, grads = _epoch_step(g, structure, params, opts, config, fixed)
 
     worst = 0.0
     probe = params.copy()
@@ -399,19 +379,44 @@ def save_checkpoint(model: TrainedModel, path) -> None:
     np.savez(path, **data)
 
 
-def load_checkpoint(path) -> TrainedModel:
-    from .attention import LayerParams
+def _check_checkpoint_shapes(config: TrainConfig, params: ModelParams, centers) -> None:
+    """Raise ValueError naming the first array whose shape disagrees with the config."""
+    dims, heads = config.layer_dims(), config.heads
+    checks = [("embedding", params.embedding, params.embedding.shape[:1] + (dims[0],))]
+    for i, (layer, d_in, d_out) in enumerate(zip(params.layers, dims[:-1], dims[1:])):
+        checks += [
+            (f"layer{i}_w1", layer.w1, (heads, d_in, config.attn_dim)),
+            (f"layer{i}_w2", layer.w2, (heads, d_in, d_out)),
+            (f"layer{i}_gamma", layer.gamma, (heads,)),
+        ]
+    if centers is not None:
+        checks.append(("centers", centers, centers.shape[:1] + (dims[-1],)))
+    for key, array, shape in checks:
+        if array.shape != shape:
+            raise ValueError(
+                f"checkpoint key {key} has shape {array.shape}; config_text implies {shape}"
+            )
 
+
+def load_checkpoint(path) -> TrainedModel:
+    """Read a checkpoint written by save_checkpoint; reject arrays that disagree with its config."""
     with np.load(path, allow_pickle=False) as z:
         version = int(z["format_version"])
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
         config = parse_config_text(str(z["config_text"]))
+        layer_count = int(z["layer_count"])
+        if layer_count != config.layer_count:
+            raise ValueError(
+                f"checkpoint key layer_count is {layer_count}; config_text says {config.layer_count}"
+            )
         layers = [
             LayerParams(w1=z[f"layer{i}_w1"], w2=z[f"layer{i}_w2"], gamma=z[f"layer{i}_gamma"])
-            for i in range(int(z["layer_count"]))
+            for i in range(layer_count)
         ]
         params = ModelParams(embedding=z["embedding"], layers=layers)
+        centers = z["centers"] if "centers" in z else None
+        _check_checkpoint_shapes(config, params, centers)
         history = [
             LossBreakdown(structure=row[0], modularity_loss=row[1], total=row[2], modularity_q=row[3])
             for row in z["loss_history"]
@@ -432,7 +437,6 @@ def load_checkpoint(path) -> TrainedModel:
             working = build_graph(
                 int(z["working_n"]), z["working_edge_u"], z["working_edge_v"], z["working_edge_w"]
             )
-        centers = z["centers"] if "centers" in z else None
         return TrainedModel(
             params=params,
             cluster_count=int(z["cluster_count"]),

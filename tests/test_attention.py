@@ -8,11 +8,8 @@ from wgclust.attention import (
     LayerParams,
     ModelParams,
     build_attention_structure,
-    edge_weight_factor,
     init_model_params,
-    layer_forward,
     network_backward,
-    network_forward,
     network_forward_cached,
 )
 from wgclust.entmax import entmax, softmax
@@ -58,6 +55,39 @@ def straight_line_layer(g, h_in, params, alpha, use_factor=True, use_entmax=True
     return out, coeffs
 
 
+def per_node_factors(g, i, mode="max"):
+    """Node-by-node reference for f_iz, keyed by candidate id (including i)."""
+    nbrs = g.neighbors(i)
+    if not nbrs:
+        return {i: 1.0}
+    row_w = [w for _, w in nbrs]
+    w_self = {"max": max(row_w), "mean": sum(row_w) / len(row_w), "min": min(row_w)}[mode]
+    denom = sum(row_w) + w_self
+    out = {z: w / denom for z, w in nbrs}
+    out[i] = w_self / denom
+    return out
+
+
+def structure_factors(g, i, mode="max"):
+    """f_iz of node i as build_attention_structure stores them, keyed by candidate id."""
+    s = build_attention_structure(g, mode)
+    lo, hi = s.indptr[i], s.indptr[i + 1]
+    return {int(z): float(f) for z, f in zip(s.dst[lo:hi], s.factors[lo:hi])}
+
+
+def run_network(g, model, alpha, self_loop_mode="max", opts=None):
+    """All layers over a graph; returns (H_final, AttentionRecord)."""
+    structure = build_attention_structure(g, self_loop_mode)
+    h, record, _ = network_forward_cached(structure, model, opts or ForwardOptions(alpha=alpha))
+    return h, record
+
+
+def run_layer(g, h_in, params, alpha, self_loop_mode="max"):
+    """One layer over a graph; returns (h_out, AttentionRecord)."""
+    model = ModelParams(embedding=np.asarray(h_in, dtype=np.float64), layers=[params])
+    return run_network(g, model, alpha, self_loop_mode)
+
+
 def tiny_graph():
     return build_graph(4, [0, 0, 1, 2], [1, 2, 2, 3], [2.0, 1.0, 3.0, 0.5])
 
@@ -65,7 +95,7 @@ def tiny_graph():
 class TestEdgeWeightFactor:
     def test_max_self_loop(self):
         g = build_graph(3, [0, 0], [1, 2], [2.0, 6.0])
-        f = edge_weight_factor(g, 0, mode="max")
+        f = structure_factors(g, 0, mode="max")
         assert f[1] == pytest.approx(2 / 14)
         assert f[2] == pytest.approx(6 / 14)
         assert f[0] == pytest.approx(6 / 14)
@@ -73,18 +103,18 @@ class TestEdgeWeightFactor:
 
     def test_single_neighbor_splits_evenly(self):
         g = build_graph(2, [0], [1], [3.5])
-        f = edge_weight_factor(g, 0)
+        f = structure_factors(g, 0)
         assert f[0] == pytest.approx(0.5) and f[1] == pytest.approx(0.5)
 
     def test_isolated_node(self):
         g = build_graph(3, [0], [1], [1.0])
-        f = edge_weight_factor(g, 2)
+        f = structure_factors(g, 2)
         assert f == {2: 1.0}
 
     def test_mean_and_min_modes(self):
         g = build_graph(3, [0, 0], [1, 2], [2.0, 6.0])
-        assert edge_weight_factor(g, 0, mode="mean")[0] == pytest.approx(4 / 12)
-        assert edge_weight_factor(g, 0, mode="min")[0] == pytest.approx(2 / 10)
+        assert structure_factors(g, 0, mode="mean")[0] == pytest.approx(4 / 12)
+        assert structure_factors(g, 0, mode="min")[0] == pytest.approx(2 / 10)
 
     def test_structure_factors_match_per_node_api(self):
         lab = synth_weighted_sbm(15, 2, 0.5, 0.2, 3.0, 1.0, seed=0)
@@ -92,7 +122,7 @@ class TestEdgeWeightFactor:
         s = build_attention_structure(g, "max")
         for e in range(s.src.size):
             i, z = int(s.src[e]), int(s.dst[e])
-            assert s.factors[e] == pytest.approx(edge_weight_factor(g, i)[z], abs=1e-14)
+            assert s.factors[e] == pytest.approx(per_node_factors(g, i)[z], abs=1e-14)
 
 
 class TestLayerForward:
@@ -103,7 +133,7 @@ class TestLayerForward:
         params = LayerParams(
             w1=rng.normal(size=(1, 2, 2)), w2=rng.normal(size=(1, 2, 2)), gamma=np.array([1.0])
         )
-        _, record = layer_forward(g, h, params, alpha=1.55)
+        _, record = run_layer(g, h, params, alpha=1.55)
         assert record.coefficient(0, 0, 0, 0) == pytest.approx(0.5, abs=1e-9)
         assert record.coefficient(0, 0, 0, 1) == pytest.approx(0.5, abs=1e-9)
 
@@ -114,7 +144,7 @@ class TestLayerForward:
         params = LayerParams(
             w1=rng.normal(size=(1, 3, 3)), w2=rng.normal(size=(1, 3, 3)), gamma=np.array([1.0])
         )
-        out, _ = layer_forward(g, h, params, alpha=1.55)
+        out, _ = run_layer(g, h, params, alpha=1.55)
         oracle, _ = straight_line_layer(g, h, params, 1.55)
         np.testing.assert_allclose(out, oracle, atol=1e-10)
 
@@ -127,7 +157,7 @@ class TestLayerForward:
             w2=rng.normal(size=(3, 3, 4)) * 0.7,
             gamma=rng.normal(size=3),
         )
-        out, record = layer_forward(g, h, params, alpha=1.55)
+        out, record = run_layer(g, h, params, alpha=1.55)
         oracle, coeffs = straight_line_layer(g, h, params, 1.55)
         np.testing.assert_allclose(out, oracle, atol=1e-10)
         for (t, i, z), a in coeffs.items():
@@ -137,8 +167,8 @@ class TestLayerForward:
         lab = synth_weighted_sbm(25, 2, 0.4, 0.1, 3.0, 1.0, seed=3)
         g = lab.graph
         rng = np.random.default_rng(4)
-        model = init_model_params(g.n, [8, 8, 8], heads=2, rng=rng)
-        _, record = network_forward(g, model, alpha=1.55)
+        model = init_model_params(g.n, [8, 8, 8], attn_dim=8, heads=2, rng=rng)
+        _, record = run_network(g, model, alpha=1.55)
         s = record.structure
         for layer in range(2):
             for head in range(2):
@@ -154,9 +184,9 @@ class TestLayerForward:
             w2=rng.normal(size=(1, 2, 2)),
             gamma=np.array([1.0]),
         )
-        _, rec_before = layer_forward(g, h, params, alpha=1.55)
+        _, rec_before = run_layer(g, h, params, alpha=1.55)
         bumped = build_graph(3, [0, 0], [1, 2], [3.0, 6.0])  # raise the non-max edge 0-1
-        _, rec_after = layer_forward(bumped, h, params, alpha=1.55)
+        _, rec_after = run_layer(bumped, h, params, alpha=1.55)
         assert rec_after.coefficient(0, 0, 0, 1) >= rec_before.coefficient(0, 0, 0, 1) - 1e-12
 
 
@@ -164,17 +194,19 @@ class TestNetworkForward:
     def test_single_layer_reduces_to_layer_forward(self):
         g = tiny_graph()
         rng = np.random.default_rng(6)
-        model = init_model_params(g.n, [3, 5], heads=2, rng=rng)
-        h_net, _ = network_forward(g, model, alpha=1.55)
-        h_layer, _ = layer_forward(g, model.embedding, model.layers[0], alpha=1.55)
+        model = init_model_params(g.n, [3, 5], attn_dim=5, heads=2, rng=rng)
+        h_net, _ = run_network(g, model, alpha=1.55)
+        h_layer, _ = run_layer(g, model.embedding, model.layers[0], alpha=1.55)
         np.testing.assert_allclose(h_net, h_layer, atol=1e-12)
+        oracle, _ = straight_line_layer(g, model.embedding, model.layers[0], 1.55)
+        np.testing.assert_allclose(h_net, oracle, atol=1e-10)
 
     def test_permutation_equivariance(self):
         lab = synth_weighted_sbm(12, 2, 0.6, 0.2, 3.0, 1.0, seed=7)
         g = lab.graph
         rng = np.random.default_rng(8)
-        model = init_model_params(g.n, [6, 6], heads=2, rng=rng)
-        h, _ = network_forward(g, model, alpha=1.55)
+        model = init_model_params(g.n, [6, 6], attn_dim=6, heads=2, rng=rng)
+        h, _ = run_network(g, model, alpha=1.55)
         perm = np.random.default_rng(9).permutation(g.n)
         u, v, w = g.edge_arrays()
         gp = build_graph(g.n, perm[u], perm[v], w)
@@ -182,15 +214,15 @@ class TestNetworkForward:
             embedding=np.empty_like(model.embedding), layers=model.layers
         )
         model_p.embedding[perm] = model.embedding
-        hp, _ = network_forward(gp, model_p, alpha=1.55)
+        hp, _ = run_network(gp, model_p, alpha=1.55)
         np.testing.assert_allclose(hp[perm], h, atol=1e-9)
 
     def test_vanilla_variant_matches_plain_gat_oracle(self):
         g = tiny_graph()
         rng = np.random.default_rng(10)
-        model = init_model_params(g.n, [3, 4], heads=2, rng=rng)
+        model = init_model_params(g.n, [3, 4], attn_dim=4, heads=2, rng=rng)
         opts = ForwardOptions(alpha=1.55, normalizer="softmax", use_weight_factor=False)
-        h, _ = network_forward(g, model, alpha=1.55, opts=opts)
+        h, _ = run_network(g, model, alpha=1.55, opts=opts)
         oracle, _ = straight_line_layer(
             g, model.embedding, model.layers[0], alpha=1.55, use_factor=False, use_entmax=False
         )
@@ -198,11 +230,11 @@ class TestNetworkForward:
 
     def test_non_finite_activation_raises(self):
         g = build_graph(2, [0], [1], [1.0])
-        model = init_model_params(2, [2, 2], heads=1, rng=np.random.default_rng(11))
+        model = init_model_params(2, [2, 2], attn_dim=2, heads=1, rng=np.random.default_rng(11))
         model.embedding[0, 0] = 1e200
         model.embedding[1, 0] = 1e200
         with pytest.raises(FloatingPointError, match="node"):
-            network_forward(g, model, alpha=2.0)
+            run_network(g, model, alpha=2.0)
 
 
 class TestLayerGradients:
@@ -210,7 +242,7 @@ class TestLayerGradients:
         lab = synth_weighted_sbm(5, 2, 0.9, 0.5, 2.0, 1.0, seed=12)
         g = lab.graph
         rng = np.random.default_rng(13)
-        model = init_model_params(g.n, [3, 4, 3], heads=2, rng=rng)
+        model = init_model_params(g.n, [3, 4, 3], attn_dim=3, heads=2, rng=rng)
         structure = build_attention_structure(g, "max")
         opts = ForwardOptions(alpha=1.55)
         target = rng.normal(size=(g.n, 3))

@@ -221,3 +221,12 @@ class TestSegmented:
         for seg in (slice(0, 3), slice(3, 9)):
             expect = p[seg] * (u[seg] - p[seg] @ u[seg])
             np.testing.assert_allclose(g[seg], expect, atol=1e-12)
+
+
+def test_submodule_import_yields_the_module():
+    import types
+
+    import wgclust.entmax as m
+
+    assert isinstance(m, types.ModuleType)
+    assert callable(m.entmax) and callable(m.segment_entmax)

@@ -1,5 +1,7 @@
 """Objective terms against brute-force oracles: refinement, modularity, contrastive loss."""
 
+import signal
+
 import numpy as np
 import pytest
 
@@ -10,12 +12,21 @@ from wgclust.losses import (
     draw_structure_samples,
     modularity,
     modularity_weight_grad,
-    structure_loss,
     structure_loss_from_samples,
     structure_loss_grad,
     total_loss,
     update_edge_weights,
 )
+
+
+def _raise_timeout(signum, frame):
+    raise TimeoutError("draw_structure_samples did not return")
+
+
+def sampled_structure_loss(h, g, sampler, seed):
+    """Draw samples with a fresh seeded rng and evaluate the loss."""
+    samples = draw_structure_samples(g, sampler, np.random.default_rng(seed))
+    return structure_loss_from_samples(np.asarray(h, dtype=np.float64), samples)
 
 
 def brute_force_modularity(g, labels):
@@ -158,14 +169,14 @@ class TestStructureLoss:
         h = np.array([[1.0, 0.0], [0.0, 1.0]])  # orthogonal: score 0
         g = build_graph(2, [0], [1], [1.0])
         sampler = NegativeSampler.for_graph(g, 0)
-        val = structure_loss(h, g, sampler, seed=0)
+        val = sampled_structure_loss(h, g, sampler, seed=0)
         assert val == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_saturation_to_zero(self):
         h = np.array([[30.0, 0.0], [30.0, 0.0]])  # score 900: sigmoid ~ 1
         g = build_graph(2, [0], [1], [1.0])
         sampler = NegativeSampler.for_graph(g, 0)
-        val = structure_loss(h, g, sampler, seed=0)
+        val = sampled_structure_loss(h, g, sampler, seed=0)
         assert val == pytest.approx(0.0, abs=1e-12)
 
     def test_nonnegative(self):
@@ -174,7 +185,7 @@ class TestStructureLoss:
         sampler = NegativeSampler.for_graph(lab.graph, 5)
         for seed in range(10):
             h = rng.normal(size=(20, 4))
-            assert structure_loss(h, lab.graph, sampler, seed=seed) >= 0.0
+            assert sampled_structure_loss(h, lab.graph, sampler, seed=seed) >= 0.0
 
     def test_matches_straight_line_oracle_exactly(self):
         rng = np.random.default_rng(8)
@@ -202,7 +213,7 @@ class TestStructureLoss:
         g = build_graph(3, [0], [1], [1.0])  # node 2 isolated
         h = np.array([[1.0, 0.0], [0.0, 1.0], [50.0, 50.0]])
         sampler = NegativeSampler.for_graph(g, 0)
-        val = structure_loss(h, g, sampler, seed=0)
+        val = sampled_structure_loss(h, g, sampler, seed=0)
         assert val == pytest.approx(np.log(2.0), abs=1e-12)  # node 2 contributes nothing
 
     def test_positive_sampling_follows_weights(self):
@@ -253,6 +264,21 @@ class TestNegativeSampler:
         expect = deg**0.75 / (deg**0.75).sum()
         np.testing.assert_allclose(sampler.probs, expect)
         assert sampler.probs.sum() == pytest.approx(1.0)
+
+    def test_zero_probability_non_neighbors_leave_no_negative(self):
+        # node 3 is isolated, so its sampling probability is 0; it is node 0's
+        # only non-neighbor, so node 0 has no drawable negative at all
+        g = build_graph(4, [0, 0], [1, 2], [1.0, 1.0])
+        sampler = NegativeSampler.for_graph(g, 2)
+        signal.signal(signal.SIGALRM, _raise_timeout)
+        signal.alarm(10)
+        try:
+            samples = draw_structure_samples(g, sampler, np.random.default_rng(0))
+        finally:
+            signal.alarm(0)
+        np.testing.assert_array_equal(samples.negatives, [[0, 0], [2, 2], [1, 1], [0, 0]])
+        np.testing.assert_array_equal(samples.active, [True, True, True, False])
+        assert np.isfinite(structure_loss_from_samples(np.eye(4), samples))
 
 
 class TestTotalLoss:

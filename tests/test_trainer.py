@@ -25,6 +25,14 @@ def six_node_graph():
 
 
 class TestTrainBasics:
+    def test_attn_dim_sets_logit_projection_width(self):
+        lab = synth_weighted_sbm(20, 2, 0.5, 0.1, 3.0, 1.0, seed=0)
+        model = train(lab.graph, 2, TrainConfig(epochs=0, no_contraction=True, **TINY))
+        assert (TINY["embed_dim"], TINY["attn_dim"], TINY["hidden_dim"]) == (6, 5, 6)
+        for layer in model.params.layers:
+            assert layer.w1.shape == (2, 6, 5)
+            assert layer.w2.shape == (2, 6, 6)
+
     def test_zero_epochs_returns_initialized_model(self):
         lab = synth_weighted_sbm(20, 2, 0.5, 0.1, 3.0, 1.0, seed=0)
         cfg = TrainConfig(epochs=0, no_contraction=True, **TINY)
@@ -172,9 +180,12 @@ class TestInfer:
 
 
 class TestAblations:
-    def test_vanilla_gat_equals_softmax_plus_no_factor(self):
+    def test_ewsgat_ablation_equals_softmax_plus_no_factor(self):
+        from wgclust.cli import ABLATIONS
+
         lab = synth_weighted_sbm(20, 2, 0.6, 0.1, 3.0, 1.0, seed=11)
-        cfg_a = TrainConfig(epochs=3, no_contraction=True, vanilla_gat=True, **TINY)
+        base = TrainConfig(epochs=3, no_contraction=True, **TINY)
+        cfg_a = base.replace(**ABLATIONS["ewsgat"])
         cfg_b = TrainConfig(
             epochs=3, no_contraction=True, softmax_instead_of_entmax=True, drop_f_iz=True, **TINY
         )
@@ -230,6 +241,21 @@ class TestCheckpoint:
         np.testing.assert_array_equal(a1.memberships, a2.memberships)
         np.testing.assert_array_equal(a1.labels, a2.labels)
 
+    @pytest.mark.parametrize(
+        "key", ["layer_count", "layer0_w1", "layer1_gamma", "embedding", "centers"]
+    )
+    def test_checkpoint_disagreeing_with_config_rejected(self, tmp_path, key):
+        lab = synth_weighted_sbm(20, 2, 0.6, 0.1, 3.0, 1.0, seed=16)
+        model = train(lab.graph, 2, TrainConfig(epochs=1, no_contraction=True, **TINY))
+        save_checkpoint(model, tmp_path / "m.npz")
+        with np.load(tmp_path / "m.npz") as z:
+            data = dict(z)
+        # one layer fewer, or one column fewer on the last axis
+        data[key] = np.array(1) if key == "layer_count" else data[key][..., :-1]
+        np.savez(tmp_path / "bad.npz", **data)
+        with pytest.raises(ValueError, match=key):
+            load_checkpoint(tmp_path / "bad.npz")
+
     def test_history_survives_round_trip(self, tmp_path):
         lab = synth_weighted_sbm(20, 2, 0.6, 0.1, 3.0, 1.0, seed=15)
         cfg = TrainConfig(epochs=3, no_contraction=True, **TINY)
@@ -248,6 +274,21 @@ class TestConfigFormat:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown key"):
             parse_config_text("not_a_real_knob = 3\n")
+        with pytest.raises(ValueError, match="unknown key 'vanilla_gat'"):
+            parse_config_text("vanilla_gat = true\n")
+
+    def test_contraction_fields_are_validated_by_contraction_config(self):
+        from wgclust.contraction import ContractionConfig
+
+        cfg = TrainConfig(density_weight=0.25, teleport=0.75, distance_mode="unit", core_count=3,
+                          importance_threshold=0.01)
+        assert cfg.contraction == ContractionConfig(
+            core_count=3, density_weight=0.25, teleport=0.75, importance_threshold=0.01,
+            distance_mode="unit",
+        )
+        for bad in ({"density_weight": 1.5}, {"teleport": 0.0}, {"distance_mode": "hops"}):
+            with pytest.raises(ValueError):
+                TrainConfig(**bad)
 
     def test_overrides_apply_over_base(self):
         base = TrainConfig(seed=1)
