@@ -42,6 +42,10 @@ __all__ = [
 
 SELF_LOOP_MODES = ("max", "mean", "min")
 
+# entries per block in _pair_dots: the two gathered (block, width) operands
+# fit in L2 at the widths used here
+_PAIR_DOT_CHUNK = 1024
+
 
 @dataclass
 class LayerParams:
@@ -142,12 +146,16 @@ class AttentionStructure:
 def _self_loop_weights(g: WeightedGraph, mode: str) -> np.ndarray:
     if mode not in SELF_LOOP_MODES:
         raise ValueError(f"self_loop_mode must be one of {SELF_LOOP_MODES}")
+    deg = np.diff(g.indptr)
+    has_edges = deg > 0
     w_self = np.ones(g.n)  # isolated nodes: w_ii = 1 so f_ii = 1
-    for i in range(g.n):
-        lo, hi = g.indptr[i], g.indptr[i + 1]
-        if hi > lo:
-            row = g.weights[lo:hi]
-            w_self[i] = {"max": row.max, "mean": row.mean, "min": row.min}[mode]()
+    # empty rows have zero length, so the non-empty starts delimit every row
+    starts = g.indptr[:-1][has_edges]
+    if mode == "mean":
+        w_self[has_edges] = np.add.reduceat(g.weights, starts) / deg[has_edges]
+    else:
+        reduce = np.maximum if mode == "max" else np.minimum
+        w_self[has_edges] = reduce.reduceat(g.weights, starts)
     return w_self
 
 
@@ -159,30 +167,17 @@ def build_attention_structure(g: WeightedGraph, self_loop_mode: str = "max") -> 
     incident weights; an isolated node's only candidate is itself with f = 1.
     """
     w_self = _self_loop_weights(g, self_loop_mode)
-    deg = np.diff(g.indptr)
-    n_entries = int(deg.sum()) + g.n
-    src = np.empty(n_entries, dtype=np.int64)
-    dst = np.empty(n_entries, dtype=np.int64)
-    w_entry = np.empty(n_entries)
-    is_self = np.zeros(n_entries, dtype=bool)
-    indptr = np.zeros(g.n + 1, dtype=np.int64)
-    pos = 0
-    for i in range(g.n):
-        lo, hi = g.indptr[i], g.indptr[i + 1]
-        row = g.indices[lo:hi]
-        k = int(np.searchsorted(row, i))  # splice the self-loop in sorted position
-        m = hi - lo
-        sl = slice(pos, pos + m + 1)
-        src[sl] = i
-        dst[pos : pos + k] = row[:k]
-        dst[pos + k] = i
-        dst[pos + k + 1 : pos + m + 1] = row[k:]
-        w_entry[pos : pos + k] = g.weights[lo : lo + k]
-        w_entry[pos + k] = w_self[i]
-        w_entry[pos + k + 1 : pos + m + 1] = g.weights[lo + k : hi]
-        is_self[pos + k] = True
-        pos += m + 1
-        indptr[i + 1] = pos
+    nodes = np.arange(g.n, dtype=np.int64)
+    edge_src = g.directed_src()
+    # rows are sorted by (src, dst), so each self-loop's place in the flat
+    # entry array is a search on the combined key src * n + dst
+    self_at = np.searchsorted(edge_src * g.n + g.indices, nodes * (g.n + 1))
+    src = np.insert(edge_src, self_at, nodes)
+    dst = np.insert(g.indices, self_at, nodes)
+    w_entry = np.insert(g.weights, self_at, w_self)
+    is_self = np.zeros(src.size, dtype=bool)
+    is_self[self_at + nodes] = True
+    indptr = g.indptr + np.arange(g.n + 1, dtype=np.int64)
     denom = g.weighted_degree() + w_self
     factors = w_entry / denom[src]
     rev = np.lexsort((src, dst))
@@ -268,8 +263,32 @@ def _col_aggregate(structure, values, dense) -> np.ndarray:
 
 
 def _pair_dots(a_rows: np.ndarray, b_rows: np.ndarray, src, dst) -> np.ndarray:
-    """Per-entry dot products a_rows[src(e)] . b_rows[dst(e)]."""
-    return np.einsum("me,me->m", a_rows[src], b_rows[dst])
+    """Per-entry dot products a_rows[src(e)] . b_rows[dst(e)].
+
+    Entries go in blocks of _PAIR_DOT_CHUNK, so the two gathered operands
+    stay in cache instead of being materialized for every entry at once.
+    """
+    out = np.empty(src.size)
+    for lo in range(0, src.size, _PAIR_DOT_CHUNK):
+        hi = lo + _PAIR_DOT_CHUNK
+        out[lo:hi] = np.einsum("me,me->m", a_rows[src[lo:hi]], b_rows[dst[lo:hi]])
+    return out
+
+
+def _symmetric_logits(structure, proj_attn) -> np.ndarray:
+    """Per-entry, per-head dot logits <P_src, P_dst>, shape (entries, heads).
+
+    The dot is symmetric, so it is computed on src <= dst entries only and
+    copied to each reversed entry through rev.
+    """
+    src, dst = structure.src, structure.dst
+    upper = np.flatnonzero(src <= dst)
+    lower = np.flatnonzero(src > dst)
+    logits = np.empty((src.size, proj_attn.shape[0]))
+    for t in range(proj_attn.shape[0]):
+        logits[upper, t] = _pair_dots(proj_attn[t], proj_attn[t], src[upper], dst[upper])
+    logits[lower] = logits[structure.rev[lower]]
+    return logits
 
 
 def _elu(x: np.ndarray) -> np.ndarray:
@@ -284,9 +303,7 @@ def _forward_layer(structure, h_in, params, opts) -> tuple[np.ndarray, _LayerCac
     heads = params.heads
     proj_attn = np.einsum("nd,hde->hne", h_in, params.w1)
     proj_val = np.einsum("nd,hde->hne", h_in, params.w2)
-    logits = np.empty((structure.src.size, heads))
-    for t in range(heads):
-        logits[:, t] = _pair_dots(proj_attn[t], proj_attn[t], structure.src, structure.dst)
+    logits = _symmetric_logits(structure, proj_attn)
     if opts.use_weight_factor:
         logits += structure.factors[:, None]
     if not np.all(np.isfinite(logits)):

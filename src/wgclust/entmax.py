@@ -1,15 +1,24 @@
-"""alpha-entmax: a sparse normalizing transform solved by bisection.
+"""alpha-entmax: a sparse normalizing transform solved by Newton's method.
 
 For alpha in (1, 2] the transform maps a score vector z to
 p_i = [(alpha-1) z_i - tau]_+^(1/(alpha-1)) with tau chosen so sum(p) = 1.
 It interpolates softmax (alpha -> 1) and sparsemax (alpha = 2) and assigns
-exact zeros to scores far enough below the maximum. The threshold is found
-by bisecting on the scaled scores z' = (alpha-1) z, where the bracket
-[max(z') - 1, max(z') - d^(1-alpha)] provably contains the root.
+exact zeros to scores far enough below the maximum.
 
-Besides the single-vector API, segmented variants operate on a flat value
-array split into contiguous rows by an indptr, which is how the attention
-layer normalizes all nodes (and heads) in one call.
+The threshold solves f(tau) = sum_i [z'_i - tau]_+^(1/(alpha-1)) - 1 = 0 on
+the scaled scores z' = (alpha-1) z. Each row is first shifted so that its
+maximum is 0 (entmax is shift-invariant), which keeps the solve accurate for
+rows far from zero. f is convex and decreasing in tau, and f(-1) >= 0, so
+Newton's method started at tau = -1 rises monotonically to the root without
+a bracket (Blondel, Martins & Niculae 2020, "Learning with Fenchel-Young
+Losses"). It stops when every row has |sum(p) - 1| <= 1e-10 and raises
+FloatingPointError if some row has not converged after 100 passes. A second
+short solve from just below the root makes the result independent of the
+entries that end up off the support.
+
+The kernel works on a flat value array split into contiguous rows by an
+indptr, which is how the attention layer normalizes all nodes (and heads) in
+one call; the single-vector API is a one-row call of the same kernel.
 """
 
 from __future__ import annotations
@@ -18,8 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-BISECT_TOL = 1e-10
-BISECT_MAX_ITER = 100
+SOLVE_TOL = 1e-10
+SOLVE_MAX_PASSES = 100
+_SETTLE_GRID = 2.0**30  # the final solve starts on this grid, within 1e-9 of the root
 
 
 @dataclass(frozen=True)
@@ -39,40 +49,19 @@ def _check_alpha(alpha: float) -> None:
 def entmax_tau(z, alpha: float) -> float:
     """Solve for the threshold of a single score vector.
 
-    Bisects on the scaled scores until |sum(p) - 1| <= 1e-10 or 100
-    iterations. The returned tau lives in the scaled domain, i.e.
+    The returned tau lives in the scaled domain, i.e.
     p = [ (alpha-1) z - tau ]_+^(1/(alpha-1)).
     """
-    _check_alpha(alpha)
-    z = np.asarray(z, dtype=np.float64)
-    if z.size == 0:
-        raise ValueError("empty score vector")
-    zs = (alpha - 1.0) * z
-    d = zs.size
-    hi_anchor = zs.max()
-    lo = hi_anchor - 1.0
-    hi = hi_anchor - d ** (1.0 - alpha)
-    inv = 1.0 / (alpha - 1.0)
-    tau = lo
-    for _ in range(BISECT_MAX_ITER):
-        tau = 0.5 * (lo + hi)
-        total = np.maximum(zs - tau, 0.0) ** inv
-        s = total.sum()
-        if abs(s - 1.0) <= BISECT_TOL:
-            break
-        if s < 1.0:
-            hi = tau
-        else:
-            lo = tau
-    return float(tau)
+    return entmax(z, alpha).tau
 
 
 def entmax(z, alpha: float) -> EntmaxResult:
     """Normalize a score vector with alpha-entmax."""
     z = np.asarray(z, dtype=np.float64)
-    tau = entmax_tau(z, alpha)
-    p = np.maximum((alpha - 1.0) * z - tau, 0.0) ** (1.0 / (alpha - 1.0))
-    return EntmaxResult(p=p, tau=tau, support=np.flatnonzero(p > 0))
+    if z.size == 0:
+        raise ValueError("empty score vector")
+    p, tau = _solve(z, np.array([0, z.size]), alpha)
+    return EntmaxResult(p=p, tau=float(tau[0]), support=np.flatnonzero(p > 0))
 
 
 def entmax_jvp(result: EntmaxResult, alpha: float, upstream) -> np.ndarray:
@@ -83,14 +72,8 @@ def entmax_jvp(result: EntmaxResult, alpha: float, upstream) -> np.ndarray:
     and exactly zero off-support. (The entmax Jacobian is symmetric, so the
     vector-Jacobian and Jacobian-vector products coincide.)
     """
-    _check_alpha(alpha)
-    u = np.asarray(upstream, dtype=np.float64)
     p = result.p
-    s = np.where(p > 0, p ** (2.0 - alpha), 0.0)
-    ssum = s.sum()
-    if ssum == 0:
-        return np.zeros_like(p)
-    return s * u - s * (s @ u) / ssum
+    return segment_entmax_vjp(p, np.array([0, p.size]), alpha, np.asarray(upstream, dtype=np.float64))
 
 
 def softmax(z) -> np.ndarray:
@@ -109,35 +92,56 @@ def _row_ids(indptr: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
 
 
-def segment_entmax(values, indptr, alpha: float) -> np.ndarray:
-    """alpha-entmax applied independently to every row of a segmented array."""
+def _newton(zs, tau, starts, lens, inv) -> tuple[np.ndarray, np.ndarray]:
+    """Newton passes on row-max-shifted scaled scores from a tau left of the root."""
+    x = np.empty_like(zs)
+    for _ in range(SOLVE_MAX_PASSES):
+        np.subtract(zs, np.repeat(tau, lens, axis=0), out=x)
+        np.maximum(x, 0.0, out=x)
+        # xq = x^(inv-1) is the derivative's summand; at alpha = 2 it is the
+        # support indicator (0**0 would count off-support entries)
+        xq = (x > 0).astype(np.float64) if inv == 1.0 else x ** (inv - 1.0)
+        p = xq * x
+        residual = np.add.reduceat(p, starts, axis=0) - 1.0
+        converged = np.abs(residual) <= SOLVE_TOL
+        if converged.all():
+            return p, tau
+        tau = tau + residual / (inv * np.add.reduceat(xq, starts, axis=0))
+    bad = tuple(np.argwhere(~converged)[0])
+    raise FloatingPointError(
+        f"entmax did not converge in {SOLVE_MAX_PASSES} passes: row {int(bad[0])} "
+        f"has |sum(p) - 1| = {abs(float(residual[bad])):.1e}"
+    )
+
+
+def _solve(values, indptr, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Solve every row's threshold; returns (p, tau).
+
+    values is (m,) or (m, h) and indptr splits axis 0 into non-empty rows.
+    tau is per row (and head), in the unshifted scaled domain.
+    """
     _check_alpha(alpha)
     values = np.asarray(values, dtype=np.float64)
     if np.any(np.diff(indptr) <= 0):
         raise ValueError("segments must be non-empty")
-    zs = (alpha - 1.0) * values
     starts = indptr[:-1]
-    lens = np.diff(indptr).astype(np.float64)
-    hi_anchor = np.maximum.reduceat(zs, starts, axis=0)
-    if values.ndim == 2:
-        lens = lens[:, None]
-    lo = hi_anchor - 1.0
-    hi = hi_anchor - lens ** (1.0 - alpha)
+    lens = np.diff(indptr)
+    zs = (alpha - 1.0) * values
+    top = np.maximum.reduceat(zs, starts, axis=0)
+    zs -= np.repeat(top, lens, axis=0)
     inv = 1.0 / (alpha - 1.0)
-    rows = _row_ids(indptr)
-    p = np.empty_like(zs)
-    for _ in range(BISECT_MAX_ITER):
-        tau = 0.5 * (lo + hi)
-        np.maximum(zs - tau[rows], 0.0, out=p)
-        if inv != 1.0:
-            np.power(p, inv, out=p)
-        sums = np.add.reduceat(p, starts, axis=0)
-        if np.abs(sums - 1.0).max() <= BISECT_TOL:
-            break
-        low = sums < 1.0
-        hi = np.where(low, tau, hi)
-        lo = np.where(low, lo, tau)
-    return p
+    _, tau = _newton(zs, np.full_like(top, -1.0), starts, lens, inv)
+    # Newton's path crosses entries that end up off the support, so the root
+    # carries their rounding. A second solve from the grid point just below
+    # it depends only on the entries above that point: an exact zero then
+    # has exactly no effect on p, as the VJP assumes.
+    p, tau = _newton(zs, np.floor(tau * _SETTLE_GRID) / _SETTLE_GRID, starts, lens, inv)
+    return p, tau + top
+
+
+def segment_entmax(values, indptr, alpha: float) -> np.ndarray:
+    """alpha-entmax applied independently to every row of a segmented array."""
+    return _solve(values, indptr, alpha)[0]
 
 
 def segment_entmax_vjp(p, indptr, alpha: float, upstream) -> np.ndarray:

@@ -11,6 +11,9 @@ from wgclust.attention import (
     init_model_params,
     network_backward,
     network_forward_cached,
+    _PAIR_DOT_CHUNK,
+    _pair_dots,
+    _symmetric_logits,
 )
 from wgclust.entmax import entmax, softmax
 from wgclust.graph import build_graph, synth_weighted_sbm
@@ -88,6 +91,12 @@ def run_layer(g, h_in, params, alpha, self_loop_mode="max"):
     return run_network(g, model, alpha, self_loop_mode)
 
 
+def with_isolated_node(g):
+    """The same edges plus one node (the last id) without edges."""
+    u, v, w = g.edge_arrays()
+    return build_graph(g.n + 1, u, v, w)
+
+
 def tiny_graph():
     return build_graph(4, [0, 0, 1, 2], [1, 2, 2, 3], [2.0, 1.0, 3.0, 0.5])
 
@@ -124,8 +133,56 @@ class TestEdgeWeightFactor:
             i, z = int(s.src[e]), int(s.dst[e])
             assert s.factors[e] == pytest.approx(per_node_factors(g, i)[z], abs=1e-14)
 
+    @pytest.mark.parametrize("mode", ["max", "mean", "min"])
+    def test_structure_matches_per_node_loop(self, mode):
+        sbm = synth_weighted_sbm(40, 2, 0.3, 0.05, 3.0, 1.0, seed=4).graph
+        graphs = [
+            with_isolated_node(sbm),
+            build_graph(5, [1, 1, 2], [2, 4, 4], [1.5, 0.5, 2.0]),  # nodes 0 and 3 isolated
+            build_graph(3, [], [], []),
+        ]
+        for g in graphs:
+            s = build_attention_structure(g, mode)
+            deg = np.diff(g.indptr)
+            np.testing.assert_array_equal(s.indptr, np.concatenate([[0], np.cumsum(deg + 1)]))
+            # mean sums a row in another order than the reference: each side is
+            # within (deg - 1) eps of the exact sum, relative
+            rtol = 2 * deg.max(initial=1) * np.finfo(float).eps if mode == "mean" else 0.0
+            for i in range(g.n):
+                ref = per_node_factors(g, i, mode)
+                lo, hi = s.indptr[i], s.indptr[i + 1]
+                cand = sorted(ref)
+                np.testing.assert_array_equal(s.src[lo:hi], i)
+                np.testing.assert_array_equal(s.dst[lo:hi], cand)
+                np.testing.assert_array_equal(s.is_self[lo:hi], np.array(cand) == i)
+                expect = np.array([ref[z] for z in cand])
+                if rtol == 0.0:
+                    np.testing.assert_array_equal(s.factors[lo:hi], expect)
+                else:
+                    np.testing.assert_allclose(s.factors[lo:hi], expect, rtol=rtol, atol=0)
+            np.testing.assert_array_equal(s.src[s.rev], s.dst)
+            np.testing.assert_array_equal(s.dst[s.rev], s.src)
+            np.testing.assert_array_equal(s.edge_pos, np.flatnonzero(~s.is_self))
+            np.testing.assert_array_equal(s.dst[s.edge_pos], g.indices)
+
 
 class TestLayerForward:
+    def test_chunked_and_mirrored_dots_equal_full_gather(self):
+        g = with_isolated_node(synth_weighted_sbm(100, 2, 0.5, 0.1, 3.0, 1.0, seed=14).graph)
+        s = build_attention_structure(g)
+        assert s.src.size > 2 * _PAIR_DOT_CHUNK
+        rng = np.random.default_rng(15)
+        proj = rng.normal(size=(3, g.n, 7))
+        other = rng.normal(size=(g.n, 7))
+        full = np.stack(
+            [np.einsum("me,me->m", proj[t][s.src], proj[t][s.dst]) for t in range(3)], axis=1
+        )
+        assert np.array_equal(_symmetric_logits(s, proj), full)
+        assert np.array_equal(
+            _pair_dots(proj[0], other, s.src, s.dst),
+            np.einsum("me,me->m", proj[0][s.src], other[s.dst]),
+        )
+
     def test_identical_features_one_edge_split_evenly(self):
         g = build_graph(2, [0], [1], [1.0])
         h = np.array([[0.3, -0.2], [0.3, -0.2]])

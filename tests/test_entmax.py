@@ -1,10 +1,12 @@
-"""Entmax against closed-form/sort-based oracles, its gradient, and its invariants."""
+"""Entmax against closed-form/sort-based oracles and a bisection reference, its gradient,
+and its invariants."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wgclust.entmax as entmax_module
 from wgclust.entmax import (
     EntmaxResult,
     entmax,
@@ -27,6 +29,33 @@ def sparsemax_oracle(z):
     support = ks[zs - css / ks > 0][-1]
     tau = css[support - 1] / support
     return np.maximum(z - tau, 0.0)
+
+
+def bisection_reference(values, indptr, alpha, tol=1e-10, max_iter=100):
+    """Segmented entmax by bisection on the bracket [max z' - 1, max z' - d^(1-alpha)].
+
+    Stops when every row has |sum(p) - 1| <= tol or after max_iter passes;
+    returns (p, per-row converged mask).
+    """
+    zs = (alpha - 1.0) * np.asarray(values, dtype=np.float64)
+    starts = indptr[:-1]
+    lens = np.diff(indptr).astype(np.float64)
+    hi_anchor = np.maximum.reduceat(zs, starts, axis=0)
+    if zs.ndim == 2:
+        lens = lens[:, None]
+    lo = hi_anchor - 1.0
+    hi = hi_anchor - lens ** (1.0 - alpha)
+    rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+    for _ in range(max_iter):
+        tau = 0.5 * (lo + hi)
+        p = np.maximum(zs - tau[rows], 0.0) ** (1.0 / (alpha - 1.0))
+        sums = np.add.reduceat(p, starts, axis=0)
+        if np.abs(sums - 1.0).max() <= tol:
+            break
+        low = sums < 1.0
+        hi = np.where(low, tau, hi)
+        lo = np.where(low, lo, tau)
+    return p, np.abs(sums - 1.0) <= tol
 
 
 def two_element_entmax_oracle(z, alpha):
@@ -207,6 +236,59 @@ class TestSegmented:
             seg = slice(indptr[r], indptr[r + 1])
             res = EntmaxResult(p=p[seg], tau=0.0, support=np.flatnonzero(p[seg] > 0))
             np.testing.assert_allclose(g[seg], entmax_jvp(res, 1.55, up[seg]), atol=1e-12)
+            s = np.where(p[seg] > 0, p[seg] ** 0.45, 0.0)
+            expect = s * up[seg] - s * (s @ up[seg]) / s.sum()
+            np.testing.assert_allclose(g[seg], expect, atol=1e-12)
+
+    @pytest.mark.parametrize("alpha", [1.01, 1.1, 1.3, 1.55, 1.8, 2.0])
+    def test_matches_bisection_reference(self, alpha):
+        rng = np.random.default_rng(int(alpha * 100))
+        checked = 0
+        for scale in (1e-2, 1.0, 10.0, 1e3, 1e6):
+            lens = rng.integers(1, 40, size=60)
+            indptr = np.concatenate([[0], np.cumsum(lens)])
+            vals = rng.normal(size=(indptr[-1], 2)) * scale
+            ref, converged = bisection_reference(vals, indptr, alpha)
+            p = segment_entmax(vals, indptr, alpha)
+            rows = np.repeat(np.arange(lens.size), lens)
+            keep = converged[rows]
+            assert np.abs(p - ref)[keep].max() <= 1e-10
+            np.testing.assert_array_equal((p == 0)[keep], (ref == 0)[keep])
+            checked += int(converged.sum())
+        assert checked >= 400
+
+    def test_near_tie_rows_far_from_zero(self):
+        # scores at 1e12 differ by a few ulps: unshifted, the threshold
+        # cannot be resolved to the tolerance
+        rng = np.random.default_rng(12)
+        lens = rng.integers(2, 30, size=50)
+        indptr = np.concatenate([[0], np.cumsum(lens)])
+        vals = 1e12 + rng.normal(size=(indptr[-1], 3)) * 1e-3
+        for alpha in (1.1, 1.55, 2.0):
+            p = segment_entmax(vals, indptr, alpha)
+            sums = np.add.reduceat(p, indptr[:-1], axis=0)
+            np.testing.assert_allclose(sums, 1.0, rtol=0, atol=1e-10)
+        tau = entmax_tau(vals[:5, 0], 1.55)
+        expect = entmax(vals[:5, 0] - 1e12, 1.55).tau + 0.55 * 1e12
+        assert tau == pytest.approx(expect, rel=1e-15)
+
+    def test_pass_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(entmax_module, "SOLVE_MAX_PASSES", 1)
+        vals = np.array([0.0, 0.5, 0.3, 0.2, 0.1])
+        with pytest.raises(FloatingPointError, match=r"row 1 has \|sum\(p\) - 1\|"):
+            segment_entmax(vals, np.array([0, 1, 5]), 1.55)
+
+    def test_off_support_entries_do_not_move_p(self):
+        rng = np.random.default_rng(57)
+        z = rng.normal(size=6)
+        for alpha in (1.1, 1.55, 2.0):
+            p = entmax(z, alpha).p
+            off = np.flatnonzero(p == 0)
+            for i in off:
+                for h in (1e-5, -1e-5):
+                    zp = z.copy()
+                    zp[i] += h
+                    np.testing.assert_array_equal(entmax(zp, alpha).p, p)
 
     def test_softmax_segments(self):
         rng = np.random.default_rng(11)

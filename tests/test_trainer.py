@@ -119,6 +119,19 @@ class TestGradientCheck:
         cfg = TrainConfig(no_contraction=True, **TINY)
         assert gradient_check(cfg, six_node_graph()) < 1e-3
 
+    # seed 0 at TINY dims is test_entmax_pipeline_gradients
+    @pytest.mark.parametrize(
+        "seed, dims",
+        [(s, dict(embed_dim=4, attn_dim=4, hidden_dim=4)) for s in range(4)]
+        + [(s, {}) for s in range(1, 4)],
+    )
+    def test_entmax_gradients_with_modularity_across_seeds(self, seed, dims):
+        # the modularity term reaches the loss through the refined weights,
+        # so any entmax solver noise shows up in the finite differences
+        cfg = TrainConfig(no_contraction=True, modularity_weight=0.03, seed=seed,
+                          **{**TINY, **dims})
+        assert gradient_check(cfg, six_node_graph()) < 1e-3
+
     def test_softmax_ablation_gradients(self):
         cfg = TrainConfig(no_contraction=True, softmax_instead_of_entmax=True, **TINY)
         assert gradient_check(cfg, six_node_graph()) < 1e-3
