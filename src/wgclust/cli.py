@@ -96,16 +96,26 @@ def _write_assignment(path, assignment: ClusterAssignment, node_ids=None) -> Non
             fh.write(f"{tok},{int(assignment.labels[i])},{row}\n")
 
 
+def _add_label(labels: dict[str, int], path, lineno: int, node: str, label: str) -> None:
+    if node in labels:
+        raise ValueError(f"{path}:{lineno}: node {node!r} appears twice")
+    labels[node] = int(label)
+
+
 def _read_assignment_labels(path) -> dict[str, int]:
     labels = {}
     with open(path, encoding="utf-8") as fh:
         header = fh.readline()
         if not header.startswith("node,label"):
             raise ValueError(f"{path}: not an assignment CSV")
-        for line in fh:
-            parts = line.strip().split(",")
-            if len(parts) >= 2:
-                labels[parts[0]] = int(parts[1])
+        for lineno, raw in enumerate(fh, start=2):
+            line = raw.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) < 2:
+                raise ValueError(f"{path}:{lineno}: expected 'node,label,...', got {line!r}")
+            _add_label(labels, path, lineno, parts[0], parts[1])
     if not labels:
         raise ValueError(f"{path}: no rows")
     return labels
@@ -272,14 +282,14 @@ def cmd_eval(args) -> int:
     pred_by_node = _read_assignment_labels(args.pred)
     truth_pairs = {}
     with open(args.truth, encoding="utf-8") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.split("\t") if "\t" in line else line.split()
             if len(parts) != 2:
-                raise ValueError(f"{args.truth}: bad label line {line!r}")
-            truth_pairs[parts[0]] = int(parts[1])
+                raise ValueError(f"{args.truth}:{lineno}: bad label line {line!r}")
+            _add_label(truth_pairs, args.truth, lineno, parts[0], parts[1])
     common = [tok for tok in pred_by_node if tok in truth_pairs]
     if not common:
         raise ValueError("prediction and truth files share no node ids")

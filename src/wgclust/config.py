@@ -29,6 +29,8 @@ class TrainConfig:
     entmax_alpha, self_loop_mode (max/mean/min).
     Objective: modularity_weight scales the modularity loss, negatives is
     the per-node negative-sample count.
+    Clustering: every epoch and every inference runs a fresh fuzzy c-means
+    fit, fcm_iters rounds from the best of fcm_restarts seeded center draws.
     Optimization: adaptive-moment updates with decay 0.9/0.999, eps 1e-8.
     Ablations: no_contraction, random_sampling (contraction replaced by a
     same-size uniform node sample), softmax_instead_of_entmax, drop_f_iz,
@@ -53,12 +55,8 @@ class TrainConfig:
     epochs: int = 200
     patience: int = 20
     seed: int = 0
-    fcm_mode: str = "similarity-proportional"
     fcm_iters: int = 30
     fcm_restarts: int = 8
-    warm_start_fcm: bool = False
-    reuse_centers: bool = False
-    persist_refined: bool = False
     self_loop_mode: str = "max"
     no_contraction: bool = False
     random_sampling: bool = False
@@ -86,8 +84,6 @@ class TrainConfig:
             raise ValueError("epochs and patience must be >= 0")
         if self.fcm_iters < 1 or self.fcm_restarts < 1:
             raise ValueError("fcm_iters and fcm_restarts must be >= 1")
-        if self.fcm_mode not in ("similarity-proportional", "literal"):
-            raise ValueError("fcm_mode must be 'similarity-proportional' or 'literal'")
         if self.self_loop_mode not in ("max", "mean", "min"):
             raise ValueError("self_loop_mode must be max, mean, or min")
 

@@ -1,11 +1,9 @@
 """Inner-product fuzzy c-means over node representations.
 
 Memberships come from inner products with the cluster centers rather than
-euclidean distances. The default "similarity-proportional" update assigns
-membership proportional to the (clamped) inner product; the "literal" mode
-instead applies the ratio-sum update verbatim, which inverts the preference
-(highest membership to the least similar center) -- both ship, the default is
-the one that behaves like a membership probability.
+euclidean distances: each row's membership in a cluster is proportional to
+its (clamped) inner product with that cluster's center, so the most similar
+center gets the highest membership.
 """
 
 from __future__ import annotations
@@ -17,7 +15,6 @@ import numpy as np
 __all__ = ["ClusterAssignment", "fcm_fit", "hard_labels"]
 
 SIM_CLAMP = 1e-8
-MODES = ("similarity-proportional", "literal")
 
 
 @dataclass(frozen=True)
@@ -38,25 +35,19 @@ def hard_labels(memberships: np.ndarray) -> np.ndarray:
     return np.argmax(memberships, axis=1)
 
 
-def _memberships(sims: np.ndarray, mode: str) -> np.ndarray:
-    if mode == "similarity-proportional":
-        y = sims / sims.sum(axis=1, keepdims=True)
-    else:  # literal ratio-sum update: y_ik = [sum_j d_ik / d_ij]^-1
-        inv = 1.0 / sims
-        y = inv / inv.sum(axis=1, keepdims=True)
+def _memberships(sims: np.ndarray) -> np.ndarray:
+    y = sims / sims.sum(axis=1, keepdims=True)
+    # the second pass moves about a third of the entries by an ulp; fits depend on those bits
     return y / y.sum(axis=1, keepdims=True)
 
 
-def _single_fit(h, k, iters, mode, rng, tol, initial_centers=None):
+def _single_fit(h, k, iters, rng, tol):
     n = h.shape[0]
-    if initial_centers is not None:
-        centers = np.array(initial_centers, dtype=np.float64)
-    else:
-        centers = h[rng.choice(n, size=k, replace=False)].copy()
+    centers = h[rng.choice(n, size=k, replace=False)].copy()
     y = np.full((n, k), 1.0 / k)
     for _ in range(iters):
         sims = np.maximum(h @ centers.T, SIM_CLAMP)
-        y_new = _memberships(sims, mode)
+        y_new = _memberships(sims)
         centers = (y_new.T @ h) / y_new.sum(axis=0)[:, None]
         delta = np.abs(y_new - y).max()
         y = y_new
@@ -67,15 +58,14 @@ def _single_fit(h, k, iters, mode, rng, tol, initial_centers=None):
     return y, centers, cohesion
 
 
-def fcm_fit(h, k, iters: int = 30, mode: str = "similarity-proportional", seed: int = 0,
-            tol: float = 1e-6, restarts: int = 1, initial_centers=None) -> ClusterAssignment:
+def fcm_fit(h, k, iters: int = 30, seed: int = 0, tol: float = 1e-6,
+            restarts: int = 1) -> ClusterAssignment:
     """Alternate membership and center updates from seeded-random row centers.
 
-    Centers start as ``k`` distinct rows of ``h`` drawn with the seeded rng
-    (or from ``initial_centers`` when warm-starting); each round updates
-    memberships from clamped inner products and recenters each cluster at the
-    membership-weighted average of the rows. Stops after ``iters`` rounds or
-    when memberships move less than ``tol``.
+    Centers start as ``k`` distinct rows of ``h`` drawn with the seeded rng;
+    each round updates memberships from clamped inner products and recenters
+    each cluster at the membership-weighted average of the rows. Stops after
+    ``iters`` rounds or when memberships move less than ``tol``.
 
     ``restarts`` > 1 repeats the fit with fresh seeded center draws and keeps
     the run with the highest fuzzy cohesion sum(Y * D); row-sampled center
@@ -88,19 +78,14 @@ def fcm_fit(h, k, iters: int = 30, mode: str = "similarity-proportional", seed: 
         raise ValueError("cluster count must be >= 1")
     if k > n:
         raise ValueError(f"cluster count {k} exceeds row count {n}")
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     if not np.any(h):
         raise ValueError("representation matrix is all zeros")
     rng = np.random.default_rng(seed)
-    if initial_centers is not None:
-        y, centers, _ = _single_fit(h, k, iters, mode, rng, tol, initial_centers=initial_centers)
-        return ClusterAssignment(memberships=y, centers=centers, labels=hard_labels(y))
     best = None
     for _ in range(restarts):
-        y, centers, cohesion = _single_fit(h, k, iters, mode, rng, tol)
+        y, centers, cohesion = _single_fit(h, k, iters, rng, tol)
         if best is None or cohesion > best[2]:
             best = (y, centers, cohesion)
     y, centers, _ = best

@@ -30,6 +30,7 @@ from .attention import (
 from .config import TrainConfig, config_to_text, parse_config_text
 from .contraction import SubgraphSelection, contract
 from .fcm import fcm_fit
+# build_graph is not called here; benchmarks/tracing.py wraps it at this lookup site
 from .graph import WeightedGraph, build_graph, induce_subgraph
 from .losses import (
     LossBreakdown,
@@ -46,7 +47,7 @@ from .losses import (
 __all__ = ["TrainedModel", "train", "infer", "gradient_check", "save_checkpoint", "load_checkpoint"]
 
 MIN_LOSS_IMPROVEMENT = 1e-5
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 # spawn keys for the independent random streams derived from config.seed
 _RNG_INIT, _RNG_EPOCH, _RNG_FCM, _RNG_INFER, _RNG_SAMPLE_ABLATION = range(5)
@@ -87,8 +88,6 @@ class TrainedModel:
     config: TrainConfig
     loss_history: list[LossBreakdown]
     selection: SubgraphSelection | None
-    working_graph: WeightedGraph | None  # refined training graph after the last epoch
-    centers: np.ndarray | None  # final training-time cluster centers
 
     def history_array(self) -> np.ndarray:
         return np.array(
@@ -126,21 +125,6 @@ def _select_training_graph(g, cluster_count, config):
     return selection, selection.subgraph
 
 
-def _rescale_total_weight(g: WeightedGraph, target_2m: float) -> WeightedGraph:
-    # Refinement only shrinks weights; restore the total so float range is
-    # never exhausted over many epochs (every consumer is scale-invariant).
-    current = g.total_weight_2m
-    if current == 0 or target_2m == 0:
-        return g
-    return WeightedGraph(
-        n=g.n,
-        indptr=g.indptr.copy(),
-        indices=g.indices.copy(),
-        weights=g.weights * (target_2m / current),
-        node_ids=g.node_ids,
-    )
-
-
 def _refinement_coeff_grad(working, refined, record, modularity_weight, labels, heads):
     """Gradient of the modularity term w.r.t. the final-layer coefficients.
 
@@ -170,7 +154,7 @@ def _epoch_step(working, structure, model, opts, config, epoch_constants, backwa
     ``epoch_constants(h, refined)`` returns the (labels, samples) that stay
     fixed for the epoch: ``train`` clusters ``h`` and samples the refined
     graph, ``gradient_check`` returns the same pair every time. Returns
-    (LossBreakdown, refined graph, parameter gradients or None).
+    (LossBreakdown, parameter gradients or None).
     """
     h_final, record, caches = network_forward_cached(structure, model, opts)
     refined = working if config.no_weight_update else update_edge_weights(working, record)
@@ -183,7 +167,7 @@ def _epoch_step(working, structure, model, opts, config, epoch_constants, backwa
     if not np.isfinite(breakdown.total):
         raise RuntimeError(f"training diverged (loss {breakdown.total})")
     if not backward:
-        return breakdown, refined, None
+        return breakdown, None
     d_h = structure_loss_grad(h_final, samples)
     d_coeffs = None
     if not config.no_weight_update and config.modularity_weight != 0.0:
@@ -191,7 +175,7 @@ def _epoch_step(working, structure, model, opts, config, epoch_constants, backwa
             working, refined, record, config.modularity_weight, labels, config.heads
         )
     grads = network_backward(structure, model, opts, caches, d_h, d_coeffs)
-    return breakdown, refined, grads
+    return breakdown, grads
 
 
 def train(g: WeightedGraph, cluster_count: int, config: TrainConfig) -> TrainedModel:
@@ -215,27 +199,21 @@ def train(g: WeightedGraph, cluster_count: int, config: TrainConfig) -> TrainedM
 
     adam = Adam([a.shape for a in params.flat_arrays()], config.learning_rate)
     history: list[LossBreakdown] = []
-    centers = None
     best_total = np.inf
     stall = 0
     structure = build_attention_structure(working, config.self_loop_mode)
-    target_2m = working.total_weight_2m
 
     def cluster_and_sample(h, refined):
-        nonlocal centers
         assignment = fcm_fit(
-            h, cluster_count, iters=config.fcm_iters, mode=config.fcm_mode, seed=fcm_seed,
-            restarts=config.fcm_restarts,
-            initial_centers=centers if config.warm_start_fcm else None,
+            h, cluster_count, iters=config.fcm_iters, seed=fcm_seed, restarts=config.fcm_restarts
         )
-        centers = assignment.centers
         sampler = NegativeSampler.for_graph(refined, config.negatives)
         return assignment.labels, draw_structure_samples(refined, sampler, epoch_rng)
 
     for epoch in range(config.epochs):
         sub_model = ModelParams(embedding=params.embedding[sub_nodes], layers=params.layers)
         try:
-            breakdown, refined, grads = _epoch_step(
+            breakdown, grads = _epoch_step(
                 working, structure, sub_model, opts, config, cluster_and_sample
             )
         except RuntimeError as exc:
@@ -246,10 +224,6 @@ def train(g: WeightedGraph, cluster_count: int, config: TrainConfig) -> TrainedM
         full_emb_grad[sub_nodes] = grads.embedding
         grads_full = ModelParams(embedding=full_emb_grad, layers=grads.layers)
         adam.step(params.flat_arrays(), grads_full.flat_arrays())
-
-        if config.persist_refined and not config.no_weight_update:
-            working = _rescale_total_weight(refined, target_2m)
-            structure = build_attention_structure(working, config.self_loop_mode)
 
         if best_total - breakdown.total < MIN_LOSS_IMPROVEMENT:
             stall += 1
@@ -265,18 +239,12 @@ def train(g: WeightedGraph, cluster_count: int, config: TrainConfig) -> TrainedM
         config=config,
         loss_history=history,
         selection=selection,
-        working_graph=working,
-        centers=centers,
     )
 
 
 def infer(g: WeightedGraph, model: TrainedModel, cluster_count: int | None = None,
           return_attention: bool = False):
-    """Full-graph forward (no contraction) and a cluster assignment.
-
-    By default runs a fresh fuzzy c-means fit on the representations;
-    ``config.reuse_centers`` starts from the training-time centers instead.
-    """
+    """Full-graph forward (no contraction) and a fresh fuzzy c-means fit on its output."""
     config = model.config
     k = cluster_count if cluster_count is not None else model.cluster_count
     if g.n != model.params.embedding.shape[0]:
@@ -286,11 +254,8 @@ def infer(g: WeightedGraph, model: TrainedModel, cluster_count: int | None = Non
     structure = build_attention_structure(g, config.self_loop_mode)
     h, record, _ = network_forward_cached(structure, model.params, _forward_options(config))
     infer_seed = int(_rng(config.seed, _RNG_INFER).integers(2**31))
-    reuse = config.reuse_centers and model.centers is not None and model.centers.shape[0] == k
-    assignment = fcm_fit(
-        h, k, iters=config.fcm_iters, mode=config.fcm_mode, seed=infer_seed,
-        restarts=config.fcm_restarts, initial_centers=model.centers if reuse else None,
-    )
+    assignment = fcm_fit(h, k, iters=config.fcm_iters, seed=infer_seed,
+                         restarts=config.fcm_restarts)
     if return_attention:
         return assignment, record
     return assignment
@@ -325,7 +290,7 @@ def gradient_check(config: TrainConfig, g: WeightedGraph, fd_step: float = 1e-5)
     def loss_of(model: ModelParams) -> float:
         return _epoch_step(g, structure, model, opts, config, fixed, backward=False)[0].total
 
-    _, _, grads = _epoch_step(g, structure, params, opts, config, fixed)
+    _, grads = _epoch_step(g, structure, params, opts, config, fixed)
 
     worst = 0.0
     probe = params.copy()
@@ -368,18 +333,10 @@ def save_checkpoint(model: TrainedModel, path) -> None:
     if model.selection is not None:
         data["selected_nodes"] = model.selection.selected
         data["core_nodes"] = model.selection.core_nodes
-    if model.working_graph is not None:
-        u, v, w = model.working_graph.edge_arrays()
-        data["working_edge_u"] = u
-        data["working_edge_v"] = v
-        data["working_edge_w"] = w
-        data["working_n"] = np.array(model.working_graph.n)
-    if model.centers is not None:
-        data["centers"] = model.centers
     np.savez(path, **data)
 
 
-def _check_checkpoint_shapes(config: TrainConfig, params: ModelParams, centers) -> None:
+def _check_checkpoint_shapes(config: TrainConfig, params: ModelParams) -> None:
     """Raise ValueError naming the first array whose shape disagrees with the config."""
     dims, heads = config.layer_dims(), config.heads
     checks = [("embedding", params.embedding, params.embedding.shape[:1] + (dims[0],))]
@@ -389,8 +346,6 @@ def _check_checkpoint_shapes(config: TrainConfig, params: ModelParams, centers) 
             (f"layer{i}_w2", layer.w2, (heads, d_in, d_out)),
             (f"layer{i}_gamma", layer.gamma, (heads,)),
         ]
-    if centers is not None:
-        checks.append(("centers", centers, centers.shape[:1] + (dims[-1],)))
     for key, array, shape in checks:
         if array.shape != shape:
             raise ValueError(
@@ -415,8 +370,7 @@ def load_checkpoint(path) -> TrainedModel:
             for i in range(layer_count)
         ]
         params = ModelParams(embedding=z["embedding"], layers=layers)
-        centers = z["centers"] if "centers" in z else None
-        _check_checkpoint_shapes(config, params, centers)
+        _check_checkpoint_shapes(config, params)
         history = [
             LossBreakdown(structure=row[0], modularity_loss=row[1], total=row[2], modularity_q=row[3])
             for row in z["loss_history"]
@@ -432,19 +386,12 @@ def load_checkpoint(path) -> TrainedModel:
                 old_to_new=old_to_new,
                 subgraph=None,  # not needed after training; rebuildable from the source graph
             )
-        working = None
-        if "working_n" in z:
-            working = build_graph(
-                int(z["working_n"]), z["working_edge_u"], z["working_edge_v"], z["working_edge_w"]
-            )
         return TrainedModel(
             params=params,
             cluster_count=int(z["cluster_count"]),
             config=config,
             loss_history=history,
             selection=selection,
-            working_graph=working,
-            centers=centers,
         )
 
 

@@ -1,6 +1,7 @@
 """End-to-end command-line runs in temp directories."""
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -203,6 +204,24 @@ class TestErrors:
                      "--ablation", "bogus", "--out", tmp_path / "o")
         assert rc == 1
         assert "unknown ablation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pred_rows, truth_rows, message", [
+        # row 2 cut to its node token
+        (["0,0,1.0,0.0", "1,1,0.0,1.0", "2", "3,1,0.0,1.0"], ["0\t0", "1\t1", "2\t0", "3\t1"],
+         r"pred\.csv:4: expected 'node,label,\.\.\.', got '2'"),
+        (["0,0,1.0,0.0", "1,1,0.0,1.0", "1,0,1.0,0.0"], ["0\t0", "1\t1"],
+         r"pred\.csv:4: node '1' appears twice"),
+        (["0,0,1.0,0.0", "1,1,0.0,1.0"], ["0\t0", "1\t1", "", "0\t1"],
+         r"truth\.tsv:4: node '0' appears twice"),
+    ])
+    def test_eval_rejects_short_and_duplicate_rows(self, tmp_path, capsys, pred_rows, truth_rows,
+                                                   message):
+        pred, truth = tmp_path / "pred.csv", tmp_path / "truth.tsv"
+        pred.write_text("node,label,Y_0,Y_1\n" + "\n".join(pred_rows) + "\n")
+        truth.write_text("\n".join(truth_rows) + "\n")
+        assert run_cli("eval", "--pred", pred, "--truth", truth) == 1
+        err = capsys.readouterr().err
+        assert re.search(message, err), err
 
     def test_console_entry_point(self):
         proc = subprocess.run(

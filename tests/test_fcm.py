@@ -1,36 +1,27 @@
-"""Fuzzy c-means over inner products: both membership modes, labels, determinism."""
+"""Fuzzy c-means over inner products: the membership update, labels, determinism."""
 
 import numpy as np
 import pytest
 
-from wgclust.fcm import fcm_fit, hard_labels
+from wgclust.fcm import _memberships, fcm_fit, hard_labels
 
 
 class TestMembershipModes:
     def test_mode_formulas_on_fixed_similarities(self):
-        # d = [3, 1]: proportional -> [0.75, 0.25]; literal ratio-sum -> [0.25, 0.75]
-        h = np.array([[3.0, 1.0]])
-        centers = np.eye(2)
-        sims = h @ centers.T
-        prop = sims / sims.sum()
-        np.testing.assert_allclose(prop, [[0.75, 0.25]])
-        inv = 1.0 / sims
-        literal = inv / inv.sum()
-        np.testing.assert_allclose(literal, [[0.25, 0.75]])
+        # d = [3, 1] -> memberships proportional to the similarities
+        np.testing.assert_allclose(_memberships(np.array([[3.0, 1.0]])), [[0.75, 0.25]])
 
     def test_equidistant_point_splits_both_modes(self):
         h = np.vstack([np.eye(2), [[1.0, 1.0]]])
-        for mode in ("similarity-proportional", "literal"):
-            a = fcm_fit(h, 2, iters=1, mode=mode, seed=0, initial_centers=np.eye(2))
-            np.testing.assert_allclose(a.memberships[2], [0.5, 0.5])
+        y = _memberships(h @ np.eye(2).T)
+        np.testing.assert_allclose(y[2], [0.5, 0.5])
 
     def test_rows_sum_to_one_both_modes(self):
         rng = np.random.default_rng(0)
         h = rng.normal(size=(40, 6))
-        for mode in ("similarity-proportional", "literal"):
-            a = fcm_fit(h, 3, mode=mode, seed=1)
-            np.testing.assert_allclose(a.memberships.sum(axis=1), 1.0, atol=1e-8)
-            assert np.all(a.memberships >= 0)
+        a = fcm_fit(h, 3, seed=1)
+        np.testing.assert_allclose(a.memberships.sum(axis=1), 1.0, atol=1e-8)
+        assert np.all(a.memberships >= 0)
 
 
 class TestFcmFit:

@@ -184,8 +184,6 @@ class TestInfer:
             config=model.config,
             loss_history=model.loss_history,
             selection=None,
-            working_graph=None,
-            centers=model.centers,
         )
         ap = infer(gp, model_p)
         acc, _ = clustering_accuracy(ap.labels[perm], a.labels)
@@ -224,8 +222,6 @@ class TestAblations:
         labels = fcm_fit(h, 2, iters=cfg.fcm_iters, seed=fcm_seed,
                          restarts=cfg.fcm_restarts).labels
         assert model.loss_history[0].modularity_q == modularity(lab.graph, labels)
-        # the working graph was never refined
-        np.testing.assert_array_equal(model.working_graph.weights, lab.graph.weights)
 
     def test_random_sampling_matches_contraction_size(self):
         lab = synth_weighted_sbm(60, 3, 0.5, 0.05, 3.0, 1.0, seed=13)
@@ -255,7 +251,7 @@ class TestCheckpoint:
         np.testing.assert_array_equal(a1.labels, a2.labels)
 
     @pytest.mark.parametrize(
-        "key", ["layer_count", "layer0_w1", "layer1_gamma", "embedding", "centers"]
+        "key", ["layer_count", "layer0_w1", "layer1_gamma", "embedding"]
     )
     def test_checkpoint_disagreeing_with_config_rejected(self, tmp_path, key):
         lab = synth_weighted_sbm(20, 2, 0.6, 0.1, 3.0, 1.0, seed=16)
@@ -268,6 +264,25 @@ class TestCheckpoint:
         np.savez(tmp_path / "bad.npz", **data)
         with pytest.raises(ValueError, match=key):
             load_checkpoint(tmp_path / "bad.npz")
+
+    def test_version_1_checkpoint_rejected(self, tmp_path):
+        lab = synth_weighted_sbm(20, 2, 0.6, 0.1, 3.0, 1.0, seed=16)
+        model = train(lab.graph, 2, TrainConfig(epochs=1, no_contraction=True, **TINY))
+        save_checkpoint(model, tmp_path / "m.npz")
+        with np.load(tmp_path / "m.npz") as z:
+            data = dict(z)
+        # a version-1 file also named the removed config keys and carried the
+        # training graph and the FCM centers
+        u, v, w = lab.graph.edge_arrays()
+        old_keys = "fcm_mode = literal\nwarm_start_fcm = false\nreuse_centers = false\n"
+        data.update(
+            format_version=np.array(1), config_text=np.array(str(data["config_text"]) + old_keys),
+            working_edge_u=u, working_edge_v=v, working_edge_w=w, working_n=np.array(lab.graph.n),
+            centers=np.zeros((2, TINY["hidden_dim"])),
+        )
+        np.savez(tmp_path / "v1.npz", **data)
+        with pytest.raises(ValueError, match="unsupported checkpoint version 1"):
+            load_checkpoint(tmp_path / "v1.npz")
 
     def test_history_survives_round_trip(self, tmp_path):
         lab = synth_weighted_sbm(20, 2, 0.6, 0.1, 3.0, 1.0, seed=15)
@@ -287,8 +302,10 @@ class TestConfigFormat:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown key"):
             parse_config_text("not_a_real_knob = 3\n")
-        with pytest.raises(ValueError, match="unknown key 'vanilla_gat'"):
-            parse_config_text("vanilla_gat = true\n")
+        for key in ("vanilla_gat", "fcm_mode", "warm_start_fcm", "reuse_centers",
+                    "persist_refined"):
+            with pytest.raises(ValueError, match=f"unknown key '{key}'"):
+                parse_config_text(f"{key} = true\n")
 
     def test_contraction_fields_are_validated_by_contraction_config(self):
         from wgclust.contraction import ContractionConfig
