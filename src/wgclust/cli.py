@@ -99,7 +99,10 @@ def _write_assignment(path, assignment: ClusterAssignment, node_ids=None) -> Non
 def _add_label(labels: dict[str, int], path, lineno: int, node: str, label: str) -> None:
     if node in labels:
         raise ValueError(f"{path}:{lineno}: node {node!r} appears twice")
-    labels[node] = int(label)
+    try:
+        labels[node] = int(label)
+    except ValueError:
+        raise ValueError(f"{path}:{lineno}: label {label!r} is not an integer") from None
 
 
 def _read_assignment_labels(path) -> dict[str, int]:

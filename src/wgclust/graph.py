@@ -11,6 +11,7 @@ synthesizes its own.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, islice, repeat
 
 import numpy as np
 
@@ -27,6 +28,11 @@ __all__ = [
     "synth_weighted_sbm",
     "inject_noise_edges",
 ]
+
+# lines per block in load_edge_list: a block's token lists are transient, so
+# peak memory stays near that of the parsed arrays instead of growing with a
+# whole file's tokens
+_LOAD_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -156,7 +162,9 @@ def build_graph(n, u, v, w, node_ids=None, sum_duplicates=True) -> WeightedGraph
             raise ValueError("edge weights must be strictly positive")
     lo = np.minimum(u, v)
     hi = np.maximum(u, v)
-    order = np.lexsort((hi, lo))
+    # a stable sort on one int64 key is lexsort's (lo, hi) order, ties kept;
+    # the key fits in int64 while n < 3e9
+    order = np.argsort(lo * n + hi, kind="stable")
     lo, hi, w = lo[order], hi[order], w[order]
     if lo.size:
         dup = np.zeros(lo.size, dtype=bool)
@@ -171,7 +179,7 @@ def build_graph(n, u, v, w, node_ids=None, sum_duplicates=True) -> WeightedGraph
     src = np.concatenate([lo, hi])
     dst = np.concatenate([hi, lo])
     ww = np.concatenate([w, w])
-    order = np.lexsort((dst, src))
+    order = np.argsort(src * n + dst, kind="stable")
     src, dst, ww = src[order], dst[order], ww[order]
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
@@ -181,43 +189,98 @@ def build_graph(n, u, v, w, node_ids=None, sum_duplicates=True) -> WeightedGraph
 def load_edge_list(path) -> WeightedGraph:
     """Read a `u<TAB>v<TAB>w` edge list.
 
-    Lines starting with ``#`` are ignored. External ids may be arbitrary
-    tokens; they are remapped to dense 0..n-1 in order of first appearance and
-    the original ids are kept on the returned graph (``node_ids``) so results
-    can be joined back. Duplicate (u, v) lines have their weights summed and
-    (u, v) equals (v, u).
+    Every line is stripped; blank lines and lines starting with ``#`` are
+    ignored, and a line without a tab is split on runs of whitespace instead.
+    Both node tokens must be non-blank, ``w`` is read by ``float`` and must be
+    finite and positive, and self-loops are rejected; a violation raises
+    ``ValueError`` naming the first offending line. External ids may be
+    arbitrary tokens; they are remapped to dense 0..n-1 in order of first
+    appearance and the original ids are kept on the returned graph
+    (``node_ids``) so results can be joined back. Duplicate (u, v) lines have
+    their weights summed and (u, v) equals (v, u).
+
+    The file is read in blocks of ``_LOAD_BLOCK`` lines, and each block is
+    split, converted and checked as whole arrays.
     """
-    id_map: dict[str, int] = {}
-    us, vs, ws = [], [], []
+    lookup: dict[str, int] = {}
+    blocks = []
+    lineno = 1
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) == 1:
-                parts = line.split()
-            if len(parts) != 3:
-                raise ValueError(f"{path}: line {lineno}: expected 'u<TAB>v<TAB>w', got {line!r}")
-            a, b, wtok = parts
-            try:
-                w = float(wtok)
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: weight {wtok!r} is not a number") from None
-            if not np.isfinite(w) or w <= 0:
-                raise ValueError(f"{path}: line {lineno}: rejected non-positive weight {wtok}")
-            if a == b:
-                raise ValueError(f"{path}: line {lineno}: self-loop {a!r} in input")
-            for tok in (a, b):
-                if tok not in id_map:
-                    id_map[tok] = len(id_map)
-            us.append(id_map[a])
-            vs.append(id_map[b])
-            ws.append(w)
-    if not us:
+        while raw := list(islice(fh, _LOAD_BLOCK)):
+            blocks.append(_parse_edge_block(path, lineno, raw, lookup))
+            lineno += len(raw)
+    if not lookup:
         raise ValueError(f"{path}: no edges")
-    node_ids = tuple(id_map.keys())
-    return build_graph(len(id_map), us, vs, ws, node_ids=node_ids)
+    u, v, w = (np.concatenate(column) for column in zip(*blocks))
+    return build_graph(len(lookup), u, v, w, node_ids=tuple(lookup))
+
+
+def _parse_edge_block(path, first_lineno: int, raw: list[str], lookup: dict[str, int]):
+    """(u, v, w) arrays of one block of edge-list lines; new node tokens join ``lookup``."""
+    lines = list(map(str.strip, raw))
+    keep = np.fromiter(map(len, lines), np.int64, len(lines)) > 0
+    keep &= ~np.fromiter(map(str.startswith, lines, repeat("#")), bool, len(lines))
+    linenos = first_lineno + np.flatnonzero(keep)
+    kept = lines if keep.all() else list(compress(lines, keep))
+    body = kept
+    tabs = np.fromiter(map(str.count, body, repeat("\t")), np.int64, len(body))
+    bare = np.flatnonzero(tabs == 0)
+    if bare.size:  # whitespace-separated lines
+        body = list(kept)
+        for i in bare:
+            body[i] = "\t".join(body[i].split())
+            tabs[i] = body[i].count("\t")
+    three = tabs == 2
+    rows = body if three.all() else list(compress(body, three))
+    toks = "\t".join(rows).split("\t") if rows else []
+    wtoks = toks[2::3]
+    del toks[2::3]  # toks is now u0, v0, u1, v1, ...
+    try:
+        w = np.fromiter(map(float, wtoks), np.float64, len(wtoks))
+        not_number = np.zeros(len(wtoks), dtype=bool)
+    except ValueError:
+        parsed = [_float_or_none(tok) for tok in wtoks]
+        not_number = np.array([x is None for x in parsed], dtype=bool)
+        w = np.array([1.0 if x is None else x for x in parsed], dtype=np.float64)
+    fresh = [tok for tok in dict.fromkeys(toks) if tok not in lookup]
+    lookup.update(zip(fresh, range(len(lookup), len(lookup) + len(fresh))))
+    ids = np.fromiter(map(lookup.__getitem__, toks), np.int64, len(toks))
+    u, v = ids[0::2], ids[1::2]
+    # a blank token is new to lookup: an earlier block holding one has raised
+    blank = np.zeros(len(wtoks), dtype=bool)
+    if not all(map(str.strip, fresh)):
+        blank = np.array([not (a.strip() and b.strip()) for a, b in zip(toks[0::2], toks[1::2])])
+    # per row, in the order the checks apply to one line
+    faults = (blank, not_number, ~(np.isfinite(w) & (w > 0)), u == v)
+    if not three.all() or np.logical_or.reduce(faults).any():
+        _raise_first_fault(path, linenos, kept, three, faults, toks, wtoks)
+    return u, v, w
+
+
+def _float_or_none(tok: str):
+    try:
+        return float(tok)
+    except ValueError:
+        return None
+
+
+def _raise_first_fault(path, linenos, kept, three, faults, toks, wtoks):
+    """Raise the error of the block's first faulty line, in file order."""
+    rows = np.flatnonzero(three)
+    bad_row = np.logical_or.reduce(faults)
+    first = min(np.flatnonzero(~three)[:1].tolist() + rows[bad_row][:1].tolist())
+    where = f"{path}: line {int(linenos[first])}"
+    if not three[first]:
+        raise ValueError(f"{where}: expected 'u<TAB>v<TAB>w', got {kept[first]!r}")
+    r = int(np.searchsorted(rows, first))
+    blank, not_number, non_positive, _ = (mask[r] for mask in faults)
+    if blank:
+        raise ValueError(f"{where}: empty node token in {kept[first]!r}")
+    if not_number:
+        raise ValueError(f"{where}: weight {wtoks[r]!r} is not a number")
+    if non_positive:
+        raise ValueError(f"{where}: rejected non-positive weight {wtoks[r]}")
+    raise ValueError(f"{where}: self-loop {toks[2 * r]!r} in input")
 
 
 def save_edge_list(g: WeightedGraph, path) -> None:
@@ -264,8 +327,8 @@ def load_labels(path, node_ids=None) -> np.ndarray:
                     continue  # label for a node absent from the graph
                 node = lookup[tok]
             else:
-                node = int(tok)
-            pairs[node] = int(lab)
+                node = _line_int(path, lineno, "node", tok)
+            pairs[node] = _line_int(path, lineno, "label", lab)
     if not pairs:
         raise ValueError(f"{path}: no labels")
     n = (max(pairs) + 1) if lookup is None else len(lookup)
@@ -276,6 +339,13 @@ def load_labels(path, node_ids=None) -> np.ndarray:
         missing = int(np.flatnonzero(out < 0)[0])
         raise ValueError(f"{path}: node {missing} has no label")
     return out
+
+
+def _line_int(path, lineno: int, what: str, tok: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise ValueError(f"{path}: line {lineno}: {what} {tok!r} is not an integer") from None
 
 
 def save_labels(labels: np.ndarray, path, node_ids=None) -> None:

@@ -213,6 +213,10 @@ class TestErrors:
          r"pred\.csv:4: node '1' appears twice"),
         (["0,0,1.0,0.0", "1,1,0.0,1.0"], ["0\t0", "1\t1", "", "0\t1"],
          r"truth\.tsv:4: node '0' appears twice"),
+        (["0,0,1.0,0.0", "1,x,1.0,0.0"], ["0\t0", "1\t1"],
+         r"pred\.csv:3: label 'x' is not an integer"),
+        (["0,0,1.0,0.0", "1,1,0.0,1.0"], ["# truth", "0\t0", "1\t1.5"],
+         r"truth\.tsv:3: label '1\.5' is not an integer"),
     ])
     def test_eval_rejects_short_and_duplicate_rows(self, tmp_path, capsys, pred_rows, truth_rows,
                                                    message):

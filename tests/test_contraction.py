@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+import wgclust.contraction as contraction_module
 from wgclust.contraction import (
+    PPR_MAX_ITER,
+    PPR_TOL,
     ContractionConfig,
     contract,
     distance_to_cores,
@@ -29,6 +33,41 @@ def two_cliques_graph():
     v.append(4)
     w.append(0.5)
     return build_graph(8, u, v, w)
+
+
+def single_seed_pagerank(g, seed_node, teleport):
+    """One seed's power iteration, one matrix-vector product per pass.
+
+    The reference for the batched solve; returns (scores, passes).
+    """
+    e = np.zeros(g.n)
+    e[seed_node] = 1.0
+    deg = g.weighted_degree()
+    if teleport == 1.0 or deg[seed_node] == 0:
+        return e, 0
+    scale = np.zeros(g.n)
+    scale[deg > 0] = 1.0 / deg[deg > 0]
+    trans = sp.csr_matrix((g.weights * scale[g.indices], g.indices, g.indptr), shape=(g.n, g.n))
+    r = e.copy()
+    for passes in range(1, PPR_MAX_ITER + 1):
+        nxt = teleport * e + (1.0 - teleport) * trans.dot(r)
+        residual = np.abs(nxt - r).sum()
+        r = nxt
+        if residual < PPR_TOL:
+            return r, passes
+    raise RuntimeError("reference did not converge")
+
+
+def sbm_with_tail_and_isolated_node():
+    """A 3-block SBM on nodes 0..59, a weak path 59-61-62-63, and the isolated node 60.
+
+    Seeds on the path converge in more passes than seeds inside the blocks.
+    """
+    g = synth_weighted_sbm(60, 3, 0.3, 0.03, 4.0, 1.0, seed=12).graph
+    u, v, w = g.edge_arrays()
+    return build_graph(
+        64, np.append(u, [59, 61, 62]), np.append(v, [61, 62, 63]), np.append(w, [0.5, 3.0, 0.2])
+    )
 
 
 class TestNodeDensity:
@@ -155,19 +194,19 @@ class TestSelectCoreNodes:
 class TestPersonalizedPagerank:
     def test_teleport_one_is_indicator(self):
         g = build_graph(3, [0, 1], [1, 2], [1.0, 1.0])
-        r = personalized_pagerank(g, 1, 1.0)
+        r = personalized_pagerank(g, [1], 1.0)[:, 0]
         np.testing.assert_array_equal(r, [0.0, 1.0, 0.0])
 
     def test_disconnected_component_gets_no_mass(self):
         g = build_graph(5, [0, 1, 3], [1, 2, 4], [1.0, 1.0, 1.0])
-        r = personalized_pagerank(g, 0, 0.3)
+        r = personalized_pagerank(g, [0], 0.3)[:, 0]
         assert r[3] == 0.0 and r[4] == 0.0
         assert r.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_triangle_matches_linear_system_oracle(self):
         g = build_graph(3, [0, 0, 1], [1, 2, 2], [1.0, 1.0, 1.0])
         phi = 0.5
-        r = personalized_pagerank(g, 0, phi)
+        r = personalized_pagerank(g, [0], phi)[:, 0]
         # oracle: dense solve of (I - (1-phi) W D^-1) r = phi e_seed
         w = np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]], dtype=float)
         trans = w / w.sum(axis=0, keepdims=True)
@@ -192,9 +231,30 @@ class TestPersonalizedPagerank:
             expect = np.linalg.solve(
                 np.eye(g.n) - (1 - phi) * trans, phi * np.eye(g.n)[seeded]
             )
-            r = personalized_pagerank(g, seeded, phi)
+            r = personalized_pagerank(g, [seeded], phi)[:, 0]
             np.testing.assert_allclose(r, expect, atol=1e-8)
             assert r.sum() == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("teleport", [0.15, 0.5, 0.9, 1.0])
+    def test_columns_equal_single_seed_reference(self, teleport):
+        g = sbm_with_tail_and_isolated_node()
+        seeds = [60, 0, 17, 25, 44, 59, 61, 63, 3]
+        r = personalized_pagerank(g, seeds, teleport)
+        assert r.shape == (g.n, len(seeds))
+        passes = set()
+        for j, s in enumerate(seeds):
+            want, count = single_seed_pagerank(g, s, teleport)
+            np.testing.assert_array_equal(r[:, j], want)
+            passes.add(count)
+        if teleport < 1.0:
+            assert len(passes) > 2  # the isolated seed's 0 and at least two pass counts
+        np.testing.assert_array_equal(r[:, 0], np.eye(g.n)[60])
+
+    def test_pass_cap_names_the_first_unconverged_seed(self, monkeypatch):
+        monkeypatch.setattr(contraction_module, "PPR_MAX_ITER", 1)
+        g = sbm_with_tail_and_isolated_node()
+        with pytest.raises(RuntimeError, match=r"from node 17 did not converge \(residual"):
+            personalized_pagerank(g, [60, 17, 25], 0.5)
 
 
 class TestContract:

@@ -169,7 +169,7 @@ class TestEntmaxJvp:
 
 
 class TestInvariants:
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     @given(
         seed=st.integers(0, 10_000),
         shift=st.floats(-50, 50),
@@ -180,7 +180,7 @@ class TestInvariants:
         z = rng.normal(size=6)
         np.testing.assert_allclose(entmax(z + shift, alpha).p, entmax(z, alpha).p, atol=1e-8)
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(seed=st.integers(0, 10_000))
     def test_monotonicity(self, seed):
         rng = np.random.default_rng(seed)
@@ -202,7 +202,7 @@ class TestInvariants:
             p = entmax(z, 1.55).p
             assert (p == 0.0).any()
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(seed=st.integers(0, 10_000))
     def test_permutation_equivariance(self, seed):
         rng = np.random.default_rng(seed)

@@ -1,10 +1,13 @@
 """Graph container, edge-list IO, synthetic benchmark, and noise injection."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wgclust.graph as graph_module
 from wgclust.graph import (
     build_graph,
     induce_subgraph,
@@ -15,6 +18,81 @@ from wgclust.graph import (
     save_labels,
     synth_weighted_sbm,
 )
+
+
+def reference_load_edge_list(path):
+    """Line-at-a-time edge-list reader, the reference ``load_edge_list`` must match.
+
+    Each line's checks run in the order whose first failure the block parser
+    reports: field count, blank node token, weight parse, weight sign, self-loop.
+    """
+    id_map = {}
+    us, vs, ws = [], [], []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split("\t")
+            if len(parts) == 1:
+                parts = line.split()
+            if len(parts) != 3:
+                raise ValueError(f"{path}: line {lineno}: expected 'u<TAB>v<TAB>w', got {line!r}")
+            a, b, wtok = parts
+            if not a.strip() or not b.strip():
+                raise ValueError(f"{path}: line {lineno}: empty node token in {line!r}")
+            try:
+                w = float(wtok)
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno}: weight {wtok!r} is not a number") from None
+            if not np.isfinite(w) or w <= 0:
+                raise ValueError(f"{path}: line {lineno}: rejected non-positive weight {wtok}")
+            if a == b:
+                raise ValueError(f"{path}: line {lineno}: self-loop {a!r} in input")
+            for tok in (a, b):
+                if tok not in id_map:
+                    id_map[tok] = len(id_map)
+            us.append(id_map[a])
+            vs.append(id_map[b])
+            ws.append(w)
+    if not us:
+        raise ValueError(f"{path}: no edges")
+    return build_graph(len(id_map), us, vs, ws, node_ids=tuple(id_map.keys()))
+
+
+def lexsort_build_graph(n, u, v, w):
+    """(indptr, indices, weights) of ``build_graph`` with its two sorts as lexsorts."""
+    u, v, w = (np.asarray(x) for x in (u, v, w))
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    order = np.lexsort((hi, lo))
+    lo, hi, w = lo[order], hi[order], w[order]
+    first = np.ones(lo.size, dtype=bool)
+    first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    w = np.bincount(np.cumsum(first) - 1, weights=w)
+    lo, hi = lo[first], hi[first]
+    src, dst, ww = np.concatenate([lo, hi]), np.concatenate([hi, lo]), np.concatenate([w, w])
+    order = np.lexsort((dst, src))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr, dst[order], ww[order]
+
+
+def load_outcome(loader, path):
+    """The graph ``loader`` returns for ``path``, or the message of the ValueError it raises."""
+    try:
+        return loader(path)
+    except ValueError as exc:
+        return str(exc)
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+        return
+    assert got.n == want.n
+    assert got.node_ids == want.node_ids
+    for name in ("indptr", "indices", "weights"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
 
 class TestBuildGraph:
@@ -45,6 +123,23 @@ class TestBuildGraph:
     def test_invariants_scan(self):
         g = build_graph(5, [0, 0, 1, 3], [1, 2, 4, 4], [1.0, 2.0, 3.0, 4.0])
         g.check_invariants()
+
+    @settings(max_examples=40)
+    @given(n=st.integers(2, 30), m=st.integers(1, 200), seed=st.integers(0, 10_000))
+    def test_matches_lexsort_reference_on_duplicates_in_both_orientations(self, n, m, seed):
+        rng = np.random.default_rng(seed)
+        u = rng.integers(0, n, size=m)
+        v = (u + rng.integers(1, n, size=m)) % n
+        w = rng.random(m) * 10 + 1e-3
+        # every edge again reversed, with its own weight, in shuffled order
+        uu, vv, ww = np.concatenate([u, v]), np.concatenate([v, u]), np.concatenate([w, w * 0.3])
+        perm = rng.permutation(uu.size)
+        uu, vv, ww = uu[perm], vv[perm], ww[perm]
+        g = build_graph(n, uu, vv, ww)
+        indptr, indices, weights = lexsort_build_graph(n, uu, vv, ww)
+        np.testing.assert_array_equal(g.indptr, indptr)
+        np.testing.assert_array_equal(g.indices, indices)
+        np.testing.assert_array_equal(g.weights, weights)
 
 
 class TestEdgeListIO:
@@ -98,6 +193,23 @@ class TestEdgeListIO:
         assert g.n == 3
         assert g.node_ids == ("movie_9", "movie_4", "x")
 
+    @pytest.mark.parametrize("text, message", [
+        ("a\t\t1.0\nb\tc\t2.0\n", r"line 1: empty node token in 'a\\t\\t1\.0'"),
+        ("b\tc\t2.0\nx\t \t1.0\n", r"line 2: empty node token in 'x\\t \\t1\.0'"),
+    ])
+    def test_blank_node_token_rejected(self, tmp_path, text, message):
+        p = tmp_path / "e.tsv"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            load_edge_list(p)
+
+    def test_whitespace_separated_and_crlf_lines(self, tmp_path):
+        p = tmp_path / "e.tsv"
+        p.write_bytes(b"# header\r\n0 1  2.0\r\n\r\n 1\t2\t0.5 \r\n")
+        g = load_edge_list(p)
+        assert g.node_ids == ("0", "1", "2")
+        assert g.neighbors(1) == [(0, 2.0), (2, 0.5)]
+
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(5)
         n = 20
@@ -118,6 +230,95 @@ class TestEdgeListIO:
         assert remapped == sorted(zip(u1, v1, w1))
 
 
+LINE_TEXT = st.text(st.characters(exclude_characters="\r\n"), max_size=3)
+# tokens valid anywhere, then ones a line's fields or checks can trip on
+NODE_TOKENS = ["0", "1", "2", "10", "a", "movie_9", "é", "#x", "x y", ""]
+WEIGHT_TOKENS = ["1", "2.5", "0.125", "1e3", " 7", "1_5", "3.0000000000000004",
+                 "0", "-1", "nan", "inf", "x", "", "1,5"]
+
+
+@st.composite
+def edge_list_text(draw, valid: bool):
+    """A whole edge-list file: edges, comments and blank lines, LF or CRLF endings.
+
+    With ``valid`` every edge line parses; otherwise tokens may be anything
+    but a line break, so most files hold some fault.
+    """
+    if valid:
+        node, weight = st.sampled_from(NODE_TOKENS[:7]), st.sampled_from(WEIGHT_TOKENS[:7])
+    else:
+        node = st.one_of(st.sampled_from(NODE_TOKENS), LINE_TEXT)
+        weight = st.one_of(st.sampled_from(WEIGHT_TOKENS), st.floats().map(repr), LINE_TEXT)
+    lines = []
+    for kind in draw(st.lists(st.sampled_from("tttwcb"), min_size=1, max_size=25)):
+        if kind == "c":
+            lines.append("#" + draw(LINE_TEXT))
+        elif kind == "b":
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+        else:
+            a, b = draw(node), draw(node)
+            if valid and a == b:
+                b = "2" if a != "2" else "1"
+            sep = "\t" if kind == "t" else draw(st.sampled_from([" ", "  ", " \x0c "]))
+            pad = draw(st.sampled_from(["", " "]))
+            lines.append(pad + sep.join([a, b, draw(weight)]) + pad)
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    return ending.join(lines) + draw(st.sampled_from(["", ending]))
+
+
+def write_edge_list(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("edges") / "e.tsv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    return path
+
+
+class TestBlockParserMatchesReference:
+    @settings(max_examples=60)
+    @given(text=edge_list_text(valid=True), block=st.sampled_from([1, 3, 8192]))
+    def test_valid_files(self, tmp_path_factory, text, block):
+        path = write_edge_list(tmp_path_factory, text)
+        want = load_outcome(reference_load_edge_list, path)
+        assert not isinstance(want, str) or want.endswith(": no edges")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph_module, "_LOAD_BLOCK", block)
+            got = load_outcome(load_edge_list, path)
+        assert_same_outcome(got, want)
+
+    @settings(max_examples=150)
+    @given(text=edge_list_text(valid=False), block=st.sampled_from([1, 3, 8192]))
+    def test_any_lines_same_graph_or_same_error(self, tmp_path_factory, text, block):
+        path = write_edge_list(tmp_path_factory, text)
+        want = load_outcome(reference_load_edge_list, path)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph_module, "_LOAD_BLOCK", block)
+            got = load_outcome(load_edge_list, path)
+        assert_same_outcome(got, want)
+
+    FAULTS = {
+        "fields": "0\t1",
+        "whitespace fields": "0 1 2 3",
+        "empty token": "a\t\t1.0",
+        "empty token and bad weight": "a\t\tx",
+        "not a number": "0\t1\tx",
+        "non-positive": "0\t1\t-2",
+        "nan": "0\t1\tnan",
+        "self-loop": "4\t4\t1.0",
+    }
+
+    @pytest.mark.parametrize("first, second", itertools.permutations(FAULTS, 2))
+    def test_first_of_two_faults_is_named(self, tmp_path, first, second):
+        path = tmp_path / "e.tsv"
+        lines = ["0\t1\t1.0", "# c", self.FAULTS[first], "1\t2\t2.0", self.FAULTS[second], "2\t3\t1"]
+        path.write_text("\n".join(lines) + "\n")
+        want = load_outcome(reference_load_edge_list, path)
+        assert isinstance(want, str) and ": line 3: " in want
+        for block in (1, 2, 3, 4, 8192):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(graph_module, "_LOAD_BLOCK", block)
+                assert load_outcome(load_edge_list, path) == want
+
+
 class TestLabelIO:
     def test_round_trip(self, tmp_path):
         labels = np.array([0, 2, 1, 1])
@@ -130,6 +331,17 @@ class TestLabelIO:
         p.write_text("a\t1\nb\t0\n")
         out = load_labels(p, node_ids=("b", "a"))
         assert np.array_equal(out, [0, 1])
+
+    @pytest.mark.parametrize("text, node_ids, message", [
+        ("0\t1\n1\tx\n", None, r"line 2: label 'x' is not an integer"),
+        ("0\t1\nb\t0\n", None, r"line 2: node 'b' is not an integer"),
+        ("a\t1\nb\t0.5\n", ("b", "a"), r"line 2: label '0\.5' is not an integer"),
+    ])
+    def test_non_integer_tokens_named(self, tmp_path, text, node_ids, message):
+        p = tmp_path / "labels.tsv"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            load_labels(p, node_ids=node_ids)
 
 
 class TestSyntheticBlocks:
@@ -243,7 +455,7 @@ class TestInducedSubgraph:
         assert sub.num_edges == expected
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(
     n=st.integers(min_value=2, max_value=12),
     seed=st.integers(min_value=0, max_value=10_000),
