@@ -15,7 +15,7 @@ involved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -42,9 +42,9 @@ __all__ = [
 
 SELF_LOOP_MODES = ("max", "mean", "min")
 
-# entries per block in _pair_dots: the two gathered (block, width) operands
-# fit in L2 at the widths used here
-_PAIR_DOT_CHUNK = 1024
+# floats per gathered operand in _pair_dots (256 KB): a block of entries takes
+# every head's row at once, and both gathered operands fit in L2
+_PAIR_DOT_FLOATS = 32768
 
 
 @dataclass
@@ -129,7 +129,10 @@ class AttentionStructure:
     maps an entry to its reversed counterpart (self-loops map to themselves),
     ``edge_pos`` are the positions of non-self entries (aligned, in order,
     with the graph's own directed CSR entries), and ``factors`` holds the
-    weight-derived logit offsets f_iz.
+    weight-derived logit offsets f_iz. ``pair_src``/``pair_dst`` are the
+    src <= dst entries, one per unordered pair, and ``mirror`` maps every
+    entry to its pair (symmetric per-entry values are computed once per
+    pair).
     """
 
     graph: WeightedGraph
@@ -141,6 +144,28 @@ class AttentionStructure:
     factors: np.ndarray
     edge_pos: np.ndarray
     self_loop_mode: str
+    pair_src: np.ndarray
+    pair_dst: np.ndarray
+    mirror: np.ndarray
+    # heads -> block-diagonal (indptr, indices) that aggregate every head at once
+    _head_patterns: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def head_pattern(self, heads: int) -> tuple[np.ndarray, np.ndarray]:
+        """CSR index arrays of the (heads*n, heads*n) block-diagonal entry matrix.
+
+        Block t holds the entry pattern with its columns shifted by t*n, so
+        one sparse product over (heads*n, width) operands aggregates every
+        head. Built once per head count; int32 whenever the sizes fit.
+        """
+        if heads not in self._head_patterns:
+            n, entries = self.indptr.size - 1, self.src.size
+            idx = np.int32 if heads * max(n, entries) < 2**31 else np.int64
+            shift = np.arange(heads, dtype=idx)[:, None]
+            indptr = np.append((self.indptr[:-1].astype(idx) + shift * entries).ravel(),
+                               idx(heads * entries))
+            indices = (self.dst.astype(idx) + shift * n).ravel()
+            self._head_patterns[heads] = (indptr, indices)
+        return self._head_patterns[heads]
 
 
 def _self_loop_weights(g: WeightedGraph, mode: str) -> np.ndarray:
@@ -182,6 +207,12 @@ def build_attention_structure(g: WeightedGraph, self_loop_mode: str = "max") -> 
     factors = w_entry / denom[src]
     rev = np.lexsort((src, dst))
     edge_pos = np.flatnonzero(~is_self)
+    upper = src <= dst
+    # an upper entry's position among the upper ones; int32 keeps the three
+    # pair arrays at half the size whenever the entry count allows
+    idx = np.int32 if src.size < 2**31 else np.int64
+    pair_of = np.cumsum(upper, dtype=idx) - 1
+    pairs = np.flatnonzero(upper)
     return AttentionStructure(
         graph=g,
         indptr=indptr,
@@ -192,6 +223,9 @@ def build_attention_structure(g: WeightedGraph, self_loop_mode: str = "max") -> 
         factors=factors,
         edge_pos=edge_pos,
         self_loop_mode=self_loop_mode,
+        pair_src=src[pairs].astype(idx),
+        pair_dst=dst[pairs].astype(idx),
+        mirror=np.where(upper, pair_of, pair_of[rev]),
     )
 
 
@@ -242,53 +276,60 @@ class _LayerCache:
     head_out: np.ndarray  # (heads, n, d_out)
 
 
-def _entry_csr(structure: AttentionStructure, values: np.ndarray) -> sp.csr_matrix:
-    """The n x n sparse matrix whose nonzeros are per-entry values."""
-    n = structure.indptr.size - 1
-    return sp.csr_matrix((values, structure.dst, structure.indptr), shape=(n, n))
-
-
 def _row_aggregate(structure, values, dense) -> np.ndarray:
-    """out[i] = sum over entries e with src(e)=i of values[e] * dense[dst(e)]."""
-    return _entry_csr(structure, values) @ dense
+    """out[t, i] = sum over entries e with src(e)=i of values[e, t] * dense[t, dst(e)].
+
+    values: (entries, heads); dense: (heads, n, width). One sparse product
+    over the block-diagonal pattern covers every head.
+    """
+    heads, n, width = dense.shape
+    indptr, indices = structure.head_pattern(heads)
+    mat = sp.csr_matrix((values.T.ravel(), indices, indptr), shape=(heads * n, heads * n))
+    return (mat @ dense.reshape(heads * n, width)).reshape(heads, n, width)
 
 
 def _col_aggregate(structure, values, dense) -> np.ndarray:
-    """out[z] = sum over entries e with dst(e)=z of values[e] * dense[src(e)].
+    """out[t, z] = sum over entries e with dst(e)=z of values[e, t] * dense[t, src(e)].
 
-    The structure is symmetric, so the transpose has the same sparsity
-    pattern with data permuted by rev.
+    The structure is symmetric, so the CSR arrays of the pattern read as CSC
+    are its transpose; the product accumulates each output row in ascending
+    src order, as the row aggregation of values[rev] would.
     """
-    return _entry_csr(structure, values[structure.rev]) @ dense
+    heads, n, width = dense.shape
+    indptr, indices = structure.head_pattern(heads)
+    mat = sp.csc_matrix((values.T.ravel(), indices, indptr), shape=(heads * n, heads * n))
+    return (mat @ dense.reshape(heads * n, width)).reshape(heads, n, width)
+
+
+def _node_major(per_head: np.ndarray) -> np.ndarray:
+    """(heads, n, width) -> contiguous (n, heads, width): one gather takes a node's every head."""
+    return np.ascontiguousarray(per_head.transpose(1, 0, 2))
 
 
 def _pair_dots(a_rows: np.ndarray, b_rows: np.ndarray, src, dst) -> np.ndarray:
-    """Per-entry dot products a_rows[src(e)] . b_rows[dst(e)].
+    """Per-entry, per-head dots a_rows[src(e), t] . b_rows[dst(e), t], shape (entries, heads).
 
-    Entries go in blocks of _PAIR_DOT_CHUNK, so the two gathered operands
-    stay in cache instead of being materialized for every entry at once.
+    a_rows, b_rows: (n, heads, width). Entries go in blocks of
+    _PAIR_DOT_FLOATS floats per gathered operand, so both operands stay in
+    cache instead of being materialized for every entry at once.
     """
-    out = np.empty(src.size)
-    for lo in range(0, src.size, _PAIR_DOT_CHUNK):
-        hi = lo + _PAIR_DOT_CHUNK
-        out[lo:hi] = np.einsum("me,me->m", a_rows[src[lo:hi]], b_rows[dst[lo:hi]])
+    heads, width = a_rows.shape[1:]
+    block = max(1, _PAIR_DOT_FLOATS // (heads * width))
+    out = np.empty((src.size, heads))
+    for lo in range(0, src.size, block):
+        hi = lo + block
+        np.einsum("mhe,mhe->mh", a_rows[src[lo:hi]], b_rows[dst[lo:hi]], out=out[lo:hi])
     return out
 
 
 def _symmetric_logits(structure, proj_attn) -> np.ndarray:
     """Per-entry, per-head dot logits <P_src, P_dst>, shape (entries, heads).
 
-    The dot is symmetric, so it is computed on src <= dst entries only and
-    copied to each reversed entry through rev.
+    The dot is symmetric, so it is computed once per src <= dst pair and
+    copied to every entry through the structure's mirror index.
     """
-    src, dst = structure.src, structure.dst
-    upper = np.flatnonzero(src <= dst)
-    lower = np.flatnonzero(src > dst)
-    logits = np.empty((src.size, proj_attn.shape[0]))
-    for t in range(proj_attn.shape[0]):
-        logits[upper, t] = _pair_dots(proj_attn[t], proj_attn[t], src[upper], dst[upper])
-    logits[lower] = logits[structure.rev[lower]]
-    return logits
+    rows = _node_major(proj_attn)
+    return _pair_dots(rows, rows, structure.pair_src, structure.pair_dst)[structure.mirror]
 
 
 def _elu(x: np.ndarray) -> np.ndarray:
@@ -299,10 +340,12 @@ def _elu_grad(x: np.ndarray) -> np.ndarray:
     return np.where(x > 0, 1.0, np.exp(np.minimum(x, 0.0)))
 
 
-def _forward_layer(structure, h_in, params, opts) -> tuple[np.ndarray, _LayerCache]:
-    heads = params.heads
-    proj_attn = np.einsum("nd,hde->hne", h_in, params.w1)
-    proj_val = np.einsum("nd,hde->hne", h_in, params.w2)
+def _coefficients(structure, proj_attn, opts) -> np.ndarray:
+    """Normalized attention coefficients (entries, heads) from the projected rows.
+
+    The logits are freed on return, before the aggregation allocates its
+    head-major copy of the coefficients.
+    """
     logits = _symmetric_logits(structure, proj_attn)
     if opts.use_weight_factor:
         logits += structure.factors[:, None]
@@ -310,12 +353,15 @@ def _forward_layer(structure, h_in, params, opts) -> tuple[np.ndarray, _LayerCac
         bad = int(structure.src[np.flatnonzero(~np.isfinite(logits).all(axis=1))[0]])
         raise FloatingPointError(f"non-finite activation at node {bad}")
     if opts.normalizer == "entmax":
-        coeffs = segment_entmax(logits, structure.indptr, opts.alpha)
-    else:
-        coeffs = segment_softmax(logits, structure.indptr)
-    pre_act = np.empty((heads, h_in.shape[0], params.w2.shape[2]))
-    for t in range(heads):
-        pre_act[t] = _row_aggregate(structure, coeffs[:, t], proj_val[t])
+        return segment_entmax(logits, structure.indptr, opts.alpha)
+    return segment_softmax(logits, structure.indptr)
+
+
+def _forward_layer(structure, h_in, params, opts) -> tuple[np.ndarray, _LayerCache]:
+    proj_attn = np.einsum("nd,hde->hne", h_in, params.w1)
+    proj_val = np.einsum("nd,hde->hne", h_in, params.w2)
+    coeffs = _coefficients(structure, proj_attn, opts)
+    pre_act = _row_aggregate(structure, coeffs, proj_val)
     head_out = _elu(pre_act)
     h_out = np.einsum("h,hne->ne", params.gamma, head_out)
     if not np.all(np.isfinite(h_out)):
@@ -341,30 +387,29 @@ def _backward_layer(structure, params, opts, cache, d_out, d_coeffs_extra=None):
     Returns (d_h_in, LayerParams-shaped gradients).
     """
     heads = params.heads
-    src, dst = structure.src, structure.dst
     d_gamma = np.einsum("ne,hne->h", d_out, cache.head_out)
     d_pre = params.gamma[:, None, None] * d_out[None] * _elu_grad(cache.pre_act)
-    d_coeffs = np.empty_like(cache.coeffs)
+    d_coeffs = _pair_dots(
+        _node_major(d_pre), _node_major(cache.proj_val), structure.src, structure.dst
+    )
+    d_val = _col_aggregate(structure, cache.coeffs, d_pre)
     d_h_in = np.zeros_like(cache.h_in)
     d_w2 = np.empty_like(params.w2)
     for t in range(heads):
-        d_coeffs[:, t] = _pair_dots(d_pre[t], cache.proj_val[t], src, dst)
-        d_val_t = _col_aggregate(structure, cache.coeffs[:, t], d_pre[t])
-        d_w2[t] = cache.h_in.T @ d_val_t
-        d_h_in += d_val_t @ params.w2[t].T
+        d_w2[t] = cache.h_in.T @ d_val[t]
+        d_h_in += d_val[t] @ params.w2[t].T
     if d_coeffs_extra is not None:
-        d_coeffs = d_coeffs + d_coeffs_extra
+        d_coeffs += d_coeffs_extra
     if opts.normalizer == "entmax":
         d_logits = segment_entmax_vjp(cache.coeffs, structure.indptr, opts.alpha, d_coeffs)
     else:
         d_logits = segment_softmax_vjp(cache.coeffs, structure.indptr, d_coeffs)
+    d_proj = _row_aggregate(structure, d_logits, cache.proj_attn)
+    d_proj += _col_aggregate(structure, d_logits, cache.proj_attn)
     d_w1 = np.empty_like(params.w1)
     for t in range(heads):
-        g = d_logits[:, t]
-        d_proj = _row_aggregate(structure, g, cache.proj_attn[t])
-        d_proj += _col_aggregate(structure, g, cache.proj_attn[t])
-        d_w1[t] = cache.h_in.T @ d_proj
-        d_h_in += d_proj @ params.w1[t].T
+        d_w1[t] = cache.h_in.T @ d_proj[t]
+        d_h_in += d_proj[t] @ params.w1[t].T
     return d_h_in, LayerParams(w1=d_w1, w2=d_w2, gamma=d_gamma)
 
 

@@ -92,10 +92,11 @@ def _length_csr(g: WeightedGraph, mode: str) -> sp.csr_matrix:
 
 
 def _unreachable_sentinel(g: WeightedGraph, mode: str) -> float:
-    # Upper bound on any path length: n hops of the longest edge.
+    # Upper bound on any path length: n hops of the longest edge. Rounded
+    # division is monotone, so 1/min(w) is exactly the largest 1/w.
     if g.num_edges == 0:
         return float(g.n)
-    max_len = float((1.0 / g.weights).max()) if mode == "reciprocal" else 1.0
+    max_len = 1.0 / float(g.weights.min()) if mode == "reciprocal" else 1.0
     return g.n * max_len
 
 
@@ -109,8 +110,9 @@ def distance_to_cores(g: WeightedGraph, cores, mode: str = "reciprocal") -> np.n
     cores = np.asarray(cores, dtype=np.int64)
     if cores.size == 0:
         raise ValueError("core set is empty")
-    mat = _length_csr(g, mode)
-    dist = dijkstra(mat, directed=False, indices=cores)
+    # the stored CSR holds both directions of every edge, so a directed
+    # search gives the undirected distances without a transpose per call
+    dist = dijkstra(_length_csr(g, mode), directed=True, indices=cores)
     dist[~np.isfinite(dist)] = _unreachable_sentinel(g, mode)
     return dist.sum(axis=0)
 
@@ -137,19 +139,16 @@ def select_core_nodes(g: WeightedGraph, config: ContractionConfig, cluster_count
     o = config.resolved_core_count(g.n, cluster_count)
     rho = node_density(g)
     cores = [int(np.argmax(rho))]
-    if o == 1:
-        return np.array(cores, dtype=np.int64)
-    mat = _length_csr(g, config.distance_mode)
-    sentinel = _unreachable_sentinel(g, config.distance_mode)
+    chosen = np.zeros(g.n, dtype=bool)
+    chosen[cores] = True
     dist_sum = np.zeros(g.n)
     eps = config.density_weight
     for _ in range(o - 1):
-        d = dijkstra(mat, directed=False, indices=[cores[-1]])[0]
-        d[~np.isfinite(d)] = sentinel
-        dist_sum += d
-        candidates = np.setdiff1d(np.arange(g.n), np.array(cores))
+        dist_sum += distance_to_cores(g, cores[-1:], config.distance_mode)
+        candidates = np.flatnonzero(~chosen)
         score = eps * rank_score(rho[candidates]) + (1.0 - eps) * rank_score(dist_sum[candidates])
         cores.append(int(candidates[np.argmax(score)]))
+        chosen[cores[-1]] = True
     return np.array(cores, dtype=np.int64)
 
 

@@ -92,21 +92,31 @@ def _row_ids(indptr: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
 
 
+def _newton_pass(zs, tau, starts, lens, inv) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One pass at tau: (p, per-row sum(p) - 1, per-row sum of the derivative's summand).
+
+    p is built in place of x and the summand dies on return, so a pass holds
+    two value-sized arrays besides the scores.
+    """
+    x = np.repeat(tau, lens, axis=0)
+    np.subtract(zs, x, out=x)
+    np.maximum(x, 0.0, out=x)
+    # xq = x^(inv-1) is the derivative's summand; at alpha = 2 it is the
+    # support indicator (0**0 would count off-support entries)
+    xq = (x > 0).astype(np.float64) if inv == 1.0 else x ** (inv - 1.0)
+    slope = np.add.reduceat(xq, starts, axis=0)
+    p = np.multiply(xq, x, out=x)
+    return p, np.add.reduceat(p, starts, axis=0) - 1.0, slope
+
+
 def _newton(zs, tau, starts, lens, inv) -> tuple[np.ndarray, np.ndarray]:
     """Newton passes on row-max-shifted scaled scores from a tau left of the root."""
-    x = np.empty_like(zs)
     for _ in range(SOLVE_MAX_PASSES):
-        np.subtract(zs, np.repeat(tau, lens, axis=0), out=x)
-        np.maximum(x, 0.0, out=x)
-        # xq = x^(inv-1) is the derivative's summand; at alpha = 2 it is the
-        # support indicator (0**0 would count off-support entries)
-        xq = (x > 0).astype(np.float64) if inv == 1.0 else x ** (inv - 1.0)
-        p = xq * x
-        residual = np.add.reduceat(p, starts, axis=0) - 1.0
+        p, residual, slope = _newton_pass(zs, tau, starts, lens, inv)
         converged = np.abs(residual) <= SOLVE_TOL
         if converged.all():
             return p, tau
-        tau = tau + residual / (inv * np.add.reduceat(xq, starts, axis=0))
+        tau = tau + residual / (inv * slope)
     bad = tuple(np.argwhere(~converged)[0])
     raise FloatingPointError(
         f"entmax did not converge in {SOLVE_MAX_PASSES} passes: row {int(bad[0])} "
@@ -148,13 +158,13 @@ def segment_entmax_vjp(p, indptr, alpha: float, upstream) -> np.ndarray:
     """Row-wise entmax gradient (see entmax_jvp) on a segmented array."""
     _check_alpha(alpha)
     starts = indptr[:-1]
-    rows = _row_ids(indptr)
     s = np.where(p > 0, p ** (2.0 - alpha), 0.0)
     su = s * upstream
     dot = np.add.reduceat(su, starts, axis=0)
     ssum = np.add.reduceat(s, starts, axis=0)
     ratio = np.divide(dot, ssum, out=np.zeros_like(dot), where=ssum > 0)
-    return su - s * ratio[rows]
+    su -= s * np.repeat(ratio, np.diff(indptr), axis=0)
+    return su
 
 
 def segment_softmax(values, indptr) -> np.ndarray:

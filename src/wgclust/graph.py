@@ -307,7 +307,8 @@ def load_labels(path, node_ids=None) -> np.ndarray:
 
     ``node_ids`` (from a graph loaded out of the matching edge list) maps
     external node tokens to dense ids; without it node tokens must already be
-    integers in 0..n-1.
+    integers in 0..n-1. A negative node token or a node listed twice raises
+    ``ValueError`` naming the file and line.
     """
     pairs: dict[int, int] = {}
     lookup = {tok: i for i, tok in enumerate(node_ids)} if node_ids is not None else None
@@ -328,6 +329,10 @@ def load_labels(path, node_ids=None) -> np.ndarray:
                 node = lookup[tok]
             else:
                 node = _line_int(path, lineno, "node", tok)
+                if node < 0:
+                    raise ValueError(f"{path}: line {lineno}: node {tok!r} is negative")
+            if node in pairs:
+                raise ValueError(f"{path}: line {lineno}: node {tok!r} is listed twice")
             pairs[node] = _line_int(path, lineno, "label", lab)
     if not pairs:
         raise ValueError(f"{path}: no labels")

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from wgclust import attention
 from wgclust.attention import (
     ForwardOptions,
     LayerParams,
@@ -11,11 +13,20 @@ from wgclust.attention import (
     init_model_params,
     network_backward,
     network_forward_cached,
-    _PAIR_DOT_CHUNK,
+    _PAIR_DOT_FLOATS,
+    _elu,
+    _elu_grad,
     _pair_dots,
     _symmetric_logits,
 )
-from wgclust.entmax import entmax, softmax
+from wgclust.entmax import (
+    entmax,
+    segment_entmax,
+    segment_entmax_vjp,
+    segment_softmax,
+    segment_softmax_vjp,
+    softmax,
+)
 from wgclust.graph import build_graph, synth_weighted_sbm
 
 
@@ -97,6 +108,91 @@ def with_isolated_node(g):
     return build_graph(g.n + 1, u, v, w)
 
 
+# Per-head reference of the layer: one chunked dot, one n x n sparse product
+# per head and aggregation. The head-batched layer must equal it bit for bit.
+
+REF_CHUNK = 1024
+
+
+def ref_pair_dots(a_rows, b_rows, src, dst):
+    out = np.empty(src.size)
+    for lo in range(0, src.size, REF_CHUNK):
+        hi = lo + REF_CHUNK
+        out[lo:hi] = np.einsum("me,me->m", a_rows[src[lo:hi]], b_rows[dst[lo:hi]])
+    return out
+
+
+def ref_symmetric_logits(s, proj_attn):
+    upper = np.flatnonzero(s.src <= s.dst)
+    lower = np.flatnonzero(s.src > s.dst)
+    logits = np.empty((s.src.size, proj_attn.shape[0]))
+    for t in range(proj_attn.shape[0]):
+        logits[upper, t] = ref_pair_dots(proj_attn[t], proj_attn[t], s.src[upper], s.dst[upper])
+    logits[lower] = logits[s.rev[lower]]
+    return logits
+
+
+def ref_row_aggregate(s, values, dense):
+    n = s.indptr.size - 1
+    return sp.csr_matrix((values, s.dst, s.indptr), shape=(n, n)) @ dense
+
+
+def ref_col_aggregate(s, values, dense):
+    return ref_row_aggregate(s, values[s.rev], dense)
+
+
+def ref_network(s, model, opts, d_h_final, d_final_coeffs=None):
+    """Forward and backward of every layer, head by head; returns (h, coefficients, grads)."""
+    h = model.embedding
+    caches = []
+    for params in model.layers:
+        proj_attn = np.einsum("nd,hde->hne", h, params.w1)
+        proj_val = np.einsum("nd,hde->hne", h, params.w2)
+        logits = ref_symmetric_logits(s, proj_attn)
+        if opts.use_weight_factor:
+            logits += s.factors[:, None]
+        if opts.normalizer == "entmax":
+            coeffs = segment_entmax(logits, s.indptr, opts.alpha)
+        else:
+            coeffs = segment_softmax(logits, s.indptr)
+        pre_act = np.empty((params.heads, h.shape[0], params.w2.shape[2]))
+        for t in range(params.heads):
+            pre_act[t] = ref_row_aggregate(s, coeffs[:, t], proj_val[t])
+        caches.append((h, proj_attn, proj_val, coeffs, pre_act, _elu(pre_act)))
+        h = np.einsum("h,hne->ne", params.gamma, _elu(pre_act))
+    grads = model.zeros_like()
+    d_out = d_h_final
+    for li in range(len(model.layers) - 1, -1, -1):
+        params = model.layers[li]
+        h_in, proj_attn, proj_val, coeffs, pre_act, head_out = caches[li]
+        d_gamma = np.einsum("ne,hne->h", d_out, head_out)
+        d_pre = params.gamma[:, None, None] * d_out[None] * _elu_grad(pre_act)
+        d_coeffs = np.empty_like(coeffs)
+        d_h_in = np.zeros_like(h_in)
+        d_w2 = np.empty_like(params.w2)
+        for t in range(params.heads):
+            d_coeffs[:, t] = ref_pair_dots(d_pre[t], proj_val[t], s.src, s.dst)
+            d_val_t = ref_col_aggregate(s, coeffs[:, t], d_pre[t])
+            d_w2[t] = h_in.T @ d_val_t
+            d_h_in += d_val_t @ params.w2[t].T
+        if d_final_coeffs is not None and li == len(model.layers) - 1:
+            d_coeffs = d_coeffs + d_final_coeffs
+        if opts.normalizer == "entmax":
+            d_logits = segment_entmax_vjp(coeffs, s.indptr, opts.alpha, d_coeffs)
+        else:
+            d_logits = segment_softmax_vjp(coeffs, s.indptr, d_coeffs)
+        d_w1 = np.empty_like(params.w1)
+        for t in range(params.heads):
+            d_proj = ref_row_aggregate(s, d_logits[:, t], proj_attn[t])
+            d_proj += ref_col_aggregate(s, d_logits[:, t], proj_attn[t])
+            d_w1[t] = h_in.T @ d_proj
+            d_h_in += d_proj @ params.w1[t].T
+        grads.layers[li] = LayerParams(w1=d_w1, w2=d_w2, gamma=d_gamma)
+        d_out = d_h_in
+    grads.embedding = d_out
+    return h, [c[3] for c in caches], grads
+
+
 def tiny_graph():
     return build_graph(4, [0, 0, 1, 2], [1, 2, 2, 3], [2.0, 1.0, 3.0, 0.5])
 
@@ -166,22 +262,98 @@ class TestEdgeWeightFactor:
             np.testing.assert_array_equal(s.dst[s.edge_pos], g.indices)
 
 
+class TestHeadBatchedLayer:
+    """The head-batched layer against the per-head reference: equal bit for bit."""
+
+    @staticmethod
+    def graphs():
+        sbm = synth_weighted_sbm(100, 2, 0.5, 0.1, 3.0, 1.0, seed=14).graph
+        return {
+            "sbm+isolated": with_isolated_node(sbm),
+            "tiny": tiny_graph(),
+            "edgeless": build_graph(4, [], [], []),
+        }
+
+    def test_mirror_pairs_every_entry_with_its_reverse(self):
+        for g in self.graphs().values():
+            s = build_attention_structure(g)
+            upper = s.src <= s.dst
+            np.testing.assert_array_equal(s.pair_src, s.src[upper])
+            np.testing.assert_array_equal(s.pair_dst, s.dst[upper])
+            lo = np.minimum(s.src, s.dst)
+            hi = np.maximum(s.src, s.dst)
+            np.testing.assert_array_equal(s.pair_src[s.mirror], lo)
+            np.testing.assert_array_equal(s.pair_dst[s.mirror], hi)
+
+    def test_head_pattern_built_once_per_head_count(self):
+        s = build_attention_structure(tiny_graph())
+        indptr, indices = s.head_pattern(3)
+        assert s.head_pattern(3)[1] is indices
+        assert indices.dtype == np.int32 and indptr.dtype == np.int32
+        n, e = s.indptr.size - 1, s.src.size
+        for t in range(3):
+            np.testing.assert_array_equal(indices[t * e:(t + 1) * e], s.dst + t * n)
+            np.testing.assert_array_equal(indptr[t * n:(t + 1) * n], s.indptr[:-1] + t * e)
+        assert indptr[-1] == 3 * e
+
+    @pytest.mark.parametrize("heads", [1, 3, 4])
+    @pytest.mark.parametrize("normalizer", ["entmax", "softmax"])
+    @pytest.mark.parametrize("use_weight_factor", [True, False])
+    @pytest.mark.parametrize("block_floats", [_PAIR_DOT_FLOATS, 96])
+    def test_forward_and_gradients_equal_per_head_reference(
+        self, monkeypatch, heads, normalizer, use_weight_factor, block_floats
+    ):
+        # 96 floats per operand puts every dot of every graph into many blocks
+        monkeypatch.setattr(attention, "_PAIR_DOT_FLOATS", block_floats)
+        opts = ForwardOptions(
+            alpha=1.55, normalizer=normalizer, use_weight_factor=use_weight_factor
+        )
+        for name, g in self.graphs().items():
+            s = build_attention_structure(g)
+            rng = np.random.default_rng(16 + heads)
+            model = init_model_params(g.n, [6, 5, 4], attn_dim=7, heads=heads, rng=rng)
+            model.embedding *= 20.0  # spread the logits so that entmax leaves exact zeros
+            d_h = rng.normal(size=(g.n, 4))
+            d_final = rng.normal(size=(s.src.size, heads))
+            h, record, caches = network_forward_cached(s, model, opts)
+            grads = network_backward(s, model, opts, caches, d_h, d_final)
+            ref_h, ref_coeffs, ref_grads = ref_network(s, model, opts, d_h, d_final)
+            assert np.array_equal(h, ref_h), name
+            for got, want in zip(record.coefficients, ref_coeffs):
+                assert np.array_equal(got, want), name
+            for got, want in zip(grads.flat_arrays(), ref_grads.flat_arrays()):
+                assert np.array_equal(got, want), name
+
+    def test_reference_inputs_have_exact_zeros_and_several_blocks(self):
+        g = self.graphs()["sbm+isolated"]
+        s = build_attention_structure(g)
+        assert s.pair_src.size > 2 * (96 // (4 * 7))
+        assert s.src.size > 2 * (96 // 5)
+        model = init_model_params(g.n, [6, 5, 4], attn_dim=7, heads=4,
+                                  rng=np.random.default_rng(20))
+        model.embedding *= 20.0
+        _, record, _ = network_forward_cached(s, model, ForwardOptions(alpha=1.55))
+        assert all((c == 0.0).any() for c in record.coefficients)
+
+
 class TestLayerForward:
     def test_chunked_and_mirrored_dots_equal_full_gather(self):
         g = with_isolated_node(synth_weighted_sbm(100, 2, 0.5, 0.1, 3.0, 1.0, seed=14).graph)
         s = build_attention_structure(g)
-        assert s.src.size > 2 * _PAIR_DOT_CHUNK
+        assert s.pair_src.size > 2 * (_PAIR_DOT_FLOATS // (3 * 40))
+        assert s.src.size > 2 * (_PAIR_DOT_FLOATS // 40)
         rng = np.random.default_rng(15)
-        proj = rng.normal(size=(3, g.n, 7))
-        other = rng.normal(size=(g.n, 7))
+        proj = rng.normal(size=(3, g.n, 40))
+        other = rng.normal(size=(g.n, 40))
         full = np.stack(
             [np.einsum("me,me->m", proj[t][s.src], proj[t][s.dst]) for t in range(3)], axis=1
         )
         assert np.array_equal(_symmetric_logits(s, proj), full)
         assert np.array_equal(
-            _pair_dots(proj[0], other, s.src, s.dst),
+            _pair_dots(proj[0][:, None], other[:, None], s.src, s.dst)[:, 0],
             np.einsum("me,me->m", proj[0][s.src], other[s.dst]),
         )
+
 
     def test_identical_features_one_edge_split_evenly(self):
         g = build_graph(2, [0], [1], [1.0])

@@ -114,6 +114,19 @@ class TestDistanceToCores:
         theta = distance_to_cores(g, [0, 2], mode="unit")
         assert theta[1] == 2.0  # one hop to each core
 
+    @pytest.mark.parametrize("mode", ["reciprocal", "unit"])
+    def test_equals_undirected_search(self, mode):
+        # the stored CSR holds both directions, so the directed search used
+        # here must give the undirected distances exactly
+        g = synth_weighted_sbm(80, 3, 0.2, 0.02, 3.0, 1.0, seed=21).graph
+        g = build_graph(g.n + 1, *g.edge_arrays())  # plus an unreachable node
+        cores = [0, 17, 40]
+        lengths = 1.0 / g.weights if mode == "reciprocal" else np.ones_like(g.weights)
+        mat = sp.csr_matrix((lengths, g.indices, g.indptr), shape=(g.n, g.n))
+        dist = sp.csgraph.dijkstra(mat, directed=False, indices=cores)
+        dist[~np.isfinite(dist)] = g.n * (lengths.max())
+        assert np.array_equal(distance_to_cores(g, cores, mode), dist.sum(axis=0))
+
 
 class TestRankScore:
     def test_basic_ordering(self):

@@ -343,6 +343,23 @@ class TestLabelIO:
         with pytest.raises(ValueError, match=message):
             load_labels(p, node_ids=node_ids)
 
+    def test_negative_node_token_named(self, tmp_path):
+        # a negative token would index another node's slot from the end
+        p = tmp_path / "labels.tsv"
+        p.write_text("0\t1\n1\t1\n-1\t0\n")
+        with pytest.raises(ValueError, match=r"line 3: node '-1' is negative"):
+            load_labels(p)
+
+    @pytest.mark.parametrize("text, node_ids, message", [
+        ("0\t1\n1\t0\n1\t1\n", None, r"line 3: node '1' is listed twice"),
+        ("a\t1\nb\t0\na\t0\n", ("b", "a"), r"line 3: node 'a' is listed twice"),
+    ])
+    def test_node_listed_twice_named(self, tmp_path, text, node_ids, message):
+        p = tmp_path / "labels.tsv"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            load_labels(p, node_ids=node_ids)
+
 
 class TestSyntheticBlocks:
     def test_extreme_separation_two_cliques(self):
