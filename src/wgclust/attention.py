@@ -87,17 +87,6 @@ class ModelParams:
             out.extend([l.w1, l.w2, l.gamma])
         return out
 
-    def zeros_like(self) -> "ModelParams":
-        return ModelParams(
-            embedding=np.zeros_like(self.embedding),
-            layers=[
-                LayerParams(
-                    w1=np.zeros_like(l.w1), w2=np.zeros_like(l.w2), gamma=np.zeros_like(l.gamma)
-                )
-                for l in self.layers
-            ],
-        )
-
 
 def init_model_params(n, dims, attn_dim, heads, rng) -> ModelParams:
     """Seeded initialization.
@@ -140,10 +129,8 @@ class AttentionStructure:
     src: np.ndarray
     dst: np.ndarray
     rev: np.ndarray
-    is_self: np.ndarray
     factors: np.ndarray
     edge_pos: np.ndarray
-    self_loop_mode: str
     pair_src: np.ndarray
     pair_dst: np.ndarray
     mirror: np.ndarray
@@ -200,13 +187,11 @@ def build_attention_structure(g: WeightedGraph, self_loop_mode: str = "max") -> 
     src = np.insert(edge_src, self_at, nodes)
     dst = np.insert(g.indices, self_at, nodes)
     w_entry = np.insert(g.weights, self_at, w_self)
-    is_self = np.zeros(src.size, dtype=bool)
-    is_self[self_at + nodes] = True
     indptr = g.indptr + np.arange(g.n + 1, dtype=np.int64)
     denom = g.weighted_degree() + w_self
     factors = w_entry / denom[src]
     rev = np.lexsort((src, dst))
-    edge_pos = np.flatnonzero(~is_self)
+    edge_pos = np.flatnonzero(src != dst)  # the graph stores no self-loops
     upper = src <= dst
     # an upper entry's position among the upper ones; int32 keeps the three
     # pair arrays at half the size whenever the entry count allows
@@ -219,10 +204,8 @@ def build_attention_structure(g: WeightedGraph, self_loop_mode: str = "max") -> 
         src=src,
         dst=dst,
         rev=rev,
-        is_self=is_self,
         factors=factors,
         edge_pos=edge_pos,
-        self_loop_mode=self_loop_mode,
         pair_src=src[pairs].astype(idx),
         pair_dst=dst[pairs].astype(idx),
         mirror=np.where(upper, pair_of, pair_of[rev]),
@@ -436,14 +419,12 @@ def network_backward(structure, model, opts, caches, d_h_final, d_final_coeffs=N
     final layer's coefficients receive on top of the aggregation path (the
     modularity loss reaches them through the edge-weight refinement).
     """
-    grads = model.zeros_like()
+    layer_grads = [None] * len(model.layers)
     d_h = d_h_final
     last = len(model.layers) - 1
     for li in range(last, -1, -1):
         extra = d_final_coeffs if li == last else None
-        d_h, layer_grads = _backward_layer(
+        d_h, layer_grads[li] = _backward_layer(
             structure, model.layers[li], opts, caches[li], d_h, extra
         )
-        grads.layers[li] = layer_grads
-    grads.embedding = d_h
-    return grads
+    return ModelParams(embedding=d_h, layers=layer_grads)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import graph as graphio
 from .config import TrainConfig, config_to_text, load_config_file
-from .contraction import ContractionConfig, contract
+from .contraction import DISTANCE_MODES, ContractionConfig, contract
 from .fcm import ClusterAssignment
 from .metrics import evaluate
 from .ml100k import build_ml100k
@@ -68,16 +69,16 @@ def _outdir(args) -> Path:
     return out
 
 
+def _flag_overrides(args, config_class) -> dict:
+    """The flags given on the command line whose dest names a field of ``config_class``."""
+    values = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(config_class)}
+    return {name: value for name, value in values.items() if value is not None}
+
+
 def _load_train_config(args) -> TrainConfig:
     config = load_config_file(args.config) if args.config else TrainConfig()
-    overrides = {}
-    for name in ("seed", "epochs", "heads", "layer_count", "importance_threshold",
-                 "core_count", "entmax_alpha", "modularity_weight", "density_weight",
-                 "learning_rate", "patience"):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    if getattr(args, "ablation", None):
+    overrides = _flag_overrides(args, TrainConfig)
+    if args.ablation:
         for name in args.ablation:
             if name not in ABLATIONS:
                 raise ValueError(f"unknown ablation {name!r}; pick from {sorted(ABLATIONS)}")
@@ -178,14 +179,7 @@ def cmd_contract(args) -> int:
     out = _outdir(args)
     t0 = time.perf_counter()
     g = graphio.load_edge_list(args.edges)
-    flags = {
-        "core_count": args.cores,
-        "density_weight": args.density_weight,
-        "teleport": args.teleport,
-        "importance_threshold": args.threshold,
-        "distance_mode": args.distance_mode,
-    }
-    cc = ContractionConfig(**{k: v for k, v in flags.items() if v is not None})
+    cc = ContractionConfig(**_flag_overrides(args, ContractionConfig))
     sel = contract(g, cc, args.clusters)
     graphio.save_edge_list(sel.subgraph, out / "subgraph_edges.tsv")
     with open(out / "selection.tsv", "w", encoding="utf-8") as fh:
@@ -223,48 +217,32 @@ def _run_single_training(edges_path, clusters, config: TrainConfig, outdir: Path
 
 
 def cmd_train(args) -> int:
+    """Train once per seed: into --out for one seed, into --out/seed_<s> for a sweep."""
     out = _outdir(args)
     config = _load_train_config(args)
     seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [config.seed]
-    t0 = time.perf_counter()
-    if len(seeds) == 1:
+    sweep = len(seeds) > 1
+    if not sweep:
         config = config.replace(seed=seeds[0])
-        seconds, before, after = _run_single_training(args.edges, args.clusters, config, out)
-        outputs = [out / name for name in
-                   ("checkpoint.npz", "loss_history.csv", "config_echo.txt", "assignment.csv")]
-        _write_manifest(out, "train", dataclasses.asdict(config), [args.edges], outputs,
-                        time.perf_counter() - t0, before, after)
-        print(f"trained in {seconds:.2f}s; outputs in {out}")
-        return 0
-    # seed sweep, optionally in parallel
-    jobs = max(1, args.jobs)
-    results = {}
+    dirs = [out / f"seed_{s}" if sweep else out for s in seeds]
+    configs = [config.replace(seed=s) for s in seeds]
+    run = functools.partial(_run_single_training, args.edges, args.clusters)
+    jobs = min(max(1, args.jobs), len(seeds))
+    t0 = time.perf_counter()
     if jobs == 1:
-        for s in seeds:
-            results[s] = _run_single_training(
-                args.edges, args.clusters, config.replace(seed=s), out / f"seed_{s}"
-            )
+        results = list(map(run, configs, dirs))
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {
-                pool.submit(
-                    _run_single_training, args.edges, args.clusters,
-                    config.replace(seed=s), out / f"seed_{s}",
-                ): s
-                for s in seeds
-            }
-            for fut in concurrent.futures.as_completed(futures):
-                results[futures[fut]] = fut.result()
-    outputs = []
-    for s in seeds:
-        outputs.extend(
-            out / f"seed_{s}" / name
-            for name in ("checkpoint.npz", "loss_history.csv", "config_echo.txt", "assignment.csv")
-        )
-    before, after = results[seeds[0]][1], results[seeds[0]][2]
-    _write_manifest(out, "train-sweep", dataclasses.asdict(config), [args.edges], outputs,
-                    time.perf_counter() - t0, before, after)
-    print(f"trained {len(seeds)} seeds; outputs in {out}")
+            results = list(pool.map(run, configs, dirs))
+    outputs = [d / name for d in dirs for name in
+               ("checkpoint.npz", "loss_history.csv", "config_echo.txt", "assignment.csv")]
+    seconds, before, after = results[0]
+    _write_manifest(out, "train-sweep" if sweep else "train", dataclasses.asdict(config),
+                    [args.edges], outputs, time.perf_counter() - t0, before, after)
+    if sweep:
+        print(f"trained {len(seeds)} seeds; outputs in {out}")
+    else:
+        print(f"trained in {seconds:.2f}s; outputs in {out}")
     return 0
 
 
@@ -360,12 +338,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("contract", help="extract the cluster-preserving subgraph")
     p.add_argument("--edges", required=True)
-    p.add_argument("--cores", type=int, default=None)
+    p.add_argument("--cores", dest="core_count", type=int, default=None)
     p.add_argument("--clusters", type=int, default=None)
     p.add_argument("--density-weight", type=float, default=None)
     p.add_argument("--teleport", type=float, default=None)
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--distance-mode", choices=("reciprocal", "unit"), default=None)
+    p.add_argument("--threshold", dest="importance_threshold", type=float, default=None)
+    p.add_argument("--distance-mode", choices=DISTANCE_MODES, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_contract)
 

@@ -10,20 +10,20 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
+from .attention import SELF_LOOP_MODES
 from .contraction import ContractionConfig
 
 __all__ = ["TrainConfig", "parse_config_text", "load_config_file", "config_to_text"]
 
 
-@dataclass
-class TrainConfig:
+@dataclass(frozen=True)
+class TrainConfig(ContractionConfig):
     """Every knob of the training pipeline.
 
-    Contraction: density_weight blends density/distance ranks, teleport is
-    the PageRank restart, core_count (None = max(K, ceil(0.02 n))),
-    importance_threshold and distance_mode shape the subgraph; the
-    ``contraction`` property bundles them as a ContractionConfig, which is
-    where they are validated.
+    Contraction: the five ContractionConfig fields (core_count,
+    density_weight, teleport, importance_threshold, distance_mode), which
+    that class declares, documents and validates; this class extends it and
+    is passed to ``contract`` as it is.
     Network: heads per layer, layer count, embedding dim, attn_dim (width of
     the logit projections), hidden_dim (width of every layer's output),
     entmax_alpha, self_loop_mode (max/mean/min).
@@ -38,13 +38,8 @@ class TrainConfig:
     softmax_instead_of_entmax plus drop_f_iz.
     """
 
-    density_weight: float = 0.5          # rank blend in core selection
     entmax_alpha: float = 1.55
     modularity_weight: float = 0.03
-    teleport: float = 0.5
-    core_count: int | None = None
-    importance_threshold: float = 0.0
-    distance_mode: str = "reciprocal"
     heads: int = 8
     layer_count: int = 3
     embed_dim: int = 64
@@ -65,7 +60,7 @@ class TrainConfig:
     no_weight_update: bool = False
 
     def __post_init__(self):
-        self.contraction  # ContractionConfig validates the contraction fields
+        super().__post_init__()
         if self.entmax_alpha <= 1.0:
             raise ValueError("entmax_alpha must be > 1")
         if self.modularity_weight < 0:
@@ -84,19 +79,8 @@ class TrainConfig:
             raise ValueError("epochs and patience must be >= 0")
         if self.fcm_iters < 1 or self.fcm_restarts < 1:
             raise ValueError("fcm_iters and fcm_restarts must be >= 1")
-        if self.self_loop_mode not in ("max", "mean", "min"):
-            raise ValueError("self_loop_mode must be max, mean, or min")
-
-    @property
-    def contraction(self) -> ContractionConfig:
-        """The contraction fields as the ContractionConfig that validates them."""
-        return ContractionConfig(
-            core_count=self.core_count,
-            density_weight=self.density_weight,
-            teleport=self.teleport,
-            importance_threshold=self.importance_threshold,
-            distance_mode=self.distance_mode,
-        )
+        if self.self_loop_mode not in SELF_LOOP_MODES:
+            raise ValueError(f"self_loop_mode must be one of {SELF_LOOP_MODES}")
 
     def layer_dims(self) -> list[int]:
         return [self.embed_dim] + [self.hidden_dim] * self.layer_count

@@ -30,6 +30,7 @@ __all__ = [
 
 PPR_TOL = 1e-10
 PPR_MAX_ITER = 1000
+DISTANCE_MODES = ("reciprocal", "unit")
 
 
 @dataclass(frozen=True)
@@ -57,8 +58,8 @@ class ContractionConfig:
             raise ValueError("teleport must lie in (0, 1]")
         if self.importance_threshold < 0:
             raise ValueError("importance_threshold must be >= 0")
-        if self.distance_mode not in ("reciprocal", "unit"):
-            raise ValueError("distance_mode must be 'reciprocal' or 'unit'")
+        if self.distance_mode not in DISTANCE_MODES:
+            raise ValueError(f"distance_mode must be one of {DISTANCE_MODES}")
         if self.core_count is not None and self.core_count < 1:
             raise ValueError("core_count must be >= 1")
 
@@ -161,17 +162,15 @@ def personalized_pagerank(g: WeightedGraph, seed_nodes, teleport: float) -> np.n
     transition matrix and advance together, one sparse-dense product per
     pass; a column leaves the iteration after the pass at which its own
     residual falls below the tolerance, so it takes exactly the passes a
-    one-seed solve would. An isolated seed, or ``teleport == 1``, gets its
-    indicator column. A column still above the tolerance after 1000 passes
-    raises ``RuntimeError`` naming its seed node.
+    one-seed solve would. An isolated seed gets its indicator column. A
+    column still above the tolerance after 1000 passes raises
+    ``RuntimeError`` naming its seed node.
     """
     if not (0.0 < teleport <= 1.0):
         raise ValueError("teleport must lie in (0, 1]")
     seeds = np.asarray(seed_nodes, dtype=np.int64)
     r = np.zeros((g.n, seeds.size))
     r[seeds, np.arange(seeds.size)] = 1.0
-    if teleport == 1.0:
-        return r
     deg = g.weighted_degree()
     active = np.flatnonzero(deg[seeds] > 0)  # the walk never leaves an isolated seed
     scale = np.zeros(g.n)

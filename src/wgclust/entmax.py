@@ -88,10 +88,6 @@ def softmax(z) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _row_ids(indptr: np.ndarray) -> np.ndarray:
-    return np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
-
-
 def _newton_pass(zs, tau, starts, lens, inv) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One pass at tau: (p, per-row sum(p) - 1, per-row sum of the derivative's summand).
 
@@ -170,16 +166,13 @@ def segment_entmax_vjp(p, indptr, alpha: float, upstream) -> np.ndarray:
 def segment_softmax(values, indptr) -> np.ndarray:
     """Row-wise softmax on a segmented array (the entmax alpha -> 1 limit)."""
     values = np.asarray(values, dtype=np.float64)
-    starts = indptr[:-1]
-    rows = _row_ids(indptr)
-    shifted = values - np.maximum.reduceat(values, starts, axis=0)[rows]
+    starts, lens = indptr[:-1], np.diff(indptr)
+    shifted = values - np.repeat(np.maximum.reduceat(values, starts, axis=0), lens, axis=0)
     e = np.exp(shifted)
-    return e / np.add.reduceat(e, starts, axis=0)[rows]
+    return e / np.repeat(np.add.reduceat(e, starts, axis=0), lens, axis=0)
 
 
 def segment_softmax_vjp(p, indptr, upstream) -> np.ndarray:
     """Row-wise softmax gradient: g = p * (u - <p, u>)."""
-    starts = indptr[:-1]
-    rows = _row_ids(indptr)
-    dot = np.add.reduceat(p * upstream, starts, axis=0)
-    return p * (upstream - dot[rows])
+    dot = np.add.reduceat(p * upstream, indptr[:-1], axis=0)
+    return p * (upstream - np.repeat(dot, np.diff(indptr), axis=0))

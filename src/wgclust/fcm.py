@@ -15,6 +15,7 @@ import numpy as np
 __all__ = ["ClusterAssignment", "fcm_fit", "hard_labels"]
 
 SIM_CLAMP = 1e-8
+FCM_TOL = 1e-6  # a fit stops once no membership moves by this much in a round
 
 
 @dataclass(frozen=True)
@@ -41,7 +42,7 @@ def _memberships(sims: np.ndarray) -> np.ndarray:
     return y / y.sum(axis=1, keepdims=True)
 
 
-def _single_fit(h, k, iters, rng, tol):
+def _single_fit(h, k, iters, rng):
     n = h.shape[0]
     centers = h[rng.choice(n, size=k, replace=False)].copy()
     y = np.full((n, k), 1.0 / k)
@@ -51,21 +52,20 @@ def _single_fit(h, k, iters, rng, tol):
         centers = (y_new.T @ h) / y_new.sum(axis=0)[:, None]
         delta = np.abs(y_new - y).max()
         y = y_new
-        if delta < tol:
+        if delta < FCM_TOL:
             break
     sims = np.maximum(h @ centers.T, SIM_CLAMP)
     cohesion = float((y * sims).sum())
     return y, centers, cohesion
 
 
-def fcm_fit(h, k, iters: int = 30, seed: int = 0, tol: float = 1e-6,
-            restarts: int = 1) -> ClusterAssignment:
+def fcm_fit(h, k, iters: int = 30, seed: int = 0, restarts: int = 1) -> ClusterAssignment:
     """Alternate membership and center updates from seeded-random row centers.
 
     Centers start as ``k`` distinct rows of ``h`` drawn with the seeded rng;
     each round updates memberships from clamped inner products and recenters
     each cluster at the membership-weighted average of the rows. Stops after
-    ``iters`` rounds or when memberships move less than ``tol``.
+    ``iters`` rounds or when memberships move less than ``FCM_TOL``.
 
     ``restarts`` > 1 repeats the fit with fresh seeded center draws and keeps
     the run with the highest fuzzy cohesion sum(Y * D); row-sampled center
@@ -85,7 +85,7 @@ def fcm_fit(h, k, iters: int = 30, seed: int = 0, tol: float = 1e-6,
     rng = np.random.default_rng(seed)
     best = None
     for _ in range(restarts):
-        y, centers, cohesion = _single_fit(h, k, iters, rng, tol)
+        y, centers, cohesion = _single_fit(h, k, iters, rng)
         if best is None or cohesion > best[2]:
             best = (y, centers, cohesion)
     y, centers, _ = best

@@ -103,7 +103,7 @@ class WeightedGraph:
         return k < hi - lo and self.indices[lo + k] == v
 
     def check_invariants(self) -> None:
-        """Full-scan validation of symmetry, positivity, and the 2m cache."""
+        """Full-scan validation of symmetry, positivity, and sorted rows."""
         if np.any(self.weights <= 0):
             raise AssertionError("non-positive stored weight")
         src = self.directed_src()
@@ -120,9 +120,6 @@ class WeightedGraph:
             raise AssertionError("asymmetric structure")
         if not np.array_equal(self.weights[order], self.weights):
             raise AssertionError("asymmetric weights")
-        total = float(self.weights.sum())
-        if total > 0 and abs(total - self.total_weight_2m) > 1e-12 * total:
-            raise AssertionError("total_weight_2m out of sync")
 
 
 @dataclass(frozen=True)
@@ -141,12 +138,11 @@ class LabeledGraph:
         self.labels.flags.writeable = False
 
 
-def build_graph(n, u, v, w, node_ids=None, sum_duplicates=True) -> WeightedGraph:
+def build_graph(n, u, v, w, node_ids=None) -> WeightedGraph:
     """Assemble a WeightedGraph from undirected edge arrays.
 
     Duplicate (u, v) pairs -- in either orientation -- have their weights
-    summed when ``sum_duplicates`` is set, otherwise they raise. Self-loops
-    and non-positive weights raise.
+    summed. Self-loops and non-positive weights raise.
     """
     u = np.asarray(u, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
@@ -170,8 +166,6 @@ def build_graph(n, u, v, w, node_ids=None, sum_duplicates=True) -> WeightedGraph
         dup = np.zeros(lo.size, dtype=bool)
         dup[1:] = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
         if dup.any():
-            if not sum_duplicates:
-                raise ValueError("duplicate edge")
             first = np.flatnonzero(~dup)
             group = np.cumsum(~dup) - 1
             wsum = np.bincount(group, weights=w)

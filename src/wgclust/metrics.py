@@ -16,7 +16,6 @@ class EvalReport:
     accuracy: float
     micro_f1: float
     macro_f1: float
-    modularity: float | None
     mapping: dict[int, int]
     confusion: np.ndarray  # rows = predicted labels (pred_label_order), cols = true labels
     pred_labels: np.ndarray
@@ -28,7 +27,6 @@ class EvalReport:
                 "accuracy": self.accuracy,
                 "micro_f1": self.micro_f1,
                 "macro_f1": self.macro_f1,
-                "modularity": self.modularity,
                 "mapping": {str(k): int(v) for k, v in self.mapping.items()},
                 "pred_labels": [int(x) for x in self.pred_labels],
                 "true_labels": [int(x) for x in self.true_labels],
@@ -89,7 +87,7 @@ def f1_scores(pred, truth, mapping) -> tuple[float, float]:
     return float(micro), float(np.mean(f1s))
 
 
-def evaluate(pred, truth, modularity: float | None = None) -> EvalReport:
+def evaluate(pred, truth) -> EvalReport:
     """Bundle accuracy, F1 scores, and the confusion matrix into one report."""
     acc, mapping = clustering_accuracy(pred, truth)
     micro, macro = f1_scores(pred, truth, mapping)
@@ -98,7 +96,6 @@ def evaluate(pred, truth, modularity: float | None = None) -> EvalReport:
         accuracy=acc,
         micro_f1=micro,
         macro_f1=macro,
-        modularity=modularity,
         mapping=mapping,
         confusion=counts,
         pred_labels=pred_labels,

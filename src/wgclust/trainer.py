@@ -47,6 +47,7 @@ from .losses import (
 __all__ = ["TrainedModel", "train", "infer", "gradient_check", "save_checkpoint", "load_checkpoint"]
 
 MIN_LOSS_IMPROVEMENT = 1e-5
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 CHECKPOINT_VERSION = 2
 
 # spawn keys for the independent random streams derived from config.seed
@@ -60,23 +61,22 @@ def _rng(seed: int, key: int) -> np.random.Generator:
 class Adam:
     """Adaptive-moment updates (decay 0.9/0.999, eps 1e-8) over a list of arrays."""
 
-    def __init__(self, shapes, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, shapes, learning_rate):
         self.lr = learning_rate
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = [np.zeros(s) for s in shapes]
         self.v = [np.zeros(s) for s in shapes]
         self.t = 0
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        bc1 = 1.0 - ADAM_BETA1**self.t
+        bc2 = 1.0 - ADAM_BETA2**self.t
         for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 @dataclass
@@ -107,7 +107,7 @@ def _select_training_graph(g, cluster_count, config):
     """Contract (or randomly sample, or pass through) the training graph."""
     if config.no_contraction:
         return None, g
-    selection = contract(g, config.contraction, cluster_count)
+    selection = contract(g, config, cluster_count)
     if config.random_sampling:
         rng = _rng(config.seed, _RNG_SAMPLE_ABLATION)
         nodes = np.sort(rng.choice(g.n, size=selection.selected.size, replace=False))

@@ -215,11 +215,12 @@ def test_criterion_6_noise_robustness():
                     dtype=bool, count=s.src.size,
                 )
                 avg = record.final_head_average()
-                noise_mean = avg[is_noise & ~s.is_self].mean()
-                orig_mean = avg[~is_noise & ~s.is_self].mean()
+                is_self = s.src == s.dst
+                noise_mean = avg[is_noise & ~is_self].mean()
+                orig_mean = avg[~is_noise & ~is_self].mean()
                 assert noise_mean < orig_mean  # strictly, per seed
                 attn_means.append((float(noise_mean), float(orig_mean)))
-                zero_noise_edges += int((avg[is_noise & ~s.is_self] == 0.0).sum())
+                zero_noise_edges += int((avg[is_noise & ~is_self] == 0.0).sum())
     med_full = float(np.median(stats[False]))
     med_soft = float(np.median(stats[True]))
     assert med_full >= med_soft

@@ -160,7 +160,7 @@ def ref_network(s, model, opts, d_h_final, d_final_coeffs=None):
             pre_act[t] = ref_row_aggregate(s, coeffs[:, t], proj_val[t])
         caches.append((h, proj_attn, proj_val, coeffs, pre_act, _elu(pre_act)))
         h = np.einsum("h,hne->ne", params.gamma, _elu(pre_act))
-    grads = model.zeros_like()
+    layer_grads = [None] * len(model.layers)
     d_out = d_h_final
     for li in range(len(model.layers) - 1, -1, -1):
         params = model.layers[li]
@@ -187,9 +187,9 @@ def ref_network(s, model, opts, d_h_final, d_final_coeffs=None):
             d_proj += ref_col_aggregate(s, d_logits[:, t], proj_attn[t])
             d_w1[t] = h_in.T @ d_proj
             d_h_in += d_proj @ params.w1[t].T
-        grads.layers[li] = LayerParams(w1=d_w1, w2=d_w2, gamma=d_gamma)
+        layer_grads[li] = LayerParams(w1=d_w1, w2=d_w2, gamma=d_gamma)
         d_out = d_h_in
-    grads.embedding = d_out
+    grads = ModelParams(embedding=d_out, layers=layer_grads)
     return h, [c[3] for c in caches], grads
 
 
@@ -250,7 +250,7 @@ class TestEdgeWeightFactor:
                 cand = sorted(ref)
                 np.testing.assert_array_equal(s.src[lo:hi], i)
                 np.testing.assert_array_equal(s.dst[lo:hi], cand)
-                np.testing.assert_array_equal(s.is_self[lo:hi], np.array(cand) == i)
+                np.testing.assert_array_equal(s.src[lo:hi] == s.dst[lo:hi], np.array(cand) == i)
                 expect = np.array([ref[z] for z in cand])
                 if rtol == 0.0:
                     np.testing.assert_array_equal(s.factors[lo:hi], expect)
@@ -258,7 +258,7 @@ class TestEdgeWeightFactor:
                     np.testing.assert_allclose(s.factors[lo:hi], expect, rtol=rtol, atol=0)
             np.testing.assert_array_equal(s.src[s.rev], s.dst)
             np.testing.assert_array_equal(s.dst[s.rev], s.src)
-            np.testing.assert_array_equal(s.edge_pos, np.flatnonzero(~s.is_self))
+            np.testing.assert_array_equal(s.edge_pos, np.flatnonzero(s.src != s.dst))
             np.testing.assert_array_equal(s.dst[s.edge_pos], g.indices)
 
 

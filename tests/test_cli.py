@@ -75,6 +75,20 @@ class TestContract:
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["edges_after_contraction"] <= manifest["edges_before_contraction"]
 
+    def test_contraction_flags_reach_manifest(self, synth_dir, tmp_path):
+        out = tmp_path / "contracted"
+        assert run_cli(
+            "contract", "--edges", synth_dir / "edges.tsv", "--clusters", 2, "--cores", 3,
+            "--threshold", 0.01, "--distance-mode", "unit", "--density-weight", 0.25,
+            "--teleport", 0.75, "--out", out,
+        ) == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["config"] == {
+            "core_count": 3, "density_weight": 0.25, "teleport": 0.75,
+            "importance_threshold": 0.01, "distance_mode": "unit",
+        }
+        assert len((out / "cores.tsv").read_text().splitlines()) == 3
+
 
 class TestTrainInferEval:
     def test_full_pipeline_and_determinism(self, synth_dir, tmp_path):
@@ -158,7 +172,46 @@ class TestTrainInferEval:
         echo = (out / "config_echo.txt").read_text()
         assert "softmax_instead_of_entmax = true" in echo
 
-    def test_seed_sweep_writes_per_seed_outputs(self, synth_dir, tmp_path):
+    def test_every_override_flag_reaches_config_echo(self, synth_dir, tmp_path):
+        cfg = tmp_path / "fast.cfg"
+        cfg.write_text(FAST_CONFIG)
+        out = tmp_path / "flags"
+        flags = {
+            "seed": 7, "epochs": 0, "patience": 3, "heads": 3, "layer-count": 1,
+            "core-count": 4, "importance-threshold": 0.002, "entmax-alpha": 1.7,
+            "modularity-weight": 0.05, "density-weight": 0.25, "learning-rate": 0.01,
+        }
+        argv = [a for flag, value in flags.items() for a in (f"--{flag}", value)]
+        assert run_cli(
+            "train", "--edges", synth_dir / "edges.tsv", "--clusters", 2,
+            "--config", cfg, *argv, "--out", out,
+        ) == 0
+        echo = (out / "config_echo.txt").read_text().splitlines()
+        for flag, value in flags.items():
+            assert f"{flag.replace('-', '_')} = {value}" in echo
+
+    def test_one_seed_sweep_matches_seed_flag(self, synth_dir, tmp_path, capsys):
+        cfg = tmp_path / "fast.cfg"
+        cfg.write_text(FAST_CONFIG)
+        runs = {"--seeds": tmp_path / "seeds", "--seed": tmp_path / "seed"}
+        for flag, out in runs.items():
+            assert run_cli(
+                "train", "--edges", synth_dir / "edges.tsv", "--clusters", 2,
+                "--config", cfg, flag, 5, "--out", out,
+            ) == 0
+            assert capsys.readouterr().out.startswith("trained in ")
+        a, b = runs.values()
+        for name in ("assignment.csv", "loss_history.csv", "config_echo.txt"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+        with np.load(a / "checkpoint.npz") as za, np.load(b / "checkpoint.npz") as zb:
+            assert sorted(za.files) == sorted(zb.files)
+            for key in za.files:
+                assert np.array_equal(za[key], zb[key])
+        ma, mb = (json.loads((d / "run_manifest.json").read_text()) for d in runs.values())
+        assert ma["command"] == mb["command"] == "train"
+        assert ma["config"] == mb["config"] and ma["config"]["seed"] == 5
+
+    def test_seed_sweep_writes_per_seed_outputs(self, synth_dir, tmp_path, capsys):
         cfg = tmp_path / "fast.cfg"
         cfg.write_text(FAST_CONFIG)
         out = tmp_path / "sweep"
@@ -166,8 +219,20 @@ class TestTrainInferEval:
             "train", "--edges", synth_dir / "edges.tsv", "--clusters", 2,
             "--config", cfg, "--seeds", "1,2", "--jobs", 2, "--out", out,
         ) == 0
+        assert capsys.readouterr().out == f"trained 2 seeds; outputs in {out}\n"
         assert (out / "seed_1" / "assignment.csv").exists()
         assert (out / "seed_2" / "assignment.csv").exists()
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["command"] == "train-sweep"
+        assert manifest["config"]["seed"] == 0  # the base config, not a per-seed one
+        assert len(manifest["outputs"]) == 8
+        single = tmp_path / "single"
+        assert run_cli(
+            "train", "--edges", synth_dir / "edges.tsv", "--clusters", 2,
+            "--config", cfg, "--seed", 2, "--out", single,
+        ) == 0
+        assert (single / "assignment.csv").read_bytes() == \
+            (out / "seed_2" / "assignment.csv").read_bytes()
 
 
 class TestAttentionDump:

@@ -97,9 +97,8 @@ class TestEvaluate:
     def test_report_fields(self):
         pred = np.array([1, 1, 0, 0])
         truth = np.array([0, 0, 1, 1])
-        report = evaluate(pred, truth, modularity=0.25)
+        report = evaluate(pred, truth)
         assert report.accuracy == 1.0
-        assert report.modularity == 0.25
         assert report.confusion.sum() == 4
         parsed = report.to_json()
         assert '"accuracy": 1.0' in parsed

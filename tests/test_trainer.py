@@ -1,5 +1,7 @@
 """Training loop determinism, gradient correctness, inference, checkpoints."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -312,13 +314,40 @@ class TestConfigFormat:
 
         cfg = TrainConfig(density_weight=0.25, teleport=0.75, distance_mode="unit", core_count=3,
                           importance_threshold=0.01)
-        assert cfg.contraction == ContractionConfig(
+        assert isinstance(cfg, ContractionConfig)
+        inherited = {f.name for f in dataclasses.fields(ContractionConfig)}
+        assert {name: getattr(cfg, name) for name in inherited} == dict(
             core_count=3, density_weight=0.25, teleport=0.75, importance_threshold=0.01,
             distance_mode="unit",
         )
         for bad in ({"density_weight": 1.5}, {"teleport": 0.0}, {"distance_mode": "hops"}):
             with pytest.raises(ValueError):
                 TrainConfig(**bad)
+
+    def test_text_in_earlier_key_order_parses_to_same_config(self):
+        # the echo order before the contraction fields moved to the base class
+        text = (
+            "density_weight = 0.25\nentmax_alpha = 1.7\nmodularity_weight = 0.05\n"
+            "teleport = 0.75\ncore_count = 4\nimportance_threshold = 0.002\n"
+            "distance_mode = unit\nheads = 2\nlayer_count = 2\nembed_dim = 6\n"
+            "attn_dim = 5\nhidden_dim = 6\nlearning_rate = 0.01\nnegatives = 3\n"
+            "epochs = 9\npatience = 4\nseed = 11\nfcm_iters = 12\nfcm_restarts = 2\n"
+            "self_loop_mode = mean\nno_contraction = false\nrandom_sampling = true\n"
+            "softmax_instead_of_entmax = false\ndrop_f_iz = true\nno_weight_update = false\n"
+        )
+        expect = TrainConfig(
+            density_weight=0.25, entmax_alpha=1.7, modularity_weight=0.05, teleport=0.75,
+            core_count=4, importance_threshold=0.002, distance_mode="unit", heads=2,
+            layer_count=2, embed_dim=6, attn_dim=5, hidden_dim=6, learning_rate=0.01,
+            negatives=3, epochs=9, patience=4, seed=11, fcm_iters=12, fcm_restarts=2,
+            self_loop_mode="mean", random_sampling=True, drop_f_iz=True,
+        )
+        assert parse_config_text(text) == expect
+        assert len(text.splitlines()) == len(dataclasses.fields(TrainConfig))
+        assert config_to_text(expect).splitlines()[:5] == [
+            "core_count = 4", "density_weight = 0.25", "teleport = 0.75",
+            "importance_threshold = 0.002", "distance_mode = unit",
+        ]
 
     def test_overrides_apply_over_base(self):
         base = TrainConfig(seed=1)
