@@ -259,19 +259,25 @@ class _LayerCache:
     head_out: np.ndarray  # (heads, n, d_out)
 
 
-def _row_aggregate(structure, values, dense) -> np.ndarray:
+def _head_major(values: np.ndarray) -> np.ndarray:
+    """(entries, heads) -> flat head-major data of the block-diagonal entry matrix."""
+    return values.T.ravel()
+
+
+def _row_aggregate(structure, data, dense) -> np.ndarray:
     """out[t, i] = sum over entries e with src(e)=i of values[e, t] * dense[t, dst(e)].
 
-    values: (entries, heads); dense: (heads, n, width). One sparse product
-    over the block-diagonal pattern covers every head.
+    data: _head_major(values) of (entries, heads) values; dense: (heads, n,
+    width). One sparse product over the block-diagonal pattern covers every
+    head.
     """
     heads, n, width = dense.shape
     indptr, indices = structure.head_pattern(heads)
-    mat = sp.csr_matrix((values.T.ravel(), indices, indptr), shape=(heads * n, heads * n))
+    mat = sp.csr_matrix((data, indices, indptr), shape=(heads * n, heads * n))
     return (mat @ dense.reshape(heads * n, width)).reshape(heads, n, width)
 
 
-def _col_aggregate(structure, values, dense) -> np.ndarray:
+def _col_aggregate(structure, data, dense) -> np.ndarray:
     """out[t, z] = sum over entries e with dst(e)=z of values[e, t] * dense[t, src(e)].
 
     The structure is symmetric, so the CSR arrays of the pattern read as CSC
@@ -280,7 +286,7 @@ def _col_aggregate(structure, values, dense) -> np.ndarray:
     """
     heads, n, width = dense.shape
     indptr, indices = structure.head_pattern(heads)
-    mat = sp.csc_matrix((values.T.ravel(), indices, indptr), shape=(heads * n, heads * n))
+    mat = sp.csc_matrix((data, indices, indptr), shape=(heads * n, heads * n))
     return (mat @ dense.reshape(heads * n, width)).reshape(heads, n, width)
 
 
@@ -344,7 +350,7 @@ def _forward_layer(structure, h_in, params, opts) -> tuple[np.ndarray, _LayerCac
     proj_attn = np.einsum("nd,hde->hne", h_in, params.w1)
     proj_val = np.einsum("nd,hde->hne", h_in, params.w2)
     coeffs = _coefficients(structure, proj_attn, opts)
-    pre_act = _row_aggregate(structure, coeffs, proj_val)
+    pre_act = _row_aggregate(structure, _head_major(coeffs), proj_val)
     head_out = _elu(pre_act)
     h_out = np.einsum("h,hne->ne", params.gamma, head_out)
     if not np.all(np.isfinite(h_out)):
@@ -375,7 +381,7 @@ def _backward_layer(structure, params, opts, cache, d_out, d_coeffs_extra=None):
     d_coeffs = _pair_dots(
         _node_major(d_pre), _node_major(cache.proj_val), structure.src, structure.dst
     )
-    d_val = _col_aggregate(structure, cache.coeffs, d_pre)
+    d_val = _col_aggregate(structure, _head_major(cache.coeffs), d_pre)
     d_h_in = np.zeros_like(cache.h_in)
     d_w2 = np.empty_like(params.w2)
     for t in range(heads):
@@ -387,8 +393,12 @@ def _backward_layer(structure, params, opts, cache, d_out, d_coeffs_extra=None):
         d_logits = segment_entmax_vjp(cache.coeffs, structure.indptr, opts.alpha, d_coeffs)
     else:
         d_logits = segment_softmax_vjp(cache.coeffs, structure.indptr, d_coeffs)
-    d_proj = _row_aggregate(structure, d_logits, cache.proj_attn)
-    d_proj += _col_aggregate(structure, d_logits, cache.proj_attn)
+    # both products read one head-major copy of d_logits; the (entries, heads)
+    # original is freed before they allocate
+    d_data = _head_major(d_logits)
+    del d_logits
+    d_proj = _row_aggregate(structure, d_data, cache.proj_attn)
+    d_proj += _col_aggregate(structure, d_data, cache.proj_attn)
     d_w1 = np.empty_like(params.w1)
     for t in range(heads):
         d_w1[t] = cache.h_in.T @ d_proj[t]

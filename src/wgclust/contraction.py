@@ -111,10 +111,14 @@ def distance_to_cores(g: WeightedGraph, cores, mode: str = "reciprocal") -> np.n
     cores = np.asarray(cores, dtype=np.int64)
     if cores.size == 0:
         raise ValueError("core set is empty")
+    return _distance_sum(_length_csr(g, mode), _unreachable_sentinel(g, mode), cores)
+
+
+def _distance_sum(lengths: sp.csr_matrix, sentinel: float, cores) -> np.ndarray:
     # the stored CSR holds both directions of every edge, so a directed
     # search gives the undirected distances without a transpose per call
-    dist = dijkstra(_length_csr(g, mode), directed=True, indices=cores)
-    dist[~np.isfinite(dist)] = _unreachable_sentinel(g, mode)
+    dist = dijkstra(lengths, directed=True, indices=cores)
+    dist[~np.isfinite(dist)] = sentinel
     return dist.sum(axis=0)
 
 
@@ -144,8 +148,10 @@ def select_core_nodes(g: WeightedGraph, config: ContractionConfig, cluster_count
     chosen[cores] = True
     dist_sum = np.zeros(g.n)
     eps = config.density_weight
+    lengths = _length_csr(g, config.distance_mode)
+    sentinel = _unreachable_sentinel(g, config.distance_mode)
     for _ in range(o - 1):
-        dist_sum += distance_to_cores(g, cores[-1:], config.distance_mode)
+        dist_sum += _distance_sum(lengths, sentinel, cores[-1:])
         candidates = np.flatnonzero(~chosen)
         score = eps * rank_score(rho[candidates]) + (1.0 - eps) * rank_score(dist_sum[candidates])
         cores.append(int(candidates[np.argmax(score)]))

@@ -19,10 +19,19 @@ entries that end up off the support.
 The kernel works on a flat value array split into contiguous rows by an
 indptr, which is how the attention layer normalizes all nodes (and heads) in
 one call; the single-vector API is a one-row call of the same kernel.
+
+The solve runs block by block: the rows are split, at row boundaries, into
+blocks of at most _SOLVE_BLOCK_FLOATS values (a longer row is a block of its
+own), and each block runs its Newton passes while it stays in cache. Every
+row still takes the same number of passes, the first at which all rows have
+converged: a block whose rows converged earlier runs the missing passes from
+its saved tau afterwards. The output is the same bit for bit whatever the
+block size. The VJP goes through the same blocks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +39,9 @@ import numpy as np
 SOLVE_TOL = 1e-10
 SOLVE_MAX_PASSES = 100
 _SETTLE_GRID = 2.0**30  # the final solve starts on this grid, within 1e-9 of the root
+# values per row block (512 KB): a block's scores and a pass's temporaries stay
+# in L2 through all of its Newton passes
+_SOLVE_BLOCK_FLOATS = 65536
 
 
 @dataclass(frozen=True)
@@ -88,36 +100,91 @@ def softmax(z) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _newton_pass(zs, tau, starts, lens, inv) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One pass at tau: (p, per-row sum(p) - 1, per-row sum of the derivative's summand).
+def _row_blocks(indptr, width: int) -> list[tuple[slice, slice, np.ndarray, np.ndarray]]:
+    """Split the rows into runs of at most _SOLVE_BLOCK_FLOATS values; a longer row is a block alone.
 
-    p is built in place of x and the summand dies on return, so a pass holds
-    two value-sized arrays besides the scores.
+    width is the number of values per entry (the heads). Each block is
+    (row slice, entry slice, block-local row starts, row lengths).
     """
-    x = np.repeat(tau, lens, axis=0)
-    np.subtract(zs, x, out=x)
-    np.maximum(x, 0.0, out=x)
+    cap = max(1, _SOLVE_BLOCK_FLOATS // width)
+    rows = indptr.size - 1
+    blocks = []
+    lo = 0
+    while lo < rows:
+        hi = max(lo + 1, int(np.searchsorted(indptr, indptr[lo] + cap, side="right")) - 1)
+        first = indptr[lo]
+        blocks.append((slice(lo, hi), slice(first, indptr[hi]), indptr[lo:hi] - first,
+                       np.diff(indptr[lo:hi + 1])))
+        lo = hi
+    return blocks
+
+
+def _newton_pass(zs, tau, starts, lens, inv, p, residual, slope) -> None:
+    """One pass at tau: p, per-row sum(p) - 1 and per-row sum of the derivative's summand, in place.
+
+    The summand is the pass's one temporary besides the repeated threshold.
+    """
+    np.subtract(zs, np.repeat(tau, lens, axis=0), out=p)
+    np.maximum(p, 0.0, out=p)
     # xq = x^(inv-1) is the derivative's summand; at alpha = 2 it is the
     # support indicator (0**0 would count off-support entries)
-    xq = (x > 0).astype(np.float64) if inv == 1.0 else x ** (inv - 1.0)
-    slope = np.add.reduceat(xq, starts, axis=0)
-    p = np.multiply(xq, x, out=x)
-    return p, np.add.reduceat(p, starts, axis=0) - 1.0, slope
+    xq = (p > 0).astype(np.float64) if inv == 1.0 else p ** (inv - 1.0)
+    np.add.reduceat(xq, starts, axis=0, out=slope)
+    np.multiply(xq, p, out=p)
+    np.add.reduceat(p, starts, axis=0, out=residual)
+    residual -= 1.0
 
 
-def _newton(zs, tau, starts, lens, inv) -> tuple[np.ndarray, np.ndarray]:
-    """Newton passes on row-max-shifted scaled scores from a tau left of the root."""
-    for _ in range(SOLVE_MAX_PASSES):
-        p, residual, slope = _newton_pass(zs, tau, starts, lens, inv)
-        converged = np.abs(residual) <= SOLVE_TOL
-        if converged.all():
-            return p, tau
-        tau = tau + residual / (inv * slope)
-    bad = tuple(np.argwhere(~converged)[0])
-    raise FloatingPointError(
-        f"entmax did not converge in {SOLVE_MAX_PASSES} passes: row {int(bad[0])} "
+def _unconverged(residual, first_row: int = 0) -> FloatingPointError:
+    bad = tuple(np.argwhere(~(np.abs(residual) <= SOLVE_TOL))[0])
+    return FloatingPointError(
+        f"entmax did not converge in {SOLVE_MAX_PASSES} passes: row {first_row + int(bad[0])} "
         f"has |sum(p) - 1| = {abs(float(residual[bad])):.1e}"
     )
+
+
+def _block_passes(zs, p, tau, residual, slope, inv, block, done: int, until: int | None) -> int:
+    """Run one block's Newton passes after its first ``done``; returns the new pass count.
+
+    With ``until`` None the block stops at the first pass where all its rows
+    have converged (raising at SOLVE_MAX_PASSES); otherwise it runs to pass
+    ``until``. p, tau, residual and slope are updated in place.
+    """
+    rows, vals, starts, lens = block
+    z, out, t, r, s = zs[vals], p[vals], tau[rows], residual[rows], slope[rows]
+    while until is None or done < until:
+        if done:
+            t += r / (inv * s)
+        _newton_pass(z, t, starts, lens, inv, out, r, s)
+        done += 1
+        if until is None:
+            if (np.abs(r) <= SOLVE_TOL).all():
+                break
+            if done == SOLVE_MAX_PASSES:
+                raise _unconverged(r, rows.start)
+    return done
+
+
+def _newton(zs, tau, blocks, inv) -> tuple[np.ndarray, np.ndarray]:
+    """Newton passes on row-max-shifted scaled scores from a tau left of the root.
+
+    Every row takes the same number of passes: the first at which all rows
+    have converged. Each block runs in cache until its own rows converge;
+    then the blocks that stopped early run the remaining passes from their
+    saved tau, so the result does not depend on the block size.
+    """
+    p = np.empty_like(zs)
+    residual, slope = np.empty_like(tau), np.empty_like(tau)
+    state = (zs, p, tau, residual, slope, inv)
+    done = [_block_passes(*state, block, 0, None) for block in blocks]
+    target = max(done)
+    while True:
+        done = [_block_passes(*state, block, d, target) for block, d in zip(blocks, done)]
+        if (np.abs(residual) <= SOLVE_TOL).all():
+            return p, tau
+        if target == SOLVE_MAX_PASSES:
+            raise _unconverged(residual)
+        target += 1
 
 
 def _solve(values, indptr, alpha: float) -> tuple[np.ndarray, np.ndarray]:
@@ -136,12 +203,13 @@ def _solve(values, indptr, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     top = np.maximum.reduceat(zs, starts, axis=0)
     zs -= np.repeat(top, lens, axis=0)
     inv = 1.0 / (alpha - 1.0)
-    _, tau = _newton(zs, np.full_like(top, -1.0), starts, lens, inv)
+    blocks = _row_blocks(indptr, math.prod(zs.shape[1:]))
+    _, tau = _newton(zs, np.full_like(top, -1.0), blocks, inv)
     # Newton's path crosses entries that end up off the support, so the root
     # carries their rounding. A second solve from the grid point just below
     # it depends only on the entries above that point: an exact zero then
     # has exactly no effect on p, as the VJP assumes.
-    p, tau = _newton(zs, np.floor(tau * _SETTLE_GRID) / _SETTLE_GRID, starts, lens, inv)
+    p, tau = _newton(zs, np.floor(tau * _SETTLE_GRID) / _SETTLE_GRID, blocks, inv)
     return p, tau + top
 
 
@@ -151,16 +219,18 @@ def segment_entmax(values, indptr, alpha: float) -> np.ndarray:
 
 
 def segment_entmax_vjp(p, indptr, alpha: float, upstream) -> np.ndarray:
-    """Row-wise entmax gradient (see entmax_jvp) on a segmented array."""
+    """Row-wise entmax gradient (see entmax_jvp) on a segmented array, one row block at a time."""
     _check_alpha(alpha)
-    starts = indptr[:-1]
-    s = np.where(p > 0, p ** (2.0 - alpha), 0.0)
-    su = s * upstream
-    dot = np.add.reduceat(su, starts, axis=0)
-    ssum = np.add.reduceat(s, starts, axis=0)
-    ratio = np.divide(dot, ssum, out=np.zeros_like(dot), where=ssum > 0)
-    su -= s * np.repeat(ratio, np.diff(indptr), axis=0)
-    return su
+    grad = np.empty(p.shape)
+    for _, vals, starts, lens in _row_blocks(indptr, math.prod(p.shape[1:])):
+        pb = p[vals]
+        s = np.where(pb > 0, pb ** (2.0 - alpha), 0.0)
+        su = np.multiply(s, upstream[vals], out=grad[vals])
+        dot = np.add.reduceat(su, starts, axis=0)
+        ssum = np.add.reduceat(s, starts, axis=0)
+        ratio = np.divide(dot, ssum, out=np.zeros_like(dot), where=ssum > 0)
+        su -= s * np.repeat(ratio, lens, axis=0)
+    return grad
 
 
 def segment_softmax(values, indptr) -> np.ndarray:

@@ -14,11 +14,12 @@ triple maps to a bit-identical trained model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .attention import (
+    AttentionStructure,
     ForwardOptions,
     LayerParams,
     ModelParams,
@@ -81,13 +82,19 @@ class Adam:
 
 @dataclass
 class TrainedModel:
-    """Trained parameters plus everything needed to reproduce inference."""
+    """Trained parameters plus everything needed to reproduce inference.
+
+    ``structure`` is the attention structure of the input graph when
+    training ran on all of it (no contraction); it is not saved, and
+    ``infer`` reuses it when labelling that same graph object.
+    """
 
     params: ModelParams
     cluster_count: int
     config: TrainConfig
     loss_history: list[LossBreakdown]
     selection: SubgraphSelection | None
+    structure: AttentionStructure | None = field(default=None, repr=False, compare=False)
 
     def history_array(self) -> np.ndarray:
         return np.array(
@@ -239,6 +246,7 @@ def train(g: WeightedGraph, cluster_count: int, config: TrainConfig) -> TrainedM
         config=config,
         loss_history=history,
         selection=selection,
+        structure=structure if selection is None else None,
     )
 
 
@@ -251,7 +259,9 @@ def infer(g: WeightedGraph, model: TrainedModel, cluster_count: int | None = Non
         raise ValueError(
             f"graph has {g.n} nodes but the model embeds {model.params.embedding.shape[0]}"
         )
-    structure = build_attention_structure(g, config.self_loop_mode)
+    structure = model.structure
+    if structure is None or structure.graph is not g:
+        structure = build_attention_structure(g, config.self_loop_mode)
     h, record, _ = network_forward_cached(structure, model.params, _forward_options(config))
     infer_seed = int(_rng(config.seed, _RNG_INFER).integers(2**31))
     assignment = fcm_fit(h, k, iters=config.fcm_iters, seed=infer_seed,

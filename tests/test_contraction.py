@@ -181,6 +181,23 @@ class TestSelectCoreNodes:
         best = max(sorted(rr), key=lambda i: rr[i])
         assert cores[1] == best
 
+    @pytest.mark.parametrize("mode", ["reciprocal", "unit"])
+    def test_equals_per_round_distance_to_cores(self, mode):
+        # the selection builds the edge lengths once; a loop that calls the
+        # public distance_to_cores every round must pick the same cores
+        g = synth_weighted_sbm(80, 3, 0.2, 0.02, 3.0, 1.0, seed=22).graph
+        g = build_graph(g.n + 1, *g.edge_arrays())  # plus an unreachable node
+        config = ContractionConfig(core_count=7, density_weight=0.3, distance_mode=mode)
+        rho = node_density(g)
+        cores = [int(np.argmax(rho))]
+        dist_sum = np.zeros(g.n)
+        for _ in range(6):
+            dist_sum += distance_to_cores(g, cores[-1:], mode)
+            candidates = np.setdiff1d(np.arange(g.n), cores)
+            score = 0.3 * rank_score(rho[candidates]) + 0.7 * rank_score(dist_sum[candidates])
+            cores.append(int(candidates[np.argmax(score)]))
+        np.testing.assert_array_equal(select_core_nodes(g, config), cores)
+
     def test_deterministic(self):
         lab = synth_weighted_sbm(60, 3, 0.4, 0.05, 4.0, 1.0, seed=2)
         config = ContractionConfig(core_count=5)

@@ -277,6 +277,14 @@ class TestSegmented:
         vals = np.array([0.0, 0.5, 0.3, 0.2, 0.1])
         with pytest.raises(FloatingPointError, match=r"row 1 has \|sum\(p\) - 1\|"):
             segment_entmax(vals, np.array([0, 1, 5]), 1.55)
+        # one row per block: the unconverged row is the third block's first
+        # row, and the error names its index in the whole array
+        monkeypatch.setattr(entmax_module, "_SOLVE_BLOCK_FLOATS", 1)
+        vals = np.array([0.0, 2.0, 0.5, 0.3, 0.2, 0.1])
+        indptr = np.array([0, 1, 2, 6])
+        assert len(entmax_module._row_blocks(indptr, 1)) == 3
+        with pytest.raises(FloatingPointError, match=r"row 2 has \|sum\(p\) - 1\|"):
+            segment_entmax(vals, indptr, 1.55)
 
     def test_off_support_entries_do_not_move_p(self):
         rng = np.random.default_rng(57)
@@ -303,6 +311,80 @@ class TestSegmented:
         for seg in (slice(0, 3), slice(3, 9)):
             expect = p[seg] * (u[seg] - p[seg] @ u[seg])
             np.testing.assert_allclose(g[seg], expect, atol=1e-12)
+
+
+@st.composite
+def mixed_rows(draw):
+    """Segmented scores with rows of mixed length and scale, so rows need different pass counts.
+
+    One row is longer than the small blocks the tests force.
+    """
+    lens = draw(st.lists(st.integers(1, 12), min_size=1, max_size=12))
+    lens.insert(draw(st.integers(0, len(lens))), draw(st.integers(20, 40)))
+    heads = draw(st.sampled_from([0, 1, 3]))
+    seed = draw(st.integers(0, 2**31 - 1))
+    rng = np.random.default_rng(seed)
+    indptr = np.concatenate([[0], np.cumsum(lens)])
+    shape = (indptr[-1],) if heads == 0 else (indptr[-1], heads)
+    scale = np.repeat(10.0 ** rng.integers(-3, 4, size=len(lens)), lens)
+    vals = rng.normal(size=shape) * (scale if heads == 0 else scale[:, None])
+    return vals, indptr, rng.normal(size=shape)
+
+
+class TestRowBlocks:
+    """The solve and the VJP run block by block; the block size never changes a bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=mixed_rows(), alpha=st.sampled_from([1.1, 1.55, 2.0]),
+           block=st.sampled_from([1, 5, 16]))
+    def test_block_size_does_not_change_results(self, case, alpha, block):
+        vals, indptr, up = case
+        p, tau = entmax_module._solve(vals, indptr, alpha)
+        g = segment_entmax_vjp(p, indptr, alpha, up)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(entmax_module, "_SOLVE_BLOCK_FLOATS", block)
+            p_b, tau_b = entmax_module._solve(vals, indptr, alpha)
+            g_b = segment_entmax_vjp(p_b, indptr, alpha, up)
+            np.testing.assert_array_equal(segment_entmax(vals, indptr, alpha), p)
+        np.testing.assert_array_equal(p_b, p)
+        np.testing.assert_array_equal(tau_b, tau)
+        np.testing.assert_array_equal(g_b, g)
+
+    def test_blocks_that_converge_early_catch_up(self, monkeypatch):
+        # a row of near-equal scores and a row of widely spread ones converge
+        # after different pass counts; further passes still move the earlier
+        # row's p in the last bits, so every block must end on the shared count
+        counts = []
+        run = entmax_module._block_passes
+
+        def record(*args):
+            done = run(*args)
+            if args[-1] is None:
+                counts.append(done)
+            return done
+
+        rng = np.random.default_rng(9)
+        vals = np.concatenate([rng.normal(size=3) * 0.01, rng.normal(size=30) * 10.0])
+        indptr = np.array([0, 3, 33])
+        p, tau = entmax_module._solve(vals, indptr, 1.55)
+        monkeypatch.setattr(entmax_module, "_SOLVE_BLOCK_FLOATS", 1)
+        monkeypatch.setattr(entmax_module, "_block_passes", record)
+        p_b, tau_b = entmax_module._solve(vals, indptr, 1.55)
+        first_solve = counts[:2]
+        assert first_solve[0] != first_solve[1]
+        np.testing.assert_array_equal(p_b, p)
+        np.testing.assert_array_equal(tau_b, tau)
+
+    def test_rows_split_at_row_boundaries(self):
+        indptr = np.array([0, 3, 4, 10, 12, 13])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(entmax_module, "_SOLVE_BLOCK_FLOATS", 8)
+            blocks = entmax_module._row_blocks(indptr, 2)  # 2 values per entry
+        # at most 4 entries per block unless one row alone is longer
+        assert [(b[0].start, b[0].stop) for b in blocks] == [(0, 2), (2, 3), (3, 5)]
+        assert [(b[1].start, b[1].stop) for b in blocks] == [(0, 4), (4, 10), (10, 13)]
+        np.testing.assert_array_equal(blocks[2][2], [0, 2])
+        np.testing.assert_array_equal(blocks[2][3], [2, 1])
 
 
 def test_submodule_import_yields_the_module():

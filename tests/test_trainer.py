@@ -158,6 +158,34 @@ class TestInfer:
         np.testing.assert_array_equal(a1.labels, a2.labels)
         np.testing.assert_array_equal(a1.memberships, a2.memberships)
 
+    @pytest.mark.parametrize("no_contraction", [True, False])
+    def test_training_structure_reused_only_for_the_same_graph(self, monkeypatch, no_contraction):
+        import wgclust.trainer as trainer_module
+
+        lab = synth_weighted_sbm(30, 2, 0.6, 0.1, 3.0, 1.0, seed=8)
+        cfg = TrainConfig(epochs=3, no_contraction=no_contraction, core_count=4, **TINY)
+        built = []
+        build = trainer_module.build_attention_structure
+
+        def counting_build(g, mode):
+            built.append(g)
+            return build(g, mode)
+
+        monkeypatch.setattr(trainer_module, "build_attention_structure", counting_build)
+        model = train(lab.graph, 2, cfg)
+        a = infer(lab.graph, model)
+        # training on the whole graph builds its structure once, for both
+        # training and labelling; a contracted run trains on a subgraph
+        assert len(built) == (1 if no_contraction else 2)
+        assert built[0] is (lab.graph if no_contraction else model.selection.subgraph)
+        # an equal graph in another object gets its own structure and the
+        # same labels
+        copy = build_graph(lab.graph.n, *lab.graph.edge_arrays())
+        b = infer(copy, model)
+        assert built[-1] is copy
+        np.testing.assert_array_equal(a.labels, b.labels)
+        np.testing.assert_array_equal(a.memberships, b.memberships)
+
     def test_node_count_mismatch_rejected(self):
         lab = synth_weighted_sbm(20, 2, 0.6, 0.1, 3.0, 1.0, seed=9)
         cfg = TrainConfig(epochs=2, no_contraction=True, **TINY)
