@@ -37,26 +37,9 @@ def hard_labels(memberships: np.ndarray) -> np.ndarray:
 
 
 def _memberships(sims: np.ndarray) -> np.ndarray:
-    y = sims / sims.sum(axis=1, keepdims=True)
+    y = sims / sims.sum(axis=-1, keepdims=True)
     # the second pass moves about a third of the entries by an ulp; fits depend on those bits
-    return y / y.sum(axis=1, keepdims=True)
-
-
-def _single_fit(h, k, iters, rng):
-    n = h.shape[0]
-    centers = h[rng.choice(n, size=k, replace=False)].copy()
-    y = np.full((n, k), 1.0 / k)
-    for _ in range(iters):
-        sims = np.maximum(h @ centers.T, SIM_CLAMP)
-        y_new = _memberships(sims)
-        centers = (y_new.T @ h) / y_new.sum(axis=0)[:, None]
-        delta = np.abs(y_new - y).max()
-        y = y_new
-        if delta < FCM_TOL:
-            break
-    sims = np.maximum(h @ centers.T, SIM_CLAMP)
-    cohesion = float((y * sims).sum())
-    return y, centers, cohesion
+    return y / y.sum(axis=-1, keepdims=True)
 
 
 def fcm_fit(h, k, iters: int = 30, seed: int = 0, restarts: int = 1) -> ClusterAssignment:
@@ -64,13 +47,17 @@ def fcm_fit(h, k, iters: int = 30, seed: int = 0, restarts: int = 1) -> ClusterA
 
     Centers start as ``k`` distinct rows of ``h`` drawn with the seeded rng;
     each round updates memberships from clamped inner products and recenters
-    each cluster at the membership-weighted average of the rows. Stops after
-    ``iters`` rounds or when memberships move less than ``FCM_TOL``.
+    each cluster at the membership-weighted average of the rows. A fit stops
+    after ``iters`` rounds or when memberships move less than ``FCM_TOL``.
 
-    ``restarts`` > 1 repeats the fit with fresh seeded center draws and keeps
-    the run with the highest fuzzy cohesion sum(Y * D); row-sampled center
+    ``restarts`` > 1 fits from that many seeded center draws and keeps the
+    first fit with the highest fuzzy cohesion sum(Y * D); row-sampled center
     init can drop a cluster, and restarts make that event rare while staying
-    deterministic per seed.
+    deterministic per seed. The restarts run as one batched fit: every
+    restart's centers are drawn first, the restarts still moving share each
+    round's stacked products, and each restart freezes at the round where it
+    converges, so each result equals that of fitting the restarts one by one.
+    Raises ValueError on a non-finite representation.
     """
     h = np.ascontiguousarray(h, dtype=np.float64)
     n = h.shape[0]
@@ -80,13 +67,33 @@ def fcm_fit(h, k, iters: int = 30, seed: int = 0, restarts: int = 1) -> ClusterA
         raise ValueError(f"cluster count {k} exceeds row count {n}")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    bad = ~np.isfinite(h).all(axis=1)
+    if bad.any():
+        raise ValueError(f"representation row {int(np.argmax(bad))} is not finite")
     if not np.any(h):
         raise ValueError("representation matrix is all zeros")
     rng = np.random.default_rng(seed)
-    best = None
-    for _ in range(restarts):
-        y, centers, cohesion = _single_fit(h, k, iters, rng)
-        if best is None or cohesion > best[2]:
-            best = (y, centers, cohesion)
-    y, centers, _ = best
-    return ClusterAssignment(memberships=y, centers=centers, labels=hard_labels(y))
+    starts = np.stack([rng.choice(n, size=k, replace=False) for _ in range(restarts)])
+    # the fits still moving, stacked; each slice's products are its own h @ c.T and y.T @ h
+    ids, centers, y = np.arange(restarts), h[starts], np.full((restarts, n, k), 1.0 / k)
+    final_y, final_centers = np.empty_like(y), np.empty_like(centers)
+    for _ in range(iters):
+        sims = np.maximum(np.matmul(h, centers.transpose(0, 2, 1)), SIM_CLAMP)
+        y_new = _memberships(sims)
+        centers = np.matmul(y_new.transpose(0, 2, 1), h) / y_new.sum(axis=1)[:, :, None]
+        stop = np.abs(y_new - y).max(axis=(1, 2)) < FCM_TOL
+        y = y_new
+        if stop.any():
+            final_y[ids[stop]], final_centers[ids[stop]] = y[stop], centers[stop]
+            ids, centers, y = ids[~stop], centers[~stop], y[~stop]
+            if ids.size == 0:
+                break
+    final_y[ids], final_centers[ids] = y, centers
+    sims = np.maximum(np.matmul(h, final_centers.transpose(0, 2, 1)), SIM_CLAMP)
+    cohesion = (final_y * sims).sum(axis=(1, 2))
+    best = 0
+    for r in range(1, restarts):
+        if cohesion[r] > cohesion[best]:
+            best = r
+    y = final_y[best]
+    return ClusterAssignment(memberships=y, centers=final_centers[best], labels=hard_labels(y))

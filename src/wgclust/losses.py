@@ -9,17 +9,21 @@ of the graph from the node representations gives the other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .attention import AttentionRecord
+# build_graph is not called here; benchmarks/tracing.py wraps it at this lookup site
 from .graph import WeightedGraph, build_graph
 
 __all__ = [
     "PRUNE_EPS",
+    "SAMPLE_MAX_DRAWS",
     "LossBreakdown",
     "NegativeSampler",
+    "RefinedGraph",
     "StructureSamples",
     "update_edge_weights",
     "modularity",
@@ -32,6 +36,8 @@ __all__ = [
 
 PRUNE_EPS = 1e-12
 NEG_POWER = 0.75
+# a node still short of negatives after this many draws raises instead of looping on
+SAMPLE_MAX_DRAWS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -53,12 +59,29 @@ def total_loss(l_structure: float, l_modularity: float, modularity_weight: float
     )
 
 
-def update_edge_weights(g: WeightedGraph, record: AttentionRecord) -> WeightedGraph:
+@dataclass(frozen=True)
+class RefinedGraph(WeightedGraph):
+    """A refined graph plus the mask of its source's directed entries that it kept.
+
+    The refined entries are the source entries at ``kept``, in CSR order, so
+    a per-entry array of the refined graph scatters back through ``kept``.
+    """
+
+    kept: np.ndarray = field(kw_only=True, repr=False, compare=False)
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.kept.flags.writeable = False
+
+
+def update_edge_weights(g: WeightedGraph, record: AttentionRecord) -> RefinedGraph:
     """Refine every edge: w_ij <- mean of the two directed head-averaged coefficients, times w_ij.
 
     Edges whose refined weight drops below 1e-12 are removed (both attention
     directions zero means the edge was judged noise). The attention record
-    must cover every directed edge of ``g``.
+    must cover every directed edge of ``g``. Both directed entries of an
+    edge carry the same product, so the refined CSR is ``g``'s CSR masked to
+    the kept entries.
     """
     s = record.structure
     if s.graph.n != g.n or not (
@@ -67,13 +90,18 @@ def update_edge_weights(g: WeightedGraph, record: AttentionRecord) -> WeightedGr
         raise ValueError("attention record does not cover this graph's edges")
     avg = record.final_head_average()
     sym = 0.5 * (avg + avg[s.rev])
-    sym_edges = sym[s.edge_pos]  # aligned with g's directed CSR entries
-    new_w = sym_edges * g.weights
-    src = g.directed_src()
-    sel = src < g.indices
-    u, v, w = src[sel], g.indices[sel], new_w[sel]
-    keep = w >= PRUNE_EPS
-    return build_graph(g.n, u[keep], v[keep], w[keep], node_ids=g.node_ids)
+    new_w = sym[s.edge_pos] * g.weights  # aligned with g's directed CSR entries
+    kept = new_w >= PRUNE_EPS
+    kept_before = np.zeros(kept.size + 1, dtype=np.int64)
+    np.cumsum(kept, out=kept_before[1:])
+    return RefinedGraph(
+        n=g.n,
+        indptr=kept_before[g.indptr],
+        indices=g.indices[kept],
+        weights=new_w[kept],
+        node_ids=g.node_ids,
+        kept=kept,
+    )
 
 
 def modularity(g: WeightedGraph, labels) -> float:
@@ -151,10 +179,17 @@ class StructureSamples:
 def draw_structure_samples(g: WeightedGraph, sampler: NegativeSampler, rng) -> StructureSamples:
     """Sample positives (weight-proportional neighbors) and negatives per node.
 
-    Negatives follow the sampler's distribution, rejecting the node itself
-    and its neighbors; a node for which every node of positive sampling
+    Positives come from one ``rng.random(n)`` draw. Negatives follow the
+    sampler's distribution, rejecting the node itself and its neighbors: one
+    uniform stream, mapped to nodes through the cumulative distribution, is
+    walked in node order, and each active node takes the first ``q``
+    accepted draws after the previous node's last one. The stream is drawn
+    in chunks of exactly the acceptances still missing, so no draw is made
+    past the last one used. Neighbor membership is a binary search in the
+    node's sorted CSR row. A node for which every node of positive sampling
     probability is excluded gets no negatives (its slots are masked as self).
-    Deterministic for a given rng state.
+    A node still short of negatives after ``SAMPLE_MAX_DRAWS`` draws raises
+    RuntimeError. Deterministic for a given rng state.
     """
     n = g.n
     deg = np.diff(g.indptr)
@@ -171,30 +206,61 @@ def draw_structure_samples(g: WeightedGraph, sampler: NegativeSampler, rng) -> S
     q = sampler.negatives
     negatives = np.zeros((n, q), dtype=np.int64)
     if q > 0 and active.any():
-        cdf = np.cumsum(sampler.probs)
-        cdf[-1] = 1.0
-        nbr_sets = [set(g.indices[g.indptr[i] : g.indptr[i + 1]].tolist()) for i in range(n)]
         # per node: drawable (positive-probability) nodes that are neither it nor a neighbor
         drawable = sampler.probs > 0
         nbr_drawable = np.bincount(g.directed_src()[drawable[g.indices]], minlength=n)
         valid_count = int(drawable.sum()) - drawable - nbr_drawable
-        for i in np.flatnonzero(active):
-            excluded = nbr_sets[i]
-            if valid_count[i] <= 0:
-                negatives[i] = i  # no valid negative exists; masked as self below
-                continue
-            found = 0
-            while found < q:
-                draws = np.searchsorted(cdf, rng.random(q - found), side="right")
-                for v in draws:
-                    v = int(v)
-                    if v == i or v in excluded:
-                        continue
-                    negatives[i, found] = v
-                    found += 1
-                    if found == q:
-                        break
+        stuck = np.flatnonzero(active & (valid_count <= 0))
+        negatives[stuck] = stuck[:, None]  # no valid negative exists; masked as self
+        nodes = np.flatnonzero(active & (valid_count > 0))
+        if nodes.size:
+            negatives[nodes] = np.reshape(_walk_negatives(g, sampler, nodes.tolist(), rng), (-1, q))
     return StructureSamples(active=active, positives=positives, negatives=negatives)
+
+
+def _walk_negatives(g: WeightedGraph, sampler: NegativeSampler, nodes: list[int], rng) -> list[int]:
+    """The accepted negatives of ``nodes``, in order, from one rejection-sampled stream."""
+    q = sampler.negatives
+    cdf = np.cumsum(sampler.probs)
+    cdf[-1] = 1.0
+    # bisect reads the row through the buffer: no Python int per stored entry
+    indptr, indices = g.indptr.tolist(), memoryview(np.ascontiguousarray(g.indices))
+    need = q * len(nodes)
+    accepted: list[int] = []
+    order = iter(nodes)
+    i = next(order)
+    lo, hi = indptr[i], indptr[i + 1]
+    done = q  # accepted count at which node i is complete
+    drawn = start = 0  # draws so far; draws before node i's first
+    while len(accepted) < need:
+        chunk = np.searchsorted(cdf, rng.random(need - len(accepted)), side="right")
+        for v in chunk.tolist():
+            drawn += 1
+            if v != i:
+                at = bisect_left(indices, v, lo, hi)
+                if at == hi or indices[at] != v:
+                    accepted.append(v)
+                    if len(accepted) == done:
+                        if done < need:
+                            i = next(order)
+                            lo, hi = indptr[i], indptr[i + 1]
+                            done += q
+                            start = drawn
+                        continue
+            if drawn - start >= SAMPLE_MAX_DRAWS:
+                raise _short_of_negatives(g, sampler, i, drawn - start, len(accepted) + q - done)
+    return accepted
+
+
+def _short_of_negatives(g, sampler, i, draws, found) -> RuntimeError:
+    valid = np.ones(g.n, dtype=bool)
+    valid[i] = False
+    valid[g.indices[g.indptr[i] : g.indptr[i + 1]]] = False
+    mass = float(sampler.probs[valid].sum())
+    return RuntimeError(
+        f"negative sampling for node {i} accepted {found} of {sampler.negatives} negatives "
+        f"in {draws} draws; its valid probability mass is {mass:.3g}"
+    )
 
 
 def _log_sigmoid(x: np.ndarray) -> np.ndarray:

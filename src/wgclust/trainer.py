@@ -135,18 +135,13 @@ def _select_training_graph(g, cluster_count, config):
 def _refinement_coeff_grad(working, refined, record, modularity_weight, labels, heads):
     """Gradient of the modularity term w.r.t. the final-layer coefficients.
 
-    Maps per-edge dQ/dw of the refined graph back onto the working graph's
-    surviving directed entries, chains through w' = sym(attention) * w, and
-    spreads over heads (the refinement uses the head average). Pruned edges
-    contribute nothing.
+    Scatters per-edge dQ/dw of the refined graph back onto the working
+    graph's surviving directed entries (``refined.kept``), chains through
+    w' = sym(attention) * w, and spreads over heads (the refinement uses the
+    head average). Pruned edges contribute nothing.
     """
-    dq_refined = modularity_weight_grad(refined, labels)
-    work_src = working.directed_src()
-    work_keys = work_src * working.n + working.indices
-    ref_keys = refined.directed_src() * refined.n + refined.indices
-    pos = np.searchsorted(work_keys, ref_keys)
-    dq_work = np.zeros(work_keys.size)
-    dq_work[pos] = dq_refined
+    dq_work = np.zeros(working.indices.size)
+    dq_work[refined.kept] = modularity_weight_grad(refined, labels)
     # d total / d a_dir = modularity_weight * (-dQ/dw'_edge) * w_edge / 2
     d_edge_coeff = modularity_weight * (-dq_work) * working.weights * 0.5
     s = record.structure

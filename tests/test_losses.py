@@ -4,11 +4,16 @@ import signal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import wgclust.losses as losses_module
 from wgclust.attention import AttentionRecord, build_attention_structure
 from wgclust.graph import build_graph, synth_weighted_sbm
 from wgclust.losses import (
+    PRUNE_EPS,
     NegativeSampler,
+    StructureSamples,
     draw_structure_samples,
     modularity,
     modularity_weight_grad,
@@ -17,10 +22,101 @@ from wgclust.losses import (
     total_loss,
     update_edge_weights,
 )
+from wgclust.trainer import _refinement_coeff_grad
 
 
 def _raise_timeout(signum, frame):
     raise TimeoutError("draw_structure_samples did not return")
+
+
+def reference_draw_structure_samples(g, sampler, rng):
+    """The set-based sampler the one-stream walk replaced: per node, chunks of the missing count."""
+    n = g.n
+    deg = np.diff(g.indptr)
+    active = deg > 0
+    positives = np.zeros(n, dtype=np.int64)
+    cw = np.concatenate([[0.0], np.cumsum(g.weights)])
+    totals = cw[g.indptr[1:]] - cw[g.indptr[:-1]]
+    r = rng.random(n)
+    targets = cw[g.indptr[:-1]] + r * totals
+    pos_entry = np.searchsorted(cw, targets, side="right") - 1
+    pos_entry = np.clip(pos_entry, g.indptr[:-1], np.maximum(g.indptr[1:] - 1, g.indptr[:-1]))
+    positives[active] = g.indices[pos_entry[active]]
+    q = sampler.negatives
+    negatives = np.zeros((n, q), dtype=np.int64)
+    if q > 0 and active.any():
+        cdf = np.cumsum(sampler.probs)
+        cdf[-1] = 1.0
+        nbr_sets = [set(g.indices[g.indptr[i] : g.indptr[i + 1]].tolist()) for i in range(n)]
+        drawable = sampler.probs > 0
+        nbr_drawable = np.bincount(g.directed_src()[drawable[g.indices]], minlength=n)
+        valid_count = int(drawable.sum()) - drawable - nbr_drawable
+        for i in np.flatnonzero(active):
+            excluded = nbr_sets[i]
+            if valid_count[i] <= 0:
+                negatives[i] = i
+                continue
+            found = 0
+            while found < q:
+                draws = np.searchsorted(cdf, rng.random(q - found), side="right")
+                for v in draws:
+                    v = int(v)
+                    if v == i or v in excluded:
+                        continue
+                    negatives[i, found] = v
+                    found += 1
+                    if found == q:
+                        break
+    return StructureSamples(active=active, positives=positives, negatives=negatives)
+
+
+def reference_update_edge_weights(g, record):
+    """The refinement as it was built before: upper-triangle edges through build_graph."""
+    s = record.structure
+    avg = record.final_head_average()
+    sym = 0.5 * (avg + avg[s.rev])
+    new_w = sym[s.edge_pos] * g.weights
+    src = g.directed_src()
+    sel = src < g.indices
+    u, v, w = src[sel], g.indices[sel], new_w[sel]
+    keep = w >= PRUNE_EPS
+    return build_graph(g.n, u[keep], v[keep], w[keep], node_ids=g.node_ids)
+
+
+def reference_refinement_coeff_grad(working, refined, record, modularity_weight, labels, heads):
+    """The modularity coefficient gradient with its scatter found by a searchsorted over int64 keys."""
+    dq_refined = modularity_weight_grad(refined, labels)
+    work_keys = working.directed_src() * working.n + working.indices
+    ref_keys = refined.directed_src() * refined.n + refined.indices
+    pos = np.searchsorted(work_keys, ref_keys)
+    dq_work = np.zeros(work_keys.size)
+    dq_work[pos] = dq_refined
+    d_edge_coeff = modularity_weight * (-dq_work) * working.weights * 0.5
+    s = record.structure
+    d_coeffs = np.zeros((s.src.size, heads))
+    d_coeffs[s.edge_pos] = (d_edge_coeff / heads)[:, None]
+    return d_coeffs
+
+
+@st.composite
+def sampling_graphs(draw):
+    """Small graphs with isolated (zero-probability) nodes, hubs adjacent to every other
+    drawable node (no valid negative), and dense or sparse edge sets."""
+    n = draw(st.integers(1, 30))
+    isolated = draw(st.integers(0, 3))
+    seed = draw(st.integers(0, 2**31 - 1))
+    rng = np.random.default_rng(seed)
+    density = draw(st.sampled_from([0.05, 0.3, 0.9, 1.0]))
+    iu, ju = np.triu_indices(n, 1)
+    keep = rng.random(iu.size) < density
+    u, v = list(iu[keep]), list(ju[keep])
+    if n > 1 and draw(st.booleans()):
+        hub = int(rng.integers(n))
+        others = [j for j in range(n) if j != hub]
+        u += [hub] * len(others)
+        v += others
+    w = rng.random(len(u)) * 5.0 + 0.01
+    return build_graph(n + isolated, u, v, w)
 
 
 def sampled_structure_loss(h, g, sampler, seed):
@@ -84,6 +180,38 @@ class TestUpdateEdgeWeights:
         rec = AttentionRecord(structure=s, coefficients=[coeffs])
         out = update_edge_weights(g, rec)
         assert out.total_weight_2m <= g.total_weight_2m
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(2, 25), m=st.integers(1, 80), heads=st.integers(1, 3),
+           zero_frac=st.sampled_from([0.0, 0.3, 0.8]), seed=st.integers(0, 2**31 - 1))
+    def test_masked_refinement_equals_the_rebuilt_graph(self, n, m, heads, zero_frac, seed):
+        rng = np.random.default_rng(seed)
+        u, v = rng.integers(0, n, m), rng.integers(0, n, m)
+        keep = u != v
+        if not keep.any():
+            return
+        g = build_graph(n, u[keep], v[keep], rng.random(int(keep.sum())) * 3.0 + 0.01)
+        s = build_attention_structure(g)
+        coeffs = rng.random((s.src.size, heads))
+        coeffs[rng.random(s.src.size) < zero_frac] = 0.0
+        tiny = rng.random(s.src.size) < 0.2  # refined weights on both sides of PRUNE_EPS
+        coeffs[tiny] *= 10.0 ** rng.integers(-14, -9, size=(int(tiny.sum()), 1))
+        cut = int(s.src[0])  # every edge of this node is pruned
+        coeffs[(s.src == cut) | (s.dst == cut)] = 0.0
+        rec = AttentionRecord(structure=s, coefficients=[coeffs])
+        expected = reference_update_edge_weights(g, rec)
+        out = update_edge_weights(g, rec)
+        for name in ("indptr", "indices", "weights"):
+            np.testing.assert_array_equal(getattr(out, name), getattr(expected, name))
+            assert getattr(out, name).dtype == getattr(expected, name).dtype
+        assert out.indptr[cut + 1] == out.indptr[cut]
+        np.testing.assert_array_equal(g.indices[out.kept], out.indices)
+        if out.num_edges:
+            labels = rng.integers(0, 3, size=n)
+            np.testing.assert_array_equal(
+                _refinement_coeff_grad(g, out, rec, 0.3, labels, heads),
+                reference_refinement_coeff_grad(g, expected, rec, 0.3, labels, heads),
+            )
 
     def test_mismatched_graph_rejected(self):
         g = build_graph(2, [0], [1], [1.0])
@@ -279,6 +407,59 @@ class TestNegativeSampler:
         np.testing.assert_array_equal(samples.negatives, [[0, 0], [2, 2], [1, 1], [0, 0]])
         np.testing.assert_array_equal(samples.active, [True, True, True, False])
         assert np.isfinite(structure_loss_from_samples(np.eye(4), samples))
+
+    def test_vanishing_probability_negative_raises_at_the_draw_cap(self):
+        # node 0's only valid negative is node 3, drawn with probability 2.7e-226
+        g = build_graph(4, [0, 0, 1], [1, 2, 3], [1.0, 1.0, 1e-300])
+        sampler = NegativeSampler.for_graph(g, 2)
+        signal.signal(signal.SIGALRM, _raise_timeout)
+        signal.alarm(20)
+        try:
+            with pytest.raises(RuntimeError) as info:
+                draw_structure_samples(g, sampler, np.random.default_rng(0))
+        finally:
+            signal.alarm(0)
+        message = str(info.value)
+        assert "node 0 " in message
+        assert f"in {losses_module.SAMPLE_MAX_DRAWS} draws" in message
+        assert "mass is 2.72e-226" in message
+
+    def test_cap_counts_the_draws_of_one_node(self, monkeypatch):
+        # three disjoint edges and q = 1: node i rejects itself and its partner
+        g = build_graph(6, [0, 2, 4], [1, 3, 5], [1.0, 1.0, 1.0])
+        sampler = NegativeSampler.for_graph(g, 1)
+        rng = np.random.default_rng(5)
+        rng.random(g.n)  # the positives' draw
+        cdf = np.cumsum(sampler.probs)
+        cdf[-1] = 1.0
+        stream = iter(np.searchsorted(cdf, rng.random(1000), side="right"))
+        draws = []
+        for i in range(g.n):
+            draws.append(1)
+            while next(stream) in (i, i ^ 1):
+                draws[-1] += 1
+        most = max(draws)
+        assert most >= 2
+        expected = reference_draw_structure_samples(g, sampler, np.random.default_rng(5))
+        monkeypatch.setattr(losses_module, "SAMPLE_MAX_DRAWS", most)
+        samples = draw_structure_samples(g, sampler, np.random.default_rng(5))
+        np.testing.assert_array_equal(samples.negatives, expected.negatives)
+        monkeypatch.setattr(losses_module, "SAMPLE_MAX_DRAWS", most - 1)
+        with pytest.raises(RuntimeError, match=rf"node {draws.index(most)} accepted 0 of 1 "
+                                               rf"negatives in {most - 1} draws"):
+            draw_structure_samples(g, sampler, np.random.default_rng(5))
+
+    @settings(max_examples=120, deadline=None)
+    @given(g=sampling_graphs(), q=st.sampled_from([0, 1, 5]), seed=st.integers(0, 2**31 - 1))
+    def test_walk_equals_the_set_based_sampler(self, g, q, seed):
+        sampler = NegativeSampler.for_graph(g, q)
+        rng_ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = reference_draw_structure_samples(g, sampler, rng_ref)
+        samples = draw_structure_samples(g, sampler, rng)
+        np.testing.assert_array_equal(samples.active, expected.active)
+        np.testing.assert_array_equal(samples.positives, expected.positives)
+        np.testing.assert_array_equal(samples.negatives, expected.negatives)
+        assert rng.random() == rng_ref.random()  # the generator ends in the same state
 
 
 class TestTotalLoss:
