@@ -16,6 +16,7 @@ involved.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,12 +29,14 @@ from .entmax import (
 )
 from .graph import WeightedGraph
 
+if TYPE_CHECKING:  # config imports SELF_LOOP_MODES from this module
+    from .config import TrainConfig
+
 __all__ = [
     "LayerParams",
     "ModelParams",
     "AttentionStructure",
     "AttentionRecord",
-    "ForwardOptions",
     "build_attention_structure",
     "network_forward_cached",
     "network_backward",
@@ -212,19 +215,6 @@ def build_attention_structure(g: WeightedGraph, self_loop_mode: str = "max") -> 
     )
 
 
-@dataclass(frozen=True)
-class ForwardOptions:
-    """Ablation-aware forward settings."""
-
-    alpha: float = 1.55
-    normalizer: str = "entmax"  # or "softmax"
-    use_weight_factor: bool = True
-
-    def __post_init__(self):
-        if self.normalizer not in ("entmax", "softmax"):
-            raise ValueError("normalizer must be 'entmax' or 'softmax'")
-
-
 @dataclass
 class AttentionRecord:
     """Normalized coefficients of every layer, head, and candidate entry.
@@ -329,27 +319,27 @@ def _elu_grad(x: np.ndarray) -> np.ndarray:
     return np.where(x > 0, 1.0, np.exp(np.minimum(x, 0.0)))
 
 
-def _coefficients(structure, proj_attn, opts) -> np.ndarray:
+def _coefficients(structure, proj_attn, config) -> np.ndarray:
     """Normalized attention coefficients (entries, heads) from the projected rows.
 
     The logits are freed on return, before the aggregation allocates its
     head-major copy of the coefficients.
     """
     logits = _symmetric_logits(structure, proj_attn)
-    if opts.use_weight_factor:
+    if not config.drop_f_iz:
         logits += structure.factors[:, None]
     if not np.all(np.isfinite(logits)):
         bad = int(structure.src[np.flatnonzero(~np.isfinite(logits).all(axis=1))[0]])
         raise FloatingPointError(f"non-finite activation at node {bad}")
-    if opts.normalizer == "entmax":
-        return segment_entmax(logits, structure.indptr, opts.alpha)
-    return segment_softmax(logits, structure.indptr)
+    if config.softmax_instead_of_entmax:
+        return segment_softmax(logits, structure.indptr)
+    return segment_entmax(logits, structure.indptr, config.entmax_alpha)
 
 
-def _forward_layer(structure, h_in, params, opts) -> tuple[np.ndarray, _LayerCache]:
+def _forward_layer(structure, h_in, params, config) -> tuple[np.ndarray, _LayerCache]:
     proj_attn = np.einsum("nd,hde->hne", h_in, params.w1)
     proj_val = np.einsum("nd,hde->hne", h_in, params.w2)
-    coeffs = _coefficients(structure, proj_attn, opts)
+    coeffs = _coefficients(structure, proj_attn, config)
     pre_act = _row_aggregate(structure, _head_major(coeffs), proj_val)
     head_out = _elu(pre_act)
     h_out = np.einsum("h,hne->ne", params.gamma, head_out)
@@ -367,7 +357,7 @@ def _forward_layer(structure, h_in, params, opts) -> tuple[np.ndarray, _LayerCac
     return h_out, cache
 
 
-def _backward_layer(structure, params, opts, cache, d_out, d_coeffs_extra=None):
+def _backward_layer(structure, params, config, cache, d_out, d_coeffs_extra=None):
     """Reverse sweep of one layer.
 
     d_out: gradient w.r.t. the fused output. d_coeffs_extra: additional
@@ -389,10 +379,10 @@ def _backward_layer(structure, params, opts, cache, d_out, d_coeffs_extra=None):
         d_h_in += d_val[t] @ params.w2[t].T
     if d_coeffs_extra is not None:
         d_coeffs += d_coeffs_extra
-    if opts.normalizer == "entmax":
-        d_logits = segment_entmax_vjp(cache.coeffs, structure.indptr, opts.alpha, d_coeffs)
-    else:
+    if config.softmax_instead_of_entmax:
         d_logits = segment_softmax_vjp(cache.coeffs, structure.indptr, d_coeffs)
+    else:
+        d_logits = segment_entmax_vjp(cache.coeffs, structure.indptr, config.entmax_alpha, d_coeffs)
     # both products read one head-major copy of d_logits; the (entries, heads)
     # original is freed before they allocate
     d_data = _head_major(d_logits)
@@ -406,14 +396,18 @@ def _backward_layer(structure, params, opts, cache, d_out, d_coeffs_extra=None):
     return d_h_in, LayerParams(w1=d_w1, w2=d_w2, gamma=d_gamma)
 
 
-def network_forward_cached(structure, model: ModelParams, opts: ForwardOptions):
-    """Full forward pass keeping per-layer caches for the backward sweep."""
+def network_forward_cached(structure, model: ModelParams, config: TrainConfig):
+    """Full forward pass keeping per-layer caches for the backward sweep.
+
+    Reads ``entmax_alpha``, ``softmax_instead_of_entmax`` and ``drop_f_iz``
+    from the config.
+    """
     h = model.embedding
     caches: list[_LayerCache] = []
     coeffs: list[np.ndarray] = []
     for li, params in enumerate(model.layers):
         try:
-            h, cache = _forward_layer(structure, h, params, opts)
+            h, cache = _forward_layer(structure, h, params, config)
         except FloatingPointError as exc:
             raise FloatingPointError(f"layer {li}: {exc}") from None
         caches.append(cache)
@@ -422,7 +416,7 @@ def network_forward_cached(structure, model: ModelParams, opts: ForwardOptions):
     return h, record, caches
 
 
-def network_backward(structure, model, opts, caches, d_h_final, d_final_coeffs=None) -> ModelParams:
+def network_backward(structure, model, config, caches, d_h_final, d_final_coeffs=None) -> ModelParams:
     """Reverse sweep through every layer down to the embedding table.
 
     d_final_coeffs, when given, is an (entries, heads) gradient that the
@@ -435,6 +429,6 @@ def network_backward(structure, model, opts, caches, d_h_final, d_final_coeffs=N
     for li in range(last, -1, -1):
         extra = d_final_coeffs if li == last else None
         d_h, layer_grads[li] = _backward_layer(
-            structure, model.layers[li], opts, caches[li], d_h, extra
+            structure, model.layers[li], config, caches[li], d_h, extra
         )
     return ModelParams(embedding=d_h, layers=layer_grads)

@@ -1,9 +1,11 @@
 """Batch command-line front end.
 
 Subcommands: build-ml100k, synth, contract, train, infer, eval,
-attention-dump. Every run honors --seed, takes an optional --config file
-(flat `key = value`, flags override file values), writes its outputs under
---out, and drops a run_manifest.json recording inputs, outputs, and timing.
+attention-dump. Each writes its outputs under --out (optional for eval, which
+prints its scores either way). Every subcommand but eval also writes a
+run_manifest.json there, recording inputs, outputs, and timing. synth and
+train take --seed; train alone takes --config, a flat `key = value` file
+whose values its flags override.
 """
 
 from __future__ import annotations
@@ -97,17 +99,8 @@ def _write_assignment(path, assignment: ClusterAssignment, node_ids=None) -> Non
             fh.write(f"{tok},{int(assignment.labels[i])},{row}\n")
 
 
-def _add_label(labels: dict[str, int], path, lineno: int, node: str, label: str) -> None:
-    if node in labels:
-        raise ValueError(f"{path}:{lineno}: node {node!r} appears twice")
-    try:
-        labels[node] = int(label)
-    except ValueError:
-        raise ValueError(f"{path}:{lineno}: label {label!r} is not an integer") from None
-
-
 def _read_assignment_labels(path) -> dict[str, int]:
-    labels = {}
+    labels: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         header = fh.readline()
         if not header.startswith("node,label"):
@@ -116,10 +109,17 @@ def _read_assignment_labels(path) -> dict[str, int]:
             line = raw.strip()
             if not line:
                 continue
+            where = f"{path}: line {lineno}"
             parts = line.split(",")
             if len(parts) < 2:
-                raise ValueError(f"{path}:{lineno}: expected 'node,label,...', got {line!r}")
-            _add_label(labels, path, lineno, parts[0], parts[1])
+                raise ValueError(f"{where}: expected 'node,label,...', got {line!r}")
+            node, label = parts[:2]
+            if node in labels:
+                raise ValueError(f"{where}: node {node!r} is listed twice")
+            try:
+                labels[node] = int(label)
+            except ValueError:
+                raise ValueError(f"{where}: label {label!r} is not an integer") from None
     if not labels:
         raise ValueError(f"{path}: no rows")
     return labels
@@ -261,16 +261,7 @@ def cmd_infer(args) -> int:
 
 def cmd_eval(args) -> int:
     pred_by_node = _read_assignment_labels(args.pred)
-    truth_pairs = {}
-    with open(args.truth, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t") if "\t" in line else line.split()
-            if len(parts) != 2:
-                raise ValueError(f"{args.truth}:{lineno}: bad label line {line!r}")
-            _add_label(truth_pairs, args.truth, lineno, parts[0], parts[1])
+    truth_pairs = graphio.load_labels(args.truth)
     common = [tok for tok in pred_by_node if tok in truth_pairs]
     if not common:
         raise ValueError("prediction and truth files share no node ids")

@@ -93,21 +93,25 @@ _FIELDS = {f.name: f for f in dataclasses.fields(TrainConfig)}
 
 
 def _parse_value(name: str, raw: str):
-    f = _FIELDS[name]
+    """The typed value of one config line; a ValueError says what was expected."""
+    kind = _FIELDS[name].type
     raw = raw.strip()
-    if f.type in ("bool",):
+    if kind == "bool":
         if raw.lower() in ("true", "1", "yes", "on"):
             return True
         if raw.lower() in ("false", "0", "no", "off"):
             return False
-        raise ValueError(f"config key {name}: expected a boolean, got {raw!r}")
-    if f.type in ("int",):
-        return int(raw)
-    if f.type == "int | None":
-        return None if raw.lower() in ("none", "") else int(raw)
-    if f.type in ("float",):
-        return float(raw)
-    return raw
+        raise ValueError(f"expected a boolean, got {raw!r}")
+    if kind == "int | None" and raw.lower() in ("none", ""):
+        return None
+    parse = {"int": int, "int | None": int, "float": float}.get(kind)
+    if parse is None:
+        return raw
+    try:
+        return parse(raw)
+    except ValueError:
+        expected = "a number" if parse is float else "an integer"
+        raise ValueError(f"expected {expected}, got {raw!r}") from None
 
 
 def parse_config_text(text: str, base: TrainConfig | None = None) -> TrainConfig:
@@ -123,7 +127,10 @@ def parse_config_text(text: str, base: TrainConfig | None = None) -> TrainConfig
         key = key.strip()
         if key not in _FIELDS:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        values[key] = _parse_value(key, val)
+        try:
+            values[key] = _parse_value(key, val)
+        except ValueError as exc:
+            raise ValueError(f"config line {lineno}: key {key!r}: {exc}") from None
     base_values = dataclasses.asdict(base) if base is not None else {}
     base_values.update(values)
     return TrainConfig(**base_values)

@@ -8,6 +8,7 @@ is deterministic.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -20,7 +21,6 @@ from .graph import WeightedGraph, induce_subgraph
 __all__ = [
     "ContractionConfig",
     "SubgraphSelection",
-    "node_density",
     "distance_to_cores",
     "rank_score",
     "select_core_nodes",
@@ -52,6 +52,10 @@ class ContractionConfig:
     distance_mode: str = "reciprocal"
 
     def __post_init__(self):
+        # covers the float fields of subclasses too (TrainConfig calls this first)
+        for f in dataclasses.fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if not (0.0 <= self.density_weight <= 1.0):
             raise ValueError("density_weight must lie in [0, 1]")
         if not (0.0 < self.teleport <= 1.0):
@@ -78,13 +82,7 @@ class SubgraphSelection:
 
     selected: np.ndarray
     core_nodes: np.ndarray
-    old_to_new: np.ndarray
     subgraph: WeightedGraph
-
-
-def node_density(g: WeightedGraph) -> np.ndarray:
-    """Per-node density: the sum of incident edge weights."""
-    return g.weighted_degree()
 
 
 def _length_csr(g: WeightedGraph, mode: str) -> sp.csr_matrix:
@@ -142,7 +140,7 @@ def select_core_nodes(g: WeightedGraph, config: ContractionConfig, cluster_count
     lowest id).
     """
     o = config.resolved_core_count(g.n, cluster_count)
-    rho = node_density(g)
+    rho = g.weighted_degree()  # density: summed incident edge weight
     cores = [int(np.argmax(rho))]
     chosen = np.zeros(g.n, dtype=bool)
     chosen[cores] = True
@@ -216,7 +214,5 @@ def contract(g: WeightedGraph, config: ContractionConfig, cluster_count=None) ->
     keep = best > config.importance_threshold
     keep[cores] = True
     selected = np.flatnonzero(keep)
-    subgraph, old_to_new = induce_subgraph(g, selected)
-    return SubgraphSelection(
-        selected=selected, core_nodes=np.sort(cores), old_to_new=old_to_new, subgraph=subgraph
-    )
+    subgraph, _ = induce_subgraph(g, selected)
+    return SubgraphSelection(selected=selected, core_nodes=np.sort(cores), subgraph=subgraph)

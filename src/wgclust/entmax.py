@@ -58,15 +58,6 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must be > 1 (got {alpha}); the softmax limit is a separate code path")
 
 
-def entmax_tau(z, alpha: float) -> float:
-    """Solve for the threshold of a single score vector.
-
-    The returned tau lives in the scaled domain, i.e.
-    p = [ (alpha-1) z - tau ]_+^(1/(alpha-1)).
-    """
-    return entmax(z, alpha).tau
-
-
 def entmax(z, alpha: float) -> EntmaxResult:
     """Normalize a score vector with alpha-entmax."""
     z = np.asarray(z, dtype=np.float64)

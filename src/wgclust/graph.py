@@ -79,9 +79,6 @@ class WeightedGraph:
         src = np.repeat(np.arange(self.n), np.diff(self.indptr))
         return np.bincount(src, weights=self.weights, minlength=self.n)
 
-    def degree(self) -> np.ndarray:
-        return np.diff(self.indptr)
-
     def neighbors(self, i: int) -> list[tuple[int, float]]:
         """Sorted (neighbor, weight) pairs of node i."""
         lo, hi = self.indptr[i], self.indptr[i + 1]
@@ -296,55 +293,35 @@ def save_id_map(g: WeightedGraph, path) -> None:
             fh.write(f"{old}\t{dense}\n")
 
 
-def load_labels(path, node_ids=None) -> np.ndarray:
-    """Read a `node<TAB>label` file into a dense int array.
+def load_labels(path) -> dict[str, int]:
+    """Read a `node<TAB>label` file into {node token: label}.
 
-    ``node_ids`` (from a graph loaded out of the matching edge list) maps
-    external node tokens to dense ids; without it node tokens must already be
-    integers in 0..n-1. A negative node token or a node listed twice raises
-    ``ValueError`` naming the file and line.
+    Every line is stripped; blank lines and lines starting with ``#`` are
+    ignored, and a line without a tab is split on runs of whitespace instead.
+    A row that is not two fields, a label that is not an integer or a node
+    listed twice raises ``ValueError`` naming the file and line; so does a
+    file with no rows.
     """
-    pairs: dict[int, int] = {}
-    lookup = {tok: i for i, tok in enumerate(node_ids)} if node_ids is not None else None
+    labels: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = line.split("\t")
-            if len(parts) == 1:
-                parts = line.split()
+            where = f"{path}: line {lineno}"
+            parts = line.split("\t") if "\t" in line else line.split()
             if len(parts) != 2:
-                raise ValueError(f"{path}: line {lineno}: expected 'node<TAB>label'")
-            tok, lab = parts
-            if lookup is not None:
-                if tok not in lookup:
-                    continue  # label for a node absent from the graph
-                node = lookup[tok]
-            else:
-                node = _line_int(path, lineno, "node", tok)
-                if node < 0:
-                    raise ValueError(f"{path}: line {lineno}: node {tok!r} is negative")
-            if node in pairs:
-                raise ValueError(f"{path}: line {lineno}: node {tok!r} is listed twice")
-            pairs[node] = _line_int(path, lineno, "label", lab)
-    if not pairs:
+                raise ValueError(f"{where}: expected 'node<TAB>label', got {line!r}")
+            node, label = parts
+            if node in labels:
+                raise ValueError(f"{where}: node {node!r} is listed twice")
+            try:
+                labels[node] = int(label)
+            except ValueError:
+                raise ValueError(f"{where}: label {label!r} is not an integer") from None
+    if not labels:
         raise ValueError(f"{path}: no labels")
-    n = (max(pairs) + 1) if lookup is None else len(lookup)
-    out = np.full(n, -1, dtype=np.int64)
-    for node, lab in pairs.items():
-        out[node] = lab
-    if np.any(out < 0):
-        missing = int(np.flatnonzero(out < 0)[0])
-        raise ValueError(f"{path}: node {missing} has no label")
-    return out
-
-
-def _line_int(path, lineno: int, what: str, tok: str) -> int:
-    try:
-        return int(tok)
-    except ValueError:
-        raise ValueError(f"{path}: line {lineno}: {what} {tok!r} is not an integer") from None
+    return labels
 
 
 def save_labels(labels: np.ndarray, path, node_ids=None) -> None:

@@ -104,6 +104,18 @@ def update_edge_weights(g: WeightedGraph, record: AttentionRecord) -> RefinedGra
     )
 
 
+def _modularity_terms(g: WeightedGraph, labels: np.ndarray):
+    """(src, intra mask, matched weight s1, 2m, per-cluster degree sums) of a labeling."""
+    two_m = g.total_weight_2m
+    if two_m == 0:
+        raise ValueError("modularity of an empty graph is undefined")
+    src = g.directed_src()
+    intra = labels[src] == labels[g.indices]
+    s1 = float(g.weights[intra].sum())
+    d_per_cluster = np.bincount(labels, weights=g.weighted_degree())
+    return src, intra, s1, two_m, d_per_cluster
+
+
 def modularity(g: WeightedGraph, labels) -> float:
     """Newman modularity Q of a labeling over the (weighted) graph.
 
@@ -113,14 +125,7 @@ def modularity(g: WeightedGraph, labels) -> float:
     labels = np.asarray(labels)
     if labels.shape != (g.n,):
         raise ValueError("labels must cover all nodes")
-    two_m = g.total_weight_2m
-    if two_m == 0:
-        raise ValueError("modularity of an empty graph is undefined")
-    src = g.directed_src()
-    intra = labels[src] == labels[g.indices]
-    s1 = float(g.weights[intra].sum())
-    k = g.weighted_degree()
-    d_per_cluster = np.bincount(labels, weights=k)
+    _, _, s1, two_m, d_per_cluster = _modularity_terms(g, labels)
     return s1 / two_m - float((d_per_cluster**2).sum()) / two_m**2
 
 
@@ -132,14 +137,7 @@ def modularity_weight_grad(g: WeightedGraph, labels) -> np.ndarray:
     sum.
     """
     labels = np.asarray(labels)
-    two_m = g.total_weight_2m
-    if two_m == 0:
-        raise ValueError("modularity of an empty graph is undefined")
-    src = g.directed_src()
-    intra = (labels[src] == labels[g.indices]).astype(np.float64)
-    s1 = float(g.weights[intra.astype(bool)].sum())
-    k = g.weighted_degree()
-    d_per_cluster = np.bincount(labels, weights=k)
+    src, intra, s1, two_m, d_per_cluster = _modularity_terms(g, labels)
     d_sq = float((d_per_cluster**2).sum())
     d_i = d_per_cluster[labels[src]]
     d_j = d_per_cluster[labels[g.indices]]

@@ -20,7 +20,6 @@ import numpy as np
 
 from .attention import (
     AttentionStructure,
-    ForwardOptions,
     LayerParams,
     ModelParams,
     build_attention_structure,
@@ -102,14 +101,6 @@ class TrainedModel:
         ).reshape(-1, 4)
 
 
-def _forward_options(config: TrainConfig) -> ForwardOptions:
-    return ForwardOptions(
-        alpha=config.entmax_alpha,
-        normalizer="softmax" if config.softmax_instead_of_entmax else "entmax",
-        use_weight_factor=not config.drop_f_iz,
-    )
-
-
 def _select_training_graph(g, cluster_count, config):
     """Contract (or randomly sample, or pass through) the training graph."""
     if config.no_contraction:
@@ -118,12 +109,10 @@ def _select_training_graph(g, cluster_count, config):
     if config.random_sampling:
         rng = _rng(config.seed, _RNG_SAMPLE_ABLATION)
         nodes = np.sort(rng.choice(g.n, size=selection.selected.size, replace=False))
-        subgraph, old_to_new = induce_subgraph(g, nodes)
         selection = SubgraphSelection(
             selected=nodes,
             core_nodes=np.empty(0, dtype=np.int64),
-            old_to_new=old_to_new,
-            subgraph=subgraph,
+            subgraph=induce_subgraph(g, nodes)[0],
         )
     if selection.selected.size < cluster_count:
         raise ValueError(
@@ -150,15 +139,18 @@ def _refinement_coeff_grad(working, refined, record, modularity_weight, labels, 
     return d_coeffs
 
 
-def _epoch_step(working, structure, model, opts, config, epoch_constants, backward=True):
+def _epoch_step(structure, model, config, epoch_constants, backward=True):
     """One epoch: forward, refinement, objective and (unless ``backward`` is off) gradient.
+
+    The working graph is the one ``structure`` was built on.
 
     ``epoch_constants(h, refined)`` returns the (labels, samples) that stay
     fixed for the epoch: ``train`` clusters ``h`` and samples the refined
     graph, ``gradient_check`` returns the same pair every time. Returns
     (LossBreakdown, parameter gradients or None).
     """
-    h_final, record, caches = network_forward_cached(structure, model, opts)
+    working = structure.graph
+    h_final, record, caches = network_forward_cached(structure, model, config)
     refined = working if config.no_weight_update else update_edge_weights(working, record)
     if refined.num_edges == 0:
         raise RuntimeError("weight refinement pruned every edge")
@@ -176,7 +168,7 @@ def _epoch_step(working, structure, model, opts, config, epoch_constants, backwa
         d_coeffs = _refinement_coeff_grad(
             working, refined, record, config.modularity_weight, labels, config.heads
         )
-    grads = network_backward(structure, model, opts, caches, d_h, d_coeffs)
+    grads = network_backward(structure, model, config, caches, d_h, d_coeffs)
     return breakdown, grads
 
 
@@ -195,7 +187,6 @@ def train(g: WeightedGraph, cluster_count: int, config: TrainConfig) -> TrainedM
 
     init_rng = _rng(config.seed, _RNG_INIT)
     params = init_model_params(g.n, config.layer_dims(), config.attn_dim, config.heads, init_rng)
-    opts = _forward_options(config)
     epoch_rng = _rng(config.seed, _RNG_EPOCH)
     fcm_seed = int(_rng(config.seed, _RNG_FCM).integers(2**31))
 
@@ -215,9 +206,7 @@ def train(g: WeightedGraph, cluster_count: int, config: TrainConfig) -> TrainedM
     for epoch in range(config.epochs):
         sub_model = ModelParams(embedding=params.embedding[sub_nodes], layers=params.layers)
         try:
-            breakdown, grads = _epoch_step(
-                working, structure, sub_model, opts, config, cluster_and_sample
-            )
+            breakdown, grads = _epoch_step(structure, sub_model, config, cluster_and_sample)
         except RuntimeError as exc:
             raise RuntimeError(f"epoch {epoch}: {exc}") from None
         history.append(breakdown)
@@ -257,7 +246,7 @@ def infer(g: WeightedGraph, model: TrainedModel, cluster_count: int | None = Non
     structure = model.structure
     if structure is None or structure.graph is not g:
         structure = build_attention_structure(g, config.self_loop_mode)
-    h, record, _ = network_forward_cached(structure, model.params, _forward_options(config))
+    h, record, _ = network_forward_cached(structure, model.params, config)
     infer_seed = int(_rng(config.seed, _RNG_INFER).integers(2**31))
     assignment = fcm_fit(h, k, iters=config.fcm_iters, seed=infer_seed,
                          restarts=config.fcm_restarts)
@@ -280,11 +269,10 @@ def gradient_check(config: TrainConfig, g: WeightedGraph, fd_step: float = 1e-5)
     if g.n > 8:
         raise ValueError("gradient_check expects a tiny graph (n <= 8)")
     structure = build_attention_structure(g, config.self_loop_mode)
-    opts = _forward_options(config)
     params = init_model_params(
         g.n, config.layer_dims(), config.attn_dim, config.heads, _rng(config.seed, _RNG_INIT)
     )
-    h0, _, _ = network_forward_cached(structure, params, opts)
+    h0, _, _ = network_forward_cached(structure, params, config)
     labels = fcm_fit(h0, min(3, g.n), iters=config.fcm_iters, seed=0, restarts=2).labels
     sampler = NegativeSampler.for_graph(g, config.negatives)
     samples = draw_structure_samples(g, sampler, _rng(config.seed, _RNG_EPOCH))
@@ -293,9 +281,9 @@ def gradient_check(config: TrainConfig, g: WeightedGraph, fd_step: float = 1e-5)
         return labels, samples
 
     def loss_of(model: ModelParams) -> float:
-        return _epoch_step(g, structure, model, opts, config, fixed, backward=False)[0].total
+        return _epoch_step(structure, model, config, fixed, backward=False)[0].total
 
-    _, grads = _epoch_step(g, structure, params, opts, config, fixed)
+    _, grads = _epoch_step(structure, params, config, fixed)
 
     worst = 0.0
     probe = params.copy()
@@ -359,41 +347,48 @@ def _check_checkpoint_shapes(config: TrainConfig, params: ModelParams) -> None:
 
 
 def load_checkpoint(path) -> TrainedModel:
-    """Read a checkpoint written by save_checkpoint; reject arrays that disagree with its config."""
+    """Read a checkpoint written by save_checkpoint.
+
+    Raises ValueError naming the key when one is missing or its array
+    disagrees with the checkpoint's config.
+    """
     with np.load(path, allow_pickle=False) as z:
-        version = int(z["format_version"])
+        def get(key: str) -> np.ndarray:
+            if key not in z:
+                raise ValueError(f"checkpoint lacks key {key}")
+            return z[key]
+
+        version = int(get("format_version"))
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
-        config = parse_config_text(str(z["config_text"]))
-        layer_count = int(z["layer_count"])
+        config = parse_config_text(str(get("config_text")))
+        layer_count = int(get("layer_count"))
         if layer_count != config.layer_count:
             raise ValueError(
                 f"checkpoint key layer_count is {layer_count}; config_text says {config.layer_count}"
             )
         layers = [
-            LayerParams(w1=z[f"layer{i}_w1"], w2=z[f"layer{i}_w2"], gamma=z[f"layer{i}_gamma"])
+            LayerParams(
+                w1=get(f"layer{i}_w1"), w2=get(f"layer{i}_w2"), gamma=get(f"layer{i}_gamma")
+            )
             for i in range(layer_count)
         ]
-        params = ModelParams(embedding=z["embedding"], layers=layers)
+        params = ModelParams(embedding=get("embedding"), layers=layers)
         _check_checkpoint_shapes(config, params)
         history = [
             LossBreakdown(structure=row[0], modularity_loss=row[1], total=row[2], modularity_q=row[3])
-            for row in z["loss_history"]
+            for row in get("loss_history")
         ]
         selection = None
         if "selected_nodes" in z:
-            selected = z["selected_nodes"]
-            old_to_new = np.full(params.embedding.shape[0], -1, dtype=np.int64)
-            old_to_new[selected] = np.arange(selected.size)
             selection = SubgraphSelection(
-                selected=selected,
-                core_nodes=z["core_nodes"],
-                old_to_new=old_to_new,
+                selected=get("selected_nodes"),
+                core_nodes=get("core_nodes"),
                 subgraph=None,  # not needed after training; rebuildable from the source graph
             )
         return TrainedModel(
             params=params,
-            cluster_count=int(z["cluster_count"]),
+            cluster_count=int(get("cluster_count")),
             config=config,
             loss_history=history,
             selection=selection,

@@ -6,7 +6,6 @@ import scipy.sparse as sp
 
 from wgclust import attention
 from wgclust.attention import (
-    ForwardOptions,
     LayerParams,
     ModelParams,
     build_attention_structure,
@@ -27,6 +26,7 @@ from wgclust.entmax import (
     segment_softmax_vjp,
     softmax,
 )
+from wgclust.config import TrainConfig
 from wgclust.graph import build_graph, synth_weighted_sbm
 
 
@@ -89,10 +89,11 @@ def structure_factors(g, i, mode="max"):
     return {int(z): float(f) for z, f in zip(s.dst[lo:hi], s.factors[lo:hi])}
 
 
-def run_network(g, model, alpha, self_loop_mode="max", opts=None):
+def run_network(g, model, alpha, self_loop_mode="max", config=None):
     """All layers over a graph; returns (H_final, AttentionRecord)."""
     structure = build_attention_structure(g, self_loop_mode)
-    h, record, _ = network_forward_cached(structure, model, opts or ForwardOptions(alpha=alpha))
+    config = config or TrainConfig(entmax_alpha=alpha)
+    h, record, _ = network_forward_cached(structure, model, config)
     return h, record
 
 
@@ -141,7 +142,7 @@ def ref_col_aggregate(s, values, dense):
     return ref_row_aggregate(s, values[s.rev], dense)
 
 
-def ref_network(s, model, opts, d_h_final, d_final_coeffs=None):
+def ref_network(s, model, config, d_h_final, d_final_coeffs=None):
     """Forward and backward of every layer, head by head; returns (h, coefficients, grads)."""
     h = model.embedding
     caches = []
@@ -149,12 +150,12 @@ def ref_network(s, model, opts, d_h_final, d_final_coeffs=None):
         proj_attn = np.einsum("nd,hde->hne", h, params.w1)
         proj_val = np.einsum("nd,hde->hne", h, params.w2)
         logits = ref_symmetric_logits(s, proj_attn)
-        if opts.use_weight_factor:
+        if not config.drop_f_iz:
             logits += s.factors[:, None]
-        if opts.normalizer == "entmax":
-            coeffs = segment_entmax(logits, s.indptr, opts.alpha)
-        else:
+        if config.softmax_instead_of_entmax:
             coeffs = segment_softmax(logits, s.indptr)
+        else:
+            coeffs = segment_entmax(logits, s.indptr, config.entmax_alpha)
         pre_act = np.empty((params.heads, h.shape[0], params.w2.shape[2]))
         for t in range(params.heads):
             pre_act[t] = ref_row_aggregate(s, coeffs[:, t], proj_val[t])
@@ -177,10 +178,10 @@ def ref_network(s, model, opts, d_h_final, d_final_coeffs=None):
             d_h_in += d_val_t @ params.w2[t].T
         if d_final_coeffs is not None and li == len(model.layers) - 1:
             d_coeffs = d_coeffs + d_final_coeffs
-        if opts.normalizer == "entmax":
-            d_logits = segment_entmax_vjp(coeffs, s.indptr, opts.alpha, d_coeffs)
-        else:
+        if config.softmax_instead_of_entmax:
             d_logits = segment_softmax_vjp(coeffs, s.indptr, d_coeffs)
+        else:
+            d_logits = segment_entmax_vjp(coeffs, s.indptr, config.entmax_alpha, d_coeffs)
         d_w1 = np.empty_like(params.w1)
         for t in range(params.heads):
             d_proj = ref_row_aggregate(s, d_logits[:, t], proj_attn[t])
@@ -305,8 +306,10 @@ class TestHeadBatchedLayer:
     ):
         # 96 floats per operand puts every dot of every graph into many blocks
         monkeypatch.setattr(attention, "_PAIR_DOT_FLOATS", block_floats)
-        opts = ForwardOptions(
-            alpha=1.55, normalizer=normalizer, use_weight_factor=use_weight_factor
+        config = TrainConfig(
+            entmax_alpha=1.55,
+            softmax_instead_of_entmax=normalizer == "softmax",
+            drop_f_iz=not use_weight_factor,
         )
         for name, g in self.graphs().items():
             s = build_attention_structure(g)
@@ -315,9 +318,9 @@ class TestHeadBatchedLayer:
             model.embedding *= 20.0  # spread the logits so that entmax leaves exact zeros
             d_h = rng.normal(size=(g.n, 4))
             d_final = rng.normal(size=(s.src.size, heads))
-            h, record, caches = network_forward_cached(s, model, opts)
-            grads = network_backward(s, model, opts, caches, d_h, d_final)
-            ref_h, ref_coeffs, ref_grads = ref_network(s, model, opts, d_h, d_final)
+            h, record, caches = network_forward_cached(s, model, config)
+            grads = network_backward(s, model, config, caches, d_h, d_final)
+            ref_h, ref_coeffs, ref_grads = ref_network(s, model, config, d_h, d_final)
             assert np.array_equal(h, ref_h), name
             for got, want in zip(record.coefficients, ref_coeffs):
                 assert np.array_equal(got, want), name
@@ -332,7 +335,7 @@ class TestHeadBatchedLayer:
         model = init_model_params(g.n, [6, 5, 4], attn_dim=7, heads=4,
                                   rng=np.random.default_rng(20))
         model.embedding *= 20.0
-        _, record, _ = network_forward_cached(s, model, ForwardOptions(alpha=1.55))
+        _, record, _ = network_forward_cached(s, model, TrainConfig(entmax_alpha=1.55))
         assert all((c == 0.0).any() for c in record.coefficients)
 
 
@@ -450,8 +453,8 @@ class TestNetworkForward:
         g = tiny_graph()
         rng = np.random.default_rng(10)
         model = init_model_params(g.n, [3, 4], attn_dim=4, heads=2, rng=rng)
-        opts = ForwardOptions(alpha=1.55, normalizer="softmax", use_weight_factor=False)
-        h, _ = run_network(g, model, alpha=1.55, opts=opts)
+        config = TrainConfig(entmax_alpha=1.55, softmax_instead_of_entmax=True, drop_f_iz=True)
+        h, _ = run_network(g, model, alpha=1.55, config=config)
         oracle, _ = straight_line_layer(
             g, model.embedding, model.layers[0], alpha=1.55, use_factor=False, use_entmax=False
         )
@@ -473,15 +476,15 @@ class TestLayerGradients:
         rng = np.random.default_rng(13)
         model = init_model_params(g.n, [3, 4, 3], attn_dim=3, heads=2, rng=rng)
         structure = build_attention_structure(g, "max")
-        opts = ForwardOptions(alpha=1.55)
+        config = TrainConfig(entmax_alpha=1.55)
         target = rng.normal(size=(g.n, 3))
 
         def loss_of(m):
-            h, _, _ = network_forward_cached(structure, m, opts)
+            h, _, _ = network_forward_cached(structure, m, config)
             return 0.5 * float(((h - target) ** 2).sum())
 
-        h, _, caches = network_forward_cached(structure, model, opts)
-        grads = network_backward(structure, model, opts, caches, h - target)
+        h, _, caches = network_forward_cached(structure, model, config)
+        grads = network_backward(structure, model, config, caches, h - target)
         step = 1e-5
         probe = model.copy()
         worst = 0.0

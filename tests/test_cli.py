@@ -273,15 +273,17 @@ class TestErrors:
     @pytest.mark.parametrize("pred_rows, truth_rows, message", [
         # row 2 cut to its node token
         (["0,0,1.0,0.0", "1,1,0.0,1.0", "2", "3,1,0.0,1.0"], ["0\t0", "1\t1", "2\t0", "3\t1"],
-         r"pred\.csv:4: expected 'node,label,\.\.\.', got '2'"),
+         r"pred\.csv: line 4: expected 'node,label,\.\.\.', got '2'"),
         (["0,0,1.0,0.0", "1,1,0.0,1.0", "1,0,1.0,0.0"], ["0\t0", "1\t1"],
-         r"pred\.csv:4: node '1' appears twice"),
+         r"pred\.csv: line 4: node '1' is listed twice"),
         (["0,0,1.0,0.0", "1,1,0.0,1.0"], ["0\t0", "1\t1", "", "0\t1"],
-         r"truth\.tsv:4: node '0' appears twice"),
+         r"truth\.tsv: line 4: node '0' is listed twice"),
         (["0,0,1.0,0.0", "1,x,1.0,0.0"], ["0\t0", "1\t1"],
-         r"pred\.csv:3: label 'x' is not an integer"),
+         r"pred\.csv: line 3: label 'x' is not an integer"),
         (["0,0,1.0,0.0", "1,1,0.0,1.0"], ["# truth", "0\t0", "1\t1.5"],
-         r"truth\.tsv:3: label '1\.5' is not an integer"),
+         r"truth\.tsv: line 3: label '1\.5' is not an integer"),
+        (["0,0,1.0,0.0", "1,1,0.0,1.0"], ["0\t0", "1"],
+         r"truth\.tsv: line 2: expected 'node<TAB>label', got '1'"),
     ])
     def test_eval_rejects_short_and_duplicate_rows(self, tmp_path, capsys, pred_rows, truth_rows,
                                                    message):
@@ -291,6 +293,21 @@ class TestErrors:
         assert run_cli("eval", "--pred", pred, "--truth", truth) == 1
         err = capsys.readouterr().err
         assert re.search(message, err), err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_threshold_rejected(self, synth_dir, tmp_path, capsys, value):
+        rc = run_cli("contract", "--edges", synth_dir / "edges.tsv", "--clusters", 2,
+                     "--threshold", value, "--out", tmp_path / "o")
+        assert rc == 1
+        assert "error: importance_threshold must be finite" in capsys.readouterr().err
+
+    def test_checkpoint_without_version_rejected(self, synth_dir, tmp_path, capsys):
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, embedding=np.zeros((30, 8)))
+        rc = run_cli("infer", "--checkpoint", bad, "--edges", synth_dir / "edges.tsv",
+                     "--out", tmp_path / "o")
+        assert rc == 1
+        assert "error: checkpoint lacks key format_version" in capsys.readouterr().err
 
     def test_console_entry_point(self):
         proc = subprocess.run(

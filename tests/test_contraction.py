@@ -11,7 +11,6 @@ from wgclust.contraction import (
     ContractionConfig,
     contract,
     distance_to_cores,
-    node_density,
     personalized_pagerank,
     rank_score,
     select_core_nodes,
@@ -73,16 +72,16 @@ def sbm_with_tail_and_isolated_node():
 class TestNodeDensity:
     def test_star_center(self):
         g = build_graph(4, [0, 0, 0], [1, 2, 3], [1.0, 2.0, 3.0])
-        rho = node_density(g)
+        rho = g.weighted_degree()
         assert rho[0] == 6.0
 
     def test_isolated_node(self):
         g = build_graph(3, [0], [1], [1.0])
-        assert node_density(g)[2] == 0.0
+        assert g.weighted_degree()[2] == 0.0
 
     def test_single_edge_both_endpoints(self):
         g = build_graph(2, [0], [1], [2.0])
-        np.testing.assert_array_equal(node_density(g), [2.0, 2.0])
+        np.testing.assert_array_equal(g.weighted_degree(), [2.0, 2.0])
 
 
 class TestDistanceToCores:
@@ -147,14 +146,14 @@ class TestSelectCoreNodes:
     def test_single_core_is_densest(self):
         g = two_cliques_graph()
         cores = select_core_nodes(g, ContractionConfig(core_count=1))
-        rho = node_density(g)
+        rho = g.weighted_degree()
         assert cores[0] == np.argmax(rho)
         assert cores[0] == 3  # tie between 3 and 4 at 3.5 goes to the lower id
 
     def test_density_only_when_weight_is_one(self):
         g = two_cliques_graph()
         cores = select_core_nodes(g, ContractionConfig(core_count=3, density_weight=1.0))
-        rho = node_density(g)
+        rho = g.weighted_degree()
         # pure density ranking: the three densest nodes in id-tie-broken order
         assert cores[0] == 3 and cores[1] == 4
         assert rho[cores[2]] == 3.0
@@ -170,7 +169,7 @@ class TestSelectCoreNodes:
         config = ContractionConfig(core_count=2, density_weight=0.5)
         cores = select_core_nodes(g, config)
         first = cores[0]
-        rho = node_density(g)
+        rho = g.weighted_degree()
         theta = distance_to_cores(g, [first], mode="reciprocal")
         candidates = [i for i in range(8) if i != first]
         rr = {}
@@ -188,7 +187,7 @@ class TestSelectCoreNodes:
         g = synth_weighted_sbm(80, 3, 0.2, 0.02, 3.0, 1.0, seed=22).graph
         g = build_graph(g.n + 1, *g.edge_arrays())  # plus an unreachable node
         config = ContractionConfig(core_count=7, density_weight=0.3, distance_mode=mode)
-        rho = node_density(g)
+        rho = g.weighted_degree()
         cores = [int(np.argmax(rho))]
         dist_sum = np.zeros(g.n)
         for _ in range(6):
@@ -308,12 +307,10 @@ class TestContract:
         lab = synth_weighted_sbm(50, 3, 0.4, 0.05, 3.0, 1.0, seed=11)
         g = lab.graph
         sel = contract(g, ContractionConfig(core_count=4, importance_threshold=0.005))
-        inv = {int(sel.old_to_new[o]): int(o) for o in sel.selected}
         for i_new in range(sel.subgraph.n):
-            i_old = inv[i_new]
-            old_row = dict(g.neighbors(i_old))
+            old_row = dict(g.neighbors(int(sel.selected[i_new])))
             for j_new, w in sel.subgraph.neighbors(i_new):
-                assert old_row[inv[j_new]] == w
+                assert old_row[int(sel.selected[j_new])] == w
 
     def test_default_core_count_rule(self):
         config = ContractionConfig()

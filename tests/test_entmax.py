@@ -11,7 +11,6 @@ from wgclust.entmax import (
     EntmaxResult,
     entmax,
     entmax_jvp,
-    entmax_tau,
     segment_entmax,
     segment_entmax_vjp,
     segment_softmax,
@@ -84,7 +83,7 @@ def two_element_entmax_oracle(z, alpha):
 class TestEntmaxTau:
     def test_alpha_at_most_one_rejected(self):
         with pytest.raises(ValueError):
-            entmax_tau([1.0, 2.0], 1.0)
+            entmax([1.0, 2.0], 1.0).tau
 
     def test_two_equal_elements_split_evenly(self):
         for t in (-3.0, 0.0, 7.5):
@@ -268,7 +267,7 @@ class TestSegmented:
             p = segment_entmax(vals, indptr, alpha)
             sums = np.add.reduceat(p, indptr[:-1], axis=0)
             np.testing.assert_allclose(sums, 1.0, rtol=0, atol=1e-10)
-        tau = entmax_tau(vals[:5, 0], 1.55)
+        tau = entmax(vals[:5, 0], 1.55).tau
         expect = entmax(vals[:5, 0] - 1e12, 1.55).tau + 0.55 * 1e12
         assert tau == pytest.approx(expect, rel=1e-15)
 

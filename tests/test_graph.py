@@ -324,41 +324,43 @@ class TestLabelIO:
         labels = np.array([0, 2, 1, 1])
         p = tmp_path / "labels.tsv"
         save_labels(labels, p)
-        assert np.array_equal(load_labels(p), labels)
+        assert load_labels(p) == {"0": 0, "1": 2, "2": 1, "3": 1}
 
-    def test_external_ids(self, tmp_path):
+    def test_comments_blanks_and_whitespace_rows(self, tmp_path):
         p = tmp_path / "labels.tsv"
-        p.write_text("a\t1\nb\t0\n")
-        out = load_labels(p, node_ids=("b", "a"))
-        assert np.array_equal(out, [0, 1])
+        p.write_text("# node label\n\nmovie a\t1\n  b   0  \n")
+        assert load_labels(p) == {"movie a": 1, "b": 0}
 
-    @pytest.mark.parametrize("text, node_ids, message", [
-        ("0\t1\n1\tx\n", None, r"line 2: label 'x' is not an integer"),
-        ("0\t1\nb\t0\n", None, r"line 2: node 'b' is not an integer"),
-        ("a\t1\nb\t0.5\n", ("b", "a"), r"line 2: label '0\.5' is not an integer"),
+    @pytest.mark.parametrize("text, message", [
+        ("0\t1\n1\tx\n", r"labels\.tsv: line 2: label 'x' is not an integer"),
+        ("a\t1\nb\t0.5\n", r"labels\.tsv: line 2: label '0\.5' is not an integer"),
     ])
-    def test_non_integer_tokens_named(self, tmp_path, text, node_ids, message):
+    def test_non_integer_tokens_named(self, tmp_path, text, message):
         p = tmp_path / "labels.tsv"
         p.write_text(text)
         with pytest.raises(ValueError, match=message):
-            load_labels(p, node_ids=node_ids)
-
-    def test_negative_node_token_named(self, tmp_path):
-        # a negative token would index another node's slot from the end
-        p = tmp_path / "labels.tsv"
-        p.write_text("0\t1\n1\t1\n-1\t0\n")
-        with pytest.raises(ValueError, match=r"line 3: node '-1' is negative"):
             load_labels(p)
 
-    @pytest.mark.parametrize("text, node_ids, message", [
-        ("0\t1\n1\t0\n1\t1\n", None, r"line 3: node '1' is listed twice"),
-        ("a\t1\nb\t0\na\t0\n", ("b", "a"), r"line 3: node 'a' is listed twice"),
+    @pytest.mark.parametrize("text, message", [
+        ("0\t1\n1\t0\n1\t1\n", r"labels\.tsv: line 3: node '1' is listed twice"),
+        ("a\t1\nb\t0\n\na\t0\n", r"labels\.tsv: line 4: node 'a' is listed twice"),
     ])
-    def test_node_listed_twice_named(self, tmp_path, text, node_ids, message):
+    def test_node_listed_twice_named(self, tmp_path, text, message):
         p = tmp_path / "labels.tsv"
         p.write_text(text)
         with pytest.raises(ValueError, match=message):
-            load_labels(p, node_ids=node_ids)
+            load_labels(p)
+
+    @pytest.mark.parametrize("text, message", [
+        ("0\t1\n1\n", r"labels\.tsv: line 2: expected 'node<TAB>label', got '1'"),
+        ("0\t1\n1\t0\t2\n", r"labels\.tsv: line 2: expected 'node<TAB>label'"),
+        ("# only a comment\n\n", r"labels\.tsv: no labels"),
+    ])
+    def test_malformed_file_named(self, tmp_path, text, message):
+        p = tmp_path / "labels.tsv"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            load_labels(p)
 
 
 class TestSyntheticBlocks:

@@ -239,7 +239,7 @@ class TestAblations:
         from wgclust.attention import ModelParams, build_attention_structure, network_forward_cached
         from wgclust.fcm import fcm_fit
         from wgclust.losses import modularity
-        from wgclust.trainer import _RNG_FCM, _forward_options, _rng
+        from wgclust.trainer import _RNG_FCM, _rng
 
         lab = synth_weighted_sbm(20, 2, 0.6, 0.1, 3.0, 1.0, seed=12)
         cfg = TrainConfig(epochs=1, no_contraction=True, no_weight_update=True, seed=4, **TINY)
@@ -247,7 +247,7 @@ class TestAblations:
         # replay epoch 0 from the initialized parameters and score the raw graph
         init = train(lab.graph, 2, cfg.replace(epochs=0))
         structure = build_attention_structure(lab.graph, cfg.self_loop_mode)
-        h, _, _ = network_forward_cached(structure, init.params, _forward_options(cfg))
+        h, _, _ = network_forward_cached(structure, init.params, cfg)
         fcm_seed = int(_rng(cfg.seed, _RNG_FCM).integers(2**31))
         labels = fcm_fit(h, 2, iters=cfg.fcm_iters, seed=fcm_seed,
                          restarts=cfg.fcm_restarts).labels
@@ -313,6 +313,17 @@ class TestCheckpoint:
         np.savez(tmp_path / "v1.npz", **data)
         with pytest.raises(ValueError, match="unsupported checkpoint version 1"):
             load_checkpoint(tmp_path / "v1.npz")
+
+    @pytest.mark.parametrize("key", ["format_version", "config_text", "layer1_w2", "core_nodes"])
+    def test_missing_key_named(self, tmp_path, key):
+        lab = synth_weighted_sbm(25, 2, 0.6, 0.1, 3.0, 1.0, seed=14)
+        model = train(lab.graph, 2, TrainConfig(epochs=1, importance_threshold=0.001, **TINY))
+        save_checkpoint(model, tmp_path / "m.npz")
+        with np.load(tmp_path / "m.npz") as z:
+            data = {k: v for k, v in z.items() if k != key}
+        np.savez(tmp_path / "bad.npz", **data)
+        with pytest.raises(ValueError, match=f"checkpoint lacks key {key}$"):
+            load_checkpoint(tmp_path / "bad.npz")
 
     def test_history_survives_round_trip(self, tmp_path):
         lab = synth_weighted_sbm(20, 2, 0.6, 0.1, 3.0, 1.0, seed=15)
@@ -387,3 +398,23 @@ class TestConfigFormat:
             parse_config_text("entmax_alpha = 0.5\n")
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=-1.0)
+
+    @pytest.mark.parametrize("text, message", [
+        ("core_count = abc", r"config line 1: key 'core_count': expected an integer, got 'abc'"),
+        ("seed = 1\nepochs = 2.5", r"config line 2: key 'epochs': expected an integer, got '2\.5'"),
+        ("# c\nteleport = half", r"config line 2: key 'teleport': expected a number, got 'half'"),
+        ("drop_f_iz = maybe", r"config line 1: key 'drop_f_iz': expected a boolean, got 'maybe'"),
+    ])
+    def test_value_errors_name_line_and_key(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_config_text(text)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", [
+        f.name for f in dataclasses.fields(TrainConfig) if f.type == "float"
+    ])
+    def test_non_finite_floats_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            TrainConfig(**{name: float(value)})
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            parse_config_text(f"{name} = {value}\n")
