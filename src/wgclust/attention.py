@@ -226,14 +226,6 @@ class AttentionRecord:
     structure: AttentionStructure
     coefficients: list[np.ndarray]
 
-    def coefficient(self, layer: int, head: int, i: int, z: int) -> float:
-        s = self.structure
-        lo, hi = s.indptr[i], s.indptr[i + 1]
-        k = np.searchsorted(s.dst[lo:hi], z)
-        if k >= hi - lo or s.dst[lo + k] != z:
-            raise KeyError(f"{z} is not a candidate of node {i}")
-        return float(self.coefficients[layer][lo + k, head])
-
     def final_head_average(self) -> np.ndarray:
         """Head-averaged final-layer coefficient per entry (drives the edge-weight refinement)."""
         return self.coefficients[-1].mean(axis=1)
@@ -361,9 +353,9 @@ def _backward_layer(structure, params, config, cache, d_out, d_coeffs_extra=None
     """Reverse sweep of one layer.
 
     d_out: gradient w.r.t. the fused output. d_coeffs_extra: additional
-    gradient w.r.t. the normalized coefficients (entries, heads), used when
-    the final layer's attention also feeds the edge-weight refinement.
-    Returns (d_h_in, LayerParams-shaped gradients).
+    gradient w.r.t. the normalized coefficients, anything that broadcasts to
+    (entries, heads), used when the final layer's attention also feeds the
+    edge-weight refinement. Returns (d_h_in, LayerParams-shaped gradients).
     """
     heads = params.heads
     d_gamma = np.einsum("ne,hne->h", d_out, cache.head_out)
@@ -383,8 +375,9 @@ def _backward_layer(structure, params, config, cache, d_out, d_coeffs_extra=None
         d_logits = segment_softmax_vjp(cache.coeffs, structure.indptr, d_coeffs)
     else:
         d_logits = segment_entmax_vjp(cache.coeffs, structure.indptr, config.entmax_alpha, d_coeffs)
-    # both products read one head-major copy of d_logits; the (entries, heads)
-    # original is freed before they allocate
+    # d_coeffs is freed before the head-major copy of d_logits is made, and
+    # the (entries, heads) d_logits before the two products that read the copy
+    del d_coeffs
     d_data = _head_major(d_logits)
     del d_logits
     d_proj = _row_aggregate(structure, d_data, cache.proj_attn)
@@ -419,9 +412,11 @@ def network_forward_cached(structure, model: ModelParams, config: TrainConfig):
 def network_backward(structure, model, config, caches, d_h_final, d_final_coeffs=None) -> ModelParams:
     """Reverse sweep through every layer down to the embedding table.
 
-    d_final_coeffs, when given, is an (entries, heads) gradient that the
-    final layer's coefficients receive on top of the aggregation path (the
-    modularity loss reaches them through the edge-weight refinement).
+    d_final_coeffs, when given, is a gradient that the final layer's
+    coefficients receive on top of the aggregation path (the modularity loss
+    reaches them through the edge-weight refinement). It may be anything that
+    broadcasts to (entries, heads): an (entries, 1) column gives every head
+    the same value.
     """
     layer_grads = [None] * len(model.layers)
     d_h = d_h_final

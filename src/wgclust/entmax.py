@@ -27,6 +27,13 @@ row still takes the same number of passes, the first at which all rows have
 converged: a block whose rows converged earlier runs the missing passes from
 its saved tau afterwards. The output is the same bit for bit whatever the
 block size. The VJP goes through the same blocks.
+
+Working memory is the output plus one block: a block forms its shifted
+scores from the input and the per-row maxima each time it is visited (a
+block is almost always visited once per solve), and both solves write the
+same output array. A row with a NaN or +inf score, or with only -inf
+scores, raises ValueError before any Newton pass; a -inf among finite
+scores gets an exact zero.
 """
 
 from __future__ import annotations
@@ -134,15 +141,28 @@ def _unconverged(residual, first_row: int = 0) -> FloatingPointError:
     )
 
 
-def _block_passes(zs, p, tau, residual, slope, inv, block, done: int, until: int | None) -> int:
+def _non_finite(top) -> ValueError:
+    """The error for the first row whose max scaled score is not finite."""
+    bad = tuple(np.argwhere(~np.isfinite(top))[0])
+    what = "a NaN score" if np.isnan(top[bad]) else (
+        "a +inf score" if top[bad] > 0 else "only -inf scores")
+    return ValueError(f"entmax row {int(bad[0])} has {what}")
+
+
+def _block_passes(scores, p, tau, residual, slope, inv, block, done: int, until: int | None) -> int:
     """Run one block's Newton passes after its first ``done``; returns the new pass count.
 
+    scores is (values, top, alpha - 1): the block's row-max-shifted scaled
+    scores are formed here, once per visit, so no full-size copy exists.
     With ``until`` None the block stops at the first pass where all its rows
     have converged (raising at SOLVE_MAX_PASSES); otherwise it runs to pass
     ``until``. p, tau, residual and slope are updated in place.
     """
+    values, top, scale = scores
     rows, vals, starts, lens = block
-    z, out, t, r, s = zs[vals], p[vals], tau[rows], residual[rows], slope[rows]
+    z = scale * values[vals]
+    z -= np.repeat(top[rows], lens, axis=0)
+    out, t, r, s = p[vals], tau[rows], residual[rows], slope[rows]
     while until is None or done < until:
         if done:
             t += r / (inv * s)
@@ -156,23 +176,22 @@ def _block_passes(zs, p, tau, residual, slope, inv, block, done: int, until: int
     return done
 
 
-def _newton(zs, tau, blocks, inv) -> tuple[np.ndarray, np.ndarray]:
-    """Newton passes on row-max-shifted scaled scores from a tau left of the root.
+def _newton(scores, p, tau, blocks, inv) -> None:
+    """Newton passes on row-max-shifted scaled scores from a tau left of the root, into p and tau.
 
     Every row takes the same number of passes: the first at which all rows
     have converged. Each block runs in cache until its own rows converge;
     then the blocks that stopped early run the remaining passes from their
     saved tau, so the result does not depend on the block size.
     """
-    p = np.empty_like(zs)
     residual, slope = np.empty_like(tau), np.empty_like(tau)
-    state = (zs, p, tau, residual, slope, inv)
+    state = (scores, p, tau, residual, slope, inv)
     done = [_block_passes(*state, block, 0, None) for block in blocks]
     target = max(done)
     while True:
         done = [_block_passes(*state, block, d, target) for block, d in zip(blocks, done)]
         if (np.abs(residual) <= SOLVE_TOL).all():
-            return p, tau
+            return
         if target == SOLVE_MAX_PASSES:
             raise _unconverged(residual)
         target += 1
@@ -182,25 +201,32 @@ def _solve(values, indptr, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Solve every row's threshold; returns (p, tau).
 
     values is (m,) or (m, h) and indptr splits axis 0 into non-empty rows.
-    tau is per row (and head), in the unshifted scaled domain.
+    tau is per row (and head), in the unshifted scaled domain. Raises
+    ValueError for a row with a NaN or +inf score or with only -inf scores;
+    a -inf among finite scores gets p = 0.
     """
     _check_alpha(alpha)
     values = np.asarray(values, dtype=np.float64)
     if np.any(np.diff(indptr) <= 0):
         raise ValueError("segments must be non-empty")
-    starts = indptr[:-1]
-    lens = np.diff(indptr)
-    zs = (alpha - 1.0) * values
-    top = np.maximum.reduceat(zs, starts, axis=0)
-    zs -= np.repeat(top, lens, axis=0)
-    inv = 1.0 / (alpha - 1.0)
-    blocks = _row_blocks(indptr, math.prod(zs.shape[1:]))
-    _, tau = _newton(zs, np.full_like(top, -1.0), blocks, inv)
+    scale = alpha - 1.0
+    inv = 1.0 / scale
+    blocks = _row_blocks(indptr, math.prod(values.shape[1:]))
+    top = np.empty((indptr.size - 1,) + values.shape[1:])
+    for rows, vals, starts, _ in blocks:
+        np.maximum.reduceat(scale * values[vals], starts, axis=0, out=top[rows])
+    if not np.isfinite(top).all():
+        raise _non_finite(top)
+    scores = (values, top, scale)
+    p = np.empty_like(values)
+    tau = np.full_like(top, -1.0)
+    _newton(scores, p, tau, blocks, inv)
     # Newton's path crosses entries that end up off the support, so the root
     # carries their rounding. A second solve from the grid point just below
     # it depends only on the entries above that point: an exact zero then
     # has exactly no effect on p, as the VJP assumes.
-    p, tau = _newton(zs, np.floor(tau * _SETTLE_GRID) / _SETTLE_GRID, blocks, inv)
+    tau = np.floor(tau * _SETTLE_GRID) / _SETTLE_GRID
+    _newton(scores, p, tau, blocks, inv)
     return p, tau + top
 
 

@@ -14,6 +14,7 @@ triple maps to a bit-identical trained model.
 
 from __future__ import annotations
 
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -127,15 +128,17 @@ def _refinement_coeff_grad(working, refined, record, modularity_weight, labels, 
     Scatters per-edge dQ/dw of the refined graph back onto the working
     graph's surviving directed entries (``refined.kept``), chains through
     w' = sym(attention) * w, and spreads over heads (the refinement uses the
-    head average). Pruned edges contribute nothing.
+    head average). Every head gets the same value, so the result is one
+    (entries, 1) column that broadcasts over the heads. Pruned edges
+    contribute nothing.
     """
     dq_work = np.zeros(working.indices.size)
     dq_work[refined.kept] = modularity_weight_grad(refined, labels)
     # d total / d a_dir = modularity_weight * (-dQ/dw'_edge) * w_edge / 2
     d_edge_coeff = modularity_weight * (-dq_work) * working.weights * 0.5
     s = record.structure
-    d_coeffs = np.zeros((s.src.size, heads))
-    d_coeffs[s.edge_pos] = (d_edge_coeff / heads)[:, None]
+    d_coeffs = np.zeros((s.src.size, 1))
+    d_coeffs[s.edge_pos, 0] = d_edge_coeff / heads
     return d_coeffs
 
 
@@ -330,7 +333,7 @@ def save_checkpoint(model: TrainedModel, path) -> None:
 
 
 def _check_checkpoint_shapes(config: TrainConfig, params: ModelParams) -> None:
-    """Raise ValueError naming the first array whose shape disagrees with the config."""
+    """Raise ValueError naming the first array that is not float or disagrees with the config."""
     dims, heads = config.layer_dims(), config.heads
     checks = [("embedding", params.embedding, params.embedding.shape[:1] + (dims[0],))]
     for i, (layer, d_in, d_out) in enumerate(zip(params.layers, dims[:-1], dims[1:])):
@@ -340,29 +343,60 @@ def _check_checkpoint_shapes(config: TrainConfig, params: ModelParams) -> None:
             (f"layer{i}_gamma", layer.gamma, (heads,)),
         ]
     for key, array, shape in checks:
+        if array.dtype.kind != "f":
+            raise ValueError(f"checkpoint key {key} has dtype {array.dtype}; expected floats")
         if array.shape != shape:
             raise ValueError(
                 f"checkpoint key {key} has shape {array.shape}; config_text implies {shape}"
             )
 
 
+# what np.load and reading an archive member raise on a malformed file
+_UNREADABLE = (ValueError, EOFError, zipfile.BadZipFile)
+
+
+def _open_checkpoint(fh, path):
+    """np.load the open file as an .npz archive; ValueError naming the file when it is not one."""
+    try:
+        archive = np.load(fh, allow_pickle=False)
+    except _UNREADABLE as exc:
+        raise ValueError(f"{path} is not a readable checkpoint archive ({exc})") from None
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise ValueError(f"{path} is not a checkpoint archive: it holds a single .npy array")
+    return archive
+
+
 def load_checkpoint(path) -> TrainedModel:
     """Read a checkpoint written by save_checkpoint.
 
-    Raises ValueError naming the key when one is missing or its array
-    disagrees with the checkpoint's config.
+    Raises ValueError naming the file when it is not an .npz archive, and
+    naming the key when one is missing or unreadable, a scalar key is not a
+    0-d integer (or string, for config_text), or an array disagrees with the
+    checkpoint's config.
     """
-    with np.load(path, allow_pickle=False) as z:
+    with open(path, "rb") as fh, _open_checkpoint(fh, path) as z:
         def get(key: str) -> np.ndarray:
             if key not in z:
                 raise ValueError(f"checkpoint lacks key {key}")
-            return z[key]
+            try:
+                return z[key]
+            except _UNREADABLE as exc:
+                raise ValueError(f"checkpoint key {key} is unreadable ({exc})") from None
 
-        version = int(get("format_version"))
+        def scalar(key: str, kind: str) -> np.ndarray:
+            value = get(key)
+            if value.ndim != 0 or value.dtype.kind not in kind:
+                raise ValueError(
+                    f"checkpoint key {key} has dtype {value.dtype} and shape {value.shape}; "
+                    f"expected a 0-d {'string' if kind == 'U' else 'integer'}"
+                )
+            return value
+
+        version = int(scalar("format_version", "iu"))
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
-        config = parse_config_text(str(get("config_text")))
-        layer_count = int(get("layer_count"))
+        config = parse_config_text(str(scalar("config_text", "U")))
+        layer_count = int(scalar("layer_count", "iu"))
         if layer_count != config.layer_count:
             raise ValueError(
                 f"checkpoint key layer_count is {layer_count}; config_text says {config.layer_count}"
@@ -375,9 +409,14 @@ def load_checkpoint(path) -> TrainedModel:
         ]
         params = ModelParams(embedding=get("embedding"), layers=layers)
         _check_checkpoint_shapes(config, params)
+        history_rows = get("loss_history")
+        if history_rows.ndim != 2 or history_rows.shape[1] != 4:
+            raise ValueError(
+                f"checkpoint key loss_history has shape {history_rows.shape}; expected (epochs, 4)"
+            )
         history = [
             LossBreakdown(structure=row[0], modularity_loss=row[1], total=row[2], modularity_q=row[3])
-            for row in get("loss_history")
+            for row in history_rows
         ]
         selection = None
         if "selected_nodes" in z:
@@ -388,7 +427,7 @@ def load_checkpoint(path) -> TrainedModel:
             )
         return TrainedModel(
             params=params,
-            cluster_count=int(get("cluster_count")),
+            cluster_count=int(scalar("cluster_count", "iu")),
             config=config,
             loss_history=history,
             selection=selection,

@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,63 @@ def synth_dir(tmp_path):
         "--seed", 3, "--out", out,
     ) == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def trained_checkpoint(tmp_path_factory):
+    """(checkpoint, edges) of one small trained model, shared by the checkpoint tests."""
+    root = tmp_path_factory.mktemp("trained")
+    (root / "fast.cfg").write_text(FAST_CONFIG)
+    assert run_cli(
+        "synth", "--nodes", 30, "--clusters", 2, "--p-in", 0.6, "--p-out", 0.1,
+        "--seed", 3, "--out", root / "synth",
+    ) == 0
+    assert run_cli(
+        "train", "--edges", root / "synth" / "edges.tsv", "--clusters", 2,
+        "--config", root / "fast.cfg", "--out", root / "train",
+    ) == 0
+    return root / "train" / "checkpoint.npz", root / "synth" / "edges.tsv"
+
+
+def _with_key(key, value):
+    def write(src, dst):
+        with np.load(src) as z:
+            data = dict(z)
+        data[key] = value
+        np.savez(dst, **data)
+    return write
+
+
+def _npy_under_npz_name(src, dst):
+    with open(dst, "wb") as fh:
+        np.save(fh, np.zeros(3))
+
+
+def _flip_embedding_byte(src, dst):
+    raw = bytearray(src.read_bytes())
+    with zipfile.ZipFile(src) as archive:
+        at = archive.getinfo("embedding.npy").header_offset + 400  # inside the array data
+    raw[at] ^= 0xFF
+    dst.write_bytes(bytes(raw))
+
+
+# case -> (writer of the malformed file from a valid checkpoint, expected error)
+MALFORMED_CHECKPOINTS = {
+    "truncated": (lambda src, dst: dst.write_bytes(src.read_bytes()[:40]),
+                  r"bad\.npz is not a readable checkpoint archive"),
+    "empty": (lambda src, dst: dst.write_bytes(b""),
+              r"bad\.npz is not a readable checkpoint archive"),
+    "npy under an npz name": (_npy_under_npz_name, r"bad\.npz is not a checkpoint archive"),
+    "corrupt member": (_flip_embedding_byte, r"checkpoint key embedding is unreadable"),
+    "format_version of shape (2,)": (_with_key("format_version", np.array([2, 2])),
+                                     r"checkpoint key format_version .* shape \(2,\)"),
+    "cluster_count of shape (2,)": (_with_key("cluster_count", np.array([2, 2])),
+                                    r"checkpoint key cluster_count .* shape \(2,\)"),
+    "string embedding": (_with_key("embedding", np.full((30, 8), "x")),
+                         r"checkpoint key embedding has dtype <U1"),
+    "flat loss_history": (_with_key("loss_history", np.zeros(3)),
+                          r"checkpoint key loss_history has shape \(3,\)"),
+}
 
 
 class TestSynth:
@@ -308,6 +366,17 @@ class TestErrors:
                      "--out", tmp_path / "o")
         assert rc == 1
         assert "error: checkpoint lacks key format_version" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINTS))
+    def test_malformed_checkpoint_rejected(self, trained_checkpoint, tmp_path, capsys, case):
+        checkpoint, edges = trained_checkpoint
+        write, message = MALFORMED_CHECKPOINTS[case]
+        bad = tmp_path / "bad.npz"
+        write(checkpoint, bad)
+        rc = run_cli("infer", "--checkpoint", bad, "--edges", edges, "--out", tmp_path / "o")
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and re.search(message, err), err
 
     def test_console_entry_point(self):
         proc = subprocess.run(

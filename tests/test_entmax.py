@@ -1,6 +1,8 @@
 """Entmax against closed-form/sort-based oracles and a bisection reference, its gradient,
 and its invariants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -55,6 +57,52 @@ def bisection_reference(values, indptr, alpha, tol=1e-10, max_iter=100):
         hi = np.where(low, tau, hi)
         lo = np.where(low, lo, tau)
     return p, np.abs(sums - 1.0) <= tol
+
+
+# The full-array solve that the blocked one replaced: it shifts every score
+# up front and keeps both solves' outputs. The blocked solve must equal it
+# bit for bit.
+
+
+def reference_block_passes(zs, p, tau, residual, slope, inv, block, done, until):
+    rows, vals, starts, lens = block
+    z, out, t, r, s = zs[vals], p[vals], tau[rows], residual[rows], slope[rows]
+    while until is None or done < until:
+        if done:
+            t += r / (inv * s)
+        entmax_module._newton_pass(z, t, starts, lens, inv, out, r, s)
+        done += 1
+        if until is None and ((np.abs(r) <= entmax_module.SOLVE_TOL).all()
+                              or done == entmax_module.SOLVE_MAX_PASSES):
+            break
+    return done
+
+
+def reference_newton(zs, tau, blocks, inv):
+    p = np.empty_like(zs)
+    residual, slope = np.empty_like(tau), np.empty_like(tau)
+    state = (zs, p, tau, residual, slope, inv)
+    done = [reference_block_passes(*state, block, 0, None) for block in blocks]
+    target = max(done)
+    while True:
+        done = [reference_block_passes(*state, block, d, target) for block, d in zip(blocks, done)]
+        if (np.abs(residual) <= entmax_module.SOLVE_TOL).all():
+            return p, tau
+        assert target < entmax_module.SOLVE_MAX_PASSES
+        target += 1
+
+
+def reference_solve(values, indptr, alpha):
+    lens = np.diff(indptr)
+    zs = (alpha - 1.0) * np.asarray(values, dtype=np.float64)
+    top = np.maximum.reduceat(zs, indptr[:-1], axis=0)
+    zs -= np.repeat(top, lens, axis=0)
+    inv = 1.0 / (alpha - 1.0)
+    blocks = entmax_module._row_blocks(indptr, int(np.prod(zs.shape[1:])))
+    _, tau = reference_newton(zs, np.full_like(top, -1.0), blocks, inv)
+    grid = entmax_module._SETTLE_GRID
+    p, tau = reference_newton(zs, np.floor(tau * grid) / grid, blocks, inv)
+    return p, tau + top
 
 
 def two_element_entmax_oracle(z, alpha):
@@ -285,6 +333,35 @@ class TestSegmented:
         with pytest.raises(FloatingPointError, match=r"row 2 has \|sum\(p\) - 1\|"):
             segment_entmax(vals, indptr, 1.55)
 
+    @pytest.mark.parametrize("z, what", [
+        ([np.nan, 1.0], "row 0 has a NaN score"),
+        ([np.inf, 1.0], r"row 0 has a \+inf score"),
+        ([np.inf, np.nan], "row 0 has a NaN score"),
+        ([-np.inf, -np.inf], "row 0 has only -inf scores"),
+    ])
+    def test_non_finite_rows_raise_before_any_pass(self, monkeypatch, z, what):
+        def no_pass(*args):
+            raise AssertionError("a Newton pass ran")
+
+        monkeypatch.setattr(entmax_module, "_newton_pass", no_pass)
+        with pytest.raises(ValueError, match=what):
+            entmax(z, 1.5)
+
+    def test_first_non_finite_row_named(self):
+        vals = np.array([[0.0, 1.0], [2.0, -np.inf], [-np.inf, -np.inf], [np.nan, 0.0]])
+        # row 0 is fine: in each head a -inf is one of two scores
+        with pytest.raises(ValueError, match="row 1 has only -inf scores"):
+            segment_entmax(vals, np.array([0, 2, 3, 4]), 1.5)
+        with pytest.raises(ValueError, match="row 1 has a NaN score"):
+            segment_entmax(vals, np.array([0, 2, 4]), 1.5)
+
+    @pytest.mark.parametrize("alpha", [1.1, 1.5, 2.0])
+    def test_minus_inf_among_finite_scores_is_an_exact_zero(self, alpha):
+        np.testing.assert_array_equal(entmax([-np.inf, 1.0], alpha).p, [0.0, 1.0])
+        p = entmax([0.3, -np.inf, 0.1, -np.inf], alpha).p
+        np.testing.assert_array_equal(p[[1, 3]], 0.0)
+        np.testing.assert_array_equal(p[[0, 2]], entmax([0.3, 0.1], alpha).p)
+
     def test_off_support_entries_do_not_move_p(self):
         rng = np.random.default_rng(57)
         z = rng.normal(size=6)
@@ -348,6 +425,36 @@ class TestRowBlocks:
         np.testing.assert_array_equal(p_b, p)
         np.testing.assert_array_equal(tau_b, tau)
         np.testing.assert_array_equal(g_b, g)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=mixed_rows(), alpha=st.sampled_from([1.1, 1.55, 2.0]),
+           block=st.sampled_from([1, 5, 16]))
+    def test_equals_the_full_array_solve(self, case, alpha, block):
+        vals, indptr, _ = case
+        ref_p, ref_tau = reference_solve(vals, indptr, alpha)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(entmax_module, "_SOLVE_BLOCK_FLOATS", block)
+            p, tau = entmax_module._solve(vals, indptr, alpha)
+        np.testing.assert_array_equal(p, ref_p)
+        np.testing.assert_array_equal(tau, ref_tau)
+
+    def test_working_memory_is_the_output_plus_one_block(self):
+        # about 20 blocks of 4 heads; the full-array solve peaked at about 3x
+        # the output (a scaled copy, a repeated max and the first solve's p)
+        rng = np.random.default_rng(21)
+        lens = rng.integers(20, 200, size=3000)
+        indptr = np.concatenate([[0], np.cumsum(lens)])
+        vals = rng.normal(size=(indptr[-1], 4)) * 3.0
+        assert len(entmax_module._row_blocks(indptr, 4)) >= 10
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            p = segment_entmax(vals, indptr, 1.55)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * p.nbytes, peak / p.nbytes
 
     def test_blocks_that_converge_early_catch_up(self, monkeypatch):
         # a row of near-equal scores and a row of widely spread ones converge

@@ -208,10 +208,11 @@ class TestUpdateEdgeWeights:
         np.testing.assert_array_equal(g.indices[out.kept], out.indices)
         if out.num_edges:
             labels = rng.integers(0, 3, size=n)
-            np.testing.assert_array_equal(
-                _refinement_coeff_grad(g, out, rec, 0.3, labels, heads),
-                reference_refinement_coeff_grad(g, expected, rec, 0.3, labels, heads),
-            )
+            # one column that broadcasts over the heads; the reference is per head
+            want = reference_refinement_coeff_grad(g, expected, rec, 0.3, labels, heads)
+            got = _refinement_coeff_grad(g, out, rec, 0.3, labels, heads)
+            assert got.shape == (s.src.size, 1)
+            np.testing.assert_array_equal(np.broadcast_to(got, want.shape), want)
 
     def test_mismatched_graph_rejected(self):
         g = build_graph(2, [0], [1], [1.0])
