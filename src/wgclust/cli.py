@@ -88,15 +88,14 @@ def _load_train_config(args) -> TrainConfig:
     return config.replace(**overrides) if overrides else config
 
 
-def _write_assignment(path, assignment: ClusterAssignment, node_ids=None) -> None:
+def _write_assignment(path, assignment: ClusterAssignment, g: graphio.WeightedGraph) -> None:
     k = assignment.cluster_count
     header = "node,label," + ",".join(f"Y_{j}" for j in range(k))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        for i in range(assignment.labels.size):
-            tok = node_ids[i] if node_ids is not None else str(i)
-            row = ",".join(repr(float(y)) for y in assignment.memberships[i])
-            fh.write(f"{tok},{int(assignment.labels[i])},{row}\n")
+        for tok, label, memberships in zip(g.node_ids, assignment.labels, assignment.memberships):
+            row = ",".join(repr(float(y)) for y in memberships)
+            fh.write(f"{tok},{int(label)},{row}\n")
 
 
 def _read_assignment_labels(path) -> dict[str, int]:
@@ -132,7 +131,7 @@ def cmd_build_ml100k(args) -> int:
     g = labeled.graph
     edges, labels_path = out / "edges.tsv", out / "labels.tsv"
     graphio.save_edge_list(g, edges)
-    graphio.save_labels(labeled.labels, labels_path, node_ids=g.node_ids)
+    graphio.save_labels(labeled, labels_path)
     graphio.save_id_map(g, out / "id_map.tsv")
     (out / "report.json").write_text(report.to_json(), encoding="utf-8")
     print(
@@ -155,7 +154,7 @@ def cmd_synth(args) -> int:
     g = labeled.graph
     outputs = [out / "edges.tsv", out / "labels.tsv"]
     noise_info = {}
-    if args.noise_fraction > 0:
+    if args.noise_fraction != 0:  # inject_noise_edges rejects nan, inf and negatives
         g, added = graphio.inject_noise_edges(
             g, args.noise_fraction, args.seed + 1, unit_weight=args.noise_unit_weight
         )
@@ -166,7 +165,7 @@ def cmd_synth(args) -> int:
         outputs.append(noise_path)
         noise_info = {"noise_fraction": args.noise_fraction, "noise_edges": len(added)}
     graphio.save_edge_list(g, out / "edges.tsv")
-    graphio.save_labels(labeled.labels, out / "labels.tsv")
+    graphio.save_labels(labeled, out / "labels.tsv")
     print(f"synthesized graph: {g.n} nodes, {g.num_edges} edges, {labeled.cluster_count} blocks")
     cfg = {"nodes": args.nodes, "clusters": args.clusters, "p_in": args.p_in,
            "p_out": args.p_out, "w_in_mean": args.w_in_mean, "w_out_mean": args.w_out_mean,
@@ -184,12 +183,10 @@ def cmd_contract(args) -> int:
     graphio.save_edge_list(sel.subgraph, out / "subgraph_edges.tsv")
     with open(out / "selection.tsv", "w", encoding="utf-8") as fh:
         for new, old in enumerate(sel.selected):
-            tok = g.node_ids[old] if g.node_ids else str(int(old))
-            fh.write(f"{tok}\t{new}\n")
+            fh.write(f"{g.node_ids[old]}\t{new}\n")
     with open(out / "cores.tsv", "w", encoding="utf-8") as fh:
         for c in sel.core_nodes:
-            tok = g.node_ids[c] if g.node_ids else str(int(c))
-            fh.write(f"{tok}\n")
+            fh.write(f"{g.node_ids[c]}\n")
     print(
         f"contracted {g.n} nodes / {g.num_edges} edges -> "
         f"{sel.subgraph.n} nodes / {sel.subgraph.num_edges} edges"
@@ -210,7 +207,7 @@ def _run_single_training(edges_path, clusters, config: TrainConfig, outdir: Path
     save_checkpoint(model, outdir / "checkpoint.npz")
     write_loss_history(model, outdir / "loss_history.csv")
     (outdir / "config_echo.txt").write_text(config_to_text(config), encoding="utf-8")
-    _write_assignment(outdir / "assignment.csv", assignment, node_ids=g.node_ids)
+    _write_assignment(outdir / "assignment.csv", assignment, g)
     edges_before = g.num_edges
     edges_after = model.selection.subgraph.num_edges if model.selection else g.num_edges
     return seconds, edges_before, edges_after
@@ -252,7 +249,7 @@ def cmd_infer(args) -> int:
     model = load_checkpoint(args.checkpoint)
     g = graphio.load_edge_list(args.edges)
     assignment = infer(g, model, cluster_count=args.clusters)
-    _write_assignment(out / "assignment.csv", assignment, node_ids=g.node_ids)
+    _write_assignment(out / "assignment.csv", assignment, g)
     print(f"inferred labels for {g.n} nodes")
     _write_manifest(out, "infer", dataclasses.asdict(model.config), [args.checkpoint, args.edges],
                     [out / "assignment.csv"], time.perf_counter() - t0)
@@ -290,14 +287,12 @@ def cmd_attention_dump(args) -> int:
     _, record = infer(g, model, return_attention=True)
     s = record.structure
     avg = record.final_head_average()
+    names = g.node_ids
     path = out / "attention.csv"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("i,j,a_ij\n")
-        for e in range(s.src.size):
-            i, j = int(s.src[e]), int(s.dst[e])
-            ti = g.node_ids[i] if g.node_ids else str(i)
-            tj = g.node_ids[j] if g.node_ids else str(j)
-            fh.write(f"{ti},{tj},{float(avg[e])!r}\n")
+        for i, j, a in zip(s.src, s.dst, avg):
+            fh.write(f"{names[i]},{names[j]},{float(a)!r}\n")
     print(f"dumped {s.src.size} attention coefficients to {path}")
     _write_manifest(out, "attention-dump", {}, [args.checkpoint, args.edges], [path],
                     time.perf_counter() - t0)

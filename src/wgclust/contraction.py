@@ -21,7 +21,6 @@ from .graph import WeightedGraph, induce_subgraph
 __all__ = [
     "ContractionConfig",
     "SubgraphSelection",
-    "distance_to_cores",
     "rank_score",
     "select_core_nodes",
     "personalized_pagerank",
@@ -99,19 +98,6 @@ def _unreachable_sentinel(g: WeightedGraph, mode: str) -> float:
     return g.n * max_len
 
 
-def distance_to_cores(g: WeightedGraph, cores, mode: str = "reciprocal") -> np.ndarray:
-    """Sum of shortest-path distances from every node to each core.
-
-    Edge length is 1/w ("reciprocal", strong ties are short) or 1 ("unit").
-    Unreachable pairs contribute the sentinel n * max_edge_length so
-    disconnected nodes rank as maximally distant without infinities.
-    """
-    cores = np.asarray(cores, dtype=np.int64)
-    if cores.size == 0:
-        raise ValueError("core set is empty")
-    return _distance_sum(_length_csr(g, mode), _unreachable_sentinel(g, mode), cores)
-
-
 def _distance_sum(lengths: sp.csr_matrix, sentinel: float, cores) -> np.ndarray:
     # the stored CSR holds both directions of every edge, so a directed
     # search gives the undirected distances without a transpose per call
@@ -137,7 +123,9 @@ def select_core_nodes(g: WeightedGraph, config: ContractionConfig, cluster_count
     The first core is the densest node; each later round scores the remaining
     candidates by blending their density rank with the rank of summed
     distance to the cores chosen so far, and takes the argmax (ties to the
-    lowest id).
+    lowest id). Edge length is 1/w ("reciprocal", strong ties are short) or
+    1 ("unit"); an unreachable pair counts n times the longest edge, so a
+    disconnected node ranks as maximally distant without infinities.
     """
     o = config.resolved_core_count(g.n, cluster_count)
     rho = g.weighted_degree()  # density: summed incident edge weight
@@ -214,5 +202,5 @@ def contract(g: WeightedGraph, config: ContractionConfig, cluster_count=None) ->
     keep = best > config.importance_threshold
     keep[cores] = True
     selected = np.flatnonzero(keep)
-    subgraph, _ = induce_subgraph(g, selected)
+    subgraph = induce_subgraph(g, selected)
     return SubgraphSelection(selected=selected, core_nodes=np.sort(cores), subgraph=subgraph)

@@ -5,7 +5,8 @@ undirected edge appears as two directed entries, rows sorted by node id and
 neighbor ids sorted within each row. Absent edges are never stored; weights
 are strictly positive 64-bit floats (fractional weights appear once training
 starts refining them). Self-loops are rejected on input; the attention layer
-synthesizes its own.
+synthesizes its own. Every graph names node i by the token ``node_ids[i]``
+(``str(i)`` unless ids were given), and every writer uses those tokens.
 """
 
 from __future__ import annotations
@@ -49,9 +50,10 @@ class WeightedGraph:
         Neighbor ids, sorted within each row.
     weights : (2E,) float64
         Positive edge weights; entry (i -> j) and (j -> i) carry the same value.
-    node_ids : tuple of str, optional
-        Original external ids (position = dense id) when the graph was loaded
-        from a file with arbitrary ids.
+    node_ids : tuple of str
+        The token that names each node in files (position = dense id): the
+        external ids of a loaded graph, ``str(i)`` when none are given. Every
+        writer names node i by ``node_ids[i]``.
     """
 
     n: int
@@ -63,6 +65,8 @@ class WeightedGraph:
     def __post_init__(self):
         for arr in (self.indptr, self.indices, self.weights):
             arr.flags.writeable = False
+        if self.node_ids is None:
+            object.__setattr__(self, "node_ids", tuple(map(str, range(self.n))))
 
     @property
     def num_edges(self) -> int:
@@ -79,11 +83,6 @@ class WeightedGraph:
         src = np.repeat(np.arange(self.n), np.diff(self.indptr))
         return np.bincount(src, weights=self.weights, minlength=self.n)
 
-    def neighbors(self, i: int) -> list[tuple[int, float]]:
-        """Sorted (neighbor, weight) pairs of node i."""
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        return [(int(j), float(w)) for j, w in zip(self.indices[lo:hi], self.weights[lo:hi])]
-
     def directed_src(self) -> np.ndarray:
         """Source node of every directed entry, aligned with ``indices``."""
         return np.repeat(np.arange(self.n), np.diff(self.indptr))
@@ -93,30 +92,6 @@ class WeightedGraph:
         src = self.directed_src()
         mask = src < self.indices
         return src[mask], self.indices[mask], self.weights[mask].copy()
-
-    def has_edge(self, u: int, v: int) -> bool:
-        lo, hi = self.indptr[u], self.indptr[u + 1]
-        k = np.searchsorted(self.indices[lo:hi], v)
-        return k < hi - lo and self.indices[lo + k] == v
-
-    def check_invariants(self) -> None:
-        """Full-scan validation of symmetry, positivity, and sorted rows."""
-        if np.any(self.weights <= 0):
-            raise AssertionError("non-positive stored weight")
-        src = self.directed_src()
-        if np.any(src == self.indices):
-            raise AssertionError("stored self-loop")
-        for i in range(self.n):
-            lo, hi = self.indptr[i], self.indptr[i + 1]
-            row = self.indices[lo:hi]
-            if np.any(np.diff(row) <= 0):
-                raise AssertionError(f"row {i} not strictly sorted")
-        # symmetry with identical weights
-        order = np.lexsort((src, self.indices))
-        if not np.array_equal(self.indices[order], src):
-            raise AssertionError("asymmetric structure")
-        if not np.array_equal(self.weights[order], self.weights):
-            raise AssertionError("asymmetric weights")
 
 
 @dataclass(frozen=True)
@@ -275,21 +250,21 @@ def _raise_first_fault(path, linenos, kept, three, faults, toks, wtoks):
 
 
 def save_edge_list(g: WeightedGraph, path) -> None:
-    """Write one `u<TAB>v<TAB>w` line per undirected edge (decimal round-trip exact)."""
+    """Write one `u<TAB>v<TAB>w` line per undirected edge, nodes named by their tokens.
+
+    The weights are written as ``repr`` of the float, so they round-trip exactly.
+    """
     u, v, w = g.edge_arrays()
-    names = g.node_ids if g.node_ids is not None else None
+    names = g.node_ids
     with open(path, "w", encoding="utf-8") as fh:
         for a, b, x in zip(u, v, w):
-            sa = names[a] if names else str(int(a))
-            sb = names[b] if names else str(int(b))
-            fh.write(f"{sa}\t{sb}\t{float(x)!r}\n")
+            fh.write(f"{names[a]}\t{names[b]}\t{float(x)!r}\n")
 
 
 def save_id_map(g: WeightedGraph, path) -> None:
-    """Persist the external-id -> dense-id remap table (`old<TAB>new`)."""
+    """Persist the token -> dense-id remap table (`old<TAB>new`)."""
     with open(path, "w", encoding="utf-8") as fh:
-        names = g.node_ids if g.node_ids is not None else [str(i) for i in range(g.n)]
-        for dense, old in enumerate(names):
+        for dense, old in enumerate(g.node_ids):
             fh.write(f"{old}\t{dense}\n")
 
 
@@ -324,26 +299,26 @@ def load_labels(path) -> dict[str, int]:
     return labels
 
 
-def save_labels(labels: np.ndarray, path, node_ids=None) -> None:
+def save_labels(labeled: LabeledGraph, path) -> None:
+    """Write one `node<TAB>label` line per node, named by the graph's tokens."""
     with open(path, "w", encoding="utf-8") as fh:
-        for i, lab in enumerate(labels):
-            tok = node_ids[i] if node_ids is not None else str(i)
+        for tok, lab in zip(labeled.graph.node_ids, labeled.labels):
             fh.write(f"{tok}\t{int(lab)}\n")
 
 
-def induce_subgraph(g: WeightedGraph, nodes: np.ndarray) -> tuple[WeightedGraph, np.ndarray]:
-    """Subgraph on ``nodes`` (sorted unique ids); returns (subgraph, old_to_new).
+def induce_subgraph(g: WeightedGraph, nodes: np.ndarray) -> WeightedGraph:
+    """Subgraph on ``nodes`` (sorted unique ids).
 
     Keeps exactly the edges with both endpoints selected, weights unchanged.
-    ``old_to_new[i]`` is the new id or -1 for unselected nodes.
+    ``nodes[i]`` becomes node i of the subgraph, whose tokens are its own
+    dense ids (``str(i)``).
     """
     nodes = np.asarray(nodes, dtype=np.int64)
     old_to_new = np.full(g.n, -1, dtype=np.int64)
     old_to_new[nodes] = np.arange(nodes.size)
     u, v, w = g.edge_arrays()
     keep = (old_to_new[u] >= 0) & (old_to_new[v] >= 0)
-    sub = build_graph(nodes.size, old_to_new[u[keep]], old_to_new[v[keep]], w[keep])
-    return sub, old_to_new
+    return build_graph(nodes.size, old_to_new[u[keep]], old_to_new[v[keep]], w[keep])
 
 
 def synth_weighted_sbm(n, K, p_in, p_out, w_in_mean, w_out_mean, seed) -> LabeledGraph:
@@ -352,12 +327,14 @@ def synth_weighted_sbm(n, K, p_in, p_out, w_in_mean, w_out_mean, seed) -> Labele
     Nodes split into K near-equal contiguous blocks. An intra-block pair gets
     an edge with probability ``p_in`` and weight ``1 + Poisson(w_in_mean - 1)``;
     inter-block pairs analogously with ``p_out`` / ``w_out_mean``. Deterministic
-    per seed.
+    per seed. A weight mean that is not finite and >= 1 raises ``ValueError``
+    naming it.
     """
     if not (0 <= p_out < p_in <= 1):
         raise ValueError("need 0 <= p_out < p_in <= 1")
-    if w_in_mean < 1 or w_out_mean < 1:
-        raise ValueError("weight means must be >= 1")
+    for name, mean in (("w_in_mean", w_in_mean), ("w_out_mean", w_out_mean)):
+        if not (1 <= mean < np.inf):
+            raise ValueError(f"{name} must be finite and >= 1, got {mean}")
     if not (1 <= K <= n):
         raise ValueError("need 1 <= K <= n")
     rng = np.random.default_rng(seed)
@@ -379,10 +356,11 @@ def inject_noise_edges(g, fraction, seed, unit_weight=False):
     Noise weights are drawn uniformly from the multiset of existing edge
     weights so noise is indistinguishable by weight alone; ``unit_weight``
     forces constant weight 1 instead. Returns (new graph, added edges as an
-    (m, 2) int array of (u, v) pairs with u < v).
+    (m, 2) int array of (u, v) pairs with u < v). A ``fraction`` that is not
+    finite and >= 0 raises ``ValueError``.
     """
-    if fraction < 0:
-        raise ValueError("fraction must be non-negative")
+    if not (0 <= fraction < np.inf):
+        raise ValueError(f"fraction must be finite and >= 0, got {fraction}")
     m = g.num_edges
     add = int(np.floor(fraction * m))
     u, v, w = g.edge_arrays()

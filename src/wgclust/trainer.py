@@ -113,7 +113,7 @@ def _select_training_graph(g, cluster_count, config):
         selection = SubgraphSelection(
             selected=nodes,
             core_nodes=np.empty(0, dtype=np.int64),
-            subgraph=induce_subgraph(g, nodes)[0],
+            subgraph=induce_subgraph(g, nodes),
         )
     if selection.selected.size < cluster_count:
         raise ValueError(
@@ -193,7 +193,11 @@ def train(g: WeightedGraph, cluster_count: int, config: TrainConfig) -> TrainedM
     epoch_rng = _rng(config.seed, _RNG_EPOCH)
     fcm_seed = int(_rng(config.seed, _RNG_FCM).integers(2**31))
 
-    adam = Adam([a.shape for a in params.flat_arrays()], config.learning_rate)
+    # Only the working graph's rows get a gradient, so Adam's state covers
+    # only those rows; a row whose gradient is always 0 would keep m = v = 0
+    # and move by exactly 0, so the result is the same as over the full table.
+    work = ModelParams(embedding=params.embedding[sub_nodes], layers=params.layers)
+    adam = Adam([a.shape for a in work.flat_arrays()], config.learning_rate)
     history: list[LossBreakdown] = []
     best_total = np.inf
     stall = 0
@@ -207,17 +211,12 @@ def train(g: WeightedGraph, cluster_count: int, config: TrainConfig) -> TrainedM
         return assignment.labels, draw_structure_samples(refined, sampler, epoch_rng)
 
     for epoch in range(config.epochs):
-        sub_model = ModelParams(embedding=params.embedding[sub_nodes], layers=params.layers)
         try:
-            breakdown, grads = _epoch_step(structure, sub_model, config, cluster_and_sample)
+            breakdown, grads = _epoch_step(structure, work, config, cluster_and_sample)
         except RuntimeError as exc:
             raise RuntimeError(f"epoch {epoch}: {exc}") from None
         history.append(breakdown)
-
-        full_emb_grad = np.zeros_like(params.embedding)
-        full_emb_grad[sub_nodes] = grads.embedding
-        grads_full = ModelParams(embedding=full_emb_grad, layers=grads.layers)
-        adam.step(params.flat_arrays(), grads_full.flat_arrays())
+        adam.step(work.flat_arrays(), grads.flat_arrays())
 
         if best_total - breakdown.total < MIN_LOSS_IMPROVEMENT:
             stall += 1
@@ -227,6 +226,7 @@ def train(g: WeightedGraph, cluster_count: int, config: TrainConfig) -> TrainedM
         if config.patience > 0 and stall >= config.patience:
             break
 
+    params.embedding[sub_nodes] = work.embedding
     return TrainedModel(
         params=params,
         cluster_count=cluster_count,

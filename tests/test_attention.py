@@ -29,6 +29,8 @@ from wgclust.entmax import (
 from wgclust.config import TrainConfig
 from wgclust.graph import build_graph, synth_weighted_sbm
 
+from graph_helpers import neighbors
+
 
 def straight_line_layer(g, h_in, params, alpha, use_factor=True, use_entmax=True,
                         self_loop_mode="max"):
@@ -39,7 +41,7 @@ def straight_line_layer(g, h_in, params, alpha, use_factor=True, use_entmax=True
     per_head = np.zeros((heads, n, d_out))
     coeffs = {}
     for i in range(n):
-        nbrs = g.neighbors(i)
+        nbrs = neighbors(g, i)
         if nbrs:
             row_w = [w for _, w in nbrs]
             w_self = {"max": max, "min": min}.get(self_loop_mode, lambda x: sum(x) / len(x))(row_w)
@@ -71,7 +73,7 @@ def straight_line_layer(g, h_in, params, alpha, use_factor=True, use_entmax=True
 
 def per_node_factors(g, i, mode="max"):
     """Node-by-node reference for f_iz, keyed by candidate id (including i)."""
-    nbrs = g.neighbors(i)
+    nbrs = neighbors(g, i)
     if not nbrs:
         return {i: 1.0}
     row_w = [w for _, w in nbrs]

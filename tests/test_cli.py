@@ -118,6 +118,23 @@ class TestSynth:
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert len(lines) == manifest["config"]["noise_edges"]
 
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--noise-fraction", "inf", "fraction"),
+        ("--noise-fraction", "nan", "fraction"),
+        ("--noise-fraction", "-0.1", "fraction"),
+        ("--w-in-mean", "nan", "w_in_mean"),
+        ("--w-in-mean", "inf", "w_in_mean"),
+        ("--w-out-mean", "nan", "w_out_mean"),
+    ])
+    def test_bad_float_is_an_error_naming_the_field(self, tmp_path, capsys, flag, value, field):
+        code = run_cli(
+            "synth", "--nodes", 30, "--clusters", 2, "--p-in", 0.6, "--p-out", 0.1,
+            flag, value, "--seed", 3, "--out", tmp_path / "bad",
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and field in err, err
+
 
 class TestContract:
     def test_contract_outputs(self, synth_dir, tmp_path):

@@ -10,12 +10,26 @@ from wgclust.contraction import (
     PPR_TOL,
     ContractionConfig,
     contract,
-    distance_to_cores,
     personalized_pagerank,
     rank_score,
     select_core_nodes,
 )
 from wgclust.graph import build_graph, synth_weighted_sbm
+
+from graph_helpers import neighbors
+
+
+def distance_to_cores(g, cores, mode="reciprocal"):
+    """Summed undirected shortest-path distance from every node to each core.
+
+    Edge length is 1/w ("reciprocal") or 1 ("unit"); an unreachable pair
+    counts n times the longest edge. The reference for core selection.
+    """
+    lengths = 1.0 / g.weights if mode == "reciprocal" else np.ones_like(g.weights)
+    mat = sp.csr_matrix((lengths, g.indices, g.indptr), shape=(g.n, g.n))
+    dist = sp.csgraph.dijkstra(mat, directed=False, indices=cores)
+    dist[~np.isfinite(dist)] = g.n * lengths.max()
+    return dist.sum(axis=0)
 
 
 def two_cliques_graph():
@@ -115,16 +129,17 @@ class TestDistanceToCores:
 
     @pytest.mark.parametrize("mode", ["reciprocal", "unit"])
     def test_equals_undirected_search(self, mode):
-        # the stored CSR holds both directions, so the directed search used
-        # here must give the undirected distances exactly
+        # the stored CSR holds both directions, so the directed search core
+        # selection runs must give the undirected distances exactly
         g = synth_weighted_sbm(80, 3, 0.2, 0.02, 3.0, 1.0, seed=21).graph
         g = build_graph(g.n + 1, *g.edge_arrays())  # plus an unreachable node
         cores = [0, 17, 40]
-        lengths = 1.0 / g.weights if mode == "reciprocal" else np.ones_like(g.weights)
-        mat = sp.csr_matrix((lengths, g.indices, g.indptr), shape=(g.n, g.n))
-        dist = sp.csgraph.dijkstra(mat, directed=False, indices=cores)
-        dist[~np.isfinite(dist)] = g.n * (lengths.max())
-        assert np.array_equal(distance_to_cores(g, cores, mode), dist.sum(axis=0))
+        got = contraction_module._distance_sum(
+            contraction_module._length_csr(g, mode),
+            contraction_module._unreachable_sentinel(g, mode),
+            cores,
+        )
+        assert np.array_equal(got, distance_to_cores(g, cores, mode))
 
 
 class TestRankScore:
@@ -183,7 +198,7 @@ class TestSelectCoreNodes:
     @pytest.mark.parametrize("mode", ["reciprocal", "unit"])
     def test_equals_per_round_distance_to_cores(self, mode):
         # the selection builds the edge lengths once; a loop that calls the
-        # public distance_to_cores every round must pick the same cores
+        # reference distance_to_cores every round must pick the same cores
         g = synth_weighted_sbm(80, 3, 0.2, 0.02, 3.0, 1.0, seed=22).graph
         g = build_graph(g.n + 1, *g.edge_arrays())  # plus an unreachable node
         config = ContractionConfig(core_count=7, density_weight=0.3, distance_mode=mode)
@@ -248,10 +263,10 @@ class TestPersonalizedPagerank:
         g = lab.graph
         dense = np.zeros((g.n, g.n))
         for i in range(g.n):
-            for j, w in g.neighbors(i):
+            for j, w in neighbors(g, i):
                 dense[j, i] = 0.0  # filled below symmetrically
         for i in range(g.n):
-            for j, w in g.neighbors(i):
+            for j, w in neighbors(g, i):
                 dense[i, j] = w
         deg = dense.sum(axis=0)
         trans = np.divide(dense, deg, out=np.zeros_like(dense), where=deg > 0)
@@ -308,8 +323,8 @@ class TestContract:
         g = lab.graph
         sel = contract(g, ContractionConfig(core_count=4, importance_threshold=0.005))
         for i_new in range(sel.subgraph.n):
-            old_row = dict(g.neighbors(int(sel.selected[i_new])))
-            for j_new, w in sel.subgraph.neighbors(i_new):
+            old_row = dict(neighbors(g, int(sel.selected[i_new])))
+            for j_new, w in neighbors(sel.subgraph, i_new):
                 assert old_row[int(sel.selected[j_new])] == w
 
     def test_default_core_count_rule(self):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import wgclust.graph as graph_module
 from wgclust.graph import (
+    LabeledGraph,
     build_graph,
     induce_subgraph,
     inject_noise_edges,
@@ -18,6 +19,8 @@ from wgclust.graph import (
     save_labels,
     synth_weighted_sbm,
 )
+
+from graph_helpers import assert_invariants, has_edge, neighbors
 
 
 def reference_load_edge_list(path):
@@ -99,13 +102,13 @@ class TestBuildGraph:
     def test_single_edge(self):
         g = build_graph(2, [0], [1], [2.0])
         assert g.n == 2
-        assert g.neighbors(0) == [(1, 2.0)]
-        assert g.neighbors(1) == [(0, 2.0)]
+        assert neighbors(g, 0) == [(1, 2.0)]
+        assert neighbors(g, 1) == [(0, 2.0)]
         assert g.total_weight_2m == 4.0
 
     def test_duplicates_sum(self):
         g = build_graph(2, [0, 1], [1, 0], [1.0, 1.0])
-        assert g.neighbors(0) == [(1, 2.0)]
+        assert neighbors(g, 0) == [(1, 2.0)]
 
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):
@@ -117,12 +120,12 @@ class TestBuildGraph:
 
     def test_total_weight_matches_double_sum(self):
         g = build_graph(4, [0, 1, 2], [1, 2, 3], [1.5, 2.5, 0.25])
-        recomputed = sum(w for i in range(g.n) for _, w in g.neighbors(i))
+        recomputed = sum(w for i in range(g.n) for _, w in neighbors(g, i))
         assert abs(g.total_weight_2m - recomputed) <= 1e-12 * recomputed
 
     def test_invariants_scan(self):
         g = build_graph(5, [0, 0, 1, 3], [1, 2, 4, 4], [1.0, 2.0, 3.0, 4.0])
-        g.check_invariants()
+        assert_invariants(g)
 
     @settings(max_examples=40)
     @given(n=st.integers(2, 30), m=st.integers(1, 200), seed=st.integers(0, 10_000))
@@ -148,19 +151,19 @@ class TestEdgeListIO:
         p.write_text("0\t1\t2.0\n")
         g = load_edge_list(p)
         assert g.n == 2
-        assert g.neighbors(0) == [(1, 2.0)]
+        assert neighbors(g, 0) == [(1, 2.0)]
 
     def test_duplicate_lines_sum(self, tmp_path):
         p = tmp_path / "e.tsv"
         p.write_text("0\t1\t1.0\n0\t1\t1.0\n")
         g = load_edge_list(p)
-        assert g.neighbors(0) == [(1, 2.0)]
+        assert neighbors(g, 0) == [(1, 2.0)]
 
     def test_reversed_duplicate_is_same_edge(self, tmp_path):
         p = tmp_path / "e.tsv"
         p.write_text("0\t1\t1.0\n1\t0\t0.5\n")
         g = load_edge_list(p)
-        assert g.neighbors(0) == [(1, 1.5)]
+        assert neighbors(g, 0) == [(1, 1.5)]
 
     def test_empty_file_errors(self, tmp_path):
         p = tmp_path / "e.tsv"
@@ -208,7 +211,7 @@ class TestEdgeListIO:
         p.write_bytes(b"# header\r\n0 1  2.0\r\n\r\n 1\t2\t0.5 \r\n")
         g = load_edge_list(p)
         assert g.node_ids == ("0", "1", "2")
-        assert g.neighbors(1) == [(0, 2.0), (2, 0.5)]
+        assert neighbors(g, 1) == [(0, 2.0), (2, 0.5)]
 
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -323,8 +326,14 @@ class TestLabelIO:
     def test_round_trip(self, tmp_path):
         labels = np.array([0, 2, 1, 1])
         p = tmp_path / "labels.tsv"
-        save_labels(labels, p)
+        save_labels(LabeledGraph(build_graph(4, [0], [1], [1.0]), labels, 3), p)
         assert load_labels(p) == {"0": 0, "1": 2, "2": 1, "3": 1}
+
+    def test_rows_are_named_by_the_graph_tokens(self, tmp_path):
+        g = build_graph(3, [0], [2], [1.0], node_ids=("movie_9", "x", "é"))
+        p = tmp_path / "labels.tsv"
+        save_labels(LabeledGraph(g, np.array([1, 0, 1]), 2), p)
+        assert p.read_text(encoding="utf-8") == "movie_9\t1\nx\t0\né\t1\n"
 
     def test_comments_blanks_and_whitespace_rows(self, tmp_path):
         p = tmp_path / "labels.tsv"
@@ -369,9 +378,9 @@ class TestSyntheticBlocks:
         g = lab.graph
         assert np.array_equal(lab.labels, [0, 0, 0, 0, 1, 1, 1, 1])
         for i in range(4):
-            assert [j for j, _ in g.neighbors(i)] == [x for x in range(4) if x != i]
+            assert [j for j, _ in neighbors(g, i)] == [x for x in range(4) if x != i]
         for i in range(4, 8):
-            assert [j for j, _ in g.neighbors(i)] == [x for x in range(4, 8) if x != i]
+            assert [j for j, _ in neighbors(g, i)] == [x for x in range(4, 8) if x != i]
 
     def test_determinism(self):
         a = synth_weighted_sbm(120, 4, 0.5, 0.05, 5.0, 1.0, seed=42)
@@ -431,8 +440,8 @@ class TestNoiseInjection:
             assert (int(a), int(b)) not in original
         # every original edge keeps its weight
         for (a, b, x) in zip(u, v, w):
-            assert noisy.has_edge(int(a), int(b))
-            row = dict(noisy.neighbors(int(a)))
+            assert has_edge(noisy, int(a), int(b))
+            row = dict(neighbors(noisy, int(a)))
             assert row[int(b)] == x
 
     def test_noise_weights_from_empirical_distribution(self):
@@ -456,20 +465,52 @@ class TestNoiseInjection:
             inject_noise_edges(g, 0.5, seed=0)
 
 
+class TestNodeTokens:
+    def test_graph_without_ids_is_named_by_dense_ids(self):
+        g = build_graph(5, [0, 3], [1, 4], [1.0, 2.0])
+        assert g.node_ids == ("0", "1", "2", "3", "4")
+
+    def test_induced_subgraph_is_named_by_its_own_dense_ids(self):
+        g = build_graph(5, [0, 1, 3], [1, 3, 4], [1.0, 2.0, 3.0], node_ids=tuple("abcde"))
+        sub = induce_subgraph(g, np.array([1, 3, 4]))
+        assert sub.node_ids == ("0", "1", "2")
+
+    def test_noisy_graph_keeps_the_tokens(self):
+        g = build_graph(6, [0, 2], [1, 3], [1.0, 2.0], node_ids=tuple("uvwxyz"))
+        noisy, _ = inject_noise_edges(g, 1.0, seed=0)
+        assert noisy.node_ids == tuple("uvwxyz")
+
+    def test_synthetic_graph_round_trips_by_token(self, tmp_path):
+        g = synth_weighted_sbm(30, 3, 0.5, 0.1, 4.0, 1.0, seed=2).graph
+        p = tmp_path / "e.tsv"
+        save_edge_list(g, p)
+        g2 = load_edge_list(p)
+
+        def named_edges(graph):
+            u, v, w = graph.edge_arrays()
+            names = graph.node_ids
+            return sorted((*sorted((names[a], names[b])), x) for a, b, x in zip(u, v, w))
+
+        assert named_edges(g2) == named_edges(g)
+        assert sorted(g2.node_ids) == sorted(g.node_ids)
+
+
 class TestInducedSubgraph:
     def test_weights_are_exact_restriction(self):
         lab = synth_weighted_sbm(30, 3, 0.5, 0.1, 4.0, 1.0, seed=11)
         g = lab.graph
         nodes = np.array([0, 1, 2, 5, 8, 13, 21])
-        sub, old_to_new = induce_subgraph(g, nodes)
+        sub = induce_subgraph(g, nodes)
+        old_to_new = np.full(g.n, -1)
+        old_to_new[nodes] = np.arange(nodes.size)
         for a in nodes:
-            for b, w in g.neighbors(int(a)):
+            for b, w in neighbors(g, int(a)):
                 if old_to_new[b] >= 0:
-                    row = dict(sub.neighbors(int(old_to_new[a])))
+                    row = dict(neighbors(sub, int(old_to_new[a])))
                     assert row[int(old_to_new[b])] == w
         inside = set(nodes.tolist())
         expected = sum(
-            1 for a in nodes for b, _ in g.neighbors(int(a)) if b in inside
+            1 for a in nodes for b, _ in neighbors(g, int(a)) if b in inside
         ) // 2
         assert sub.num_edges == expected
 
@@ -487,8 +528,8 @@ def test_symmetry_invariant_random_graphs(n, seed):
         return
     w = rng.random(int(keep.sum())) + 0.1
     g = build_graph(n, iu[keep], ju[keep], w)
-    g.check_invariants()
+    assert_invariants(g)
     capacity = n * (n - 1) // 2 - g.num_edges
     if int(0.5 * g.num_edges) <= capacity:
         noisy, _ = inject_noise_edges(g, 0.5, seed=seed + 1)
-        noisy.check_invariants()
+        assert_invariants(noisy)

@@ -24,6 +24,8 @@ from wgclust.losses import (
 )
 from wgclust.trainer import _refinement_coeff_grad
 
+from graph_helpers import has_edge, neighbors
+
 
 def _raise_timeout(signum, frame):
     raise TimeoutError("draw_structure_samples did not return")
@@ -130,7 +132,7 @@ def brute_force_modularity(g, labels):
     n = g.n
     w = np.zeros((n, n))
     for i in range(n):
-        for j, x in g.neighbors(i):
+        for j, x in neighbors(g, i):
             w[i, j] = x
     two_m = w.sum()
     k = w.sum(axis=1)
@@ -156,20 +158,26 @@ class TestUpdateEdgeWeights:
         g = build_graph(2, [0], [1], [4.0])
         rec = record_with_coefficients(g, {(0, 1): 1.0, (1, 0): 1.0})
         out = update_edge_weights(g, rec)
-        assert out.neighbors(0) == [(1, 4.0)]
+        assert neighbors(out, 0) == [(1, 4.0)]
 
     def test_zero_attention_removes_edge(self):
         g = build_graph(3, [0, 1], [1, 2], [4.0, 2.0])
         rec = record_with_coefficients(g, {(0, 1): 0.0, (1, 0): 0.0, (1, 2): 0.5, (2, 1): 0.5})
         out = update_edge_weights(g, rec)
-        assert not out.has_edge(0, 1)
-        assert out.has_edge(1, 2)
+        assert not has_edge(out, 0, 1)
+        assert has_edge(out, 1, 2)
+
+    @pytest.mark.parametrize("node_ids, want", [(None, ("0", "1", "2")), (("x", "y", "z"),) * 2])
+    def test_refined_graph_keeps_the_tokens(self, node_ids, want):
+        g = build_graph(3, [0, 1], [1, 2], [4.0, 2.0], node_ids=node_ids)
+        rec = record_with_coefficients(g, {(0, 1): 0.0, (1, 0): 0.0, (1, 2): 0.5, (2, 1): 0.5})
+        assert update_edge_weights(g, rec).node_ids == want
 
     def test_asymmetric_attention_arithmetic(self):
         g = build_graph(2, [0], [1], [10.0])
         rec = record_with_coefficients(g, {(0, 1): 0.4, (1, 0): 0.2})
         out = update_edge_weights(g, rec)
-        assert out.neighbors(0) == [(1, pytest.approx(3.0))]
+        assert neighbors(out, 0) == [(1, pytest.approx(3.0))]
 
     def test_never_increases_weights(self):
         lab = synth_weighted_sbm(20, 2, 0.5, 0.2, 3.0, 1.0, seed=0)
@@ -361,7 +369,7 @@ class TestStructureLoss:
         for i in range(g.n):
             if not samples.active[i]:
                 continue
-            nbrs = {j for j, _ in g.neighbors(i)}
+            nbrs = {j for j, _ in neighbors(g, i)}
             for v in samples.negatives[i]:
                 assert v != i and v not in nbrs
 

@@ -8,6 +8,8 @@ import pytest
 
 from wgclust.ml100k import GENRES, build_ml100k
 
+from graph_helpers import neighbors
+
 
 def write_items(path, genres_by_movie):
     """genres_by_movie: movie id -> iterable of genre column indices."""
@@ -49,7 +51,7 @@ class TestEdgeConstruction:
         g = labeled.graph
         assert g.num_edges == 1
         i, j = g.node_ids.index("1"), g.node_ids.index("2")
-        assert dict(g.neighbors(i))[j] == 2.0
+        assert dict(neighbors(g, i))[j] == 2.0
 
     def test_accumulation_across_users(self, raw):
         udata, uitem = raw(
@@ -59,7 +61,7 @@ class TestEdgeConstruction:
         labeled, _ = build_ml100k(udata, uitem)
         g = labeled.graph
         i, j = g.node_ids.index("1"), g.node_ids.index("2")
-        assert dict(g.neighbors(i))[j] == 2.0
+        assert dict(neighbors(g, i))[j] == 2.0
 
     def test_consecutive_repeat_movie_skipped(self, raw):
         udata, uitem = raw(

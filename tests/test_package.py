@@ -1,7 +1,11 @@
-"""The public names: every module's __all__ resolves, and the package root re-exports them."""
+"""The public names: every module's __all__ resolves, the package root re-exports them,
+and each is used by the package or the benchmark, or documented."""
 
+import ast
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -29,3 +33,47 @@ def test_package_root_names_are_public_module_names():
         if not attr.startswith("_") and attr not in MODULES
     }
     assert root <= public, f"root names no module exports: {sorted(root - public)}"
+
+
+def _names_used(tree: ast.AST) -> set[str]:
+    """Names read, attributes read and names imported in ``tree``.
+
+    A use inside the def or class that binds the same name (recursion, a
+    method naming its class) does not count; docstrings are not code.
+    """
+    used: set[str] = set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        name = None
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            name = node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name.rpartition(".")[2]
+        if name is not None and name not in inside:
+            used.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, frozenset())
+    return used
+
+
+def test_every_public_name_is_used_or_documented():
+    """No public API that only tests call: each __all__ name is used by the package or
+    the benchmark, or is documented in README.md."""
+    root = Path(wgclust.__file__).resolve().parent.parent.parent
+    files = sorted(Path(wgclust.__file__).parent.glob("*.py")) + sorted(
+        (root / "benchmarks").rglob("*.py"))
+    used = set().union(*(_names_used(ast.parse(p.read_text(encoding="utf-8"))) for p in files))
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    unused = [
+        f"wgclust.{name}.{attr}"
+        for name in MODULES
+        for attr in getattr(importlib.import_module(f"wgclust.{name}"), "__all__", [])
+        if attr not in used and not re.search(rf"\b{re.escape(attr)}\b", readme)
+    ]
+    assert not unused, f"public names nothing but tests use: {unused}"
