@@ -30,6 +30,8 @@ from .metrics import evaluate
 from .ml100k import build_ml100k
 from .trainer import infer, load_checkpoint, save_checkpoint, train, write_loss_history
 
+__all__ = ["ABLATIONS", "build_parser", "main"]
+
 ABLATIONS = {
     "cgc": {"random_sampling": True},
     "ewsgat": {"softmax_instead_of_entmax": True, "drop_f_iz": True},

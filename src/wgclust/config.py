@@ -114,7 +114,7 @@ def _parse_value(name: str, raw: str):
         raise ValueError(f"expected {expected}, got {raw!r}") from None
 
 
-def parse_config_text(text: str, base: TrainConfig | None = None) -> TrainConfig:
+def parse_config_text(text: str) -> TrainConfig:
     """Parse `key = value` lines (blank lines and # comments allowed)."""
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -131,14 +131,12 @@ def parse_config_text(text: str, base: TrainConfig | None = None) -> TrainConfig
             values[key] = _parse_value(key, val)
         except ValueError as exc:
             raise ValueError(f"config line {lineno}: key {key!r}: {exc}") from None
-    base_values = dataclasses.asdict(base) if base is not None else {}
-    base_values.update(values)
-    return TrainConfig(**base_values)
+    return TrainConfig(**values)
 
 
-def load_config_file(path, base: TrainConfig | None = None) -> TrainConfig:
+def load_config_file(path) -> TrainConfig:
     with open(path, encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), base=base)
+        return parse_config_text(fh.read())
 
 
 def config_to_text(config: TrainConfig) -> str:

@@ -43,6 +43,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+__all__ = [
+    "SOLVE_TOL", "SOLVE_MAX_PASSES", "EntmaxResult", "entmax", "entmax_jvp",
+    "segment_entmax", "segment_entmax_vjp", "segment_softmax", "segment_softmax_vjp",
+]
+
 SOLVE_TOL = 1e-10
 SOLVE_MAX_PASSES = 100
 _SETTLE_GRID = 2.0**30  # the final solve starts on this grid, within 1e-9 of the root
@@ -84,12 +89,6 @@ def entmax_jvp(result: EntmaxResult, alpha: float, upstream) -> np.ndarray:
     """
     p = result.p
     return segment_entmax_vjp(p, np.array([0, p.size]), alpha, np.asarray(upstream, dtype=np.float64))
-
-
-def softmax(z) -> np.ndarray:
-    z = np.asarray(z, dtype=np.float64)
-    e = np.exp(z - z.max())
-    return e / e.sum()
 
 
 # ---------------------------------------------------------------------------

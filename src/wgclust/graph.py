@@ -34,6 +34,8 @@ __all__ = [
 # peak memory stays near that of the parsed arrays instead of growing with a
 # whole file's tokens
 _LOAD_BLOCK = 8192
+# the largest mean numpy's Poisson sampler accepts (it raises "lam value too large" above)
+_POISSON_LAM_MAX = np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -327,14 +329,18 @@ def synth_weighted_sbm(n, K, p_in, p_out, w_in_mean, w_out_mean, seed) -> Labele
     Nodes split into K near-equal contiguous blocks. An intra-block pair gets
     an edge with probability ``p_in`` and weight ``1 + Poisson(w_in_mean - 1)``;
     inter-block pairs analogously with ``p_out`` / ``w_out_mean``. Deterministic
-    per seed. A weight mean that is not finite and >= 1 raises ``ValueError``
-    naming it.
+    per seed. A weight mean below 1, or one whose ``mean - 1`` is above
+    numpy's Poisson limit (about 9.22e18; this includes inf and nan), raises
+    ``ValueError`` naming it.
     """
     if not (0 <= p_out < p_in <= 1):
         raise ValueError("need 0 <= p_out < p_in <= 1")
     for name, mean in (("w_in_mean", w_in_mean), ("w_out_mean", w_out_mean)):
-        if not (1 <= mean < np.inf):
-            raise ValueError(f"{name} must be finite and >= 1, got {mean}")
+        if not (1 <= mean and mean - 1.0 <= _POISSON_LAM_MAX):
+            raise ValueError(
+                f"{name} must be >= 1 and at most 1 + {_POISSON_LAM_MAX:.6g} "
+                f"(numpy's Poisson limit), got {mean}"
+            )
     if not (1 <= K <= n):
         raise ValueError("need 1 <= K <= n")
     rng = np.random.default_rng(seed)

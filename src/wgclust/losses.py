@@ -22,10 +22,10 @@ __all__ = [
     "PRUNE_EPS",
     "SAMPLE_MAX_DRAWS",
     "LossBreakdown",
-    "NegativeSampler",
     "RefinedGraph",
     "StructureSamples",
     "update_edge_weights",
+    "refinement_coeff_grad",
     "modularity",
     "modularity_weight_grad",
     "draw_structure_samples",
@@ -104,6 +104,28 @@ def update_edge_weights(g: WeightedGraph, record: AttentionRecord) -> RefinedGra
     )
 
 
+def refinement_coeff_grad(record: AttentionRecord, refined: RefinedGraph,
+                          d_refined: np.ndarray) -> np.ndarray:
+    """The reverse of update_edge_weights: final-layer coefficient gradient from d/dw'.
+
+    ``d_refined`` is the loss gradient per directed entry of ``refined``
+    (the refinement of ``record``'s graph). It scatters back onto the
+    working graph's surviving entries (``refined.kept``), chains through
+    w' = sym(attention) * w, and spreads over heads (the refinement uses the
+    head average). Every head gets the same value, so the result is one
+    (entries, 1) column that broadcasts over the heads. Pruned edges
+    contribute nothing.
+    """
+    s = record.structure
+    d_work = np.zeros(s.graph.indices.size)
+    d_work[refined.kept] = d_refined
+    # d / d a_dir = d/dw'_edge * w_edge / 2, for each of the edge's two directions
+    d_edge_coeff = d_work * s.graph.weights * 0.5
+    d_coeffs = np.zeros((s.src.size, 1))
+    d_coeffs[s.edge_pos, 0] = d_edge_coeff / record.coefficients[-1].shape[1]
+    return d_coeffs
+
+
 def _modularity_terms(g: WeightedGraph, labels: np.ndarray):
     """(src, intra mask, matched weight s1, 2m, per-cluster degree sums) of a labeling."""
     two_m = g.total_weight_2m
@@ -149,22 +171,6 @@ def modularity_weight_grad(g: WeightedGraph, labels) -> np.ndarray:
     )
 
 
-@dataclass
-class NegativeSampler:
-    """Degree-biased negative-sample distribution (prob proportional to degree^0.75)."""
-
-    probs: np.ndarray
-    negatives: int
-
-    @classmethod
-    def for_graph(cls, g: WeightedGraph, negatives: int) -> "NegativeSampler":
-        deg = g.weighted_degree()
-        raw = deg**NEG_POWER
-        total = raw.sum()
-        probs = raw / total if total > 0 else np.full(g.n, 1.0 / g.n)
-        return cls(probs=probs, negatives=negatives)
-
-
 @dataclass(frozen=True)
 class StructureSamples:
     """One positive neighbor and Q negatives per active (non-isolated) node."""
@@ -174,20 +180,21 @@ class StructureSamples:
     negatives: np.ndarray  # (n, Q) node ids, arbitrary on inactive rows
 
 
-def draw_structure_samples(g: WeightedGraph, sampler: NegativeSampler, rng) -> StructureSamples:
-    """Sample positives (weight-proportional neighbors) and negatives per node.
+def draw_structure_samples(g: WeightedGraph, negatives: int, rng) -> StructureSamples:
+    """Sample one positive (weight-proportional neighbor) and ``negatives`` negatives per node.
 
-    Positives come from one ``rng.random(n)`` draw. Negatives follow the
-    sampler's distribution, rejecting the node itself and its neighbors: one
-    uniform stream, mapped to nodes through the cumulative distribution, is
-    walked in node order, and each active node takes the first ``q``
-    accepted draws after the previous node's last one. The stream is drawn
-    in chunks of exactly the acceptances still missing, so no draw is made
-    past the last one used. Neighbor membership is a binary search in the
-    node's sorted CSR row. A node for which every node of positive sampling
-    probability is excluded gets no negatives (its slots are masked as self).
-    A node still short of negatives after ``SAMPLE_MAX_DRAWS`` draws raises
-    RuntimeError. Deterministic for a given rng state.
+    Positives come from one ``rng.random(n)`` draw. Negatives are drawn with
+    probability proportional to weighted degree^0.75 in ``g``, rejecting the
+    node itself and its neighbors: one uniform stream, mapped to nodes
+    through the cumulative distribution, is walked in node order, and each
+    active node takes the first ``negatives`` accepted draws after the
+    previous node's last one. The stream is drawn in chunks of exactly the
+    acceptances still missing, so no draw is made past the last one used.
+    Neighbor membership is a binary search in the node's sorted CSR row. A
+    node for which every node of positive sampling probability is excluded
+    gets no negatives (its slots are masked as self). A node still short of
+    negatives after ``SAMPLE_MAX_DRAWS`` draws raises RuntimeError.
+    Deterministic for a given rng state.
     """
     n = g.n
     deg = np.diff(g.indptr)
@@ -201,25 +208,26 @@ def draw_structure_samples(g: WeightedGraph, sampler: NegativeSampler, rng) -> S
     pos_entry = np.clip(pos_entry, g.indptr[:-1], np.maximum(g.indptr[1:] - 1, g.indptr[:-1]))
     positives[active] = g.indices[pos_entry[active]]
 
-    q = sampler.negatives
-    negatives = np.zeros((n, q), dtype=np.int64)
+    q = negatives
+    neg_ids = np.zeros((n, q), dtype=np.int64)
     if q > 0 and active.any():
+        raw = g.weighted_degree() ** NEG_POWER
+        probs = raw / raw.sum()  # positive: an active node has a positive weighted degree
         # per node: drawable (positive-probability) nodes that are neither it nor a neighbor
-        drawable = sampler.probs > 0
+        drawable = probs > 0
         nbr_drawable = np.bincount(g.directed_src()[drawable[g.indices]], minlength=n)
         valid_count = int(drawable.sum()) - drawable - nbr_drawable
         stuck = np.flatnonzero(active & (valid_count <= 0))
-        negatives[stuck] = stuck[:, None]  # no valid negative exists; masked as self
+        neg_ids[stuck] = stuck[:, None]  # no valid negative exists; masked as self
         nodes = np.flatnonzero(active & (valid_count > 0))
         if nodes.size:
-            negatives[nodes] = np.reshape(_walk_negatives(g, sampler, nodes.tolist(), rng), (-1, q))
-    return StructureSamples(active=active, positives=positives, negatives=negatives)
+            neg_ids[nodes] = np.reshape(_walk_negatives(g, probs, q, nodes.tolist(), rng), (-1, q))
+    return StructureSamples(active=active, positives=positives, negatives=neg_ids)
 
 
-def _walk_negatives(g: WeightedGraph, sampler: NegativeSampler, nodes: list[int], rng) -> list[int]:
+def _walk_negatives(g: WeightedGraph, probs: np.ndarray, q: int, nodes: list[int], rng) -> list[int]:
     """The accepted negatives of ``nodes``, in order, from one rejection-sampled stream."""
-    q = sampler.negatives
-    cdf = np.cumsum(sampler.probs)
+    cdf = np.cumsum(probs)
     cdf[-1] = 1.0
     # bisect reads the row through the buffer: no Python int per stored entry
     indptr, indices = g.indptr.tolist(), memoryview(np.ascontiguousarray(g.indices))
@@ -246,17 +254,17 @@ def _walk_negatives(g: WeightedGraph, sampler: NegativeSampler, nodes: list[int]
                             start = drawn
                         continue
             if drawn - start >= SAMPLE_MAX_DRAWS:
-                raise _short_of_negatives(g, sampler, i, drawn - start, len(accepted) + q - done)
+                raise _short_of_negatives(g, probs, q, i, drawn - start, len(accepted) + q - done)
     return accepted
 
 
-def _short_of_negatives(g, sampler, i, draws, found) -> RuntimeError:
+def _short_of_negatives(g, probs, q, i, draws, found) -> RuntimeError:
     valid = np.ones(g.n, dtype=bool)
     valid[i] = False
     valid[g.indices[g.indptr[i] : g.indptr[i + 1]]] = False
-    mass = float(sampler.probs[valid].sum())
+    mass = float(probs[valid].sum())
     return RuntimeError(
-        f"negative sampling for node {i} accepted {found} of {sampler.negatives} negatives "
+        f"negative sampling for node {i} accepted {found} of {q} negatives "
         f"in {draws} draws; its valid probability mass is {mass:.3g}"
     )
 

@@ -8,6 +8,7 @@ most corpus-frequent of its own genres, ties going to the lower genre column.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 
@@ -40,21 +41,7 @@ class Ml100kBuildReport:
     timestamp_tie_pairs: int
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "node_count": self.node_count,
-                "edge_count": self.edge_count,
-                "cluster_count": self.cluster_count,
-                "density": self.density,
-                "dropped_isolated": self.dropped_isolated,
-                "genre_frequency_table": self.genre_frequency_table,
-                "label_names": list(self.label_names),
-                "no_genre_movies": self.no_genre_movies,
-                "genre_tie_broken": self.genre_tie_broken,
-                "timestamp_tie_pairs": self.timestamp_tie_pairs,
-            },
-            indent=2,
-        )
+        return json.dumps(dataclasses.asdict(self), indent=2)
 
 
 def _parse_items(uitem_path):

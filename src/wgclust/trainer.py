@@ -35,10 +35,10 @@ from .fcm import fcm_fit
 from .graph import WeightedGraph, build_graph, induce_subgraph
 from .losses import (
     LossBreakdown,
-    NegativeSampler,
     draw_structure_samples,
     modularity,
     modularity_weight_grad,
+    refinement_coeff_grad,
     structure_loss_from_samples,
     structure_loss_grad,
     total_loss,
@@ -122,26 +122,6 @@ def _select_training_graph(g, cluster_count, config):
     return selection, selection.subgraph
 
 
-def _refinement_coeff_grad(working, refined, record, modularity_weight, labels, heads):
-    """Gradient of the modularity term w.r.t. the final-layer coefficients.
-
-    Scatters per-edge dQ/dw of the refined graph back onto the working
-    graph's surviving directed entries (``refined.kept``), chains through
-    w' = sym(attention) * w, and spreads over heads (the refinement uses the
-    head average). Every head gets the same value, so the result is one
-    (entries, 1) column that broadcasts over the heads. Pruned edges
-    contribute nothing.
-    """
-    dq_work = np.zeros(working.indices.size)
-    dq_work[refined.kept] = modularity_weight_grad(refined, labels)
-    # d total / d a_dir = modularity_weight * (-dQ/dw'_edge) * w_edge / 2
-    d_edge_coeff = modularity_weight * (-dq_work) * working.weights * 0.5
-    s = record.structure
-    d_coeffs = np.zeros((s.src.size, 1))
-    d_coeffs[s.edge_pos, 0] = d_edge_coeff / heads
-    return d_coeffs
-
-
 def _epoch_step(structure, model, config, epoch_constants, backward=True):
     """One epoch: forward, refinement, objective and (unless ``backward`` is off) gradient.
 
@@ -168,9 +148,8 @@ def _epoch_step(structure, model, config, epoch_constants, backward=True):
     d_h = structure_loss_grad(h_final, samples)
     d_coeffs = None
     if not config.no_weight_update and config.modularity_weight != 0.0:
-        d_coeffs = _refinement_coeff_grad(
-            working, refined, record, config.modularity_weight, labels, config.heads
-        )
+        d_refined = config.modularity_weight * -modularity_weight_grad(refined, labels)
+        d_coeffs = refinement_coeff_grad(record, refined, d_refined)
     grads = network_backward(structure, model, config, caches, d_h, d_coeffs)
     return breakdown, grads
 
@@ -207,8 +186,7 @@ def train(g: WeightedGraph, cluster_count: int, config: TrainConfig) -> TrainedM
         assignment = fcm_fit(
             h, cluster_count, iters=config.fcm_iters, seed=fcm_seed, restarts=config.fcm_restarts
         )
-        sampler = NegativeSampler.for_graph(refined, config.negatives)
-        return assignment.labels, draw_structure_samples(refined, sampler, epoch_rng)
+        return assignment.labels, draw_structure_samples(refined, config.negatives, epoch_rng)
 
     for epoch in range(config.epochs):
         try:
@@ -277,8 +255,7 @@ def gradient_check(config: TrainConfig, g: WeightedGraph, fd_step: float = 1e-5)
     )
     h0, _, _ = network_forward_cached(structure, params, config)
     labels = fcm_fit(h0, min(3, g.n), iters=config.fcm_iters, seed=0, restarts=2).labels
-    sampler = NegativeSampler.for_graph(g, config.negatives)
-    samples = draw_structure_samples(g, sampler, _rng(config.seed, _RNG_EPOCH))
+    samples = draw_structure_samples(g, config.negatives, _rng(config.seed, _RNG_EPOCH))
 
     def fixed(h, refined):
         return labels, samples

@@ -16,13 +16,14 @@ import pytest
 
 from wgclust.cli import main as cli_main
 from wgclust.config import TrainConfig
-from wgclust.entmax import entmax, entmax_jvp, softmax
+from wgclust.entmax import entmax, entmax_jvp
 from wgclust.graph import build_graph, inject_noise_edges, synth_weighted_sbm
 from wgclust.losses import modularity
 from wgclust.metrics import clustering_accuracy
 from wgclust.trainer import gradient_check, infer, train
 
 from graph_helpers import neighbors
+from numeric_helpers import softmax
 
 # shared benchmark configuration for the training criteria: within the tuning
 # grids where the source settings give one (layers in 2..6, alpha 1.55,

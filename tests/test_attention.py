@@ -24,12 +24,12 @@ from wgclust.entmax import (
     segment_entmax_vjp,
     segment_softmax,
     segment_softmax_vjp,
-    softmax,
 )
 from wgclust.config import TrainConfig
 from wgclust.graph import build_graph, synth_weighted_sbm
 
 from graph_helpers import neighbors
+from numeric_helpers import softmax
 
 
 def straight_line_layer(g, h_in, params, alpha, use_factor=True, use_entmax=True,

@@ -125,6 +125,8 @@ class TestSynth:
         ("--w-in-mean", "nan", "w_in_mean"),
         ("--w-in-mean", "inf", "w_in_mean"),
         ("--w-out-mean", "nan", "w_out_mean"),
+        ("--w-in-mean", "1e19", "w_in_mean"),  # above numpy's Poisson limit
+        ("--w-out-mean", "1e300", "w_out_mean"),
     ])
     def test_bad_float_is_an_error_naming_the_field(self, tmp_path, capsys, flag, value, field):
         code = run_cli(

@@ -17,8 +17,9 @@ from wgclust.entmax import (
     segment_entmax_vjp,
     segment_softmax,
     segment_softmax_vjp,
-    softmax,
 )
+
+from numeric_helpers import softmax
 
 
 def sparsemax_oracle(z):

@@ -410,6 +410,16 @@ class TestSyntheticBlocks:
         with pytest.raises(ValueError):
             synth_weighted_sbm(10, 20, 0.5, 0.1, 2.0, 1.0, seed=0)  # K > n
 
+    @pytest.mark.parametrize("name", ["w_in_mean", "w_out_mean"])
+    def test_weight_mean_up_to_the_poisson_limit(self, name):
+        limit = 9.223372006484771e18  # the largest mean numpy's Poisson sampler takes
+        means = {"w_in_mean": 2.0, "w_out_mean": 1.0}
+        lab = synth_weighted_sbm(10, 2, 0.8, 0.5, **{**means, name: 1.0 + limit}, seed=0)
+        assert lab.graph.weights.max() > 1e18
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            synth_weighted_sbm(10, 2, 0.8, 0.5, **{**means, name: np.nextafter(limit, np.inf)},
+                               seed=0)
+
 
 class TestNoiseInjection:
     def test_fraction_zero_is_identity(self):

@@ -12,17 +12,16 @@ from wgclust.attention import AttentionRecord, build_attention_structure
 from wgclust.graph import build_graph, synth_weighted_sbm
 from wgclust.losses import (
     PRUNE_EPS,
-    NegativeSampler,
     StructureSamples,
     draw_structure_samples,
     modularity,
     modularity_weight_grad,
+    refinement_coeff_grad,
     structure_loss_from_samples,
     structure_loss_grad,
     total_loss,
     update_edge_weights,
 )
-from wgclust.trainer import _refinement_coeff_grad
 
 from graph_helpers import has_edge, neighbors
 
@@ -31,7 +30,13 @@ def _raise_timeout(signum, frame):
     raise TimeoutError("draw_structure_samples did not return")
 
 
-def reference_draw_structure_samples(g, sampler, rng):
+def degree_power_probs(g):
+    """The negative-sampling law: probability proportional to weighted degree^0.75."""
+    raw = g.weighted_degree() ** 0.75
+    return raw / raw.sum()
+
+
+def reference_draw_structure_samples(g, q, rng):
     """The set-based sampler the one-stream walk replaced: per node, chunks of the missing count."""
     n = g.n
     deg = np.diff(g.indptr)
@@ -44,13 +49,13 @@ def reference_draw_structure_samples(g, sampler, rng):
     pos_entry = np.searchsorted(cw, targets, side="right") - 1
     pos_entry = np.clip(pos_entry, g.indptr[:-1], np.maximum(g.indptr[1:] - 1, g.indptr[:-1]))
     positives[active] = g.indices[pos_entry[active]]
-    q = sampler.negatives
     negatives = np.zeros((n, q), dtype=np.int64)
     if q > 0 and active.any():
-        cdf = np.cumsum(sampler.probs)
+        probs = degree_power_probs(g)
+        cdf = np.cumsum(probs)
         cdf[-1] = 1.0
         nbr_sets = [set(g.indices[g.indptr[i] : g.indptr[i + 1]].tolist()) for i in range(n)]
-        drawable = sampler.probs > 0
+        drawable = probs > 0
         nbr_drawable = np.bincount(g.directed_src()[drawable[g.indices]], minlength=n)
         valid_count = int(drawable.sum()) - drawable - nbr_drawable
         for i in np.flatnonzero(active):
@@ -121,9 +126,9 @@ def sampling_graphs(draw):
     return build_graph(n + isolated, u, v, w)
 
 
-def sampled_structure_loss(h, g, sampler, seed):
+def sampled_structure_loss(h, g, q, seed):
     """Draw samples with a fresh seeded rng and evaluate the loss."""
-    samples = draw_structure_samples(g, sampler, np.random.default_rng(seed))
+    samples = draw_structure_samples(g, q, np.random.default_rng(seed))
     return structure_loss_from_samples(np.asarray(h, dtype=np.float64), samples)
 
 
@@ -218,9 +223,35 @@ class TestUpdateEdgeWeights:
             labels = rng.integers(0, 3, size=n)
             # one column that broadcasts over the heads; the reference is per head
             want = reference_refinement_coeff_grad(g, expected, rec, 0.3, labels, heads)
-            got = _refinement_coeff_grad(g, out, rec, 0.3, labels, heads)
+            got = refinement_coeff_grad(rec, out, 0.3 * -modularity_weight_grad(out, labels))
             assert got.shape == (s.src.size, 1)
             np.testing.assert_array_equal(np.broadcast_to(got, want.shape), want)
+
+    def test_coeff_grad_matches_finite_differences(self):
+        lab = synth_weighted_sbm(12, 3, 0.6, 0.2, 3.0, 1.0, seed=4)
+        g, labels, weight = lab.graph, lab.labels, 0.3
+        s = build_attention_structure(g)
+        heads = 3
+        rng = np.random.default_rng(5)
+        coeffs = rng.random((s.src.size, heads)) * 0.8 + 0.2  # no refined weight near PRUNE_EPS
+        rec = AttentionRecord(structure=s, coefficients=[coeffs])
+        refined = update_edge_weights(g, rec)
+        assert refined.num_edges == g.num_edges
+        got = refinement_coeff_grad(rec, refined, weight * -modularity_weight_grad(refined, labels))
+        assert got.shape == (s.src.size, 1)
+
+        def objective(c):
+            refined = update_edge_weights(g, AttentionRecord(structure=s, coefficients=[c]))
+            return weight * -modularity(refined, labels)
+
+        step = 1e-6
+        for e in range(s.src.size):
+            for t in range(heads):
+                up, down = coeffs.copy(), coeffs.copy()
+                up[e, t] += step
+                down[e, t] -= step
+                fd = (objective(up) - objective(down)) / (2 * step)
+                assert got[e, 0] == pytest.approx(fd, abs=1e-8)
 
     def test_mismatched_graph_rejected(self):
         g = build_graph(2, [0], [1], [1.0])
@@ -305,31 +336,27 @@ class TestStructureLoss:
     def test_zero_score_no_negatives_is_log_two(self):
         h = np.array([[1.0, 0.0], [0.0, 1.0]])  # orthogonal: score 0
         g = build_graph(2, [0], [1], [1.0])
-        sampler = NegativeSampler.for_graph(g, 0)
-        val = sampled_structure_loss(h, g, sampler, seed=0)
+        val = sampled_structure_loss(h, g, 0, seed=0)
         assert val == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_saturation_to_zero(self):
         h = np.array([[30.0, 0.0], [30.0, 0.0]])  # score 900: sigmoid ~ 1
         g = build_graph(2, [0], [1], [1.0])
-        sampler = NegativeSampler.for_graph(g, 0)
-        val = sampled_structure_loss(h, g, sampler, seed=0)
+        val = sampled_structure_loss(h, g, 0, seed=0)
         assert val == pytest.approx(0.0, abs=1e-12)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(6)
         lab = synth_weighted_sbm(20, 2, 0.5, 0.2, 3.0, 1.0, seed=7)
-        sampler = NegativeSampler.for_graph(lab.graph, 5)
         for seed in range(10):
             h = rng.normal(size=(20, 4))
-            assert sampled_structure_loss(h, lab.graph, sampler, seed=seed) >= 0.0
+            assert sampled_structure_loss(h, lab.graph, 5, seed=seed) >= 0.0
 
     def test_matches_straight_line_oracle_exactly(self):
         rng = np.random.default_rng(8)
         g = build_graph(6, [0, 0, 1, 2, 3, 4], [1, 2, 3, 4, 5, 5], [2.0, 1.0, 3.0, 1.0, 2.0, 1.0])
         h = rng.normal(size=(6, 4))
-        sampler = NegativeSampler.for_graph(g, 3)
-        samples = draw_structure_samples(g, sampler, np.random.default_rng(9))
+        samples = draw_structure_samples(g, 3, np.random.default_rng(9))
         fast = structure_loss_from_samples(h, samples)
         per_node = []
         for i in range(6):
@@ -349,23 +376,20 @@ class TestStructureLoss:
     def test_isolated_nodes_excluded(self):
         g = build_graph(3, [0], [1], [1.0])  # node 2 isolated
         h = np.array([[1.0, 0.0], [0.0, 1.0], [50.0, 50.0]])
-        sampler = NegativeSampler.for_graph(g, 0)
-        val = sampled_structure_loss(h, g, sampler, seed=0)
+        val = sampled_structure_loss(h, g, 0, seed=0)
         assert val == pytest.approx(np.log(2.0), abs=1e-12)  # node 2 contributes nothing
 
     def test_positive_sampling_follows_weights(self):
         # node 0 has neighbors 1 (w=99) and 2 (w=1): positives should mostly be 1
         g = build_graph(3, [0, 0], [1, 2], [99.0, 1.0])
-        sampler = NegativeSampler.for_graph(g, 0)
         rng = np.random.default_rng(10)
-        picks = [draw_structure_samples(g, sampler, rng).positives[0] for _ in range(200)]
+        picks = [draw_structure_samples(g, 0, rng).positives[0] for _ in range(200)]
         assert np.mean(np.array(picks) == 1) > 0.9
 
     def test_negatives_exclude_self_and_neighbors(self):
         lab = synth_weighted_sbm(15, 2, 0.5, 0.2, 3.0, 1.0, seed=11)
         g = lab.graph
-        sampler = NegativeSampler.for_graph(g, 4)
-        samples = draw_structure_samples(g, sampler, np.random.default_rng(12))
+        samples = draw_structure_samples(g, 4, np.random.default_rng(12))
         for i in range(g.n):
             if not samples.active[i]:
                 continue
@@ -377,8 +401,7 @@ class TestStructureLoss:
         rng = np.random.default_rng(13)
         g = build_graph(6, [0, 0, 1, 2, 3, 4], [1, 2, 3, 4, 5, 5], [2.0, 1.0, 3.0, 1.0, 2.0, 1.0])
         h = rng.normal(size=(6, 3))
-        sampler = NegativeSampler.for_graph(g, 2)
-        samples = draw_structure_samples(g, sampler, np.random.default_rng(14))
+        samples = draw_structure_samples(g, 2, np.random.default_rng(14))
         grad = structure_loss_grad(h, samples)
         step = 1e-6
         for i in range(6):
@@ -395,22 +418,21 @@ class TestStructureLoss:
 
 class TestNegativeSampler:
     def test_distribution_is_degree_power(self):
-        g = build_graph(3, [0, 0], [1, 2], [8.0, 1.0])
-        sampler = NegativeSampler.for_graph(g, 2)
-        deg = g.weighted_degree()
-        expect = deg**0.75 / (deg**0.75).sum()
-        np.testing.assert_allclose(sampler.probs, expect)
-        assert sampler.probs.sum() == pytest.approx(1.0)
+        # node 0's valid negatives are 2, 3 and 4, of weighted degrees 1, 4 and 3
+        g = build_graph(5, [0, 2, 3], [1, 3, 4], [8.0, 1.0, 3.0])
+        draws = draw_structure_samples(g, 20000, np.random.default_rng(0)).negatives[0]
+        freq = np.bincount(draws, minlength=g.n) / draws.size
+        law = np.array([0.0, 0.0, 1.0, 4.0**0.75, 3.0**0.75])
+        np.testing.assert_allclose(freq, law / law.sum(), atol=0.015)
 
     def test_zero_probability_non_neighbors_leave_no_negative(self):
         # node 3 is isolated, so its sampling probability is 0; it is node 0's
         # only non-neighbor, so node 0 has no drawable negative at all
         g = build_graph(4, [0, 0], [1, 2], [1.0, 1.0])
-        sampler = NegativeSampler.for_graph(g, 2)
         signal.signal(signal.SIGALRM, _raise_timeout)
         signal.alarm(10)
         try:
-            samples = draw_structure_samples(g, sampler, np.random.default_rng(0))
+            samples = draw_structure_samples(g, 2, np.random.default_rng(0))
         finally:
             signal.alarm(0)
         np.testing.assert_array_equal(samples.negatives, [[0, 0], [2, 2], [1, 1], [0, 0]])
@@ -420,12 +442,11 @@ class TestNegativeSampler:
     def test_vanishing_probability_negative_raises_at_the_draw_cap(self):
         # node 0's only valid negative is node 3, drawn with probability 2.7e-226
         g = build_graph(4, [0, 0, 1], [1, 2, 3], [1.0, 1.0, 1e-300])
-        sampler = NegativeSampler.for_graph(g, 2)
         signal.signal(signal.SIGALRM, _raise_timeout)
         signal.alarm(20)
         try:
             with pytest.raises(RuntimeError) as info:
-                draw_structure_samples(g, sampler, np.random.default_rng(0))
+                draw_structure_samples(g, 2, np.random.default_rng(0))
         finally:
             signal.alarm(0)
         message = str(info.value)
@@ -436,10 +457,9 @@ class TestNegativeSampler:
     def test_cap_counts_the_draws_of_one_node(self, monkeypatch):
         # three disjoint edges and q = 1: node i rejects itself and its partner
         g = build_graph(6, [0, 2, 4], [1, 3, 5], [1.0, 1.0, 1.0])
-        sampler = NegativeSampler.for_graph(g, 1)
         rng = np.random.default_rng(5)
         rng.random(g.n)  # the positives' draw
-        cdf = np.cumsum(sampler.probs)
+        cdf = np.cumsum(degree_power_probs(g))
         cdf[-1] = 1.0
         stream = iter(np.searchsorted(cdf, rng.random(1000), side="right"))
         draws = []
@@ -449,22 +469,21 @@ class TestNegativeSampler:
                 draws[-1] += 1
         most = max(draws)
         assert most >= 2
-        expected = reference_draw_structure_samples(g, sampler, np.random.default_rng(5))
+        expected = reference_draw_structure_samples(g, 1, np.random.default_rng(5))
         monkeypatch.setattr(losses_module, "SAMPLE_MAX_DRAWS", most)
-        samples = draw_structure_samples(g, sampler, np.random.default_rng(5))
+        samples = draw_structure_samples(g, 1, np.random.default_rng(5))
         np.testing.assert_array_equal(samples.negatives, expected.negatives)
         monkeypatch.setattr(losses_module, "SAMPLE_MAX_DRAWS", most - 1)
         with pytest.raises(RuntimeError, match=rf"node {draws.index(most)} accepted 0 of 1 "
                                                rf"negatives in {most - 1} draws"):
-            draw_structure_samples(g, sampler, np.random.default_rng(5))
+            draw_structure_samples(g, 1, np.random.default_rng(5))
 
     @settings(max_examples=120, deadline=None)
     @given(g=sampling_graphs(), q=st.sampled_from([0, 1, 5]), seed=st.integers(0, 2**31 - 1))
     def test_walk_equals_the_set_based_sampler(self, g, q, seed):
-        sampler = NegativeSampler.for_graph(g, q)
         rng_ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        expected = reference_draw_structure_samples(g, sampler, rng_ref)
-        samples = draw_structure_samples(g, sampler, rng)
+        expected = reference_draw_structure_samples(g, q, rng_ref)
+        samples = draw_structure_samples(g, q, rng)
         np.testing.assert_array_equal(samples.active, expected.active)
         np.testing.assert_array_equal(samples.positives, expected.positives)
         np.testing.assert_array_equal(samples.negatives, expected.negatives)

@@ -1,11 +1,14 @@
 """Movie-graph builder on synthetic raw files, plus the real-data check when available."""
 
+import dataclasses
+import json
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from wgclust.cli import main
 from wgclust.ml100k import GENRES, build_ml100k
 
 from graph_helpers import neighbors
@@ -171,6 +174,21 @@ class TestReportAndErrors:
         np.testing.assert_array_equal(l1.graph.weights, l2.graph.weights)
         np.testing.assert_array_equal(l1.labels, l2.labels)
         assert r1 == r2
+
+    def test_cli_report_json_holds_every_field(self, raw, tmp_path):
+        udata, uitem = raw(
+            {1: [8], 2: [8], 3: [1, 5], 4: []},
+            [(1, 1, 5, 100), (1, 2, 4, 200), (1, 3, 3, 300), (2, 3, 5, 100), (2, 4, 5, 100)],
+        )
+        out = tmp_path / "built"
+        assert main(["build-ml100k", "--u-data", str(udata), "--u-item", str(uitem),
+                     "--out", str(out)]) == 0
+        _, report = build_ml100k(udata, uitem)
+        written = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        expected = dataclasses.asdict(report)
+        expected["label_names"] = list(report.label_names)
+        assert written == expected
+        assert list(written) == [f.name for f in dataclasses.fields(report)]
 
     def test_garbled_item_file_rejected(self, tmp_path):
         (tmp_path / "u.item").write_text("1|only|three\n", encoding="latin-1")

@@ -1,5 +1,5 @@
-"""The public names: every module's __all__ resolves, the package root re-exports them,
-and each is used by the package or the benchmark, or documented."""
+"""The public names: every module declares an __all__ that resolves, the package root
+re-exports only those names, and each is used by the package or the benchmark, or documented."""
 
 import ast
 import importlib
@@ -17,7 +17,8 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(wgclust.__path__))
 @pytest.mark.parametrize("name", MODULES)
 def test_module_all_resolves(name):
     module = importlib.import_module(f"wgclust.{name}")
-    exported = getattr(module, "__all__", [])
+    assert "__all__" in vars(module), f"wgclust.{name} declares no __all__"
+    exported = module.__all__
     missing = [attr for attr in exported if not hasattr(module, attr)]
     assert not missing, f"wgclust.{name}.__all__ names what it does not define: {missing}"
 
@@ -26,7 +27,7 @@ def test_package_root_names_are_public_module_names():
     public = {
         attr
         for name in MODULES
-        for attr in getattr(importlib.import_module(f"wgclust.{name}"), "__all__", [])
+        for attr in importlib.import_module(f"wgclust.{name}").__all__
     }
     root = {
         attr for attr in vars(wgclust)
@@ -73,7 +74,7 @@ def test_every_public_name_is_used_or_documented():
     unused = [
         f"wgclust.{name}.{attr}"
         for name in MODULES
-        for attr in getattr(importlib.import_module(f"wgclust.{name}"), "__all__", [])
+        for attr in importlib.import_module(f"wgclust.{name}").__all__
         if attr not in used and not re.search(rf"\b{re.escape(attr)}\b", readme)
     ]
     assert not unused, f"public names nothing but tests use: {unused}"

@@ -388,11 +388,6 @@ class TestConfigFormat:
             "importance_threshold = 0.002", "distance_mode = unit",
         ]
 
-    def test_overrides_apply_over_base(self):
-        base = TrainConfig(seed=1)
-        out = parse_config_text("seed = 5\nepochs = 7\n", base=base)
-        assert out.seed == 5 and out.epochs == 7
-
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):
             parse_config_text("entmax_alpha = 0.5\n")
