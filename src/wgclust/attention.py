@@ -33,6 +33,7 @@ if TYPE_CHECKING:  # config imports SELF_LOOP_MODES from this module
     from .config import TrainConfig
 
 __all__ = [
+    "SELF_LOOP_MODES",
     "LayerParams",
     "ModelParams",
     "AttentionStructure",
@@ -216,29 +217,32 @@ def build_attention_structure(g: WeightedGraph, self_loop_mode: str = "max") -> 
 
 
 @dataclass
-class AttentionRecord:
-    """Normalized coefficients of every layer, head, and candidate entry.
-
-    coefficients[layer] has shape (entries, heads), aligned with the
-    structure's entry arrays.
-    """
-
-    structure: AttentionStructure
-    coefficients: list[np.ndarray]
-
-    def final_head_average(self) -> np.ndarray:
-        """Head-averaged final-layer coefficient per entry (drives the edge-weight refinement)."""
-        return self.coefficients[-1].mean(axis=1)
-
-
-@dataclass
 class _LayerCache:
     h_in: np.ndarray
     proj_attn: np.ndarray  # (heads, n, d_attn)
     proj_val: np.ndarray  # (heads, n, d_out)
-    coeffs: np.ndarray  # (entries, heads)
     pre_act: np.ndarray  # (heads, n, d_out)
     head_out: np.ndarray  # (heads, n, d_out)
+
+
+@dataclass
+class AttentionRecord:
+    """One forward pass: normalized coefficients of every layer, head, and candidate entry.
+
+    coefficients[layer] has shape (entries, heads), aligned with the
+    structure's entry arrays. ``layers`` holds what each layer's reverse
+    sweep reads besides its coefficients (inputs, projections, activations)
+    when the record comes from ``network_forward_cached``; a record built
+    from coefficients alone has none.
+    """
+
+    structure: AttentionStructure
+    coefficients: list[np.ndarray]
+    layers: list[_LayerCache] = field(default_factory=list, repr=False, compare=False)
+
+    def final_head_average(self) -> np.ndarray:
+        """Head-averaged final-layer coefficient per entry (drives the edge-weight refinement)."""
+        return self.coefficients[-1].mean(axis=1)
 
 
 def _head_major(values: np.ndarray) -> np.ndarray:
@@ -328,7 +332,7 @@ def _coefficients(structure, proj_attn, config) -> np.ndarray:
     return segment_entmax(logits, structure.indptr, config.entmax_alpha)
 
 
-def _forward_layer(structure, h_in, params, config) -> tuple[np.ndarray, _LayerCache]:
+def _forward_layer(structure, h_in, params, config) -> tuple[np.ndarray, np.ndarray, _LayerCache]:
     proj_attn = np.einsum("nd,hde->hne", h_in, params.w1)
     proj_val = np.einsum("nd,hde->hne", h_in, params.w2)
     coeffs = _coefficients(structure, proj_attn, config)
@@ -339,18 +343,13 @@ def _forward_layer(structure, h_in, params, config) -> tuple[np.ndarray, _LayerC
         bad = int(np.flatnonzero(~np.isfinite(h_out).all(axis=1))[0])
         raise FloatingPointError(f"non-finite activation at node {bad}")
     cache = _LayerCache(
-        h_in=h_in,
-        proj_attn=proj_attn,
-        proj_val=proj_val,
-        coeffs=coeffs,
-        pre_act=pre_act,
-        head_out=head_out,
+        h_in=h_in, proj_attn=proj_attn, proj_val=proj_val, pre_act=pre_act, head_out=head_out
     )
-    return h_out, cache
+    return h_out, coeffs, cache
 
 
-def _backward_layer(structure, params, config, cache, d_out, d_coeffs_extra=None):
-    """Reverse sweep of one layer.
+def _backward_layer(structure, params, config, cache, coeffs, d_out, d_coeffs_extra=None):
+    """Reverse sweep of one layer whose forward gave ``coeffs`` and ``cache``.
 
     d_out: gradient w.r.t. the fused output. d_coeffs_extra: additional
     gradient w.r.t. the normalized coefficients, anything that broadcasts to
@@ -363,7 +362,7 @@ def _backward_layer(structure, params, config, cache, d_out, d_coeffs_extra=None
     d_coeffs = _pair_dots(
         _node_major(d_pre), _node_major(cache.proj_val), structure.src, structure.dst
     )
-    d_val = _col_aggregate(structure, _head_major(cache.coeffs), d_pre)
+    d_val = _col_aggregate(structure, _head_major(coeffs), d_pre)
     d_h_in = np.zeros_like(cache.h_in)
     d_w2 = np.empty_like(params.w2)
     for t in range(heads):
@@ -372,9 +371,9 @@ def _backward_layer(structure, params, config, cache, d_out, d_coeffs_extra=None
     if d_coeffs_extra is not None:
         d_coeffs += d_coeffs_extra
     if config.softmax_instead_of_entmax:
-        d_logits = segment_softmax_vjp(cache.coeffs, structure.indptr, d_coeffs)
+        d_logits = segment_softmax_vjp(coeffs, structure.indptr, d_coeffs)
     else:
-        d_logits = segment_entmax_vjp(cache.coeffs, structure.indptr, config.entmax_alpha, d_coeffs)
+        d_logits = segment_entmax_vjp(coeffs, structure.indptr, config.entmax_alpha, d_coeffs)
     # d_coeffs is freed before the head-major copy of d_logits is made, and
     # the (entries, heads) d_logits before the two products that read the copy
     del d_coeffs
@@ -390,40 +389,46 @@ def _backward_layer(structure, params, config, cache, d_out, d_coeffs_extra=None
 
 
 def network_forward_cached(structure, model: ModelParams, config: TrainConfig):
-    """Full forward pass keeping per-layer caches for the backward sweep.
+    """Full forward pass; returns (H_final, AttentionRecord).
 
+    The record keeps every layer's backward state for ``network_backward``.
     Reads ``entmax_alpha``, ``softmax_instead_of_entmax`` and ``drop_f_iz``
     from the config.
     """
     h = model.embedding
-    caches: list[_LayerCache] = []
-    coeffs: list[np.ndarray] = []
+    record = AttentionRecord(structure=structure, coefficients=[])
     for li, params in enumerate(model.layers):
         try:
-            h, cache = _forward_layer(structure, h, params, config)
+            h, coeffs, cache = _forward_layer(structure, h, params, config)
         except FloatingPointError as exc:
             raise FloatingPointError(f"layer {li}: {exc}") from None
-        caches.append(cache)
-        coeffs.append(cache.coeffs)
-    record = AttentionRecord(structure=structure, coefficients=coeffs)
-    return h, record, caches
+        record.coefficients.append(coeffs)
+        record.layers.append(cache)
+    return h, record
 
 
-def network_backward(structure, model, config, caches, d_h_final, d_final_coeffs=None) -> ModelParams:
-    """Reverse sweep through every layer down to the embedding table.
+def network_backward(record, model, config, d_h_final, d_final_coeffs=None) -> ModelParams:
+    """Reverse sweep through every layer of ``record``'s forward pass down to the embedding table.
 
     d_final_coeffs, when given, is a gradient that the final layer's
     coefficients receive on top of the aggregation path (the modularity loss
     reaches them through the edge-weight refinement). It may be anything that
     broadcasts to (entries, heads): an (entries, 1) column gives every head
-    the same value.
+    the same value. Raises ValueError when the record lacks a layer's
+    backward state (it was not made by ``network_forward_cached``).
     """
+    if len(record.layers) != len(model.layers):
+        raise ValueError(
+            f"attention record holds backward state for {len(record.layers)} of "
+            f"{len(model.layers)} layers; pass the record network_forward_cached returned"
+        )
     layer_grads = [None] * len(model.layers)
     d_h = d_h_final
     last = len(model.layers) - 1
     for li in range(last, -1, -1):
         extra = d_final_coeffs if li == last else None
         d_h, layer_grads[li] = _backward_layer(
-            structure, model.layers[li], config, caches[li], d_h, extra
+            record.structure, model.layers[li], config, record.layers[li],
+            record.coefficients[li], d_h, extra,
         )
     return ModelParams(embedding=d_h, layers=layer_grads)

@@ -81,6 +81,11 @@ class TrainConfig(ContractionConfig):
             raise ValueError("fcm_iters and fcm_restarts must be >= 1")
         if self.self_loop_mode not in SELF_LOOP_MODES:
             raise ValueError(f"self_loop_mode must be one of {SELF_LOOP_MODES}")
+        if self.no_contraction and self.random_sampling:
+            raise ValueError(
+                "no_contraction and random_sampling are both set; random_sampling replaces "
+                "the contraction that no_contraction skips, so at most one may be true"
+            )
 
     def layer_dims(self) -> list[int]:
         return [self.embed_dim] + [self.hidden_dim] * self.layer_count

@@ -19,6 +19,7 @@ from scipy.sparse.csgraph import dijkstra
 from .graph import WeightedGraph, induce_subgraph
 
 __all__ = [
+    "DISTANCE_MODES",
     "ContractionConfig",
     "SubgraphSelection",
     "rank_score",

@@ -38,11 +38,17 @@ PRUNE_EPS = 1e-12
 NEG_POWER = 0.75
 # a node still short of negatives after this many draws raises instead of looping on
 SAMPLE_MAX_DRAWS = 1_000_000
+# modularity takes (2m)^3 and squared cluster degrees (at most (2m)^2), which
+# stay normal floats while 2m lies within [1 / _MAX_TWO_M, _MAX_TWO_M]
+_MAX_TWO_M = 1e100
 
 
 @dataclass(frozen=True)
 class LossBreakdown:
-    """structure + modularity_weight * modularity_loss = total; q = -modularity_loss."""
+    """structure + modularity_weight * modularity_loss = total; q = -modularity_loss.
+
+    The fields, in order, are the columns of ``TrainedModel.loss_history``.
+    """
 
     structure: float
     modularity_loss: float
@@ -131,6 +137,11 @@ def _modularity_terms(g: WeightedGraph, labels: np.ndarray):
     two_m = g.total_weight_2m
     if two_m == 0:
         raise ValueError("modularity of an empty graph is undefined")
+    if not 1 / _MAX_TWO_M <= two_m <= _MAX_TWO_M:
+        raise ValueError(
+            f"modularity needs a total edge weight 2m within [{1 / _MAX_TWO_M:g}, {_MAX_TWO_M:g}] "
+            f"(its cube must stay a normal float); this graph has 2m = {two_m:.3g}"
+        )
     src = g.directed_src()
     intra = labels[src] == labels[g.indices]
     s1 = float(g.weights[intra].sum())

@@ -15,7 +15,7 @@ triple maps to a bit-identical trained model.
 from __future__ import annotations
 
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from .fcm import fcm_fit
 # build_graph is not called here; benchmarks/tracing.py wraps it at this lookup site
 from .graph import WeightedGraph, build_graph, induce_subgraph
 from .losses import (
-    LossBreakdown,
     draw_structure_samples,
     modularity,
     modularity_weight_grad,
@@ -45,7 +44,8 @@ from .losses import (
     update_edge_weights,
 )
 
-__all__ = ["TrainedModel", "train", "infer", "gradient_check", "save_checkpoint", "load_checkpoint"]
+__all__ = ["TrainedModel", "train", "infer", "gradient_check", "save_checkpoint", "load_checkpoint",
+           "write_loss_history"]
 
 MIN_LOSS_IMPROVEMENT = 1e-5
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -84,6 +84,7 @@ class Adam:
 class TrainedModel:
     """Trained parameters plus everything needed to reproduce inference.
 
+    ``loss_history`` has one row per epoch: L_G, L_M, total, Q.
     ``structure`` is the attention structure of the input graph when
     training ran on all of it (no contraction); it is not saved, and
     ``infer`` reuses it when labelling that same graph object.
@@ -92,14 +93,9 @@ class TrainedModel:
     params: ModelParams
     cluster_count: int
     config: TrainConfig
-    loss_history: list[LossBreakdown]
+    loss_history: np.ndarray
     selection: SubgraphSelection | None
     structure: AttentionStructure | None = field(default=None, repr=False, compare=False)
-
-    def history_array(self) -> np.ndarray:
-        return np.array(
-            [[h.structure, h.modularity_loss, h.total, h.modularity_q] for h in self.loss_history]
-        ).reshape(-1, 4)
 
 
 def _select_training_graph(g, cluster_count, config):
@@ -133,7 +129,7 @@ def _epoch_step(structure, model, config, epoch_constants, backward=True):
     (LossBreakdown, parameter gradients or None).
     """
     working = structure.graph
-    h_final, record, caches = network_forward_cached(structure, model, config)
+    h_final, record = network_forward_cached(structure, model, config)
     refined = working if config.no_weight_update else update_edge_weights(working, record)
     if refined.num_edges == 0:
         raise RuntimeError("weight refinement pruned every edge")
@@ -150,7 +146,7 @@ def _epoch_step(structure, model, config, epoch_constants, backward=True):
     if not config.no_weight_update and config.modularity_weight != 0.0:
         d_refined = config.modularity_weight * -modularity_weight_grad(refined, labels)
         d_coeffs = refinement_coeff_grad(record, refined, d_refined)
-    grads = network_backward(structure, model, config, caches, d_h, d_coeffs)
+    grads = network_backward(record, model, config, d_h, d_coeffs)
     return breakdown, grads
 
 
@@ -177,7 +173,7 @@ def train(g: WeightedGraph, cluster_count: int, config: TrainConfig) -> TrainedM
     # and move by exactly 0, so the result is the same as over the full table.
     work = ModelParams(embedding=params.embedding[sub_nodes], layers=params.layers)
     adam = Adam([a.shape for a in work.flat_arrays()], config.learning_rate)
-    history: list[LossBreakdown] = []
+    history = []
     best_total = np.inf
     stall = 0
     structure = build_attention_structure(working, config.self_loop_mode)
@@ -191,9 +187,9 @@ def train(g: WeightedGraph, cluster_count: int, config: TrainConfig) -> TrainedM
     for epoch in range(config.epochs):
         try:
             breakdown, grads = _epoch_step(structure, work, config, cluster_and_sample)
-        except RuntimeError as exc:
-            raise RuntimeError(f"epoch {epoch}: {exc}") from None
-        history.append(breakdown)
+        except (RuntimeError, FloatingPointError) as exc:
+            raise type(exc)(f"epoch {epoch}: {exc}") from None
+        history.append(astuple(breakdown))
         adam.step(work.flat_arrays(), grads.flat_arrays())
 
         if best_total - breakdown.total < MIN_LOSS_IMPROVEMENT:
@@ -209,7 +205,7 @@ def train(g: WeightedGraph, cluster_count: int, config: TrainConfig) -> TrainedM
         params=params,
         cluster_count=cluster_count,
         config=config,
-        loss_history=history,
+        loss_history=np.array(history).reshape(-1, 4),
         selection=selection,
         structure=structure if selection is None else None,
     )
@@ -227,7 +223,7 @@ def infer(g: WeightedGraph, model: TrainedModel, cluster_count: int | None = Non
     structure = model.structure
     if structure is None or structure.graph is not g:
         structure = build_attention_structure(g, config.self_loop_mode)
-    h, record, _ = network_forward_cached(structure, model.params, config)
+    h, record = network_forward_cached(structure, model.params, config)
     infer_seed = int(_rng(config.seed, _RNG_INFER).integers(2**31))
     assignment = fcm_fit(h, k, iters=config.fcm_iters, seed=infer_seed,
                          restarts=config.fcm_restarts)
@@ -253,7 +249,7 @@ def gradient_check(config: TrainConfig, g: WeightedGraph, fd_step: float = 1e-5)
     params = init_model_params(
         g.n, config.layer_dims(), config.attn_dim, config.heads, _rng(config.seed, _RNG_INIT)
     )
-    h0, _, _ = network_forward_cached(structure, params, config)
+    h0, _ = network_forward_cached(structure, params, config)
     labels = fcm_fit(h0, min(3, g.n), iters=config.fcm_iters, seed=0, restarts=2).labels
     samples = draw_structure_samples(g, config.negatives, _rng(config.seed, _RNG_EPOCH))
 
@@ -297,7 +293,7 @@ def save_checkpoint(model: TrainedModel, path) -> None:
         "cluster_count": np.array(model.cluster_count),
         "embedding": model.params.embedding,
         "layer_count": np.array(len(model.params.layers)),
-        "loss_history": model.history_array(),
+        "loss_history": model.loss_history,
     }
     for i, layer in enumerate(model.params.layers):
         data[f"layer{i}_w1"] = layer.w1
@@ -347,18 +343,21 @@ def load_checkpoint(path) -> TrainedModel:
     """Read a checkpoint written by save_checkpoint.
 
     Raises ValueError naming the file when it is not an .npz archive, and
-    naming the key when one is missing or unreadable, a scalar key is not a
-    0-d integer (or string, for config_text), or an array disagrees with the
-    checkpoint's config.
+    naming the key when one is missing or unreadable, a float array holds a
+    NaN or inf, a scalar key is not a 0-d integer (or string, for
+    config_text), or an array disagrees with the checkpoint's config.
     """
     with open(path, "rb") as fh, _open_checkpoint(fh, path) as z:
         def get(key: str) -> np.ndarray:
             if key not in z:
                 raise ValueError(f"checkpoint lacks key {key}")
             try:
-                return z[key]
+                value = z[key]
             except _UNREADABLE as exc:
                 raise ValueError(f"checkpoint key {key} is unreadable ({exc})") from None
+            if value.dtype.kind == "f" and not np.isfinite(value).all():
+                raise ValueError(f"checkpoint key {key} holds a NaN or inf")
+            return value
 
         def scalar(key: str, kind: str) -> np.ndarray:
             value = get(key)
@@ -386,15 +385,11 @@ def load_checkpoint(path) -> TrainedModel:
         ]
         params = ModelParams(embedding=get("embedding"), layers=layers)
         _check_checkpoint_shapes(config, params)
-        history_rows = get("loss_history")
-        if history_rows.ndim != 2 or history_rows.shape[1] != 4:
+        history = get("loss_history")
+        if history.ndim != 2 or history.shape[1] != 4:
             raise ValueError(
-                f"checkpoint key loss_history has shape {history_rows.shape}; expected (epochs, 4)"
+                f"checkpoint key loss_history has shape {history.shape}; expected (epochs, 4)"
             )
-        history = [
-            LossBreakdown(structure=row[0], modularity_loss=row[1], total=row[2], modularity_q=row[3])
-            for row in history_rows
-        ]
         selection = None
         if "selected_nodes" in z:
             selection = SubgraphSelection(
@@ -415,8 +410,5 @@ def write_loss_history(model: TrainedModel, path) -> None:
     """Loss history CSV: epoch,L_G,L_M,total,Q."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("epoch,L_G,L_M,total,Q\n")
-        for e, h in enumerate(model.loss_history):
-            fh.write(
-                f"{e},{float(h.structure)!r},{float(h.modularity_loss)!r},"
-                f"{float(h.total)!r},{float(h.modularity_q)!r}\n"
-            )
+        for e, row in enumerate(model.loss_history):
+            fh.write(f"{e}," + ",".join(repr(float(x)) for x in row) + "\n")

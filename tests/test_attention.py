@@ -6,6 +6,7 @@ import scipy.sparse as sp
 
 from wgclust import attention
 from wgclust.attention import (
+    AttentionRecord,
     LayerParams,
     ModelParams,
     build_attention_structure,
@@ -95,8 +96,7 @@ def run_network(g, model, alpha, self_loop_mode="max", config=None):
     """All layers over a graph; returns (H_final, AttentionRecord)."""
     structure = build_attention_structure(g, self_loop_mode)
     config = config or TrainConfig(entmax_alpha=alpha)
-    h, record, _ = network_forward_cached(structure, model, config)
-    return h, record
+    return network_forward_cached(structure, model, config)
 
 
 def run_layer(g, h_in, params, alpha, self_loop_mode="max"):
@@ -330,8 +330,8 @@ class TestHeadBatchedLayer:
             model.embedding *= 20.0  # spread the logits so that entmax leaves exact zeros
             d_h = rng.normal(size=(g.n, 4))
             d_final = rng.normal(size=(s.src.size, heads))
-            h, record, caches = network_forward_cached(s, model, config)
-            grads = network_backward(s, model, config, caches, d_h, d_final)
+            h, record = network_forward_cached(s, model, config)
+            grads = network_backward(record, model, config, d_h, d_final)
             ref_h, ref_coeffs, ref_grads = ref_network(s, model, config, d_h, d_final)
             assert np.array_equal(h, ref_h), name
             for got, want in zip(record.coefficients, ref_coeffs):
@@ -347,7 +347,7 @@ class TestHeadBatchedLayer:
         model = init_model_params(g.n, [6, 5, 4], attn_dim=7, heads=4,
                                   rng=np.random.default_rng(20))
         model.embedding *= 20.0
-        _, record, _ = network_forward_cached(s, model, TrainConfig(entmax_alpha=1.55))
+        _, record = network_forward_cached(s, model, TrainConfig(entmax_alpha=1.55))
         assert all((c == 0.0).any() for c in record.coefficients)
 
 
@@ -492,11 +492,11 @@ class TestLayerGradients:
         target = rng.normal(size=(g.n, 3))
 
         def loss_of(m):
-            h, _, _ = network_forward_cached(structure, m, config)
+            h, _ = network_forward_cached(structure, m, config)
             return 0.5 * float(((h - target) ** 2).sum())
 
-        h, _, caches = network_forward_cached(structure, model, config)
-        grads = network_backward(structure, model, config, caches, h - target)
+        h, record = network_forward_cached(structure, model, config)
+        grads = network_backward(record, model, config, h - target)
         step = 1e-5
         probe = model.copy()
         worst = 0.0
@@ -517,3 +517,16 @@ class TestLayerGradients:
                 rel = abs(gflat[idx] - fd) / max(abs(gflat[idx]) + abs(fd), 1e-2 * scale, 1e-8)
                 worst = max(worst, rel)
         assert worst < 1e-4
+
+    def test_backward_needs_the_record_of_a_forward_pass(self):
+        g = synth_weighted_sbm(5, 2, 0.9, 0.5, 2.0, 1.0, seed=12).graph
+        model = init_model_params(g.n, [3, 4, 3], attn_dim=3, heads=2,
+                                  rng=np.random.default_rng(13))
+        structure = build_attention_structure(g, "max")
+        config = TrainConfig(entmax_alpha=1.55)
+        h, record = network_forward_cached(structure, model, config)
+        assert len(record.layers) == len(record.coefficients) == 2
+        # coefficients alone, as the refinement tests build them
+        by_hand = AttentionRecord(structure=structure, coefficients=record.coefficients)
+        with pytest.raises(ValueError, match="backward state for 0 of 2 layers"):
+            network_backward(by_hand, model, config, h)

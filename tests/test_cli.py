@@ -94,6 +94,23 @@ MALFORMED_CHECKPOINTS = {
                          r"checkpoint key embedding has dtype <U1"),
     "flat loss_history": (_with_key("loss_history", np.zeros(3)),
                           r"checkpoint key loss_history has shape \(3,\)"),
+    "inf in loss_history": (_with_key("loss_history", np.full((5, 4), np.inf)),
+                            r"checkpoint key loss_history holds a NaN or inf"),
+}
+
+
+def _first_nan(values):
+    values = values.copy()
+    values.flat[0] = np.nan
+    return values
+
+
+# case -> (key, its replacement from the valid value, expected error)
+NON_FINITE_PARAMETERS = {
+    "NaN in embedding": ("embedding", _first_nan, r"checkpoint key embedding holds a NaN or inf"),
+    # finite, but every logit of layer 0 overflows
+    "layer0_w1 times 1e200": ("layer0_w1", lambda w1: w1 * 1e200,
+                              r"layer 0: non-finite activation at node \d+"),
 }
 
 
@@ -396,6 +413,37 @@ class TestErrors:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and re.search(message, err), err
+
+    @pytest.mark.parametrize("command", ["infer", "attention-dump"])
+    @pytest.mark.parametrize("case", sorted(NON_FINITE_PARAMETERS))
+    def test_non_finite_parameters_are_errors(self, trained_checkpoint, tmp_path, capsys, command,
+                                              case):
+        checkpoint, edges = trained_checkpoint
+        key, change, message = NON_FINITE_PARAMETERS[case]
+        with np.load(checkpoint) as z:
+            _with_key(key, change(z[key]))(checkpoint, tmp_path / "bad.npz")
+        rc = run_cli(command, "--checkpoint", tmp_path / "bad.npz", "--edges", edges,
+                     "--out", tmp_path / "o")
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and re.search(message, err), err
+
+    def test_diverging_training_names_the_epoch(self, synth_dir, tmp_path, capsys):
+        cfg = tmp_path / "fast.cfg"
+        cfg.write_text(FAST_CONFIG)
+        rc = run_cli("train", "--edges", synth_dir / "edges.tsv", "--clusters", 2,
+                     "--config", cfg, "--learning-rate", "1e200", "--out", tmp_path / "o")
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert re.match(r"error: epoch \d+: layer \d+: non-finite activation at node \d+", err), err
+
+    def test_random_sampling_without_contraction_rejected(self, synth_dir, tmp_path, capsys):
+        rc = run_cli("train", "--edges", synth_dir / "edges.tsv", "--clusters", 2,
+                     "--ablation", "cgc", "--ablation", "no-contraction", "--out", tmp_path / "o")
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "no_contraction" in err and "random_sampling" in err
+        assert not (tmp_path / "o" / "checkpoint.npz").exists()
 
     def test_console_entry_point(self):
         proc = subprocess.run(

@@ -312,6 +312,23 @@ class TestModularity:
         with pytest.raises(ValueError):
             modularity(empty, [0, 0])
 
+    @pytest.mark.parametrize("scale", [1e-98, 1e98])
+    def test_scale_invariant_while_two_m_is_in_range(self, scale):
+        lab = synth_weighted_sbm(12, 2, 0.6, 0.3, 3.0, 1.0, seed=5)
+        u, v, w = lab.graph.edge_arrays()
+        scaled = build_graph(lab.graph.n, u, v, w * (scale / w.sum()))  # 2m = 2 * scale
+        assert modularity(scaled, lab.labels) == pytest.approx(modularity(lab.graph, lab.labels))
+        np.testing.assert_allclose(modularity_weight_grad(scaled, lab.labels) * scale,
+                                   modularity_weight_grad(lab.graph, lab.labels) * w.sum())
+
+    @pytest.mark.parametrize("weight", [1e-300, 1e-101, 1e100, 1e300])
+    def test_two_m_beyond_normal_cube_rejected(self, weight):
+        # (2m)^3 would over- or underflow; the error names 2m instead
+        g = build_graph(3, [0, 1], [1, 2], [weight, weight])
+        for fn in (modularity, modularity_weight_grad):
+            with pytest.raises(ValueError, match=r"total edge weight 2m within \[1e-100, 1e\+100\]"):
+                fn(g, [0, 0, 1])
+
     def test_weight_gradient_matches_finite_differences(self):
         lab = synth_weighted_sbm(10, 2, 0.6, 0.3, 3.0, 1.0, seed=5)
         g = lab.graph

@@ -78,3 +78,34 @@ def test_every_public_name_is_used_or_documented():
         if attr not in used and not re.search(rf"\b{re.escape(attr)}\b", readme)
     ]
     assert not unused, f"public names nothing but tests use: {unused}"
+
+
+def _import_froms(directory: Path):
+    """(file name, ImportFrom node) for every `from ... import ...` under ``directory``."""
+    for path in sorted(directory.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                yield path.name, node
+
+
+def test_sibling_imports_are_public():
+    """Every `from .x import name` in the package names something in wgclust.x.__all__."""
+    private = [
+        f"{file}: from .{node.module} import {alias.name}"
+        for file, node in _import_froms(Path(wgclust.__file__).parent)
+        if node.level == 1 and node.module
+        for alias in node.names
+        if alias.name not in importlib.import_module(f"wgclust.{node.module}").__all__
+    ]
+    assert not private, f"sibling imports missing from their module's __all__: {private}"
+
+
+def test_tests_import_no_private_trainer_name():
+    private = [
+        f"{file}: {alias.name}"
+        for file, node in _import_froms(Path(__file__).resolve().parent)
+        if node.module == "wgclust.trainer"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not private, f"tests import private names from wgclust.trainer: {private}"

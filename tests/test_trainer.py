@@ -39,7 +39,7 @@ class TestTrainBasics:
         lab = synth_weighted_sbm(20, 2, 0.5, 0.1, 3.0, 1.0, seed=0)
         cfg = TrainConfig(epochs=0, no_contraction=True, **TINY)
         model = train(lab.graph, 2, cfg)
-        assert model.loss_history == []
+        assert model.loss_history.shape == (0, 4)
         assert model.params.embedding.shape == (20, 6)
         # inference still works from the initialized state
         a = infer(lab.graph, model)
@@ -52,7 +52,7 @@ class TestTrainBasics:
         m2 = train(lab.graph, 2, cfg)
         for a, b in zip(m1.params.flat_arrays(), m2.params.flat_arrays()):
             np.testing.assert_array_equal(a, b)
-        assert m1.history_array().tolist() == m2.history_array().tolist()
+        assert m1.loss_history.tolist() == m2.loss_history.tolist()
         a1 = infer(lab.graph, m1)
         a2 = infer(lab.graph, m2)
         np.testing.assert_array_equal(a1.memberships, a2.memberships)
@@ -72,7 +72,7 @@ class TestTrainBasics:
         lab = synth_weighted_sbm(20, 2, 0.5, 0.1, 3.0, 1.0, seed=4)
         cfg = TrainConfig(epochs=4, no_contraction=True, **TINY)
         model = train(lab.graph, 2, cfg)
-        hist = model.history_array()
+        hist = model.loss_history
         assert hist.shape == (4, 4)
         np.testing.assert_allclose(hist[:, 2], hist[:, 0] + cfg.modularity_weight * hist[:, 1])
 
@@ -95,7 +95,7 @@ class TestSeparableRecovery:
         a = infer(lab.graph, model)
         acc, _ = clustering_accuracy(a.labels, lab.labels)
         assert acc == 1.0
-        hist = model.history_array()[:, 2]
+        hist = model.loss_history[:, 2]
         # 10-epoch moving average decreases from start to finish
         assert hist[-10:].mean() < hist[:10].mean()
 
@@ -235,23 +235,24 @@ class TestAblations:
         for a, b in zip(m_a.params.flat_arrays(), m_b.params.flat_arrays()):
             np.testing.assert_array_equal(a, b)
 
-    def test_no_weight_update_modularity_uses_original_weights(self):
-        from wgclust.attention import ModelParams, build_attention_structure, network_forward_cached
-        from wgclust.fcm import fcm_fit
+    def test_no_weight_update_modularity_uses_original_weights(self, monkeypatch):
+        import wgclust.trainer as trainer_module
         from wgclust.losses import modularity
-        from wgclust.trainer import _RNG_FCM, _rng
 
         lab = synth_weighted_sbm(20, 2, 0.6, 0.1, 3.0, 1.0, seed=12)
         cfg = TrainConfig(epochs=1, no_contraction=True, no_weight_update=True, seed=4, **TINY)
+        scored = []
+
+        def recording_modularity(g, labels):
+            scored.append((g, labels.copy()))
+            return modularity(g, labels)
+
+        monkeypatch.setattr(trainer_module, "modularity", recording_modularity)
         model = train(lab.graph, 2, cfg)
-        # replay epoch 0 from the initialized parameters and score the raw graph
-        init = train(lab.graph, 2, cfg.replace(epochs=0))
-        structure = build_attention_structure(lab.graph, cfg.self_loop_mode)
-        h, _, _ = network_forward_cached(structure, init.params, cfg)
-        fcm_seed = int(_rng(cfg.seed, _RNG_FCM).integers(2**31))
-        labels = fcm_fit(h, 2, iters=cfg.fcm_iters, seed=fcm_seed,
-                         restarts=cfg.fcm_restarts).labels
-        assert model.loss_history[0].modularity_q == modularity(lab.graph, labels)
+        # epoch 0 scores the unrefined input graph under that epoch's labels
+        [(graph, labels)] = scored
+        assert graph is lab.graph
+        assert model.loss_history[0, 3] == modularity(lab.graph, labels)
 
     def test_random_sampling_matches_contraction_size(self):
         lab = synth_weighted_sbm(60, 3, 0.5, 0.05, 3.0, 1.0, seed=13)
@@ -331,7 +332,7 @@ class TestCheckpoint:
         model = train(lab.graph, 2, cfg)
         save_checkpoint(model, tmp_path / "m.npz")
         loaded = load_checkpoint(tmp_path / "m.npz")
-        np.testing.assert_array_equal(model.history_array(), loaded.history_array())
+        np.testing.assert_array_equal(model.loss_history, loaded.loss_history)
 
 
 class TestConfigFormat:
@@ -387,6 +388,16 @@ class TestConfigFormat:
             "core_count = 4", "density_weight = 0.25", "teleport = 0.75",
             "importance_threshold = 0.002", "distance_mode = unit",
         ]
+
+    def test_random_sampling_without_contraction_rejected(self):
+        # random_sampling replaces the contraction that no_contraction skips
+        message = "no_contraction and random_sampling are both set"
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(no_contraction=True, random_sampling=True)
+        with pytest.raises(ValueError, match=message):
+            parse_config_text("no_contraction = true\nrandom_sampling = true\n")
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(random_sampling=True).replace(no_contraction=True)
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):
