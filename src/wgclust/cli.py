@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import csv
 import dataclasses
 import functools
 import hashlib
@@ -91,29 +92,29 @@ def _load_train_config(args) -> TrainConfig:
 
 
 def _write_assignment(path, assignment: ClusterAssignment, g: graphio.WeightedGraph) -> None:
+    """One CSV row per node; csv quotes a token that holds a comma or a quote."""
     k = assignment.cluster_count
-    header = "node,label," + ",".join(f"Y_{j}" for j in range(k))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for tok, label, memberships in zip(g.node_ids, assignment.labels, assignment.memberships):
-            row = ",".join(repr(float(y)) for y in memberships)
-            fh.write(f"{tok},{int(label)},{row}\n")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["node", "label"] + [f"Y_{j}" for j in range(k)])
+        writer.writerows(
+            [tok, int(label)] + [repr(float(y)) for y in memberships]
+            for tok, label, memberships in zip(g.node_ids, assignment.labels, assignment.memberships)
+        )
 
 
 def _read_assignment_labels(path) -> dict[str, int]:
     labels: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header.startswith("node,label"):
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = csv.reader(fh)
+        if next(rows, [])[:2] != ["node", "label"]:
             raise ValueError(f"{path}: not an assignment CSV")
-        for lineno, raw in enumerate(fh, start=2):
-            line = raw.strip()
-            if not line:
+        for parts in rows:
+            if not "".join(parts).strip():
                 continue
-            where = f"{path}: line {lineno}"
-            parts = line.split(",")
+            where = f"{path}: line {rows.line_num}"
             if len(parts) < 2:
-                raise ValueError(f"{where}: expected 'node,label,...', got {line!r}")
+                raise ValueError(f"{where}: expected 'node,label,...', got {','.join(parts)!r}")
             node, label = parts[:2]
             if node in labels:
                 raise ValueError(f"{where}: node {node!r} is listed twice")
@@ -220,6 +221,9 @@ def cmd_train(args) -> int:
     out = _outdir(args)
     config = _load_train_config(args)
     seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [config.seed]
+    for i, s in enumerate(seeds):
+        if s in seeds[:i]:
+            raise ValueError(f"--seeds lists seed {s} twice")
     sweep = len(seeds) > 1
     if not sweep:
         config = config.replace(seed=seeds[0])
@@ -291,10 +295,10 @@ def cmd_attention_dump(args) -> int:
     avg = record.final_head_average()
     names = g.node_ids
     path = out / "attention.csv"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("i,j,a_ij\n")
-        for i, j, a in zip(s.src, s.dst, avg):
-            fh.write(f"{names[i]},{names[j]},{float(a)!r}\n")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["i", "j", "a_ij"])
+        writer.writerows([names[i], names[j], repr(float(a))] for i, j, a in zip(s.src, s.dst, avg))
     print(f"dumped {s.src.size} attention coefficients to {path}")
     _write_manifest(out, "attention-dump", {}, [args.checkpoint, args.edges], [path],
                     time.perf_counter() - t0)

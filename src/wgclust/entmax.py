@@ -18,7 +18,7 @@ entries that end up off the support.
 
 The kernel works on a flat value array split into contiguous rows by an
 indptr, which is how the attention layer normalizes all nodes (and heads) in
-one call; the single-vector API is a one-row call of the same kernel.
+one call.
 
 The solve runs block by block: the rows are split, at row boundaries, into
 blocks of at most _SOLVE_BLOCK_FLOATS values (a longer row is a block of its
@@ -39,12 +39,11 @@ scores gets an exact zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "SOLVE_TOL", "SOLVE_MAX_PASSES", "EntmaxResult", "entmax", "entmax_jvp",
+    "SOLVE_TOL", "SOLVE_MAX_PASSES",
     "segment_entmax", "segment_entmax_vjp", "segment_softmax", "segment_softmax_vjp",
 ]
 
@@ -56,45 +55,13 @@ _SETTLE_GRID = 2.0**30  # the final solve starts on this grid, within 1e-9 of th
 _SOLVE_BLOCK_FLOATS = 65536
 
 
-@dataclass(frozen=True)
-class EntmaxResult:
-    """Probabilities, the solved threshold (scaled domain), and the support set."""
-
-    p: np.ndarray
-    tau: float
-    support: np.ndarray
-
-
 def _check_alpha(alpha: float) -> None:
     if not alpha > 1:
         raise ValueError(f"alpha must be > 1 (got {alpha}); the softmax limit is a separate code path")
 
 
-def entmax(z, alpha: float) -> EntmaxResult:
-    """Normalize a score vector with alpha-entmax."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.size == 0:
-        raise ValueError("empty score vector")
-    p, tau = _solve(z, np.array([0, z.size]), alpha)
-    return EntmaxResult(p=p, tau=float(tau[0]), support=np.flatnonzero(p > 0))
-
-
-def entmax_jvp(result: EntmaxResult, alpha: float, upstream) -> np.ndarray:
-    """Gradient of the loss w.r.t. z given the gradient w.r.t. p.
-
-    On the support, with s_i = p_i^(2-alpha):
-        g = s * u - s * (s . u) / sum(s)
-    and exactly zero off-support. (The entmax Jacobian is symmetric, so the
-    vector-Jacobian and Jacobian-vector products coincide.)
-    """
-    p = result.p
-    return segment_entmax_vjp(p, np.array([0, p.size]), alpha, np.asarray(upstream, dtype=np.float64))
-
-
-# ---------------------------------------------------------------------------
-# Segmented variants: values is (m,) or (m, h); indptr splits axis 0 into rows.
-# Rows must be non-empty (the attention layer always includes a self-loop).
-# ---------------------------------------------------------------------------
+# values is (m,) or (m, h); indptr splits axis 0 into rows. Rows must be
+# non-empty (the attention layer always includes a self-loop).
 
 
 def _row_blocks(indptr, width: int) -> list[tuple[slice, slice, np.ndarray, np.ndarray]]:
@@ -196,13 +163,12 @@ def _newton(scores, p, tau, blocks, inv) -> None:
         target += 1
 
 
-def _solve(values, indptr, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Solve every row's threshold; returns (p, tau).
+def segment_entmax(values, indptr, alpha: float) -> np.ndarray:
+    """alpha-entmax applied independently to every row of a segmented array.
 
     values is (m,) or (m, h) and indptr splits axis 0 into non-empty rows.
-    tau is per row (and head), in the unshifted scaled domain. Raises
-    ValueError for a row with a NaN or +inf score or with only -inf scores;
-    a -inf among finite scores gets p = 0.
+    Raises ValueError for a row with a NaN or +inf score or with only -inf
+    scores; a -inf among finite scores gets p = 0.
     """
     _check_alpha(alpha)
     values = np.asarray(values, dtype=np.float64)
@@ -226,16 +192,17 @@ def _solve(values, indptr, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     # has exactly no effect on p, as the VJP assumes.
     tau = np.floor(tau * _SETTLE_GRID) / _SETTLE_GRID
     _newton(scores, p, tau, blocks, inv)
-    return p, tau + top
-
-
-def segment_entmax(values, indptr, alpha: float) -> np.ndarray:
-    """alpha-entmax applied independently to every row of a segmented array."""
-    return _solve(values, indptr, alpha)[0]
+    return p
 
 
 def segment_entmax_vjp(p, indptr, alpha: float, upstream) -> np.ndarray:
-    """Row-wise entmax gradient (see entmax_jvp) on a segmented array, one row block at a time."""
+    """Gradient w.r.t. the scores given the gradient u w.r.t. p, row by row, one row block at a time.
+
+    On a row's support, with s_i = p_i^(2-alpha):
+        g = s * u - s * (s . u) / sum(s)
+    and exactly zero off-support. (The entmax Jacobian is symmetric, so the
+    vector-Jacobian and Jacobian-vector products coincide.)
+    """
     _check_alpha(alpha)
     grad = np.empty(p.shape)
     for _, vals, starts, lens in _row_blocks(indptr, math.prod(p.shape[1:])):

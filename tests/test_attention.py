@@ -20,7 +20,6 @@ from wgclust.attention import (
     _symmetric_logits,
 )
 from wgclust.entmax import (
-    entmax,
     segment_entmax,
     segment_entmax_vjp,
     segment_softmax,
@@ -30,7 +29,7 @@ from wgclust.config import TrainConfig
 from wgclust.graph import build_graph, synth_weighted_sbm
 
 from graph_helpers import neighbors
-from numeric_helpers import softmax
+from numeric_helpers import entmax, softmax
 
 
 def straight_line_layer(g, h_in, params, alpha, use_factor=True, use_entmax=True,
@@ -59,7 +58,7 @@ def straight_line_layer(g, h_in, params, alpha, use_factor=True, use_entmax=True
                 f = wmap[z] / denom
                 scores.append(e + f if use_factor else e)
             scores = np.array(scores)
-            a = entmax(scores, alpha).p if use_entmax else softmax(scores)
+            a = entmax(scores, alpha) if use_entmax else softmax(scores)
             for z, av in zip(cand, a):
                 coeffs[(t, i, z)] = av
             agg = np.zeros(d_out)

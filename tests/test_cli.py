@@ -1,5 +1,6 @@
 """End-to-end command-line runs in temp directories."""
 
+import csv
 import json
 import re
 import subprocess
@@ -255,6 +256,39 @@ class TestTrainInferEval:
             train_out / "assignment.csv"
         ).read_bytes()
 
+    def test_tokens_with_commas_round_trip(self, synth_dir, tmp_path):
+        """train -> infer -> eval -> attention-dump scores a graph whose tokens hold commas
+        and quotes as it scores the same graph with plain tokens."""
+        cfg = tmp_path / "fast.cfg"
+        cfg.write_text(FAST_CONFIG)
+
+        def rename(tok):
+            return f'n{tok},"{tok}'
+
+        odd = tmp_path / "odd"
+        odd.mkdir()
+        edges = [line.split("\t") for line in (synth_dir / "edges.tsv").read_text().splitlines()]
+        (odd / "edges.tsv").write_text(
+            "".join(f"{rename(a)}\t{rename(b)}\t{w}\n" for a, b, w in edges))
+        labels = [line.split("\t") for line in (synth_dir / "labels.tsv").read_text().splitlines()]
+        (odd / "labels.tsv").write_text("".join(f"{rename(t)}\t{y}\n" for t, y in labels))
+        runs = {}
+        for tag, inputs in (("plain", synth_dir), ("odd", odd)):
+            out, checkpoint = tmp_path / tag, tmp_path / tag / "train" / "checkpoint.npz"
+            assert run_cli("train", "--edges", inputs / "edges.tsv", "--clusters", 2,
+                           "--config", cfg, "--out", out / "train") == 0
+            assert run_cli("infer", "--checkpoint", checkpoint, "--edges", inputs / "edges.tsv",
+                           "--out", out / "infer") == 0
+            assert run_cli("eval", "--pred", out / "infer" / "assignment.csv",
+                           "--truth", inputs / "labels.tsv", "--out", out / "eval") == 0
+            assert run_cli("attention-dump", "--checkpoint", checkpoint,
+                           "--edges", inputs / "edges.tsv", "--out", out / "attn") == 0
+            with open(out / "attn" / "attention.csv", newline="") as fh:
+                runs[tag] = ((out / "eval" / "eval.json").read_bytes(), list(csv.reader(fh)))
+        (plain_eval, plain_attn), (odd_eval, odd_attn) = runs["plain"], runs["odd"]
+        assert odd_eval == plain_eval
+        assert odd_attn[1:] == [[rename(i), rename(j), a] for i, j, a in plain_attn[1:]]
+
     def test_ablation_flag_changes_config_echo(self, synth_dir, tmp_path):
         cfg = tmp_path / "fast.cfg"
         cfg.write_text(FAST_CONFIG)
@@ -357,6 +391,13 @@ class TestErrors:
                      "--out", tmp_path / "o")
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_repeated_seed_rejected(self, synth_dir, tmp_path, capsys):
+        rc = run_cli("train", "--edges", synth_dir / "edges.tsv", "--clusters", 2,
+                     "--seeds", "1,2,1", "--out", tmp_path / "o")
+        assert rc == 1
+        assert "error: --seeds lists seed 1 twice" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "seed_1").exists()
 
     def test_unknown_ablation_rejected(self, synth_dir, tmp_path, capsys):
         rc = run_cli("train", "--edges", synth_dir / "edges.tsv", "--clusters", 2,

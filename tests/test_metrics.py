@@ -69,9 +69,22 @@ class TestF1Scores:
         for _ in range(50):
             pred = rng.integers(0, 3, size=30)
             truth = rng.integers(0, 4, size=30)
-            acc, mapping = clustering_accuracy(pred, truth)
-            micro, _ = f1_scores(pred, truth, mapping)
-            assert micro == pytest.approx(acc)
+            # more predicted than true labels, some true labels negative: an
+            # unmatched prediction is wrong even where the truth is -1
+            for p, t in ((pred, truth), (2 * pred + truth % 2, truth - 3)):
+                acc, mapping = clustering_accuracy(p, t)
+                micro, _ = f1_scores(p, t, mapping)
+                assert micro == pytest.approx(acc)
+                assert evaluate(p, t).micro_f1 == acc
+
+    def test_shifting_truth_labels_keeps_the_scores(self):
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            pred = rng.integers(0, 8, size=40)
+            truth = rng.integers(0, 6, size=40)
+            base, shifted = evaluate(pred, truth), evaluate(pred, truth - 5)
+            assert (shifted.accuracy, shifted.micro_f1, shifted.macro_f1) == (
+                base.accuracy, base.micro_f1, base.macro_f1)
 
     def test_two_class_macro_hand_case(self):
         # mapped confusion [[3,1],[1,3]]: per-class F1 = 0.75 each, macro = 0.75
