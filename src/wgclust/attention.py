@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .entmax import (
     segment_entmax,
@@ -257,6 +256,8 @@ def _row_aggregate(structure, data, dense) -> np.ndarray:
     width). One sparse product over the block-diagonal pattern covers every
     head.
     """
+    import scipy.sparse as sp
+
     heads, n, width = dense.shape
     indptr, indices = structure.head_pattern(heads)
     mat = sp.csr_matrix((data, indices, indptr), shape=(heads * n, heads * n))
@@ -270,6 +271,8 @@ def _col_aggregate(structure, data, dense) -> np.ndarray:
     are its transpose; the product accumulates each output row in ascending
     src order, as the row aggregation of values[rev] would.
     """
+    import scipy.sparse as sp
+
     heads, n, width = dense.shape
     indptr, indices = structure.head_pattern(heads)
     mat = sp.csc_matrix((data, indices, indptr), shape=(heads * n, heads * n))

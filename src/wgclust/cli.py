@@ -216,21 +216,35 @@ def _run_single_training(edges_path, clusters, config: TrainConfig, outdir: Path
     return seconds, edges_before, edges_after
 
 
+def _parse_seeds(text: str) -> list[int]:
+    """The --seeds list; the error names a token that is not an integer or repeats."""
+    seeds = []
+    for token in text.split(","):
+        try:
+            seed = int(token)
+        except ValueError:
+            raise ValueError(f"--seeds lists {token!r}, which is not an integer") from None
+        if seed in seeds:
+            raise ValueError(f"--seeds lists seed {seed} twice")
+        seeds.append(seed)
+    return seeds
+
+
 def cmd_train(args) -> int:
     """Train once per seed: into --out for one seed, into --out/seed_<s> for a sweep."""
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    seeds = _parse_seeds(args.seeds) if args.seeds else None
     out = _outdir(args)
     config = _load_train_config(args)
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [config.seed]
-    for i, s in enumerate(seeds):
-        if s in seeds[:i]:
-            raise ValueError(f"--seeds lists seed {s} twice")
+    seeds = seeds or [config.seed]
     sweep = len(seeds) > 1
     if not sweep:
         config = config.replace(seed=seeds[0])
     dirs = [out / f"seed_{s}" if sweep else out for s in seeds]
     configs = [config.replace(seed=s) for s in seeds]
     run = functools.partial(_run_single_training, args.edges, args.clusters)
-    jobs = min(max(1, args.jobs), len(seeds))
+    jobs = min(args.jobs, len(seeds))
     t0 = time.perf_counter()
     if jobs == 1:
         results = list(map(run, configs, dirs))

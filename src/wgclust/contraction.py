@@ -11,12 +11,14 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import dijkstra
 
 from .graph import WeightedGraph, induce_subgraph
+
+if TYPE_CHECKING:  # scipy loads at the first call that needs it
+    import scipy.sparse as sp
 
 __all__ = [
     "DISTANCE_MODES",
@@ -86,6 +88,8 @@ class SubgraphSelection:
 
 
 def _length_csr(g: WeightedGraph, mode: str) -> sp.csr_matrix:
+    import scipy.sparse as sp
+
     lengths = 1.0 / g.weights if mode == "reciprocal" else np.ones_like(g.weights)
     return sp.csr_matrix((lengths, g.indices, g.indptr), shape=(g.n, g.n))
 
@@ -100,6 +104,8 @@ def _unreachable_sentinel(g: WeightedGraph, mode: str) -> float:
 
 
 def _distance_sum(lengths: sp.csr_matrix, sentinel: float, cores) -> np.ndarray:
+    from scipy.sparse.csgraph import dijkstra
+
     # the stored CSR holds both directions of every edge, so a directed
     # search gives the undirected distances without a transpose per call
     dist = dijkstra(lengths, directed=True, indices=cores)
@@ -159,6 +165,8 @@ def personalized_pagerank(g: WeightedGraph, seed_nodes, teleport: float) -> np.n
     column still above the tolerance after 1000 passes raises
     ``RuntimeError`` naming its seed node.
     """
+    import scipy.sparse as sp
+
     if not (0.0 < teleport <= 1.0):
         raise ValueError("teleport must lie in (0, 1]")
     seeds = np.asarray(seed_nodes, dtype=np.int64)

@@ -6,7 +6,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 __all__ = ["EvalReport", "clustering_accuracy", "f1_scores", "evaluate"]
 
@@ -56,6 +55,8 @@ def _match(pred_labels, true_labels, counts):
 
     Returns (rows, cols, predicted -> true label mapping).
     """
+    from scipy.optimize import linear_sum_assignment
+
     rows, cols = linear_sum_assignment(counts, maximize=True)
     return rows, cols, {int(pred_labels[r]): int(true_labels[c]) for r, c in zip(rows, cols)}
 

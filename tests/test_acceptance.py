@@ -241,16 +241,17 @@ def test_criterion_7_contraction_speedup():
     for seed in range(3):
         lab = synth_weighted_sbm(1500, 2, 0.16, 0.02, 5.0, 1.0, seed=seed)
         g = lab.graph
+        # the ACC is scored outside the timed region, as in criterion 5
         t0 = time.perf_counter()
         model = train(g, 2, TrainConfig(seed=seed, no_contraction=True, **kw))
-        acc, _ = clustering_accuracy(infer(g, model).labels, lab.labels)
+        labels = infer(g, model).labels
         full_times.append(time.perf_counter() - t0)
-        full_accs.append(acc)
+        full_accs.append(clustering_accuracy(labels, lab.labels)[0])
         t0 = time.perf_counter()
         model = train(g, 2, TrainConfig(seed=seed, importance_threshold=2.95e-3, **kw))
-        acc, _ = clustering_accuracy(infer(g, model).labels, lab.labels)
+        labels = infer(g, model).labels
         sub_times.append(time.perf_counter() - t0)
-        sub_accs.append(acc)
+        sub_accs.append(clustering_accuracy(labels, lab.labels)[0])
         assert model.selection.subgraph.num_edges < g.num_edges / 2
     ratio = sum(sub_times) / sum(full_times)
     gap = abs(float(np.median(full_accs)) - float(np.median(sub_accs)))

@@ -399,6 +399,25 @@ class TestErrors:
         assert "error: --seeds lists seed 1 twice" in capsys.readouterr().err
         assert not (tmp_path / "o" / "seed_1").exists()
 
+    @pytest.mark.parametrize("seeds, message", [
+        ("1,,2", "error: --seeds lists '', which is not an integer"),
+        ("1,x", "error: --seeds lists 'x', which is not an integer"),
+    ])
+    def test_bad_seed_token_named(self, synth_dir, tmp_path, capsys, seeds, message):
+        rc = run_cli("train", "--edges", synth_dir / "edges.tsv", "--clusters", 2,
+                     "--seeds", seeds, "--out", tmp_path / "o")
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("jobs", [0, -4])
+    def test_jobs_below_one_rejected(self, synth_dir, tmp_path, capsys, jobs):
+        rc = run_cli("train", "--edges", synth_dir / "edges.tsv", "--clusters", 2,
+                     "--seeds", "1,2", "--jobs", jobs, "--out", tmp_path / "o")
+        assert rc == 1
+        assert f"error: --jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_ablation_rejected(self, synth_dir, tmp_path, capsys):
         rc = run_cli("train", "--edges", synth_dir / "edges.tsv", "--clusters", 2,
                      "--ablation", "bogus", "--out", tmp_path / "o")
