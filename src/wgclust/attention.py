@@ -38,6 +38,7 @@ __all__ = [
     "AttentionStructure",
     "AttentionRecord",
     "build_attention_structure",
+    "network_forward",
     "network_forward_cached",
     "network_backward",
     "init_model_params",
@@ -226,13 +227,15 @@ class _LayerCache:
 
 @dataclass
 class AttentionRecord:
-    """One forward pass: normalized coefficients of every layer, head, and candidate entry.
+    """One training forward pass: normalized coefficients of every layer, head, and candidate entry.
 
     coefficients[layer] has shape (entries, heads), aligned with the
     structure's entry arrays. ``layers`` holds what each layer's reverse
     sweep reads besides its coefficients (inputs, projections, activations)
     when the record comes from ``network_forward_cached``; a record built
-    from coefficients alone has none.
+    from coefficients alone has none. ``network_forward``, which labels and
+    dumps attention, makes no record: it returns the final layer's
+    coefficients alone.
     """
 
     structure: AttentionStructure
@@ -391,6 +394,33 @@ def _backward_layer(structure, params, config, cache, coeffs, d_out, d_coeffs_ex
     return d_h_in, LayerParams(w1=d_w1, w2=d_w2, gamma=d_gamma)
 
 
+def _forward_layer_at(li, structure, h_in, params, config):
+    """``_forward_layer`` of layer ``li``; a FloatingPointError names the layer."""
+    try:
+        return _forward_layer(structure, h_in, params, config)
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"layer {li}: {exc}") from None
+
+
+def network_forward(structure, model: ModelParams, config: TrainConfig):
+    """Full forward pass that keeps no backward state; returns (H_final, final coefficients).
+
+    The coefficients are the final layer's, (entries, heads). Each layer's
+    projections and activations, and every earlier layer's coefficients, are
+    freed before the next layer runs. Raises ValueError when the structure's
+    graph and the embedding table disagree on the node count. Reads the same
+    config fields as ``network_forward_cached``.
+    """
+    n, rows = structure.graph.n, model.embedding.shape[0]
+    if n != rows:
+        raise ValueError(f"graph has {n} nodes but the model embeds {rows}")
+    h, coeffs = model.embedding, None
+    for li, params in enumerate(model.layers):
+        del coeffs  # only the final layer's coefficients are returned
+        h, coeffs = _forward_layer_at(li, structure, h, params, config)[:2]
+    return h, coeffs
+
+
 def network_forward_cached(structure, model: ModelParams, config: TrainConfig):
     """Full forward pass; returns (H_final, AttentionRecord).
 
@@ -401,10 +431,7 @@ def network_forward_cached(structure, model: ModelParams, config: TrainConfig):
     h = model.embedding
     record = AttentionRecord(structure=structure, coefficients=[])
     for li, params in enumerate(model.layers):
-        try:
-            h, coeffs, cache = _forward_layer(structure, h, params, config)
-        except FloatingPointError as exc:
-            raise FloatingPointError(f"layer {li}: {exc}") from None
+        h, coeffs, cache = _forward_layer_at(li, structure, h, params, config)
         record.coefficients.append(coeffs)
         record.layers.append(cache)
     return h, record

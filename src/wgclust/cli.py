@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import graph as graphio
+from .attention import build_attention_structure, network_forward
 from .config import TrainConfig, config_to_text, load_config_file
 from .contraction import DISTANCE_MODES, ContractionConfig, contract
 from .fcm import ClusterAssignment
@@ -304,9 +305,8 @@ def cmd_attention_dump(args) -> int:
     t0 = time.perf_counter()
     model = load_checkpoint(args.checkpoint)
     g = graphio.load_edge_list(args.edges)
-    _, record = infer(g, model, return_attention=True)
-    s = record.structure
-    avg = record.final_head_average()
+    s = build_attention_structure(g, model.config.self_loop_mode)
+    avg = network_forward(s, model.params, model.config)[1].mean(axis=1)
     names = g.node_ids
     path = out / "attention.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["EvalReport", "clustering_accuracy", "f1_scores", "evaluate"]
+__all__ = ["EvalReport", "evaluate"]
 
 
 @dataclass(frozen=True)
@@ -50,17 +50,6 @@ def _confusion(pred, truth):
     return pred_labels, true_labels, counts
 
 
-def _match(pred_labels, true_labels, counts):
-    """The matching of predicted rows to true columns that maximizes the matched count.
-
-    Returns (rows, cols, predicted -> true label mapping).
-    """
-    from scipy.optimize import linear_sum_assignment
-
-    rows, cols = linear_sum_assignment(counts, maximize=True)
-    return rows, cols, {int(pred_labels[r]): int(true_labels[c]) for r, c in zip(rows, cols)}
-
-
 def _f1(counts, rows, cols) -> tuple[float, float]:
     """(micro, macro) F1 when predicted row rows[i] stands for true class cols[i].
 
@@ -76,45 +65,24 @@ def _f1(counts, rows, cols) -> tuple[float, float]:
     return float(tp.sum() / counts.sum()), float(np.mean(f1))
 
 
-def clustering_accuracy(pred, truth) -> tuple[float, dict[int, int]]:
-    """Accuracy under the best one-to-one predicted-to-true label matching.
-
-    Solves the assignment problem on the confusion matrix (maximizing the
-    matched count) and returns matched/n plus the predicted -> true mapping.
-    Invariant under relabeling of either input.
-    """
-    pred_labels, true_labels, counts = _confusion(pred, truth)
-    rows, cols, mapping = _match(pred_labels, true_labels, counts)
-    return float(counts[rows, cols].sum() / counts.sum()), mapping
-
-
-def f1_scores(pred, truth, mapping) -> tuple[float, float]:
-    """(micro, macro) F1 under a one-to-one predicted -> true mapping, such as the
-    one clustering_accuracy returns.
-
-    Predictions whose label has no match count as wrong, so for single-label
-    data micro-F1 reduces exactly to accuracy. Macro-F1 averages per-true-class
-    F1; true classes nothing maps onto score 0.
-    """
-    pred_labels, true_labels, counts = _confusion(pred, truth)
-    row_of = {int(x): i for i, x in enumerate(pred_labels)}
-    col_of = {int(x): j for j, x in enumerate(true_labels)}
-    # a pair whose labels do not both occur matches no prediction
-    pairs = [(row_of[p], col_of[t]) for p, t in mapping.items() if p in row_of and t in col_of]
-    rows, cols = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-    return _f1(counts, rows, cols)
-
-
 def evaluate(pred, truth) -> EvalReport:
-    """Bundle accuracy, F1 scores, and the confusion matrix into one report."""
+    """Accuracy, F1 scores and the confusion matrix under the best label matching.
+
+    The one-to-one predicted -> true matching (``mapping``) solves the
+    assignment problem on the confusion matrix, maximizing the matched
+    count; accuracy is matched/n, so the report is invariant under relabeling
+    of either input. Predictions whose label has no match count as wrong.
+    """
+    from scipy.optimize import linear_sum_assignment
+
     pred_labels, true_labels, counts = _confusion(pred, truth)
-    rows, cols, mapping = _match(pred_labels, true_labels, counts)
+    rows, cols = linear_sum_assignment(counts, maximize=True)
     micro, macro = _f1(counts, rows, cols)
     return EvalReport(
         accuracy=micro,
         micro_f1=micro,
         macro_f1=macro,
-        mapping=mapping,
+        mapping={int(pred_labels[r]): int(true_labels[c]) for r, c in zip(rows, cols)},
         confusion=counts,
         pred_labels=pred_labels,
         true_labels=true_labels,

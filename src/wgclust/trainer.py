@@ -26,6 +26,7 @@ from .attention import (
     build_attention_structure,
     init_model_params,
     network_backward,
+    network_forward,
     network_forward_cached,
 )
 from .config import TrainConfig, config_to_text, parse_config_text
@@ -211,25 +212,19 @@ def train(g: WeightedGraph, cluster_count: int, config: TrainConfig) -> TrainedM
     )
 
 
-def infer(g: WeightedGraph, model: TrainedModel, cluster_count: int | None = None,
-          return_attention: bool = False):
-    """Full-graph forward (no contraction) and a fresh fuzzy c-means fit on its output."""
+def infer(g: WeightedGraph, model: TrainedModel, cluster_count: int | None = None):
+    """Full-graph forward (no contraction, no backward state) and a fresh fuzzy c-means fit.
+
+    Raises ValueError when ``g`` and the model disagree on the node count.
+    """
     config = model.config
     k = cluster_count if cluster_count is not None else model.cluster_count
-    if g.n != model.params.embedding.shape[0]:
-        raise ValueError(
-            f"graph has {g.n} nodes but the model embeds {model.params.embedding.shape[0]}"
-        )
     structure = model.structure
     if structure is None or structure.graph is not g:
         structure = build_attention_structure(g, config.self_loop_mode)
-    h, record = network_forward_cached(structure, model.params, config)
+    h = network_forward(structure, model.params, config)[0]
     infer_seed = int(_rng(config.seed, _RNG_INFER).integers(2**31))
-    assignment = fcm_fit(h, k, iters=config.fcm_iters, seed=infer_seed,
-                         restarts=config.fcm_restarts)
-    if return_attention:
-        return assignment, record
-    return assignment
+    return fcm_fit(h, k, iters=config.fcm_iters, seed=infer_seed, restarts=config.fcm_restarts)
 
 
 def gradient_check(config: TrainConfig, g: WeightedGraph, fd_step: float = 1e-5) -> float:
@@ -249,7 +244,7 @@ def gradient_check(config: TrainConfig, g: WeightedGraph, fd_step: float = 1e-5)
     params = init_model_params(
         g.n, config.layer_dims(), config.attn_dim, config.heads, _rng(config.seed, _RNG_INIT)
     )
-    h0, _ = network_forward_cached(structure, params, config)
+    h0 = network_forward(structure, params, config)[0]
     labels = fcm_fit(h0, min(3, g.n), iters=config.fcm_iters, seed=0, restarts=2).labels
     samples = draw_structure_samples(g, config.negatives, _rng(config.seed, _RNG_EPOCH))
 

@@ -1,5 +1,7 @@
 """Attention layer against a straight-line re-implementation, plus gradients."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -12,6 +14,7 @@ from wgclust.attention import (
     build_attention_structure,
     init_model_params,
     network_backward,
+    network_forward,
     network_forward_cached,
     _PAIR_DOT_FLOATS,
     _elu,
@@ -337,6 +340,9 @@ class TestHeadBatchedLayer:
                 assert np.array_equal(got, want), name
             for got, want in zip(grads.flat_arrays(), ref_grads.flat_arrays()):
                 assert np.array_equal(got, want), name
+            plain_h, final_coeffs = network_forward(s, model, config)
+            assert np.array_equal(plain_h, ref_h), name
+            assert np.array_equal(final_coeffs, ref_coeffs[-1]), name
 
     def test_reference_inputs_have_exact_zeros_and_several_blocks(self):
         g = self.graphs()["sbm+isolated"]
@@ -470,6 +476,27 @@ class TestNetworkForward:
             g, model.embedding, model.layers[0], alpha=1.55, use_factor=False, use_entmax=False
         )
         np.testing.assert_allclose(h, oracle, atol=1e-10)
+
+    def test_forward_without_backward_state_peaks_below_the_cached_one(self):
+        g = synth_weighted_sbm(200, 2, 0.3, 0.05, 3.0, 1.0, seed=22).graph
+        s = build_attention_structure(g)
+        model = init_model_params(g.n, [8, 8, 8, 8], attn_dim=8, heads=4,
+                                  rng=np.random.default_rng(23))
+        config = TrainConfig(entmax_alpha=1.55)
+        s.head_pattern(4)  # built once, outside both measurements
+
+        def traced_peak(forward):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                forward(s, model, config)
+                return tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+
+        plain, cached = traced_peak(network_forward), traced_peak(network_forward_cached)
+        assert plain < cached, (plain, cached)
 
     def test_non_finite_activation_raises(self):
         g = build_graph(2, [0], [1], [1.0])

@@ -364,7 +364,7 @@ class TestTrainInferEval:
 
 
 class TestAttentionDump:
-    def test_dump_covers_all_directed_pairs(self, synth_dir, tmp_path):
+    def test_dump_covers_all_directed_pairs(self, synth_dir, tmp_path, monkeypatch):
         cfg = tmp_path / "fast.cfg"
         cfg.write_text(FAST_CONFIG)
         train_out = tmp_path / "train"
@@ -372,6 +372,13 @@ class TestAttentionDump:
             "train", "--edges", synth_dir / "edges.tsv", "--clusters", 2,
             "--config", cfg, "--out", train_out,
         ) == 0
+
+        def no_clustering(*args, **kwargs):
+            raise AssertionError("attention-dump ran fuzzy c-means")
+
+        # the dump needs the coefficients only, never a clustering
+        monkeypatch.setattr("wgclust.trainer.fcm_fit", no_clustering)
+        monkeypatch.setattr("wgclust.fcm.fcm_fit", no_clustering)
         dump_out = tmp_path / "attn"
         assert run_cli(
             "attention-dump", "--checkpoint", train_out / "checkpoint.npz",
@@ -487,6 +494,25 @@ class TestErrors:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and re.search(message, err), err
+
+    @pytest.mark.parametrize("command", ["infer", "attention-dump"])
+    def test_graph_with_more_nodes_than_the_model_rejected(self, tmp_path, capsys, command):
+        cfg = tmp_path / "fast.cfg"
+        cfg.write_text(FAST_CONFIG)
+        assert run_cli(
+            "synth", "--nodes", 20, "--clusters", 2, "--p-in", 0.6, "--p-out", 0.1,
+            "--seed", 3, "--out", tmp_path / "synth",
+        ) == 0
+        assert run_cli(
+            "train", "--edges", tmp_path / "synth" / "edges.tsv", "--clusters", 2,
+            "--config", cfg, "--out", tmp_path / "train",
+        ) == 0
+        path_graph = tmp_path / "path21.tsv"
+        path_graph.write_text("".join(f"{i}\t{i + 1}\t1.0\n" for i in range(20)))
+        rc = run_cli(command, "--checkpoint", tmp_path / "train" / "checkpoint.npz",
+                     "--edges", path_graph, "--out", tmp_path / "o")
+        assert rc == 1
+        assert "error: graph has 21 nodes but the model embeds 20" in capsys.readouterr().err
 
     def test_diverging_training_names_the_epoch(self, synth_dir, tmp_path, capsys):
         cfg = tmp_path / "fast.cfg"

@@ -1,11 +1,11 @@
-"""Accuracy via optimal matching (vs brute-force permutation oracle) and F1."""
+"""evaluate: accuracy via optimal matching (vs brute-force permutation oracle) and F1."""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from wgclust.metrics import clustering_accuracy, evaluate, f1_scores
+from wgclust.metrics import evaluate
 
 
 def permutation_oracle(pred, truth):
@@ -13,7 +13,8 @@ def permutation_oracle(pred, truth):
     pred_labels = sorted(set(pred))
     true_labels = sorted(set(truth))
     best = 0
-    targets = true_labels + [-1] * max(0, len(pred_labels) - len(true_labels))
+    # None pads the targets: it matches no true label, negative ones included
+    targets = true_labels + [None] * max(0, len(pred_labels) - len(true_labels))
     for perm in itertools.permutations(targets, len(pred_labels)):
         relabel = dict(zip(pred_labels, perm))
         best = max(best, sum(relabel[p] == t for p, t in zip(pred, truth)))
@@ -24,15 +25,14 @@ class TestClusteringAccuracy:
     def test_permutation_of_truth_scores_one(self):
         truth = np.array([0, 0, 1, 1, 2, 2])
         pred = np.array([2, 2, 0, 0, 1, 1])
-        acc, mapping = clustering_accuracy(pred, truth)
-        assert acc == 1.0
-        assert mapping == {2: 0, 0: 1, 1: 2}
+        report = evaluate(pred, truth)
+        assert report.accuracy == 1.0
+        assert report.mapping == {2: 0, 0: 1, 1: 2}
 
     def test_single_cluster_prediction(self):
         truth = np.array([0, 1, 2, 3] * 5)
         pred = np.zeros(20, dtype=int)
-        acc, _ = clustering_accuracy(pred, truth)
-        assert acc == 0.25
+        assert evaluate(pred, truth).accuracy == 0.25
 
     def test_matches_permutation_oracle(self):
         rng = np.random.default_rng(0)
@@ -41,28 +41,27 @@ class TestClusteringAccuracy:
             k = int(rng.integers(1, 4))
             pred = rng.integers(0, k, size=n)
             truth = rng.integers(0, k, size=n)
-            acc, _ = clustering_accuracy(pred, truth)
+            acc = evaluate(pred, truth).accuracy
             assert acc == pytest.approx(permutation_oracle(pred.tolist(), truth.tolist()))
 
     def test_relabeling_invariance(self):
         rng = np.random.default_rng(1)
         pred = rng.integers(0, 4, size=40)
         truth = rng.integers(0, 4, size=40)
-        base, _ = clustering_accuracy(pred, truth)
-        shuffled, _ = clustering_accuracy((pred * 7 + 3) % 13, truth)
+        base = evaluate(pred, truth).accuracy
+        shuffled = evaluate((pred * 7 + 3) % 13, truth).accuracy
         assert base == shuffled
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            clustering_accuracy([], [])
+            evaluate([], [])
 
 
 class TestF1Scores:
     def test_perfect_prediction(self):
         truth = np.array([0, 1, 2, 0, 1, 2])
-        acc, mapping = clustering_accuracy(truth, truth)
-        micro, macro = f1_scores(truth, truth, mapping)
-        assert micro == 1.0 and macro == 1.0
+        report = evaluate(truth, truth)
+        assert report.micro_f1 == 1.0 and report.macro_f1 == 1.0
 
     def test_micro_equals_accuracy(self):
         rng = np.random.default_rng(2)
@@ -72,10 +71,9 @@ class TestF1Scores:
             # more predicted than true labels, some true labels negative: an
             # unmatched prediction is wrong even where the truth is -1
             for p, t in ((pred, truth), (2 * pred + truth % 2, truth - 3)):
-                acc, mapping = clustering_accuracy(p, t)
-                micro, _ = f1_scores(p, t, mapping)
-                assert micro == pytest.approx(acc)
-                assert evaluate(p, t).micro_f1 == acc
+                report = evaluate(p, t)
+                assert report.micro_f1 == pytest.approx(permutation_oracle(p.tolist(), t.tolist()))
+                assert report.micro_f1 == report.accuracy
 
     def test_shifting_truth_labels_keeps_the_scores(self):
         rng = np.random.default_rng(4)
@@ -90,20 +88,18 @@ class TestF1Scores:
         # mapped confusion [[3,1],[1,3]]: per-class F1 = 0.75 each, macro = 0.75
         pred = np.array([0, 0, 0, 1, 0, 1, 1, 1])
         truth = np.array([0, 0, 0, 0, 1, 1, 1, 1])
-        acc, mapping = clustering_accuracy(pred, truth)
-        assert mapping == {0: 0, 1: 1}
-        micro, macro = f1_scores(pred, truth, mapping)
-        assert macro == pytest.approx(0.75)
-        assert micro == pytest.approx(0.75)
+        report = evaluate(pred, truth)
+        assert report.mapping == {0: 0, 1: 1}
+        assert report.macro_f1 == pytest.approx(0.75)
+        assert report.micro_f1 == pytest.approx(0.75)
 
     def test_scores_within_unit_interval(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             pred = rng.integers(0, 5, size=25)
             truth = rng.integers(0, 3, size=25)
-            acc, mapping = clustering_accuracy(pred, truth)
-            micro, macro = f1_scores(pred, truth, mapping)
-            assert 0.0 <= micro <= 1.0 and 0.0 <= macro <= 1.0
+            report = evaluate(pred, truth)
+            assert 0.0 <= report.micro_f1 <= 1.0 and 0.0 <= report.macro_f1 <= 1.0
 
 
 class TestEvaluate:

@@ -7,7 +7,7 @@ import pytest
 
 from wgclust.config import TrainConfig, config_to_text, parse_config_text
 from wgclust.graph import build_graph, synth_weighted_sbm
-from wgclust.metrics import clustering_accuracy
+from wgclust.metrics import evaluate
 from wgclust.trainer import (
     gradient_check,
     infer,
@@ -93,7 +93,7 @@ class TestSeparableRecovery:
         )
         model = train(lab.graph, 2, cfg)
         a = infer(lab.graph, model)
-        acc, _ = clustering_accuracy(a.labels, lab.labels)
+        acc = evaluate(a.labels, lab.labels).accuracy
         assert acc == 1.0
         hist = model.loss_history[:, 2]
         # 10-epoch moving average decreases from start to finish
@@ -111,7 +111,7 @@ class TestSeparableRecovery:
                 embed_dim=32, attn_dim=32, hidden_dim=32,
             )
             model = train(noisy, 4, cfg)
-            acc, _ = clustering_accuracy(infer(noisy, model).labels, lab.labels)
+            acc = evaluate(infer(noisy, model).labels, lab.labels).accuracy
             accs.append(acc)
         assert float(np.median(accs)) >= 0.85
 
@@ -216,7 +216,7 @@ class TestInfer:
             selection=None,
         )
         ap = infer(gp, model_p)
-        acc, _ = clustering_accuracy(ap.labels[perm], a.labels)
+        acc = evaluate(ap.labels[perm], a.labels).accuracy
         assert acc == 1.0
 
 
