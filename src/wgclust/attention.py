@@ -221,30 +221,36 @@ class _LayerCache:
     h_in: np.ndarray
     proj_attn: np.ndarray  # (heads, n, d_attn)
     proj_val: np.ndarray  # (heads, n, d_out)
+    coeffs: np.ndarray  # (entries, heads) normalized coefficients
     pre_act: np.ndarray  # (heads, n, d_out)
     head_out: np.ndarray  # (heads, n, d_out)
 
 
 @dataclass
 class AttentionRecord:
-    """One training forward pass: normalized coefficients of every layer, head, and candidate entry.
+    """One training forward pass: every layer's coefficients and backward state.
 
-    coefficients[layer] has shape (entries, heads), aligned with the
-    structure's entry arrays. ``layers`` holds what each layer's reverse
-    sweep reads besides its coefficients (inputs, projections, activations)
-    when the record comes from ``network_forward_cached``; a record built
-    from coefficients alone has none. ``network_forward``, which labels and
-    dumps attention, makes no record: it returns the final layer's
-    coefficients alone.
+    ``layers[li].coeffs`` has shape (entries, heads), aligned with the
+    structure's entry arrays; the other fields of a layer are what its
+    reverse sweep reads (inputs, projections, activations). Only
+    ``network_forward_cached`` makes a record; ``network_forward``, which
+    labels and dumps attention, returns the final head average alone.
     """
 
     structure: AttentionStructure
-    coefficients: list[np.ndarray]
-    layers: list[_LayerCache] = field(default_factory=list, repr=False, compare=False)
+    layers: list[_LayerCache] = field(repr=False, compare=False)
 
-    def final_head_average(self) -> np.ndarray:
-        """Head-averaged final-layer coefficient per entry (drives the edge-weight refinement)."""
-        return self.coefficients[-1].mean(axis=1)
+    def edge_attention(self) -> np.ndarray:
+        """The symmetrized final-layer head average of every edge, per directed graph entry.
+
+        Entry e of the structure's graph (CSR order) holds
+        0.5 * (avg_ij + avg_ji) of its edge, where avg is the head average
+        of the final layer's coefficients; both entries of an edge hold the
+        same value. The edge-weight refinement multiplies it into the weight.
+        """
+        s = self.structure
+        avg = self.layers[-1].coeffs.mean(axis=1)
+        return (0.5 * (avg + avg[s.rev]))[s.edge_pos]
 
 
 def _head_major(values: np.ndarray) -> np.ndarray:
@@ -252,33 +258,23 @@ def _head_major(values: np.ndarray) -> np.ndarray:
     return values.T.ravel()
 
 
-def _row_aggregate(structure, data, dense) -> np.ndarray:
+def _aggregate(structure, data, dense, transpose=False) -> np.ndarray:
     """out[t, i] = sum over entries e with src(e)=i of values[e, t] * dense[t, dst(e)].
 
     data: _head_major(values) of (entries, heads) values; dense: (heads, n,
     width). One sparse product over the block-diagonal pattern covers every
-    head.
+    head. With ``transpose`` the sum runs over entries with dst(e)=i and
+    reads dense[t, src(e)]: the structure is symmetric, so the CSR arrays of
+    the pattern read as CSC are its transpose, and the product accumulates
+    each output row in ascending src order, as the row aggregation of
+    values[rev] would.
     """
     import scipy.sparse as sp
 
     heads, n, width = dense.shape
     indptr, indices = structure.head_pattern(heads)
-    mat = sp.csr_matrix((data, indices, indptr), shape=(heads * n, heads * n))
-    return (mat @ dense.reshape(heads * n, width)).reshape(heads, n, width)
-
-
-def _col_aggregate(structure, data, dense) -> np.ndarray:
-    """out[t, z] = sum over entries e with dst(e)=z of values[e, t] * dense[t, src(e)].
-
-    The structure is symmetric, so the CSR arrays of the pattern read as CSC
-    are its transpose; the product accumulates each output row in ascending
-    src order, as the row aggregation of values[rev] would.
-    """
-    import scipy.sparse as sp
-
-    heads, n, width = dense.shape
-    indptr, indices = structure.head_pattern(heads)
-    mat = sp.csc_matrix((data, indices, indptr), shape=(heads * n, heads * n))
+    matrix = sp.csc_matrix if transpose else sp.csr_matrix
+    mat = matrix((data, indices, indptr), shape=(heads * n, heads * n))
     return (mat @ dense.reshape(heads * n, width)).reshape(heads, n, width)
 
 
@@ -321,8 +317,16 @@ def _elu_grad(x: np.ndarray) -> np.ndarray:
     return np.where(x > 0, 1.0, np.exp(np.minimum(x, 0.0)))
 
 
-def _coefficients(structure, proj_attn, config) -> np.ndarray:
-    """Normalized attention coefficients (entries, heads) from the projected rows.
+def _require_finite(li, values, node_of_row=None) -> None:
+    """Raise a FloatingPointError naming layer ``li`` and the node of the first non-finite row."""
+    if not np.all(np.isfinite(values)):
+        row = int(np.flatnonzero(~np.isfinite(values).all(axis=1))[0])
+        node = row if node_of_row is None else int(node_of_row[row])
+        raise FloatingPointError(f"layer {li}: non-finite activation at node {node}")
+
+
+def _coefficients(li, structure, proj_attn, config) -> np.ndarray:
+    """Normalized attention coefficients (entries, heads) of layer ``li`` from the projected rows.
 
     The logits are freed on return, before the aggregation allocates its
     head-major copy of the coefficients.
@@ -330,32 +334,28 @@ def _coefficients(structure, proj_attn, config) -> np.ndarray:
     logits = _symmetric_logits(structure, proj_attn)
     if not config.drop_f_iz:
         logits += structure.factors[:, None]
-    if not np.all(np.isfinite(logits)):
-        bad = int(structure.src[np.flatnonzero(~np.isfinite(logits).all(axis=1))[0]])
-        raise FloatingPointError(f"non-finite activation at node {bad}")
+    _require_finite(li, logits, structure.src)
     if config.softmax_instead_of_entmax:
         return segment_softmax(logits, structure.indptr)
     return segment_entmax(logits, structure.indptr, config.entmax_alpha)
 
 
-def _forward_layer(structure, h_in, params, config) -> tuple[np.ndarray, np.ndarray, _LayerCache]:
+def _forward_layer(li, structure, h_in, params, config) -> tuple[np.ndarray, _LayerCache]:
+    """Layer ``li``: (fused output, backward state); a FloatingPointError names the layer."""
     proj_attn = np.einsum("nd,hde->hne", h_in, params.w1)
     proj_val = np.einsum("nd,hde->hne", h_in, params.w2)
-    coeffs = _coefficients(structure, proj_attn, config)
-    pre_act = _row_aggregate(structure, _head_major(coeffs), proj_val)
+    coeffs = _coefficients(li, structure, proj_attn, config)
+    pre_act = _aggregate(structure, _head_major(coeffs), proj_val)
     head_out = _elu(pre_act)
     h_out = np.einsum("h,hne->ne", params.gamma, head_out)
-    if not np.all(np.isfinite(h_out)):
-        bad = int(np.flatnonzero(~np.isfinite(h_out).all(axis=1))[0])
-        raise FloatingPointError(f"non-finite activation at node {bad}")
-    cache = _LayerCache(
-        h_in=h_in, proj_attn=proj_attn, proj_val=proj_val, pre_act=pre_act, head_out=head_out
-    )
-    return h_out, coeffs, cache
+    _require_finite(li, h_out)
+    cache = _LayerCache(h_in=h_in, proj_attn=proj_attn, proj_val=proj_val, coeffs=coeffs,
+                        pre_act=pre_act, head_out=head_out)
+    return h_out, cache
 
 
-def _backward_layer(structure, params, config, cache, coeffs, d_out, d_coeffs_extra=None):
-    """Reverse sweep of one layer whose forward gave ``coeffs`` and ``cache``.
+def _backward_layer(structure, params, config, cache, d_out, d_coeffs_extra=None):
+    """Reverse sweep of one layer whose forward gave ``cache``.
 
     d_out: gradient w.r.t. the fused output. d_coeffs_extra: additional
     gradient w.r.t. the normalized coefficients, anything that broadcasts to
@@ -368,7 +368,7 @@ def _backward_layer(structure, params, config, cache, coeffs, d_out, d_coeffs_ex
     d_coeffs = _pair_dots(
         _node_major(d_pre), _node_major(cache.proj_val), structure.src, structure.dst
     )
-    d_val = _col_aggregate(structure, _head_major(coeffs), d_pre)
+    d_val = _aggregate(structure, _head_major(cache.coeffs), d_pre, transpose=True)
     d_h_in = np.zeros_like(cache.h_in)
     d_w2 = np.empty_like(params.w2)
     for t in range(heads):
@@ -377,16 +377,16 @@ def _backward_layer(structure, params, config, cache, coeffs, d_out, d_coeffs_ex
     if d_coeffs_extra is not None:
         d_coeffs += d_coeffs_extra
     if config.softmax_instead_of_entmax:
-        d_logits = segment_softmax_vjp(coeffs, structure.indptr, d_coeffs)
+        d_logits = segment_softmax_vjp(cache.coeffs, structure.indptr, d_coeffs)
     else:
-        d_logits = segment_entmax_vjp(coeffs, structure.indptr, config.entmax_alpha, d_coeffs)
+        d_logits = segment_entmax_vjp(cache.coeffs, structure.indptr, config.entmax_alpha, d_coeffs)
     # d_coeffs is freed before the head-major copy of d_logits is made, and
     # the (entries, heads) d_logits before the two products that read the copy
     del d_coeffs
     d_data = _head_major(d_logits)
     del d_logits
-    d_proj = _row_aggregate(structure, d_data, cache.proj_attn)
-    d_proj += _col_aggregate(structure, d_data, cache.proj_attn)
+    d_proj = _aggregate(structure, d_data, cache.proj_attn)
+    d_proj += _aggregate(structure, d_data, cache.proj_attn, transpose=True)
     d_w1 = np.empty_like(params.w1)
     for t in range(heads):
         d_w1[t] = cache.h_in.T @ d_proj[t]
@@ -394,31 +394,23 @@ def _backward_layer(structure, params, config, cache, coeffs, d_out, d_coeffs_ex
     return d_h_in, LayerParams(w1=d_w1, w2=d_w2, gamma=d_gamma)
 
 
-def _forward_layer_at(li, structure, h_in, params, config):
-    """``_forward_layer`` of layer ``li``; a FloatingPointError names the layer."""
-    try:
-        return _forward_layer(structure, h_in, params, config)
-    except FloatingPointError as exc:
-        raise FloatingPointError(f"layer {li}: {exc}") from None
-
-
 def network_forward(structure, model: ModelParams, config: TrainConfig):
-    """Full forward pass that keeps no backward state; returns (H_final, final coefficients).
+    """Full forward pass that keeps no backward state; returns (H_final, final head average).
 
-    The coefficients are the final layer's, (entries, heads). Each layer's
-    projections and activations, and every earlier layer's coefficients, are
-    freed before the next layer runs. Raises ValueError when the structure's
-    graph and the embedding table disagree on the node count. Reads the same
-    config fields as ``network_forward_cached``.
+    The head average is the final layer's coefficients averaged over heads,
+    one value per entry of the structure. Each layer's state is freed before
+    the next layer runs. Raises ValueError when the structure's graph and
+    the embedding table disagree on the node count. Reads the same config
+    fields as ``network_forward_cached``.
     """
     n, rows = structure.graph.n, model.embedding.shape[0]
     if n != rows:
         raise ValueError(f"graph has {n} nodes but the model embeds {rows}")
-    h, coeffs = model.embedding, None
+    h, cache = model.embedding, None
     for li, params in enumerate(model.layers):
-        del coeffs  # only the final layer's coefficients are returned
-        h, coeffs = _forward_layer_at(li, structure, h, params, config)[:2]
-    return h, coeffs
+        del cache  # only the final layer's coefficients are read
+        h, cache = _forward_layer(li, structure, h, params, config)
+    return h, cache.coeffs.mean(axis=1)
 
 
 def network_forward_cached(structure, model: ModelParams, config: TrainConfig):
@@ -428,37 +420,33 @@ def network_forward_cached(structure, model: ModelParams, config: TrainConfig):
     Reads ``entmax_alpha``, ``softmax_instead_of_entmax`` and ``drop_f_iz``
     from the config.
     """
-    h = model.embedding
-    record = AttentionRecord(structure=structure, coefficients=[])
+    h, layers = model.embedding, []
     for li, params in enumerate(model.layers):
-        h, coeffs, cache = _forward_layer_at(li, structure, h, params, config)
-        record.coefficients.append(coeffs)
-        record.layers.append(cache)
-    return h, record
+        h, cache = _forward_layer(li, structure, h, params, config)
+        layers.append(cache)
+    return h, AttentionRecord(structure=structure, layers=layers)
 
 
-def network_backward(record, model, config, d_h_final, d_final_coeffs=None) -> ModelParams:
+def network_backward(record, model, config, d_h_final, d_edge_attention=None) -> ModelParams:
     """Reverse sweep through every layer of ``record``'s forward pass down to the embedding table.
 
-    d_final_coeffs, when given, is a gradient that the final layer's
-    coefficients receive on top of the aggregation path (the modularity loss
-    reaches them through the edge-weight refinement). It may be anything that
-    broadcasts to (entries, heads): an (entries, 1) column gives every head
-    the same value. Raises ValueError when the record lacks a layer's
-    backward state (it was not made by ``network_forward_cached``).
+    d_edge_attention, when given, is the gradient of ``record.edge_attention()``
+    (the modularity loss reaches the final layer's coefficients through the
+    edge-weight refinement). It follows the convention of
+    ``modularity_weight_grad``: the gradient of each undirected edge's one
+    value, given on both of its directed entries. Entry ij passes half of it
+    to the head average of ij, which spreads it evenly over the heads.
     """
-    if len(record.layers) != len(model.layers):
-        raise ValueError(
-            f"attention record holds backward state for {len(record.layers)} of "
-            f"{len(model.layers)} layers; pass the record network_forward_cached returned"
-        )
+    s, last = record.structure, len(model.layers) - 1
+    extra = None
+    if d_edge_attention is not None:
+        # one (entries, 1) column that broadcasts over the heads
+        extra = np.zeros((s.src.size, 1))
+        extra[s.edge_pos, 0] = d_edge_attention * 0.5 / model.layers[last].heads
     layer_grads = [None] * len(model.layers)
     d_h = d_h_final
-    last = len(model.layers) - 1
     for li in range(last, -1, -1):
-        extra = d_final_coeffs if li == last else None
         d_h, layer_grads[li] = _backward_layer(
-            record.structure, model.layers[li], config, record.layers[li],
-            record.coefficients[li], d_h, extra,
+            s, model.layers[li], config, record.layers[li], d_h, extra if li == last else None
         )
     return ModelParams(embedding=d_h, layers=layer_grads)

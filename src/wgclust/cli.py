@@ -306,7 +306,7 @@ def cmd_attention_dump(args) -> int:
     model = load_checkpoint(args.checkpoint)
     g = graphio.load_edge_list(args.edges)
     s = build_attention_structure(g, model.config.self_loop_mode)
-    avg = network_forward(s, model.params, model.config)[1].mean(axis=1)
+    avg = network_forward(s, model.params, model.config)[1]
     names = g.node_ids
     path = out / "attention.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:

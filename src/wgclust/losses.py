@@ -1,10 +1,11 @@
 """Training objective: modularity over refined weights plus a contrastive structure loss.
 
-The attention coefficients of the final layer refine the working graph's
-edge weights (symmetrized attention times weight; edges whose attention dies
-in both directions are pruned). Modularity of the refined graph under the
-current hard labels gives one loss term; a negative-sampling reconstruction
-of the graph from the node representations gives the other.
+The final layer's edge attention (``AttentionRecord.edge_attention``: one
+symmetrized value per edge, given on both of its directed entries) refines
+the working graph's edge weights: w' = attention * w, and an edge whose
+attention falls below ``PRUNE_EPS`` is pruned. Modularity of the refined
+graph under the current hard labels gives one loss term; a negative-sampling
+reconstruction of the graph from the node representations gives the other.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attention import AttentionRecord
 # build_graph is not called here; benchmarks/tracing.py wraps it at this lookup site
 from .graph import WeightedGraph, build_graph
 
@@ -80,24 +80,24 @@ class RefinedGraph(WeightedGraph):
         self.kept.flags.writeable = False
 
 
-def update_edge_weights(g: WeightedGraph, record: AttentionRecord) -> RefinedGraph:
-    """Refine every edge: w_ij <- mean of the two directed head-averaged coefficients, times w_ij.
+def update_edge_weights(g: WeightedGraph, edge_attention: np.ndarray) -> RefinedGraph:
+    """Refine every edge: w_ij <- its edge attention times w_ij.
 
-    Edges whose refined weight drops below 1e-12 are removed (both attention
-    directions zero means the edge was judged noise). The attention record
-    must cover every directed edge of ``g``. Both directed entries of an
-    edge carry the same product, so the refined CSR is ``g``'s CSR masked to
-    the kept entries.
+    ``edge_attention`` holds one value per directed entry of ``g``, in CSR
+    order, equal on both entries of an edge. An edge whose attention is
+    below ``PRUNE_EPS`` (attention that died in both directions marks
+    noise), or whose product underflows to 0, is removed; the threshold
+    reads the attention, not the product, so the refinement does not depend
+    on the weight scale. Both directed entries of an edge carry the same
+    product, so the refined CSR is ``g``'s CSR masked to the kept entries.
     """
-    s = record.structure
-    if s.graph.n != g.n or not (
-        np.array_equal(s.graph.indptr, g.indptr) and np.array_equal(s.graph.indices, g.indices)
-    ):
-        raise ValueError("attention record does not cover this graph's edges")
-    avg = record.final_head_average()
-    sym = 0.5 * (avg + avg[s.rev])
-    new_w = sym[s.edge_pos] * g.weights  # aligned with g's directed CSR entries
-    kept = new_w >= PRUNE_EPS
+    if edge_attention.shape != g.indices.shape:
+        raise ValueError(
+            f"edge attention has shape {edge_attention.shape}; "
+            f"the graph has {g.indices.size} directed entries"
+        )
+    new_w = edge_attention * g.weights
+    kept = (edge_attention >= PRUNE_EPS) & (new_w > 0)
     kept_before = np.zeros(kept.size + 1, dtype=np.int64)
     np.cumsum(kept, out=kept_before[1:])
     return RefinedGraph(
@@ -110,26 +110,20 @@ def update_edge_weights(g: WeightedGraph, record: AttentionRecord) -> RefinedGra
     )
 
 
-def refinement_coeff_grad(record: AttentionRecord, refined: RefinedGraph,
+def refinement_coeff_grad(g: WeightedGraph, refined: RefinedGraph,
                           d_refined: np.ndarray) -> np.ndarray:
-    """The reverse of update_edge_weights: final-layer coefficient gradient from d/dw'.
+    """The reverse of update_edge_weights: the edge-attention gradient from d/dw'.
 
     ``d_refined`` is the loss gradient per directed entry of ``refined``
-    (the refinement of ``record``'s graph). It scatters back onto the
-    working graph's surviving entries (``refined.kept``), chains through
-    w' = sym(attention) * w, and spreads over heads (the refinement uses the
-    head average). Every head gets the same value, so the result is one
-    (entries, 1) column that broadcasts over the heads. Pruned edges
-    contribute nothing.
+    (the refinement of ``g``). It scatters back onto ``g``'s surviving
+    entries (``refined.kept``) and chains through w' = attention * w, so
+    the result has one value per directed entry of ``g``, in the convention
+    of ``network_backward``'s ``d_edge_attention``. Pruned edges contribute
+    nothing.
     """
-    s = record.structure
-    d_work = np.zeros(s.graph.indices.size)
+    d_work = np.zeros(g.indices.size)
     d_work[refined.kept] = d_refined
-    # d / d a_dir = d/dw'_edge * w_edge / 2, for each of the edge's two directions
-    d_edge_coeff = d_work * s.graph.weights * 0.5
-    d_coeffs = np.zeros((s.src.size, 1))
-    d_coeffs[s.edge_pos, 0] = d_edge_coeff / record.coefficients[-1].shape[1]
-    return d_coeffs
+    return d_work * g.weights
 
 
 def _modularity_terms(g: WeightedGraph, labels: np.ndarray):

@@ -122,7 +122,10 @@ def _select_training_graph(g, cluster_count, config):
 def _epoch_step(structure, model, config, epoch_constants, backward=True):
     """One epoch: forward, refinement, objective and (unless ``backward`` is off) gradient.
 
-    The working graph is the one ``structure`` was built on.
+    The working graph is the one ``structure`` was built on. The record's
+    edge attention refines its weights; the modularity gradient goes back
+    through ``refinement_coeff_grad`` into ``network_backward`` as the
+    gradient of that edge attention.
 
     ``epoch_constants(h, refined)`` returns the (labels, samples) that stay
     fixed for the epoch: ``train`` clusters ``h`` and samples the refined
@@ -131,7 +134,10 @@ def _epoch_step(structure, model, config, epoch_constants, backward=True):
     """
     working = structure.graph
     h_final, record = network_forward_cached(structure, model, config)
-    refined = working if config.no_weight_update else update_edge_weights(working, record)
+    if config.no_weight_update:
+        refined = working
+    else:
+        refined = update_edge_weights(working, record.edge_attention())
     if refined.num_edges == 0:
         raise RuntimeError("weight refinement pruned every edge")
     labels, samples = epoch_constants(h_final, refined)
@@ -143,11 +149,13 @@ def _epoch_step(structure, model, config, epoch_constants, backward=True):
     if not backward:
         return breakdown, None
     d_h = structure_loss_grad(h_final, samples)
-    d_coeffs = None
+    d_attention = None
     if not config.no_weight_update and config.modularity_weight != 0.0:
-        d_refined = config.modularity_weight * -modularity_weight_grad(refined, labels)
-        d_coeffs = refinement_coeff_grad(record, refined, d_refined)
-    grads = network_backward(record, model, config, d_h, d_coeffs)
+        # no name keeps d/dw' alive through the backward sweep
+        d_attention = refinement_coeff_grad(
+            working, refined, config.modularity_weight * -modularity_weight_grad(refined, labels)
+        )
+    grads = network_backward(record, model, config, d_h, d_attention)
     return breakdown, grads
 
 

@@ -215,7 +215,7 @@ def test_criterion_6_noise_robustness():
                     ((int(a), int(b)) in pairs for a, b in zip(s.src, s.dst)),
                     dtype=bool, count=s.src.size,
                 )
-                avg = network_forward(s, model.params, cfg)[1].mean(axis=1)
+                avg = network_forward(s, model.params, cfg)[1]
                 is_self = s.src == s.dst
                 noise_mean = avg[is_noise & ~is_self].mean()
                 orig_mean = avg[~is_noise & ~is_self].mean()

@@ -8,7 +8,6 @@ import scipy.sparse as sp
 
 from wgclust import attention
 from wgclust.attention import (
-    AttentionRecord,
     LayerParams,
     ModelParams,
     build_attention_structure,
@@ -114,7 +113,7 @@ def coefficient(record, layer, head, i, z):
     k = np.searchsorted(s.dst[lo:hi], z)
     if k >= hi - lo or s.dst[lo + k] != z:
         raise KeyError(f"{z} is not a candidate of node {i}")
-    return float(record.coefficients[layer][lo + k, head])
+    return float(record.layers[layer].coeffs[lo + k, head])
 
 
 def with_isolated_node(g):
@@ -331,18 +330,23 @@ class TestHeadBatchedLayer:
             model = init_model_params(g.n, [6, 5, 4], attn_dim=7, heads=heads, rng=rng)
             model.embedding *= 20.0  # spread the logits so that entmax leaves exact zeros
             d_h = rng.normal(size=(g.n, 4))
-            d_final = rng.normal(size=(s.src.size, heads))
+            d_edge = rng.normal(size=g.indices.size)
+            # the reverse of the edge attention: half to each entry's head
+            # average, spread evenly over the heads
+            d_avg = np.zeros(s.src.size)
+            d_avg[s.edge_pos] = d_edge * 0.5
+            d_final = (d_avg / heads)[:, None]
             h, record = network_forward_cached(s, model, config)
-            grads = network_backward(record, model, config, d_h, d_final)
+            grads = network_backward(record, model, config, d_h, d_edge)
             ref_h, ref_coeffs, ref_grads = ref_network(s, model, config, d_h, d_final)
             assert np.array_equal(h, ref_h), name
-            for got, want in zip(record.coefficients, ref_coeffs):
-                assert np.array_equal(got, want), name
+            for got, want in zip(record.layers, ref_coeffs):
+                assert np.array_equal(got.coeffs, want), name
             for got, want in zip(grads.flat_arrays(), ref_grads.flat_arrays()):
                 assert np.array_equal(got, want), name
-            plain_h, final_coeffs = network_forward(s, model, config)
+            plain_h, final_avg = network_forward(s, model, config)
             assert np.array_equal(plain_h, ref_h), name
-            assert np.array_equal(final_coeffs, ref_coeffs[-1]), name
+            assert np.array_equal(final_avg, ref_coeffs[-1].mean(axis=1)), name
 
     def test_reference_inputs_have_exact_zeros_and_several_blocks(self):
         g = self.graphs()["sbm+isolated"]
@@ -353,7 +357,7 @@ class TestHeadBatchedLayer:
                                   rng=np.random.default_rng(20))
         model.embedding *= 20.0
         _, record = network_forward_cached(s, model, TrainConfig(entmax_alpha=1.55))
-        assert all((c == 0.0).any() for c in record.coefficients)
+        assert all((layer.coeffs == 0.0).any() for layer in record.layers)
 
 
 class TestLayerForward:
@@ -421,7 +425,7 @@ class TestLayerForward:
         s = record.structure
         for layer in range(2):
             for head in range(2):
-                sums = np.add.reduceat(record.coefficients[layer][:, head], s.indptr[:-1])
+                sums = np.add.reduceat(record.layers[layer].coeffs[:, head], s.indptr[:-1])
                 np.testing.assert_allclose(sums, 1.0, atol=1e-6)
 
     def test_raising_non_max_weight_never_lowers_its_coefficient(self):
@@ -507,6 +511,65 @@ class TestNetworkForward:
             run_network(g, model, alpha=2.0)
 
 
+def worst_fd_error(model, loss_of, grads, step=1e-5):
+    """Worst relative error of ``grads`` against central differences of ``loss_of``.
+
+    Coordinates far below the gradient scale sit at the finite-difference
+    noise floor (the entmax threshold is solved to 1e-10), so they are
+    measured against 1% of the dominant magnitude instead.
+    """
+    probe = model.copy()
+    worst = 0.0
+    scale = max(float(np.abs(a).max()) for a in grads.flat_arrays())
+    for arr, g_arr in zip(probe.flat_arrays(), grads.flat_arrays()):
+        flat, gflat = arr.reshape(-1), g_arr.reshape(-1)
+        for idx in range(flat.size):
+            keep = flat[idx]
+            flat[idx] = keep + step
+            up = loss_of(probe)
+            flat[idx] = keep - step
+            down = loss_of(probe)
+            flat[idx] = keep
+            fd = (up - down) / (2 * step)
+            rel = abs(gflat[idx] - fd) / max(abs(gflat[idx]) + abs(fd), 1e-2 * scale, 1e-8)
+            worst = max(worst, rel)
+    return worst
+
+
+class TestEdgeAttention:
+    def test_edge_attention_is_the_symmetrised_head_average(self):
+        g = tiny_graph()
+        model = init_model_params(g.n, [3, 4, 3], attn_dim=3, heads=3,
+                                  rng=np.random.default_rng(24))
+        _, record = run_network(g, model, alpha=1.55)
+        s = record.structure
+        avg = record.layers[-1].coeffs.mean(axis=1)
+        assert (avg != avg[s.rev]).any()  # the two directions of some edge differ
+        at = {(int(i), int(z)): e for e, (i, z) in enumerate(zip(s.src, s.dst))}
+        want = [0.5 * (avg[at[i, j]] + avg[at[j, i]])
+                for i in range(g.n) for j, _ in neighbors(g, i)]
+        assert np.array_equal(record.edge_attention(), np.array(want))
+
+    def test_backward_of_the_edge_attention_matches_finite_differences(self):
+        g = synth_weighted_sbm(5, 2, 0.9, 0.5, 2.0, 1.0, seed=12).graph
+        rng = np.random.default_rng(25)
+        model = init_model_params(g.n, [3, 4, 3], attn_dim=3, heads=2, rng=rng)
+        structure = build_attention_structure(g, "max")
+        config = TrainConfig(entmax_alpha=1.55)
+        src = g.directed_src()
+        table = rng.normal(size=(g.n, g.n))
+        per_edge = table[np.minimum(src, g.indices), np.maximum(src, g.indices)]
+
+        def loss_of(m):
+            # sum over undirected edges of c_e * attention_e; each sits on two entries
+            edge_attention = network_forward_cached(structure, m, config)[1].edge_attention()
+            return 0.5 * float((per_edge * edge_attention).sum())
+
+        h, record = network_forward_cached(structure, model, config)
+        grads = network_backward(record, model, config, np.zeros_like(h), per_edge)
+        assert worst_fd_error(model, loss_of, grads) < 1e-4
+
+
 class TestLayerGradients:
     def test_parameter_gradients_match_finite_differences(self):
         lab = synth_weighted_sbm(5, 2, 0.9, 0.5, 2.0, 1.0, seed=12)
@@ -523,36 +586,4 @@ class TestLayerGradients:
 
         h, record = network_forward_cached(structure, model, config)
         grads = network_backward(record, model, config, h - target)
-        step = 1e-5
-        probe = model.copy()
-        worst = 0.0
-        # coordinates far below the gradient scale sit at the finite-difference
-        # noise floor (the entmax threshold is solved to 1e-10), so they are
-        # measured against 1% of the dominant magnitude instead
-        scale = max(float(np.abs(a).max()) for a in grads.flat_arrays())
-        for arr, g_arr in zip(probe.flat_arrays(), grads.flat_arrays()):
-            flat, gflat = arr.reshape(-1), g_arr.reshape(-1)
-            for idx in range(flat.size):
-                keep = flat[idx]
-                flat[idx] = keep + step
-                up = loss_of(probe)
-                flat[idx] = keep - step
-                down = loss_of(probe)
-                flat[idx] = keep
-                fd = (up - down) / (2 * step)
-                rel = abs(gflat[idx] - fd) / max(abs(gflat[idx]) + abs(fd), 1e-2 * scale, 1e-8)
-                worst = max(worst, rel)
-        assert worst < 1e-4
-
-    def test_backward_needs_the_record_of_a_forward_pass(self):
-        g = synth_weighted_sbm(5, 2, 0.9, 0.5, 2.0, 1.0, seed=12).graph
-        model = init_model_params(g.n, [3, 4, 3], attn_dim=3, heads=2,
-                                  rng=np.random.default_rng(13))
-        structure = build_attention_structure(g, "max")
-        config = TrainConfig(entmax_alpha=1.55)
-        h, record = network_forward_cached(structure, model, config)
-        assert len(record.layers) == len(record.coefficients) == 2
-        # coefficients alone, as the refinement tests build them
-        by_hand = AttentionRecord(structure=structure, coefficients=record.coefficients)
-        with pytest.raises(ValueError, match="backward state for 0 of 2 layers"):
-            network_backward(by_hand, model, config, h)
+        assert worst_fd_error(model, loss_of, grads) < 1e-4

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wgclust.losses as losses_module
-from wgclust.attention import AttentionRecord, build_attention_structure
 from wgclust.graph import build_graph, synth_weighted_sbm
 from wgclust.losses import (
     PRUNE_EPS,
@@ -77,32 +76,31 @@ def reference_draw_structure_samples(g, q, rng):
     return StructureSamples(active=active, positives=positives, negatives=negatives)
 
 
-def reference_update_edge_weights(g, record):
+def reference_update_edge_weights(g, edge_attention):
     """The refinement as it was built before: upper-triangle edges through build_graph."""
-    s = record.structure
-    avg = record.final_head_average()
-    sym = 0.5 * (avg + avg[s.rev])
-    new_w = sym[s.edge_pos] * g.weights
+    new_w = edge_attention * g.weights
     src = g.directed_src()
     sel = src < g.indices
-    u, v, w = src[sel], g.indices[sel], new_w[sel]
-    keep = w >= PRUNE_EPS
+    u, v, a, w = src[sel], g.indices[sel], edge_attention[sel], new_w[sel]
+    keep = (a >= PRUNE_EPS) & (w > 0)
     return build_graph(g.n, u[keep], v[keep], w[keep], node_ids=g.node_ids)
 
 
-def reference_refinement_coeff_grad(working, refined, record, modularity_weight, labels, heads):
-    """The modularity coefficient gradient with its scatter found by a searchsorted over int64 keys."""
+def reference_refinement_coeff_grad(working, refined, modularity_weight, labels):
+    """The modularity edge-attention gradient with its scatter found by a searchsorted over int64 keys."""
     dq_refined = modularity_weight_grad(refined, labels)
     work_keys = working.directed_src() * working.n + working.indices
     ref_keys = refined.directed_src() * refined.n + refined.indices
     pos = np.searchsorted(work_keys, ref_keys)
     dq_work = np.zeros(work_keys.size)
     dq_work[pos] = dq_refined
-    d_edge_coeff = modularity_weight * (-dq_work) * working.weights * 0.5
-    s = record.structure
-    d_coeffs = np.zeros((s.src.size, heads))
-    d_coeffs[s.edge_pos] = (d_edge_coeff / heads)[:, None]
-    return d_coeffs
+    return modularity_weight * (-dq_work) * working.weights
+
+
+def symmetric_entries(g, table):
+    """Per directed entry of g, table[min(i, j), max(i, j)]: one value per edge on both entries."""
+    src = g.directed_src()
+    return table[np.minimum(src, g.indices), np.maximum(src, g.indices)]
 
 
 @st.composite
@@ -149,71 +147,72 @@ def brute_force_modularity(g, labels):
     return q / two_m
 
 
-def record_with_coefficients(g, per_pair):
-    """Build an AttentionRecord whose final head-average equals the given map."""
-    s = build_attention_structure(g)
-    coeffs = np.zeros((s.src.size, 1))
-    for e in range(s.src.size):
-        coeffs[e, 0] = per_pair.get((int(s.src[e]), int(s.dst[e])), 0.0)
-    return AttentionRecord(structure=s, coefficients=[coeffs])
+def edge_attention_of(g, per_edge):
+    """Edge attention per directed entry of g from {(i, j): value} with i < j; 0 elsewhere."""
+    table = np.zeros((g.n, g.n))
+    for (i, j), value in per_edge.items():
+        table[i, j] = value
+    return symmetric_entries(g, table)
 
 
 class TestUpdateEdgeWeights:
     def test_unit_attention_keeps_weight(self):
         g = build_graph(2, [0], [1], [4.0])
-        rec = record_with_coefficients(g, {(0, 1): 1.0, (1, 0): 1.0})
-        out = update_edge_weights(g, rec)
+        out = update_edge_weights(g, edge_attention_of(g, {(0, 1): 1.0}))
         assert neighbors(out, 0) == [(1, 4.0)]
 
     def test_zero_attention_removes_edge(self):
         g = build_graph(3, [0, 1], [1, 2], [4.0, 2.0])
-        rec = record_with_coefficients(g, {(0, 1): 0.0, (1, 0): 0.0, (1, 2): 0.5, (2, 1): 0.5})
-        out = update_edge_weights(g, rec)
+        out = update_edge_weights(g, edge_attention_of(g, {(0, 1): 0.0, (1, 2): 0.5}))
         assert not has_edge(out, 0, 1)
         assert has_edge(out, 1, 2)
 
     @pytest.mark.parametrize("node_ids, want", [(None, ("0", "1", "2")), (("x", "y", "z"),) * 2])
     def test_refined_graph_keeps_the_tokens(self, node_ids, want):
         g = build_graph(3, [0, 1], [1, 2], [4.0, 2.0], node_ids=node_ids)
-        rec = record_with_coefficients(g, {(0, 1): 0.0, (1, 0): 0.0, (1, 2): 0.5, (2, 1): 0.5})
-        assert update_edge_weights(g, rec).node_ids == want
+        attention = edge_attention_of(g, {(0, 1): 0.0, (1, 2): 0.5})
+        assert update_edge_weights(g, attention).node_ids == want
 
-    def test_asymmetric_attention_arithmetic(self):
+    def test_attention_times_weight(self):
         g = build_graph(2, [0], [1], [10.0])
-        rec = record_with_coefficients(g, {(0, 1): 0.4, (1, 0): 0.2})
-        out = update_edge_weights(g, rec)
+        out = update_edge_weights(g, edge_attention_of(g, {(0, 1): 0.3}))
         assert neighbors(out, 0) == [(1, pytest.approx(3.0))]
+
+    def test_prunes_on_the_attention_not_the_weight_scale(self):
+        # a tiny weight with live attention stays; live attention times the
+        # smallest subnormal weight underflows to 0 and is pruned
+        g = build_graph(4, [0, 1, 2], [1, 2, 3], [1e-300, 5e-324, 1.0])
+        out = update_edge_weights(g, edge_attention_of(g, {(0, 1): 0.4, (1, 2): 0.4, (2, 3): 1e-13}))
+        assert neighbors(out, 0) == [(1, 0.4 * 1e-300)]
+        assert not has_edge(out, 1, 2) and not has_edge(out, 2, 3)
 
     def test_never_increases_weights(self):
         lab = synth_weighted_sbm(20, 2, 0.5, 0.2, 3.0, 1.0, seed=0)
         g = lab.graph
-        s = build_attention_structure(g)
         rng = np.random.default_rng(1)
-        coeffs = rng.random((s.src.size, 2))  # entries in [0, 1)
-        rec = AttentionRecord(structure=s, coefficients=[coeffs])
-        out = update_edge_weights(g, rec)
+        attention = symmetric_entries(g, rng.random((g.n, g.n)))  # values in [0, 1)
+        out = update_edge_weights(g, attention)
         assert out.total_weight_2m <= g.total_weight_2m
 
     @settings(max_examples=80, deadline=None)
-    @given(n=st.integers(2, 25), m=st.integers(1, 80), heads=st.integers(1, 3),
+    @given(n=st.integers(2, 25), m=st.integers(1, 80),
            zero_frac=st.sampled_from([0.0, 0.3, 0.8]), seed=st.integers(0, 2**31 - 1))
-    def test_masked_refinement_equals_the_rebuilt_graph(self, n, m, heads, zero_frac, seed):
+    def test_masked_refinement_equals_the_rebuilt_graph(self, n, m, zero_frac, seed):
         rng = np.random.default_rng(seed)
         u, v = rng.integers(0, n, m), rng.integers(0, n, m)
         keep = u != v
         if not keep.any():
             return
         g = build_graph(n, u[keep], v[keep], rng.random(int(keep.sum())) * 3.0 + 0.01)
-        s = build_attention_structure(g)
-        coeffs = rng.random((s.src.size, heads))
-        coeffs[rng.random(s.src.size) < zero_frac] = 0.0
-        tiny = rng.random(s.src.size) < 0.2  # refined weights on both sides of PRUNE_EPS
-        coeffs[tiny] *= 10.0 ** rng.integers(-14, -9, size=(int(tiny.sum()), 1))
-        cut = int(s.src[0])  # every edge of this node is pruned
-        coeffs[(s.src == cut) | (s.dst == cut)] = 0.0
-        rec = AttentionRecord(structure=s, coefficients=[coeffs])
-        expected = reference_update_edge_weights(g, rec)
-        out = update_edge_weights(g, rec)
+        table = rng.random((n, n))
+        table[rng.random((n, n)) < zero_frac] = 0.0
+        tiny = rng.random((n, n)) < 0.2  # attention on both sides of PRUNE_EPS
+        table[tiny] *= 10.0 ** rng.integers(-14, -9, size=int(tiny.sum()))
+        cut = int(g.directed_src()[0])  # every edge of this node is pruned
+        table[cut, :] = table[:, cut] = 0.0
+        attention = symmetric_entries(g, table)
+        expected = reference_update_edge_weights(g, attention)
+        out = update_edge_weights(g, attention)
         for name in ("indptr", "indices", "weights"):
             np.testing.assert_array_equal(getattr(out, name), getattr(expected, name))
             assert getattr(out, name).dtype == getattr(expected, name).dtype
@@ -221,44 +220,38 @@ class TestUpdateEdgeWeights:
         np.testing.assert_array_equal(g.indices[out.kept], out.indices)
         if out.num_edges:
             labels = rng.integers(0, 3, size=n)
-            # one column that broadcasts over the heads; the reference is per head
-            want = reference_refinement_coeff_grad(g, expected, rec, 0.3, labels, heads)
-            got = refinement_coeff_grad(rec, out, 0.3 * -modularity_weight_grad(out, labels))
-            assert got.shape == (s.src.size, 1)
-            np.testing.assert_array_equal(np.broadcast_to(got, want.shape), want)
+            want = reference_refinement_coeff_grad(g, expected, 0.3, labels)
+            got = refinement_coeff_grad(g, out, 0.3 * -modularity_weight_grad(out, labels))
+            np.testing.assert_array_equal(got, want)
 
     def test_coeff_grad_matches_finite_differences(self):
         lab = synth_weighted_sbm(12, 3, 0.6, 0.2, 3.0, 1.0, seed=4)
         g, labels, weight = lab.graph, lab.labels, 0.3
-        s = build_attention_structure(g)
-        heads = 3
         rng = np.random.default_rng(5)
-        coeffs = rng.random((s.src.size, heads)) * 0.8 + 0.2  # no refined weight near PRUNE_EPS
-        rec = AttentionRecord(structure=s, coefficients=[coeffs])
-        refined = update_edge_weights(g, rec)
+        # no attention near PRUNE_EPS
+        attention = symmetric_entries(g, rng.random((g.n, g.n)) * 0.8 + 0.2)
+        refined = update_edge_weights(g, attention)
         assert refined.num_edges == g.num_edges
-        got = refinement_coeff_grad(rec, refined, weight * -modularity_weight_grad(refined, labels))
-        assert got.shape == (s.src.size, 1)
+        got = refinement_coeff_grad(g, refined, weight * -modularity_weight_grad(refined, labels))
+        assert got.shape == attention.shape
 
-        def objective(c):
-            refined = update_edge_weights(g, AttentionRecord(structure=s, coefficients=[c]))
-            return weight * -modularity(refined, labels)
+        def objective(a):
+            return weight * -modularity(update_edge_weights(g, a), labels)
 
-        step = 1e-6
-        for e in range(s.src.size):
-            for t in range(heads):
-                up, down = coeffs.copy(), coeffs.copy()
-                up[e, t] += step
-                down[e, t] -= step
-                fd = (objective(up) - objective(down)) / (2 * step)
-                assert got[e, 0] == pytest.approx(fd, abs=1e-8)
+        src, step = g.directed_src(), 1e-6
+        for e in range(g.indices.size):
+            # an edge's value sits on both of its entries: perturb them together
+            both = (np.minimum(src, g.indices) == min(src[e], g.indices[e])) & (
+                np.maximum(src, g.indices) == max(src[e], g.indices[e]))
+            assert both.sum() == 2
+            fd = (objective(attention + step * both) - objective(attention - step * both)) / (2 * step)
+            assert got[e] == pytest.approx(fd, abs=1e-8)
 
     def test_mismatched_graph_rejected(self):
         g = build_graph(2, [0], [1], [1.0])
         other = build_graph(3, [0, 1], [1, 2], [1.0, 1.0])
-        rec = record_with_coefficients(other, {})
-        with pytest.raises(ValueError, match="cover"):
-            update_edge_weights(g, rec)
+        with pytest.raises(ValueError, match=r"shape \(4,\); the graph has 2 directed entries"):
+            update_edge_weights(g, edge_attention_of(other, {}))
 
 
 class TestModularity:
@@ -307,8 +300,7 @@ class TestModularity:
     def test_empty_graph_rejected(self):
         g = build_graph(2, [0], [1], [1.0])
         # fabricate an empty graph by pruning the only edge
-        rec = record_with_coefficients(g, {(0, 1): 0.0, (1, 0): 0.0})
-        empty = update_edge_weights(g, rec)
+        empty = update_edge_weights(g, edge_attention_of(g, {(0, 1): 0.0}))
         with pytest.raises(ValueError):
             modularity(empty, [0, 0])
 

@@ -116,6 +116,24 @@ class TestSeparableRecovery:
         assert float(np.median(accs)) >= 0.85
 
 
+class TestWeightScale:
+    # the acceptance criteria's network on the criterion-5 seed-0 graph
+    BENCH = dict(layer_count=2, heads=4, embed_dim=32, attn_dim=32, hidden_dim=32,
+                 negatives=5, patience=0, epochs=20, seed=0)
+
+    @pytest.mark.parametrize("power", [43, -30, -43])
+    def test_scaling_every_weight_by_a_power_of_two_changes_nothing(self, power):
+        # pruning reads the attention, not the refined weight: at 2^-43 the
+        # refined weights fall below PRUNE_EPS, and no edge is pruned for that
+        g = synth_weighted_sbm(120, 4, 0.5, 0.05, 5.0, 1.0, seed=0).graph
+        u, v, w = g.edge_arrays()
+        scaled = build_graph(g.n, u, v, w * 2.0**power)
+        cfg = TrainConfig(**self.BENCH)
+        base, model = train(g, 4, cfg), train(scaled, 4, cfg)
+        assert np.array_equal(model.loss_history, base.loss_history)
+        assert np.array_equal(infer(scaled, model).labels, infer(g, base).labels)
+
+
 class TestGradientCheck:
     def test_entmax_pipeline_gradients(self):
         cfg = TrainConfig(no_contraction=True, **TINY)
