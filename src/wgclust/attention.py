@@ -125,7 +125,8 @@ class AttentionStructure:
     weight-derived logit offsets f_iz. ``pair_src``/``pair_dst`` are the
     src <= dst entries, one per unordered pair, and ``mirror`` maps every
     entry to its pair (symmetric per-entry values are computed once per
-    pair).
+    pair). Every index array but ``indptr`` is int32 whenever the entry
+    count allows.
     """
 
     graph: WeightedGraph
@@ -195,21 +196,19 @@ def build_attention_structure(g: WeightedGraph, self_loop_mode: str = "max") -> 
     denom = g.weighted_degree() + w_self
     factors = w_entry / denom[src]
     rev = np.lexsort((src, dst))
-    edge_pos = np.flatnonzero(src != dst)  # the graph stores no self-loops
     upper = src <= dst
-    # an upper entry's position among the upper ones; int32 keeps the three
-    # pair arrays at half the size whenever the entry count allows
+    # int32 halves every per-entry index array whenever the entry count allows
     idx = np.int32 if src.size < 2**31 else np.int64
-    pair_of = np.cumsum(upper, dtype=idx) - 1
+    pair_of = np.cumsum(upper, dtype=idx) - 1  # an upper entry's position among the upper ones
     pairs = np.flatnonzero(upper)
     return AttentionStructure(
         graph=g,
         indptr=indptr,
-        src=src,
-        dst=dst,
-        rev=rev,
+        src=src.astype(idx),
+        dst=dst.astype(idx),
+        rev=rev.astype(idx),
         factors=factors,
-        edge_pos=edge_pos,
+        edge_pos=np.flatnonzero(src != dst).astype(idx),  # the graph stores no self-loops
         pair_src=src[pairs].astype(idx),
         pair_dst=dst[pairs].astype(idx),
         mirror=np.where(upper, pair_of, pair_of[rev]),
@@ -221,17 +220,16 @@ class _LayerCache:
     h_in: np.ndarray
     proj_attn: np.ndarray  # (heads, n, d_attn)
     proj_val: np.ndarray  # (heads, n, d_out)
-    coeffs: np.ndarray  # (entries, heads) normalized coefficients
+    coeffs: np.ndarray  # (heads, entries) normalized coefficients, head-major
     pre_act: np.ndarray  # (heads, n, d_out)
-    head_out: np.ndarray  # (heads, n, d_out)
 
 
 @dataclass
 class AttentionRecord:
     """One training forward pass: every layer's coefficients and backward state.
 
-    ``layers[li].coeffs`` has shape (entries, heads), aligned with the
-    structure's entry arrays; the other fields of a layer are what its
+    ``layers[li].coeffs`` has shape (heads, entries), each head's row aligned
+    with the structure's entry arrays; the other fields of a layer are what its
     reverse sweep reads (inputs, projections, activations). Only
     ``network_forward_cached`` makes a record; ``network_forward``, which
     labels and dumps attention, returns the final head average alone.
@@ -249,32 +247,28 @@ class AttentionRecord:
         same value. The edge-weight refinement multiplies it into the weight.
         """
         s = self.structure
-        avg = self.layers[-1].coeffs.mean(axis=1)
+        avg = self.layers[-1].coeffs.mean(axis=0)
         return (0.5 * (avg + avg[s.rev]))[s.edge_pos]
 
 
-def _head_major(values: np.ndarray) -> np.ndarray:
-    """(entries, heads) -> flat head-major data of the block-diagonal entry matrix."""
-    return values.T.ravel()
+def _aggregate(structure, values, dense, transpose=False) -> np.ndarray:
+    """out[t, i] = sum over entries e with src(e)=i of values[t, e] * dense[t, dst(e)].
 
-
-def _aggregate(structure, data, dense, transpose=False) -> np.ndarray:
-    """out[t, i] = sum over entries e with src(e)=i of values[e, t] * dense[t, dst(e)].
-
-    data: _head_major(values) of (entries, heads) values; dense: (heads, n,
-    width). One sparse product over the block-diagonal pattern covers every
-    head. With ``transpose`` the sum runs over entries with dst(e)=i and
-    reads dense[t, src(e)]: the structure is symmetric, so the CSR arrays of
-    the pattern read as CSC are its transpose, and the product accumulates
-    each output row in ascending src order, as the row aggregation of
-    values[rev] would.
+    values: (heads, entries), C-contiguous, so its flat view is the data of
+    the block-diagonal entry matrix; dense: (heads, n, width). One sparse
+    product over the block-diagonal pattern covers every head. With
+    ``transpose`` the sum runs over entries with dst(e)=i and reads
+    dense[t, src(e)]: the structure is symmetric, so the CSR arrays of the
+    pattern read as CSC are its transpose, and the product accumulates each
+    output row in ascending src order, as the row aggregation of
+    values[:, rev] would.
     """
     import scipy.sparse as sp
 
     heads, n, width = dense.shape
     indptr, indices = structure.head_pattern(heads)
     matrix = sp.csc_matrix if transpose else sp.csr_matrix
-    mat = matrix((data, indices, indptr), shape=(heads * n, heads * n))
+    mat = matrix((values.ravel(), indices, indptr), shape=(heads * n, heads * n))
     return (mat @ dense.reshape(heads * n, width)).reshape(heads, n, width)
 
 
@@ -283,16 +277,18 @@ def _node_major(per_head: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(per_head.transpose(1, 0, 2))
 
 
-def _pair_dots(a_rows: np.ndarray, b_rows: np.ndarray, src, dst) -> np.ndarray:
+def _pair_dots(a_rows: np.ndarray, b_rows: np.ndarray, src, dst, out=None) -> np.ndarray:
     """Per-entry, per-head dots a_rows[src(e), t] . b_rows[dst(e), t], shape (entries, heads).
 
     a_rows, b_rows: (n, heads, width). Entries go in blocks of
     _PAIR_DOT_FLOATS floats per gathered operand, so both operands stay in
-    cache instead of being materialized for every entry at once.
+    cache instead of being materialized for every entry at once. ``out``, an
+    (entries, heads) array of any layout, receives the dots when given.
     """
     heads, width = a_rows.shape[1:]
     block = max(1, _PAIR_DOT_FLOATS // (heads * width))
-    out = np.empty((src.size, heads))
+    if out is None:
+        out = np.empty((src.size, heads))
     for lo in range(0, src.size, block):
         hi = lo + block
         np.einsum("mhe,mhe->mh", a_rows[src[lo:hi]], b_rows[dst[lo:hi]], out=out[lo:hi])
@@ -328,8 +324,8 @@ def _require_finite(li, values, node_of_row=None) -> None:
 def _coefficients(li, structure, proj_attn, config) -> np.ndarray:
     """Normalized attention coefficients (entries, heads) of layer ``li`` from the projected rows.
 
-    The logits are freed on return, before the aggregation allocates its
-    head-major copy of the coefficients.
+    The logits are freed on return, before the caller makes the head-major
+    copy of the coefficients.
     """
     logits = _symmetric_logits(structure, proj_attn)
     if not config.drop_f_iz:
@@ -344,14 +340,13 @@ def _forward_layer(li, structure, h_in, params, config) -> tuple[np.ndarray, _La
     """Layer ``li``: (fused output, backward state); a FloatingPointError names the layer."""
     proj_attn = np.einsum("nd,hde->hne", h_in, params.w1)
     proj_val = np.einsum("nd,hde->hne", h_in, params.w2)
-    coeffs = _coefficients(li, structure, proj_attn, config)
-    pre_act = _aggregate(structure, _head_major(coeffs), proj_val)
-    head_out = _elu(pre_act)
-    h_out = np.einsum("h,hne->ne", params.gamma, head_out)
+    # the solver works row-major; its output is freed once the head-major copy exists
+    coeffs = np.ascontiguousarray(_coefficients(li, structure, proj_attn, config).T)
+    pre_act = _aggregate(structure, coeffs, proj_val)
+    h_out = np.einsum("h,hne->ne", params.gamma, _elu(pre_act))
     _require_finite(li, h_out)
-    cache = _LayerCache(h_in=h_in, proj_attn=proj_attn, proj_val=proj_val, coeffs=coeffs,
-                        pre_act=pre_act, head_out=head_out)
-    return h_out, cache
+    return h_out, _LayerCache(h_in=h_in, proj_attn=proj_attn, proj_val=proj_val, coeffs=coeffs,
+                              pre_act=pre_act)
 
 
 def _backward_layer(structure, params, config, cache, d_out, d_coeffs_extra=None):
@@ -359,34 +354,36 @@ def _backward_layer(structure, params, config, cache, d_out, d_coeffs_extra=None
 
     d_out: gradient w.r.t. the fused output. d_coeffs_extra: additional
     gradient w.r.t. the normalized coefficients, anything that broadcasts to
-    (entries, heads), used when the final layer's attention also feeds the
+    (heads, entries), used when the final layer's attention also feeds the
     edge-weight refinement. Returns (d_h_in, LayerParams-shaped gradients).
+
+    One full-size buffer holds the coefficient gradient and then, after the
+    normalizer's VJP runs in place on it, the logit gradient; both are
+    head-major, as the products read them.
     """
     heads = params.heads
-    d_gamma = np.einsum("ne,hne->h", d_out, cache.head_out)
+    d_gamma = np.einsum("ne,hne->h", d_out, _elu(cache.pre_act))
     d_pre = params.gamma[:, None, None] * d_out[None] * _elu_grad(cache.pre_act)
-    d_coeffs = _pair_dots(
-        _node_major(d_pre), _node_major(cache.proj_val), structure.src, structure.dst
-    )
-    d_val = _aggregate(structure, _head_major(cache.coeffs), d_pre, transpose=True)
+    d_val = _aggregate(structure, cache.coeffs, d_pre, transpose=True)
     d_h_in = np.zeros_like(cache.h_in)
     d_w2 = np.empty_like(params.w2)
     for t in range(heads):
         d_w2[t] = cache.h_in.T @ d_val[t]
         d_h_in += d_val[t] @ params.w2[t].T
+    del d_val
+    d_coeffs = np.empty_like(cache.coeffs)
+    _pair_dots(_node_major(d_pre), _node_major(cache.proj_val), structure.src, structure.dst,
+               out=d_coeffs.T)
     if d_coeffs_extra is not None:
         d_coeffs += d_coeffs_extra
+    # the VJP overwrites d_coeffs with the logit gradient
+    p, d_entries, indptr = cache.coeffs.T, d_coeffs.T, structure.indptr
     if config.softmax_instead_of_entmax:
-        d_logits = segment_softmax_vjp(cache.coeffs, structure.indptr, d_coeffs)
+        segment_softmax_vjp(p, indptr, d_entries, out=d_entries)
     else:
-        d_logits = segment_entmax_vjp(cache.coeffs, structure.indptr, config.entmax_alpha, d_coeffs)
-    # d_coeffs is freed before the head-major copy of d_logits is made, and
-    # the (entries, heads) d_logits before the two products that read the copy
-    del d_coeffs
-    d_data = _head_major(d_logits)
-    del d_logits
-    d_proj = _aggregate(structure, d_data, cache.proj_attn)
-    d_proj += _aggregate(structure, d_data, cache.proj_attn, transpose=True)
+        segment_entmax_vjp(p, indptr, config.entmax_alpha, d_entries, out=d_entries)
+    d_proj = _aggregate(structure, d_coeffs, cache.proj_attn)
+    d_proj += _aggregate(structure, d_coeffs, cache.proj_attn, transpose=True)
     d_w1 = np.empty_like(params.w1)
     for t in range(heads):
         d_w1[t] = cache.h_in.T @ d_proj[t]
@@ -410,7 +407,7 @@ def network_forward(structure, model: ModelParams, config: TrainConfig):
     for li, params in enumerate(model.layers):
         del cache  # only the final layer's coefficients are read
         h, cache = _forward_layer(li, structure, h, params, config)
-    return h, cache.coeffs.mean(axis=1)
+    return h, cache.coeffs.mean(axis=0)
 
 
 def network_forward_cached(structure, model: ModelParams, config: TrainConfig):
@@ -440,9 +437,9 @@ def network_backward(record, model, config, d_h_final, d_edge_attention=None) ->
     s, last = record.structure, len(model.layers) - 1
     extra = None
     if d_edge_attention is not None:
-        # one (entries, 1) column that broadcasts over the heads
-        extra = np.zeros((s.src.size, 1))
-        extra[s.edge_pos, 0] = d_edge_attention * 0.5 / model.layers[last].heads
+        # one (1, entries) row that broadcasts over the heads
+        extra = np.zeros((1, s.src.size))
+        extra[0, s.edge_pos] = d_edge_attention * 0.5 / model.layers[last].heads
     layer_grads = [None] * len(model.layers)
     d_h = d_h_final
     for li in range(last, -1, -1):

@@ -195,25 +195,32 @@ def segment_entmax(values, indptr, alpha: float) -> np.ndarray:
     return p
 
 
-def segment_entmax_vjp(p, indptr, alpha: float, upstream) -> np.ndarray:
+def segment_entmax_vjp(p, indptr, alpha: float, upstream, out=None) -> np.ndarray:
     """Gradient w.r.t. the scores given the gradient u w.r.t. p, row by row, one row block at a time.
 
     On a row's support, with s_i = p_i^(2-alpha):
         g = s * u - s * (s . u) / sum(s)
     and exactly zero off-support. (The entmax Jacobian is symmetric, so the
     vector-Jacobian and Jacobian-vector products coincide.)
+
+    p and upstream are (m,) or (m, h) arrays of any memory layout (the
+    transpose of a head-major array works); each block is computed on a
+    C-order copy, so the result does not depend on the layout. ``out``
+    receives the gradient and may be ``upstream`` itself.
     """
     _check_alpha(alpha)
-    grad = np.empty(p.shape)
+    if out is None:
+        out = np.empty(p.shape)
     for _, vals, starts, lens in _row_blocks(indptr, math.prod(p.shape[1:])):
-        pb = p[vals]
+        pb = np.ascontiguousarray(p[vals])
         s = np.where(pb > 0, pb ** (2.0 - alpha), 0.0)
-        su = np.multiply(s, upstream[vals], out=grad[vals])
+        su = s * np.ascontiguousarray(upstream[vals])
         dot = np.add.reduceat(su, starts, axis=0)
         ssum = np.add.reduceat(s, starts, axis=0)
         ratio = np.divide(dot, ssum, out=np.zeros_like(dot), where=ssum > 0)
         su -= s * np.repeat(ratio, lens, axis=0)
-    return grad
+        out[vals] = su
+    return out
 
 
 def segment_softmax(values, indptr) -> np.ndarray:
@@ -225,7 +232,16 @@ def segment_softmax(values, indptr) -> np.ndarray:
     return e / np.repeat(np.add.reduceat(e, starts, axis=0), lens, axis=0)
 
 
-def segment_softmax_vjp(p, indptr, upstream) -> np.ndarray:
-    """Row-wise softmax gradient: g = p * (u - <p, u>)."""
-    dot = np.add.reduceat(p * upstream, indptr[:-1], axis=0)
-    return p * (upstream - np.repeat(dot, np.diff(indptr), axis=0))
+def segment_softmax_vjp(p, indptr, upstream, out=None) -> np.ndarray:
+    """Row-wise softmax gradient: g = p * (u - <p, u>), one row block at a time.
+
+    Takes the layouts and ``out`` of ``segment_entmax_vjp``.
+    """
+    if out is None:
+        out = np.empty(p.shape)
+    for _, vals, starts, lens in _row_blocks(indptr, math.prod(p.shape[1:])):
+        pb = np.ascontiguousarray(p[vals])
+        ub = np.ascontiguousarray(upstream[vals])
+        dot = np.add.reduceat(pb * ub, starts, axis=0)
+        out[vals] = pb * (ub - np.repeat(dot, lens, axis=0))
+    return out

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import wgclust.entmax as entmax_module
 from wgclust import attention
 from wgclust.attention import (
     LayerParams,
@@ -113,7 +114,7 @@ def coefficient(record, layer, head, i, z):
     k = np.searchsorted(s.dst[lo:hi], z)
     if k >= hi - lo or s.dst[lo + k] != z:
         raise KeyError(f"{z} is not a candidate of node {i}")
-    return float(record.layers[layer].coeffs[lo + k, head])
+    return float(record.layers[layer].coeffs.T[lo + k, head])
 
 
 def with_isolated_node(g):
@@ -299,6 +300,11 @@ class TestHeadBatchedLayer:
             np.testing.assert_array_equal(s.pair_src[s.mirror], lo)
             np.testing.assert_array_equal(s.pair_dst[s.mirror], hi)
 
+    def test_entry_index_arrays_are_int32(self):
+        s = build_attention_structure(self.graphs()["sbm+isolated"])
+        for name in ("src", "dst", "rev", "edge_pos", "pair_src", "pair_dst", "mirror"):
+            assert getattr(s, name).dtype == np.int32, name
+
     def test_head_pattern_built_once_per_head_count(self):
         s = build_attention_structure(tiny_graph())
         indptr, indices = s.head_pattern(3)
@@ -341,7 +347,7 @@ class TestHeadBatchedLayer:
             ref_h, ref_coeffs, ref_grads = ref_network(s, model, config, d_h, d_final)
             assert np.array_equal(h, ref_h), name
             for got, want in zip(record.layers, ref_coeffs):
-                assert np.array_equal(got.coeffs, want), name
+                assert np.array_equal(got.coeffs.T, want), name
             for got, want in zip(grads.flat_arrays(), ref_grads.flat_arrays()):
                 assert np.array_equal(got, want), name
             plain_h, final_avg = network_forward(s, model, config)
@@ -425,7 +431,7 @@ class TestLayerForward:
         s = record.structure
         for layer in range(2):
             for head in range(2):
-                sums = np.add.reduceat(record.layers[layer].coeffs[:, head], s.indptr[:-1])
+                sums = np.add.reduceat(record.layers[layer].coeffs.T[:, head], s.indptr[:-1])
                 np.testing.assert_allclose(sums, 1.0, atol=1e-6)
 
     def test_raising_non_max_weight_never_lowers_its_coefficient(self):
@@ -543,7 +549,7 @@ class TestEdgeAttention:
                                   rng=np.random.default_rng(24))
         _, record = run_network(g, model, alpha=1.55)
         s = record.structure
-        avg = record.layers[-1].coeffs.mean(axis=1)
+        avg = record.layers[-1].coeffs.T.mean(axis=1)
         assert (avg != avg[s.rev]).any()  # the two directions of some edge differ
         at = {(int(i), int(z)): e for e, (i, z) in enumerate(zip(s.src, s.dst))}
         want = [0.5 * (avg[at[i, j]] + avg[at[j, i]])
@@ -571,6 +577,36 @@ class TestEdgeAttention:
 
 
 class TestLayerGradients:
+    @pytest.mark.parametrize("normalizer", ["entmax", "softmax"])
+    def test_backward_works_in_one_entry_buffer(self, monkeypatch, normalizer):
+        # a dense graph, so one (heads, entries) array is 30 per-node arrays;
+        # small blocks keep the VJP's and the dots' block temporaries small
+        monkeypatch.setattr(entmax_module, "_SOLVE_BLOCK_FLOATS", 1024)
+        monkeypatch.setattr(attention, "_PAIR_DOT_FLOATS", 1024)
+        g = synth_weighted_sbm(200, 2, 0.8, 0.4, 3.0, 1.0, seed=26).graph
+        s = build_attention_structure(g)
+        heads, width = 4, 4
+        rng = np.random.default_rng(27)
+        model = init_model_params(g.n, [width] * 3, attn_dim=width, heads=heads, rng=rng)
+        config = TrainConfig(entmax_alpha=1.55, softmax_instead_of_entmax=normalizer == "softmax")
+        h, record = network_forward_cached(s, model, config)
+        d_h, d_edge = rng.normal(size=h.shape), rng.normal(size=g.indices.size)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            network_backward(record, model, config, d_h, d_edge)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        entry_bytes = heads * s.src.size * 8
+        node_bytes = heads * g.n * width * 8
+        assert entry_bytes >= 30 * node_bytes
+        # one buffer for the coefficient and logit gradients, the edge
+        # attention's gradient row (1/heads of it) and row blocks; d_pre, two
+        # node-major operands of the dots and d_h_in are the per-node arrays
+        assert peak <= 1.3 * entry_bytes + 6 * node_bytes, (peak / entry_bytes)
+
     def test_parameter_gradients_match_finite_differences(self):
         lab = synth_weighted_sbm(5, 2, 0.9, 0.5, 2.0, 1.0, seed=12)
         g = lab.graph

@@ -1,8 +1,8 @@
-"""Start-up cost: importing wgclust and running synth load numpy but no scipy module.
+"""Start-up cost: importing wgclust and running synth or eval load numpy but no scipy module.
 
-scipy loads at the first call that needs it (attention, contraction,
-evaluation), so a process that only imports the package or synthesizes a
-graph never pays its import time.
+scipy loads at the first call that needs it (attention, contraction), so a
+process that only imports the package, synthesizes a graph or evaluates a
+prediction never pays its import time.
 """
 
 import json
@@ -41,6 +41,20 @@ def test_synth_loads_no_scipy(tmp_path):
     )
     assert _scipy_modules_after(code) == []
     assert (out / "edges.tsv").exists()
+
+
+def test_eval_loads_no_scipy(tmp_path):
+    pred, truth = tmp_path / "assignment.csv", tmp_path / "labels.tsv"
+    pred.write_text("node,label,membership\n0,1,1.0\n1,1,1.0\n2,0,1.0\n", encoding="utf-8")
+    truth.write_text("0\t0\n1\t0\n2\t1\n", encoding="utf-8")
+    code = (
+        "import wgclust.cli\n"
+        f"code = wgclust.cli.main(['eval', '--pred', {str(pred)!r}, '--truth', {str(truth)!r},"
+        f" '--out', {str(tmp_path / 'eval')!r}])\n"
+        "assert code == 0, code"
+    )
+    assert _scipy_modules_after(code) == []
+    assert json.loads((tmp_path / "eval" / "eval.json").read_text())["accuracy"] == 1.0
 
 
 def test_contract_loads_scipy_at_first_call():

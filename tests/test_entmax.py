@@ -422,6 +422,27 @@ class TestRowBlocks:
             p = segment_entmax(vals, indptr, alpha)
         np.testing.assert_array_equal(p, ref_p)
 
+    @settings(max_examples=40, deadline=None)
+    @given(case=mixed_rows(), alpha=st.sampled_from([1.1, 1.55, 2.0]),
+           block=st.sampled_from([1, 5, 16]))
+    def test_vjps_in_place_on_head_major_arrays(self, case, alpha, block):
+        # the attention backward passes transposed (heads, entries) arrays
+        # and lets the VJP overwrite its upstream gradient
+        vals, indptr, up = case
+        p, q = segment_entmax(vals, indptr, alpha), segment_softmax(vals, indptr)
+        g = segment_entmax_vjp(p, indptr, alpha, up)
+        dot = np.add.reduceat(q * up, indptr[:-1], axis=0)  # the whole-array softmax VJP
+        g_soft = q * (up - np.repeat(dot, np.diff(indptr), axis=0))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(entmax_module, "_SOLVE_BLOCK_FLOATS", block)
+            for normalizer, probs, want in (("entmax", p, g), ("softmax", q, g_soft)):
+                probs_t, buf = probs.T.copy().T, up.T.copy()  # buf is head-major
+                if normalizer == "entmax":
+                    segment_entmax_vjp(probs_t, indptr, alpha, buf.T, out=buf.T)
+                else:
+                    segment_softmax_vjp(probs_t, indptr, buf.T, out=buf.T)
+                np.testing.assert_array_equal(buf.T, want)
+
     def test_working_memory_is_the_output_plus_one_block(self):
         # about 20 blocks of 4 heads; the full-array solve peaked at about 3x
         # the output (a scaled copy, a repeated max and the first solve's p)

@@ -1,11 +1,11 @@
-"""evaluate: accuracy via optimal matching (vs brute-force permutation oracle) and F1."""
+"""evaluate: accuracy via optimal matching (vs brute-force permutation and scipy oracles) and F1."""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from wgclust.metrics import evaluate
+from wgclust.metrics import _max_matching, evaluate
 
 
 def permutation_oracle(pred, truth):
@@ -43,6 +43,25 @@ class TestClusteringAccuracy:
             truth = rng.integers(0, k, size=n)
             acc = evaluate(pred, truth).accuracy
             assert acc == pytest.approx(permutation_oracle(pred.tolist(), truth.tolist()))
+
+    def test_matcher_matches_scipy_assignment(self):
+        # scipy is the oracle only; small value ranges make tied optima common
+        from scipy.optimize import linear_sum_assignment
+
+        rng = np.random.default_rng(5)
+        for case in range(600):
+            r, c = (int(x) for x in rng.integers(1, 13, size=2))
+            if case % 2:
+                r, c = max(r, c), min(r, c)  # both orientations, square included
+            else:
+                r, c = min(r, c), max(r, c)
+            counts = rng.integers(0, int(rng.choice([1, 2, 3, 10])) + 1, size=(r, c))
+            rows, cols = _max_matching(counts)
+            want_rows, want_cols = linear_sum_assignment(counts, maximize=True)
+            assert counts[rows, cols].sum() == counts[want_rows, want_cols].sum(), counts
+            assert rows.size == cols.size == min(r, c)
+            assert np.unique(rows).size == rows.size and np.unique(cols).size == cols.size
+            assert (np.diff(rows) > 0).all() and 0 <= cols.min() and cols.max() < c
 
     def test_relabeling_invariance(self):
         rng = np.random.default_rng(1)
