@@ -16,10 +16,10 @@ involved.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .config import TrainConfig
 from .entmax import (
     segment_entmax,
     segment_entmax_vjp,
@@ -28,11 +28,7 @@ from .entmax import (
 )
 from .graph import WeightedGraph
 
-if TYPE_CHECKING:  # config imports SELF_LOOP_MODES from this module
-    from .config import TrainConfig
-
 __all__ = [
-    "SELF_LOOP_MODES",
     "LayerParams",
     "ModelParams",
     "AttentionStructure",
@@ -43,8 +39,6 @@ __all__ = [
     "network_backward",
     "init_model_params",
 ]
-
-SELF_LOOP_MODES = ("max", "mean", "min")
 
 # floats per gathered operand in _pair_dots (256 KB): a block of entries takes
 # every head's row at once, and both gathered operands fit in L2
@@ -115,7 +109,7 @@ def init_model_params(n, dims, attn_dim, heads, rng) -> ModelParams:
 
 @dataclass(frozen=True)
 class AttentionStructure:
-    """Directed candidate entries (neighbors + self-loop) for one graph.
+    """Directed candidate entries (neighbors + self-loop) of one graph, for one head count.
 
     Entries are sorted by (src, dst); each node's row is its sorted
     neighborhood with the self-loop spliced into sorted position. ``rev``
@@ -125,11 +119,15 @@ class AttentionStructure:
     weight-derived logit offsets f_iz. ``pair_src``/``pair_dst`` are the
     src <= dst entries, one per unordered pair, and ``mirror`` maps every
     entry to its pair (symmetric per-entry values are computed once per
-    pair). Every index array but ``indptr`` is int32 whenever the entry
-    count allows.
+    pair). ``head_indptr``/``head_indices`` are the CSR index arrays of the
+    (heads*n, heads*n) block-diagonal entry matrix: block t holds the entry
+    pattern with its columns shifted by t*n, so one sparse product over
+    (heads*n, width) operands aggregates every head. Every index array but
+    ``indptr`` is int32 whenever the sizes allow.
     """
 
     graph: WeightedGraph
+    heads: int
     indptr: np.ndarray
     src: np.ndarray
     dst: np.ndarray
@@ -139,30 +137,11 @@ class AttentionStructure:
     pair_src: np.ndarray
     pair_dst: np.ndarray
     mirror: np.ndarray
-    # heads -> block-diagonal (indptr, indices) that aggregate every head at once
-    _head_patterns: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def head_pattern(self, heads: int) -> tuple[np.ndarray, np.ndarray]:
-        """CSR index arrays of the (heads*n, heads*n) block-diagonal entry matrix.
-
-        Block t holds the entry pattern with its columns shifted by t*n, so
-        one sparse product over (heads*n, width) operands aggregates every
-        head. Built once per head count; int32 whenever the sizes fit.
-        """
-        if heads not in self._head_patterns:
-            n, entries = self.indptr.size - 1, self.src.size
-            idx = np.int32 if heads * max(n, entries) < 2**31 else np.int64
-            shift = np.arange(heads, dtype=idx)[:, None]
-            indptr = np.append((self.indptr[:-1].astype(idx) + shift * entries).ravel(),
-                               idx(heads * entries))
-            indices = (self.dst.astype(idx) + shift * n).ravel()
-            self._head_patterns[heads] = (indptr, indices)
-        return self._head_patterns[heads]
+    head_indptr: np.ndarray
+    head_indices: np.ndarray
 
 
 def _self_loop_weights(g: WeightedGraph, mode: str) -> np.ndarray:
-    if mode not in SELF_LOOP_MODES:
-        raise ValueError(f"self_loop_mode must be one of {SELF_LOOP_MODES}")
     deg = np.diff(g.indptr)
     has_edges = deg > 0
     w_self = np.ones(g.n)  # isolated nodes: w_ii = 1 so f_ii = 1
@@ -176,14 +155,16 @@ def _self_loop_weights(g: WeightedGraph, mode: str) -> np.ndarray:
     return w_self
 
 
-def build_attention_structure(g: WeightedGraph, self_loop_mode: str = "max") -> AttentionStructure:
-    """Precompute the candidate-entry arrays and f_iz for a working graph.
+def build_attention_structure(g: WeightedGraph, config: TrainConfig) -> AttentionStructure:
+    """Precompute the candidate-entry arrays, f_iz and the head pattern for a working graph.
 
     f_iz is the candidate's weight divided by node i's weighted degree plus
-    its self-loop weight, which is the max (default), mean, or min of the
-    incident weights; an isolated node's only candidate is itself with f = 1.
+    its self-loop weight, which is the max, mean, or min of the incident
+    weights (``config.self_loop_mode``); an isolated node's only candidate is
+    itself with f = 1. The head pattern covers ``config.heads`` heads.
     """
-    w_self = _self_loop_weights(g, self_loop_mode)
+    heads = config.heads
+    w_self = _self_loop_weights(g, config.self_loop_mode)
     nodes = np.arange(g.n, dtype=np.int64)
     edge_src = g.directed_src()
     # rows are sorted by (src, dst), so each self-loop's place in the flat
@@ -197,12 +178,16 @@ def build_attention_structure(g: WeightedGraph, self_loop_mode: str = "max") -> 
     factors = w_entry / denom[src]
     rev = np.lexsort((src, dst))
     upper = src <= dst
+    entries = src.size
     # int32 halves every per-entry index array whenever the entry count allows
-    idx = np.int32 if src.size < 2**31 else np.int64
+    idx = np.int32 if entries < 2**31 else np.int64
     pair_of = np.cumsum(upper, dtype=idx) - 1  # an upper entry's position among the upper ones
     pairs = np.flatnonzero(upper)
+    head_idx = np.int32 if heads * max(g.n, entries) < 2**31 else np.int64
+    shift = np.arange(heads, dtype=head_idx)[:, None]
     return AttentionStructure(
         graph=g,
+        heads=heads,
         indptr=indptr,
         src=src.astype(idx),
         dst=dst.astype(idx),
@@ -212,6 +197,9 @@ def build_attention_structure(g: WeightedGraph, self_loop_mode: str = "max") -> 
         pair_src=src[pairs].astype(idx),
         pair_dst=dst[pairs].astype(idx),
         mirror=np.where(upper, pair_of, pair_of[rev]),
+        head_indptr=np.append((indptr[:-1].astype(head_idx) + shift * entries).ravel(),
+                              head_idx(heads * entries)),
+        head_indices=(dst.astype(head_idx) + shift * g.n).ravel(),
     )
 
 
@@ -266,9 +254,9 @@ def _aggregate(structure, values, dense, transpose=False) -> np.ndarray:
     import scipy.sparse as sp
 
     heads, n, width = dense.shape
-    indptr, indices = structure.head_pattern(heads)
     matrix = sp.csc_matrix if transpose else sp.csr_matrix
-    mat = matrix((values.ravel(), indices, indptr), shape=(heads * n, heads * n))
+    mat = matrix((values.ravel(), structure.head_indices, structure.head_indptr),
+                 shape=(heads * n, heads * n))
     return (mat @ dense.reshape(heads * n, width)).reshape(heads, n, width)
 
 
@@ -337,7 +325,15 @@ def _coefficients(li, structure, proj_attn, config) -> np.ndarray:
 
 
 def _forward_layer(li, structure, h_in, params, config) -> tuple[np.ndarray, _LayerCache]:
-    """Layer ``li``: (fused output, backward state); a FloatingPointError names the layer."""
+    """Layer ``li``: (fused output, backward state); a FloatingPointError names the layer.
+
+    Raises ValueError when the layer's head count is not the structure's.
+    """
+    if params.heads != structure.heads:
+        raise ValueError(
+            f"layer {li} has {params.heads} heads but the attention structure "
+            f"was built for {structure.heads}"
+        )
     proj_attn = np.einsum("nd,hde->hne", h_in, params.w1)
     proj_val = np.einsum("nd,hde->hne", h_in, params.w2)
     # the solver works row-major; its output is freed once the head-major copy exists
@@ -397,8 +393,9 @@ def network_forward(structure, model: ModelParams, config: TrainConfig):
     The head average is the final layer's coefficients averaged over heads,
     one value per entry of the structure. Each layer's state is freed before
     the next layer runs. Raises ValueError when the structure's graph and
-    the embedding table disagree on the node count. Reads the same config
-    fields as ``network_forward_cached``.
+    the embedding table disagree on the node count, or when a layer's head
+    count is not the structure's. Reads the same config fields as
+    ``network_forward_cached``.
     """
     n, rows = structure.graph.n, model.embedding.shape[0]
     if n != rows:
@@ -440,10 +437,11 @@ def network_backward(record, model, config, d_h_final, d_edge_attention=None) ->
         # one (1, entries) row that broadcasts over the heads
         extra = np.zeros((1, s.src.size))
         extra[0, s.edge_pos] = d_edge_attention * 0.5 / model.layers[last].heads
+        d_edge_attention = None  # freed here when the caller passed it unnamed
     layer_grads = [None] * len(model.layers)
     d_h = d_h_final
     for li in range(last, -1, -1):
-        d_h, layer_grads[li] = _backward_layer(
-            s, model.layers[li], config, record.layers[li], d_h, extra if li == last else None
-        )
+        d_h, layer_grads[li] = _backward_layer(s, model.layers[li], config, record.layers[li],
+                                               d_h, extra)
+        extra = None  # only the last layer reads it
     return ModelParams(embedding=d_h, layers=layer_grads)

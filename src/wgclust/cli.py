@@ -305,8 +305,9 @@ def cmd_attention_dump(args) -> int:
     t0 = time.perf_counter()
     model = load_checkpoint(args.checkpoint)
     g = graphio.load_edge_list(args.edges)
-    s = build_attention_structure(g, model.config.self_loop_mode)
-    avg = network_forward(s, model.params, model.config)[1]
+    params = model.params_for(g)
+    s = build_attention_structure(g, model.config)
+    avg = network_forward(s, params, model.config)[1]
     names = g.node_ids
     path = out / "attention.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -10,10 +10,12 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from .attention import SELF_LOOP_MODES
 from .contraction import ContractionConfig
 
-__all__ = ["TrainConfig", "parse_config_text", "load_config_file", "config_to_text"]
+__all__ = ["SELF_LOOP_MODES", "TrainConfig", "parse_config_text", "load_config_file",
+           "config_to_text"]
+
+SELF_LOOP_MODES = ("max", "mean", "min")
 
 
 @dataclass(frozen=True)

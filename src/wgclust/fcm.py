@@ -91,9 +91,6 @@ def fcm_fit(h, k, iters: int = 30, seed: int = 0, restarts: int = 1) -> ClusterA
     final_y[ids], final_centers[ids] = y, centers
     sims = np.maximum(np.matmul(h, final_centers.transpose(0, 2, 1)), SIM_CLAMP)
     cohesion = (final_y * sims).sum(axis=(1, 2))
-    best = 0
-    for r in range(1, restarts):
-        if cohesion[r] > cohesion[best]:
-            best = r
+    best = int(np.argmax(cohesion))  # the first maximum; h is finite, so is the cohesion
     y = final_y[best]
     return ClusterAssignment(memberships=y, centers=final_centers[best], labels=hard_labels(y))

@@ -82,8 +82,7 @@ class WeightedGraph:
 
     def weighted_degree(self) -> np.ndarray:
         """Per-node sum of incident edge weights."""
-        src = np.repeat(np.arange(self.n), np.diff(self.indptr))
-        return np.bincount(src, weights=self.weights, minlength=self.n)
+        return np.bincount(self.directed_src(), weights=self.weights, minlength=self.n)
 
     def directed_src(self) -> np.ndarray:
         """Source node of every directed entry, aligned with ``indices``."""

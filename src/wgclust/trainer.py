@@ -15,12 +15,11 @@ triple maps to a bit-identical trained model.
 from __future__ import annotations
 
 import zipfile
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .attention import (
-    AttentionStructure,
     LayerParams,
     ModelParams,
     build_attention_structure,
@@ -50,7 +49,7 @@ __all__ = ["TrainedModel", "train", "infer", "gradient_check", "save_checkpoint"
 
 MIN_LOSS_IMPROVEMENT = 1e-5
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 # spawn keys for the independent random streams derived from config.seed
 _RNG_INIT, _RNG_EPOCH, _RNG_FCM, _RNG_INFER, _RNG_SAMPLE_ABLATION = range(5)
@@ -86,9 +85,8 @@ class TrainedModel:
     """Trained parameters plus everything needed to reproduce inference.
 
     ``loss_history`` has one row per epoch: L_G, L_M, total, Q.
-    ``structure`` is the attention structure of the input graph when
-    training ran on all of it (no contraction); it is not saved, and
-    ``infer`` reuses it when labelling that same graph object.
+    ``node_ids`` names the node of every embedding row: row i embeds the
+    token ``node_ids[i]`` of the graph the model was trained on.
     """
 
     params: ModelParams
@@ -96,7 +94,26 @@ class TrainedModel:
     config: TrainConfig
     loss_history: np.ndarray
     selection: SubgraphSelection | None
-    structure: AttentionStructure | None = field(default=None, repr=False, compare=False)
+    node_ids: tuple[str, ...]
+
+    def params_for(self, g: WeightedGraph) -> ModelParams:
+        """The parameters with the embedding rows in ``g``'s node order, matched by token.
+
+        The model's own parameters when ``g`` names its nodes in the model's
+        order. Raises ValueError when ``g`` has another node count, or names a
+        node the model never saw.
+        """
+        if g.node_ids == self.node_ids:
+            return self.params
+        rows = self.params.embedding.shape[0]
+        if g.n != rows:
+            raise ValueError(f"graph has {g.n} nodes but the model embeds {rows}")
+        row_of = dict(zip(self.node_ids, range(rows)))
+        try:
+            order = [row_of[token] for token in g.node_ids]
+        except KeyError as exc:
+            raise ValueError(f"graph node {exc.args[0]!r} is not one the model embeds") from None
+        return ModelParams(embedding=self.params.embedding[order], layers=self.params.layers)
 
 
 def _select_training_graph(g, cluster_count, config):
@@ -149,14 +166,12 @@ def _epoch_step(structure, model, config, epoch_constants, backward=True):
     if not backward:
         return breakdown, None
     d_h = structure_loss_grad(h_final, samples)
-    d_attention = None
-    if not config.no_weight_update and config.modularity_weight != 0.0:
-        # no name keeps d/dw' alive through the backward sweep
-        d_attention = refinement_coeff_grad(
-            working, refined, config.modularity_weight * -modularity_weight_grad(refined, labels)
-        )
-    grads = network_backward(record, model, config, d_h, d_attention)
-    return breakdown, grads
+    if config.no_weight_update or config.modularity_weight == 0.0:
+        return breakdown, network_backward(record, model, config, d_h)
+    # passed unnamed, so that network_backward holds the only reference and can drop it
+    return breakdown, network_backward(record, model, config, d_h, refinement_coeff_grad(
+        working, refined, config.modularity_weight * -modularity_weight_grad(refined, labels)
+    ))
 
 
 def train(g: WeightedGraph, cluster_count: int, config: TrainConfig) -> TrainedModel:
@@ -185,7 +200,7 @@ def train(g: WeightedGraph, cluster_count: int, config: TrainConfig) -> TrainedM
     history = []
     best_total = np.inf
     stall = 0
-    structure = build_attention_structure(working, config.self_loop_mode)
+    structure = build_attention_structure(working, config)
 
     def cluster_and_sample(h, refined):
         assignment = fcm_fit(
@@ -216,21 +231,21 @@ def train(g: WeightedGraph, cluster_count: int, config: TrainConfig) -> TrainedM
         config=config,
         loss_history=np.array(history).reshape(-1, 4),
         selection=selection,
-        structure=structure if selection is None else None,
+        node_ids=g.node_ids,
     )
 
 
 def infer(g: WeightedGraph, model: TrainedModel, cluster_count: int | None = None):
     """Full-graph forward (no contraction, no backward state) and a fresh fuzzy c-means fit.
 
-    Raises ValueError when ``g`` and the model disagree on the node count.
+    Each node of ``g`` gets the embedding row of its token (``model.params_for``).
+    Raises ValueError when ``g`` and the model disagree on the node count, or
+    when ``g`` names a node the model never saw.
     """
     config = model.config
     k = cluster_count if cluster_count is not None else model.cluster_count
-    structure = model.structure
-    if structure is None or structure.graph is not g:
-        structure = build_attention_structure(g, config.self_loop_mode)
-    h = network_forward(structure, model.params, config)[0]
+    params = model.params_for(g)
+    h = network_forward(build_attention_structure(g, config), params, config)[0]
     infer_seed = int(_rng(config.seed, _RNG_INFER).integers(2**31))
     return fcm_fit(h, k, iters=config.fcm_iters, seed=infer_seed, restarts=config.fcm_restarts)
 
@@ -248,7 +263,7 @@ def gradient_check(config: TrainConfig, g: WeightedGraph, fd_step: float = 1e-5)
     """
     if g.n > 8:
         raise ValueError("gradient_check expects a tiny graph (n <= 8)")
-    structure = build_attention_structure(g, config.self_loop_mode)
+    structure = build_attention_structure(g, config)
     params = init_model_params(
         g.n, config.layer_dims(), config.attn_dim, config.heads, _rng(config.seed, _RNG_INIT)
     )
@@ -295,6 +310,7 @@ def save_checkpoint(model: TrainedModel, path) -> None:
         "config_text": np.array(config_to_text(model.config)),
         "cluster_count": np.array(model.cluster_count),
         "embedding": model.params.embedding,
+        "node_ids": _node_id_array(model.node_ids),
         "layer_count": np.array(len(model.params.layers)),
         "loss_history": model.loss_history,
     }
@@ -306,6 +322,19 @@ def save_checkpoint(model: TrainedModel, path) -> None:
         data["selected_nodes"] = model.selection.selected
         data["core_nodes"] = model.selection.core_nodes
     np.savez(path, **data)
+
+
+def _node_id_array(node_ids) -> np.ndarray:
+    """The tokens as a 1-D str array; ValueError naming a token the array cannot hold.
+
+    A numpy str array drops trailing NUL characters, so such a token would
+    come back as another one.
+    """
+    array = np.array(node_ids, dtype=str)
+    for token, stored in zip(node_ids, array.tolist()):
+        if token != stored:
+            raise ValueError(f"node token {token!r} cannot be stored in a checkpoint")
+    return array
 
 
 def _check_checkpoint_shapes(config: TrainConfig, params: ModelParams) -> None:
@@ -388,6 +417,16 @@ def load_checkpoint(path) -> TrainedModel:
         ]
         params = ModelParams(embedding=get("embedding"), layers=layers)
         _check_checkpoint_shapes(config, params)
+        node_ids = get("node_ids")
+        rows = params.embedding.shape[0]
+        if node_ids.ndim != 1 or node_ids.dtype.kind != "U" or node_ids.size != rows:
+            raise ValueError(
+                f"checkpoint key node_ids has dtype {node_ids.dtype} and shape {node_ids.shape}; "
+                f"expected {rows} strings, one per embedding row"
+            )
+        tokens, counts = np.unique(node_ids, return_counts=True)
+        if (counts > 1).any():
+            raise ValueError(f"checkpoint key node_ids lists {str(tokens[counts > 1][0])!r} twice")
         history = get("loss_history")
         if history.ndim != 2 or history.shape[1] != 4:
             raise ValueError(
@@ -406,6 +445,7 @@ def load_checkpoint(path) -> TrainedModel:
             config=config,
             loss_history=history,
             selection=selection,
+            node_ids=tuple(node_ids.tolist()),
         )
 
 

@@ -208,7 +208,7 @@ def test_criterion_6_noise_robustness():
             acc = evaluate(infer(noisy, model).labels, lab.labels).accuracy
             stats[use_softmax].append(acc)
             if not use_softmax:
-                s = build_attention_structure(noisy, cfg.self_loop_mode)
+                s = build_attention_structure(noisy, cfg)
                 pairs = {(int(u), int(v)) for u, v in added}
                 pairs |= {(v, u) for u, v in pairs}
                 is_noise = np.fromiter(

@@ -89,15 +89,16 @@ def per_node_factors(g, i, mode="max"):
 
 def structure_factors(g, i, mode="max"):
     """f_iz of node i as build_attention_structure stores them, keyed by candidate id."""
-    s = build_attention_structure(g, mode)
+    s = build_attention_structure(g, TrainConfig(self_loop_mode=mode))
     lo, hi = s.indptr[i], s.indptr[i + 1]
     return {int(z): float(f) for z, f in zip(s.dst[lo:hi], s.factors[lo:hi])}
 
 
 def run_network(g, model, alpha, self_loop_mode="max", config=None):
     """All layers over a graph; returns (H_final, AttentionRecord)."""
-    structure = build_attention_structure(g, self_loop_mode)
-    config = config or TrainConfig(entmax_alpha=alpha)
+    config = config or TrainConfig(entmax_alpha=alpha, self_loop_mode=self_loop_mode)
+    config = config.replace(heads=model.layers[0].heads)
+    structure = build_attention_structure(g, config)
     return network_forward_cached(structure, model, config)
 
 
@@ -239,7 +240,7 @@ class TestEdgeWeightFactor:
     def test_structure_factors_match_per_node_api(self):
         lab = synth_weighted_sbm(15, 2, 0.5, 0.2, 3.0, 1.0, seed=0)
         g = lab.graph
-        s = build_attention_structure(g, "max")
+        s = build_attention_structure(g, TrainConfig(self_loop_mode="max"))
         for e in range(s.src.size):
             i, z = int(s.src[e]), int(s.dst[e])
             assert s.factors[e] == pytest.approx(per_node_factors(g, i)[z], abs=1e-14)
@@ -253,7 +254,7 @@ class TestEdgeWeightFactor:
             build_graph(3, [], [], []),
         ]
         for g in graphs:
-            s = build_attention_structure(g, mode)
+            s = build_attention_structure(g, TrainConfig(self_loop_mode=mode))
             deg = np.diff(g.indptr)
             np.testing.assert_array_equal(s.indptr, np.concatenate([[0], np.cumsum(deg + 1)]))
             # mean sums a row in another order than the reference: each side is
@@ -291,7 +292,7 @@ class TestHeadBatchedLayer:
 
     def test_mirror_pairs_every_entry_with_its_reverse(self):
         for g in self.graphs().values():
-            s = build_attention_structure(g)
+            s = build_attention_structure(g, TrainConfig())
             upper = s.src <= s.dst
             np.testing.assert_array_equal(s.pair_src, s.src[upper])
             np.testing.assert_array_equal(s.pair_dst, s.dst[upper])
@@ -301,14 +302,13 @@ class TestHeadBatchedLayer:
             np.testing.assert_array_equal(s.pair_dst[s.mirror], hi)
 
     def test_entry_index_arrays_are_int32(self):
-        s = build_attention_structure(self.graphs()["sbm+isolated"])
+        s = build_attention_structure(self.graphs()["sbm+isolated"], TrainConfig())
         for name in ("src", "dst", "rev", "edge_pos", "pair_src", "pair_dst", "mirror"):
             assert getattr(s, name).dtype == np.int32, name
 
     def test_head_pattern_built_once_per_head_count(self):
-        s = build_attention_structure(tiny_graph())
-        indptr, indices = s.head_pattern(3)
-        assert s.head_pattern(3)[1] is indices
+        s = build_attention_structure(tiny_graph(), TrainConfig(heads=3))
+        indptr, indices = s.head_indptr, s.head_indices
         assert indices.dtype == np.int32 and indptr.dtype == np.int32
         n, e = s.indptr.size - 1, s.src.size
         for t in range(3):
@@ -327,11 +327,12 @@ class TestHeadBatchedLayer:
         monkeypatch.setattr(attention, "_PAIR_DOT_FLOATS", block_floats)
         config = TrainConfig(
             entmax_alpha=1.55,
+            heads=heads,
             softmax_instead_of_entmax=normalizer == "softmax",
             drop_f_iz=not use_weight_factor,
         )
         for name, g in self.graphs().items():
-            s = build_attention_structure(g)
+            s = build_attention_structure(g, config)
             rng = np.random.default_rng(16 + heads)
             model = init_model_params(g.n, [6, 5, 4], attn_dim=7, heads=heads, rng=rng)
             model.embedding *= 20.0  # spread the logits so that entmax leaves exact zeros
@@ -356,20 +357,21 @@ class TestHeadBatchedLayer:
 
     def test_reference_inputs_have_exact_zeros_and_several_blocks(self):
         g = self.graphs()["sbm+isolated"]
-        s = build_attention_structure(g)
+        config = TrainConfig(entmax_alpha=1.55, heads=4)
+        s = build_attention_structure(g, config)
         assert s.pair_src.size > 2 * (96 // (4 * 7))
         assert s.src.size > 2 * (96 // 5)
         model = init_model_params(g.n, [6, 5, 4], attn_dim=7, heads=4,
                                   rng=np.random.default_rng(20))
         model.embedding *= 20.0
-        _, record = network_forward_cached(s, model, TrainConfig(entmax_alpha=1.55))
+        _, record = network_forward_cached(s, model, config)
         assert all((layer.coeffs == 0.0).any() for layer in record.layers)
 
 
 class TestLayerForward:
     def test_chunked_and_mirrored_dots_equal_full_gather(self):
         g = with_isolated_node(synth_weighted_sbm(100, 2, 0.5, 0.1, 3.0, 1.0, seed=14).graph)
-        s = build_attention_structure(g)
+        s = build_attention_structure(g, TrainConfig(heads=3))
         assert s.pair_src.size > 2 * (_PAIR_DOT_FLOATS // (3 * 40))
         assert s.src.size > 2 * (_PAIR_DOT_FLOATS // 40)
         rng = np.random.default_rng(15)
@@ -489,11 +491,10 @@ class TestNetworkForward:
 
     def test_forward_without_backward_state_peaks_below_the_cached_one(self):
         g = synth_weighted_sbm(200, 2, 0.3, 0.05, 3.0, 1.0, seed=22).graph
-        s = build_attention_structure(g)
+        config = TrainConfig(entmax_alpha=1.55, heads=4)
+        s = build_attention_structure(g, config)  # outside both measurements
         model = init_model_params(g.n, [8, 8, 8, 8], attn_dim=8, heads=4,
                                   rng=np.random.default_rng(23))
-        config = TrainConfig(entmax_alpha=1.55)
-        s.head_pattern(4)  # built once, outside both measurements
 
         def traced_peak(forward):
             tracemalloc.start()
@@ -507,6 +508,18 @@ class TestNetworkForward:
 
         plain, cached = traced_peak(network_forward), traced_peak(network_forward_cached)
         assert plain < cached, (plain, cached)
+
+    @pytest.mark.parametrize("forward", [network_forward, network_forward_cached])
+    def test_layer_with_another_head_count_than_the_structure_rejected(self, forward):
+        g = tiny_graph()
+        rng = np.random.default_rng(28)
+        model = init_model_params(g.n, [3, 4, 4], attn_dim=3, heads=2, rng=rng)
+        model.layers[1] = init_model_params(g.n, [4, 4], attn_dim=3, heads=3, rng=rng).layers[0]
+        config = TrainConfig(heads=2)
+        s = build_attention_structure(g, config)
+        with pytest.raises(ValueError, match=r"^layer 1 has 3 heads but the attention structure "
+                                             r"was built for 2$"):
+            forward(s, model, config)
 
     def test_non_finite_activation_raises(self):
         g = build_graph(2, [0], [1], [1.0])
@@ -560,8 +573,8 @@ class TestEdgeAttention:
         g = synth_weighted_sbm(5, 2, 0.9, 0.5, 2.0, 1.0, seed=12).graph
         rng = np.random.default_rng(25)
         model = init_model_params(g.n, [3, 4, 3], attn_dim=3, heads=2, rng=rng)
-        structure = build_attention_structure(g, "max")
-        config = TrainConfig(entmax_alpha=1.55)
+        config = TrainConfig(entmax_alpha=1.55, heads=2, self_loop_mode="max")
+        structure = build_attention_structure(g, config)
         src = g.directed_src()
         table = rng.normal(size=(g.n, g.n))
         per_edge = table[np.minimum(src, g.indices), np.maximum(src, g.indices)]
@@ -584,26 +597,29 @@ class TestLayerGradients:
         monkeypatch.setattr(entmax_module, "_SOLVE_BLOCK_FLOATS", 1024)
         monkeypatch.setattr(attention, "_PAIR_DOT_FLOATS", 1024)
         g = synth_weighted_sbm(200, 2, 0.8, 0.4, 3.0, 1.0, seed=26).graph
-        s = build_attention_structure(g)
         heads, width = 4, 4
+        config = TrainConfig(entmax_alpha=1.55, heads=heads,
+                             softmax_instead_of_entmax=normalizer == "softmax")
+        s = build_attention_structure(g, config)
         rng = np.random.default_rng(27)
         model = init_model_params(g.n, [width] * 3, attn_dim=width, heads=heads, rng=rng)
-        config = TrainConfig(entmax_alpha=1.55, softmax_instead_of_entmax=normalizer == "softmax")
         h, record = network_forward_cached(s, model, config)
-        d_h, d_edge = rng.normal(size=h.shape), rng.normal(size=g.indices.size)
+        d_h = rng.normal(size=h.shape)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            network_backward(record, model, config, d_h, d_edge)
+            # the edge attention's gradient is made here and passed with no
+            # other reference, as training passes it: the sweep may drop it
+            network_backward(record, model, config, d_h, rng.normal(size=g.indices.size))
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
         entry_bytes = heads * s.src.size * 8
         node_bytes = heads * g.n * width * 8
         assert entry_bytes >= 30 * node_bytes
-        # one buffer for the coefficient and logit gradients, the edge
-        # attention's gradient row (1/heads of it) and row blocks; d_pre, two
+        # one buffer for the coefficient and logit gradients, one copy of the
+        # edge attention's gradient (a row 1/heads of it) and row blocks; d_pre, two
         # node-major operands of the dots and d_h_in are the per-node arrays
         assert peak <= 1.3 * entry_bytes + 6 * node_bytes, (peak / entry_bytes)
 
@@ -612,8 +628,8 @@ class TestLayerGradients:
         g = lab.graph
         rng = np.random.default_rng(13)
         model = init_model_params(g.n, [3, 4, 3], attn_dim=3, heads=2, rng=rng)
-        structure = build_attention_structure(g, "max")
-        config = TrainConfig(entmax_alpha=1.55)
+        config = TrainConfig(entmax_alpha=1.55, heads=2, self_loop_mode="max")
+        structure = build_attention_structure(g, config)
         target = rng.normal(size=(g.n, 3))
 
         def loss_of(m):

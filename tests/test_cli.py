@@ -13,6 +13,7 @@ import pytest
 
 from wgclust.cli import main
 from wgclust.graph import load_edge_list
+from wgclust.metrics import evaluate
 
 FAST_CONFIG = """
 heads = 2
@@ -97,6 +98,15 @@ MALFORMED_CHECKPOINTS = {
                           r"checkpoint key loss_history has shape \(3,\)"),
     "inf in loss_history": (_with_key("loss_history", np.full((5, 4), np.inf)),
                             r"checkpoint key loss_history holds a NaN or inf"),
+    "integer node_ids": (_with_key("node_ids", np.arange(30)),
+                         r"checkpoint key node_ids has dtype int64 and shape \(30,\); "
+                         r"expected 30 strings"),
+    "short node_ids": (_with_key("node_ids", np.array(["a", "b"])),
+                       r"checkpoint key node_ids .* shape \(2,\); expected 30 strings"),
+    "2-d node_ids": (_with_key("node_ids", np.full((30, 1), "a")),
+                     r"checkpoint key node_ids .* shape \(30, 1\)"),
+    "repeated node token": (_with_key("node_ids", np.array(["1"] + [str(i) for i in range(29)])),
+                            r"checkpoint key node_ids lists '1' twice"),
 }
 
 
@@ -363,6 +373,57 @@ class TestTrainInferEval:
             (out / "seed_2" / "assignment.csv").read_bytes()
 
 
+class TestNodeTokens:
+    def test_edge_file_in_another_line_order_gets_the_same_clustering(self, tmp_path):
+        """infer and attention-dump bind each embedding row to its node token, not to the
+        order in which the edge file first names the nodes."""
+        assert run_cli("synth", "--nodes", 60, "--clusters", 2, "--p-in", 0.5, "--p-out", 0.05,
+                       "--seed", 3, "--out", tmp_path / "synth") == 0
+        edges = tmp_path / "synth" / "edges.tsv"
+        lines = edges.read_text().splitlines(keepends=True)
+        shuffled = tmp_path / "shuffled.tsv"
+        order = np.random.default_rng(0).permutation(len(lines))
+        shuffled.write_text("".join(lines[i] for i in order))
+        assert load_edge_list(shuffled).node_ids != load_edge_list(edges).node_ids
+        assert run_cli("train", "--edges", edges, "--clusters", 2, "--epochs", 5, "--heads", 2,
+                       "--layer-count", 1, "--out", tmp_path / "train") == 0
+        checkpoint = tmp_path / "train" / "checkpoint.npz"
+        labels, attention = {}, {}
+        for tag, path in (("original", edges), ("shuffled", shuffled)):
+            assert run_cli("infer", "--checkpoint", checkpoint, "--edges", path,
+                           "--out", tmp_path / tag) == 0
+            assert run_cli("attention-dump", "--checkpoint", checkpoint, "--edges", path,
+                           "--out", tmp_path / tag / "attn") == 0
+            with open(tmp_path / tag / "assignment.csv", newline="") as fh:
+                labels[tag] = {row[0]: int(row[1]) for row in list(csv.reader(fh))[1:]}
+            with open(tmp_path / tag / "attn" / "attention.csv", newline="") as fh:
+                attention[tag] = {(i, j): float(a) for i, j, a in list(csv.reader(fh))[1:]}
+        tokens = sorted(labels["original"])
+        report = evaluate(np.array([labels["shuffled"][t] for t in tokens]),
+                          np.array([labels["original"][t] for t in tokens]))
+        assert report.accuracy == 1.0
+        pairs = sorted(attention["original"])
+        assert sorted(attention["shuffled"]) == pairs
+        np.testing.assert_allclose([attention["shuffled"][p] for p in pairs],
+                                   [attention["original"][p] for p in pairs], rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("command", ["infer", "attention-dump"])
+    def test_graph_naming_a_node_the_model_never_saw_rejected(self, trained_checkpoint, tmp_path,
+                                                              capsys, command):
+        checkpoint, edges = trained_checkpoint
+        renamed = tmp_path / "renamed.tsv"
+        first = load_edge_list(edges).node_ids[0]
+        renamed.write_text("".join(
+            "\t".join("stranger" if tok == first else tok for tok in line.split("\t")[:2])
+            + "\t" + line.split("\t")[2]
+            for line in edges.read_text().splitlines(keepends=True)
+        ))
+        rc = run_cli(command, "--checkpoint", checkpoint, "--edges", renamed,
+                     "--out", tmp_path / "o")
+        assert rc == 1
+        assert "error: graph node 'stranger' is not one the model embeds" in capsys.readouterr().err
+
+
 class TestAttentionDump:
     def test_dump_covers_all_directed_pairs(self, synth_dir, tmp_path, monkeypatch):
         cfg = tmp_path / "fast.cfg"
@@ -522,6 +583,16 @@ class TestErrors:
         assert rc == 1
         err = capsys.readouterr().err
         assert re.match(r"error: epoch \d+: layer \d+: non-finite activation at node \d+", err), err
+
+    def test_unknown_self_loop_mode_in_config_file_rejected(self, synth_dir, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(FAST_CONFIG + "self_loop_mode = median\n")
+        rc = run_cli("train", "--edges", synth_dir / "edges.tsv", "--clusters", 2,
+                     "--config", cfg, "--out", tmp_path / "o")
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: self_loop_mode must be one of ('max', 'mean', 'min')\n", err
+        assert not (tmp_path / "o" / "checkpoint.npz").exists()
 
     def test_random_sampling_without_contraction_rejected(self, synth_dir, tmp_path, capsys):
         rc = run_cli("train", "--edges", synth_dir / "edges.tsv", "--clusters", 2,

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from wgclust.config import TrainConfig, config_to_text, parse_config_text
+from wgclust.config import SELF_LOOP_MODES, TrainConfig, config_to_text, parse_config_text
 from wgclust.graph import build_graph, synth_weighted_sbm
 from wgclust.metrics import evaluate
 from wgclust.trainer import (
@@ -177,7 +177,7 @@ class TestInfer:
         np.testing.assert_array_equal(a1.memberships, a2.memberships)
 
     @pytest.mark.parametrize("no_contraction", [True, False])
-    def test_training_structure_reused_only_for_the_same_graph(self, monkeypatch, no_contraction):
+    def test_train_and_each_infer_build_one_structure(self, monkeypatch, no_contraction):
         import wgclust.trainer as trainer_module
 
         lab = synth_weighted_sbm(30, 2, 0.6, 0.1, 3.0, 1.0, seed=8)
@@ -185,22 +185,23 @@ class TestInfer:
         built = []
         build = trainer_module.build_attention_structure
 
-        def counting_build(g, mode):
-            built.append(g)
-            return build(g, mode)
+        def counting_build(g, config):
+            built.append((g, config))
+            return build(g, config)
 
         monkeypatch.setattr(trainer_module, "build_attention_structure", counting_build)
         model = train(lab.graph, 2, cfg)
+        # training builds one structure, on the graph it trains on
+        assert len(built) == 1
+        assert built[0][0] is (lab.graph if no_contraction else model.selection.subgraph)
         a = infer(lab.graph, model)
-        # training on the whole graph builds its structure once, for both
-        # training and labelling; a contracted run trains on a subgraph
-        assert len(built) == (1 if no_contraction else 2)
-        assert built[0] is (lab.graph if no_contraction else model.selection.subgraph)
+        assert len(built) == 2 and built[1][0] is lab.graph
         # an equal graph in another object gets its own structure and the
         # same labels
         copy = build_graph(lab.graph.n, *lab.graph.edge_arrays())
         b = infer(copy, model)
-        assert built[-1] is copy
+        assert len(built) == 3 and built[2][0] is copy
+        assert all(config is cfg for _, config in built)
         np.testing.assert_array_equal(a.labels, b.labels)
         np.testing.assert_array_equal(a.memberships, b.memberships)
 
@@ -210,6 +211,34 @@ class TestInfer:
         model = train(lab.graph, 2, cfg)
         other = synth_weighted_sbm(21, 2, 0.6, 0.1, 3.0, 1.0, seed=9).graph
         with pytest.raises(ValueError, match="nodes"):
+            infer(other, model)
+
+    def test_embedding_rows_follow_the_node_tokens(self):
+        lab = synth_weighted_sbm(24, 2, 0.6, 0.1, 3.0, 1.0, seed=10)
+        g = lab.graph
+        model = train(g, 2, TrainConfig(epochs=4, no_contraction=True, seed=2, **TINY))
+        a = infer(g, model)
+        # the same edges, with the nodes numbered in another order but
+        # keeping their tokens
+        perm = np.random.default_rng(1).permutation(g.n)
+        u, v, w = g.edge_arrays()
+        tokens = [None] * g.n
+        for old, new in enumerate(perm):
+            tokens[new] = g.node_ids[old]
+        renumbered = build_graph(g.n, perm[u], perm[v], w, node_ids=tuple(tokens))
+        params = model.params_for(renumbered)
+        np.testing.assert_array_equal(params.embedding[perm], model.params.embedding)
+        assert model.params_for(g) is model.params
+        b = infer(renumbered, model)
+        assert evaluate(b.labels[perm], a.labels).accuracy == 1.0
+
+    def test_unknown_node_token_rejected(self):
+        lab = synth_weighted_sbm(20, 2, 0.6, 0.1, 3.0, 1.0, seed=9)
+        model = train(lab.graph, 2, TrainConfig(epochs=1, no_contraction=True, **TINY))
+        u, v, w = lab.graph.edge_arrays()
+        tokens = lab.graph.node_ids[:-1] + ("stranger",)
+        other = build_graph(lab.graph.n, u, v, w, node_ids=tokens)
+        with pytest.raises(ValueError, match="graph node 'stranger' is not one the model embeds"):
             infer(other, model)
 
     def test_permutation_equivariance(self):
@@ -232,6 +261,7 @@ class TestInfer:
             config=model.config,
             loss_history=model.loss_history,
             selection=None,
+            node_ids=model.node_ids,
         )
         ap = infer(gp, model_p)
         acc = evaluate(ap.labels[perm], a.labels).accuracy
@@ -333,7 +363,35 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="unsupported checkpoint version 1"):
             load_checkpoint(tmp_path / "v1.npz")
 
-    @pytest.mark.parametrize("key", ["format_version", "config_text", "layer1_w2", "core_nodes"])
+    def test_version_2_checkpoint_rejected(self, tmp_path):
+        lab = synth_weighted_sbm(20, 2, 0.6, 0.1, 3.0, 1.0, seed=16)
+        model = train(lab.graph, 2, TrainConfig(epochs=1, no_contraction=True, **TINY))
+        save_checkpoint(model, tmp_path / "m.npz")
+        with np.load(tmp_path / "m.npz") as z:
+            # a version-2 file held no node tokens
+            data = {k: v for k, v in z.items() if k != "node_ids"}
+        data["format_version"] = np.array(2)
+        np.savez(tmp_path / "v2.npz", **data)
+        with pytest.raises(ValueError, match="unsupported checkpoint version 2"):
+            load_checkpoint(tmp_path / "v2.npz")
+
+    def test_node_tokens_round_trip(self, tmp_path):
+        u, v, w = six_node_graph().edge_arrays()
+        tokens = ("a", "b b", "c,\"", "ü", "0", "")
+        g = build_graph(6, u, v, w, node_ids=tokens)
+        model = train(g, 2, TrainConfig(epochs=1, no_contraction=True, **TINY))
+        save_checkpoint(model, tmp_path / "m.npz")
+        assert load_checkpoint(tmp_path / "m.npz").node_ids == tokens
+
+    def test_token_a_checkpoint_cannot_hold_rejected(self, tmp_path):
+        u, v, w = six_node_graph().edge_arrays()
+        g = build_graph(6, u, v, w, node_ids=("a", "b", "c", "d", "e", "f\x00"))
+        model = train(g, 2, TrainConfig(epochs=0, no_contraction=True, **TINY))
+        with pytest.raises(ValueError, match=r"node token 'f\\x00' cannot be stored"):
+            save_checkpoint(model, tmp_path / "m.npz")
+
+    @pytest.mark.parametrize("key", ["format_version", "config_text", "layer1_w2", "core_nodes",
+                                     "node_ids"])
     def test_missing_key_named(self, tmp_path, key):
         lab = synth_weighted_sbm(25, 2, 0.6, 0.1, 3.0, 1.0, seed=14)
         model = train(lab.graph, 2, TrainConfig(epochs=1, importance_threshold=0.001, **TINY))
@@ -416,6 +474,14 @@ class TestConfigFormat:
             parse_config_text("no_contraction = true\nrandom_sampling = true\n")
         with pytest.raises(ValueError, match=message):
             TrainConfig(random_sampling=True).replace(no_contraction=True)
+
+    def test_self_loop_mode_names_the_modes(self):
+        assert SELF_LOOP_MODES == ("max", "mean", "min")
+        message = r"self_loop_mode must be one of \('max', 'mean', 'min'\)"
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(self_loop_mode="median")
+        with pytest.raises(ValueError, match=message):
+            parse_config_text("self_loop_mode = median\n")
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):
