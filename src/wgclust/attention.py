@@ -38,6 +38,7 @@ __all__ = [
     "network_forward_cached",
     "network_backward",
     "init_model_params",
+    "non_finite_activation",
 ]
 
 # floats per gathered operand in _pair_dots (256 KB): a block of entries takes
@@ -301,12 +302,23 @@ def _elu_grad(x: np.ndarray) -> np.ndarray:
     return np.where(x > 0, 1.0, np.exp(np.minimum(x, 0.0)))
 
 
+def non_finite_activation(layer: int, node: int) -> FloatingPointError:
+    """The forward's error for a non-finite activation of ``node`` in layer ``layer``.
+
+    It keeps both as its ``layer`` and ``node`` attributes, so that a caller
+    that ran the forward on a subgraph can name the node of the whole graph.
+    """
+    exc = FloatingPointError(f"layer {layer}: non-finite activation at node {node}")
+    exc.layer, exc.node = layer, node
+    return exc
+
+
 def _require_finite(li, values, node_of_row=None) -> None:
-    """Raise a FloatingPointError naming layer ``li`` and the node of the first non-finite row."""
+    """Raise ``non_finite_activation`` for layer ``li`` and the node of the first non-finite row."""
     if not np.all(np.isfinite(values)):
         row = int(np.flatnonzero(~np.isfinite(values).all(axis=1))[0])
         node = row if node_of_row is None else int(node_of_row[row])
-        raise FloatingPointError(f"layer {li}: non-finite activation at node {node}")
+        raise non_finite_activation(li, node)
 
 
 def _coefficients(li, structure, proj_attn, config) -> np.ndarray:

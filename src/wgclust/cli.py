@@ -53,7 +53,7 @@ def _sha256(path) -> str:
 
 
 def _write_manifest(outdir: Path, command: str, config: dict, inputs: list, outputs: list,
-                    seconds: float, edges_before=None, edges_after=None) -> None:
+                    seconds: float, edges_before=None, edges_after=None, **extra) -> None:
     manifest = {
         "command": command,
         "config": config,
@@ -62,6 +62,7 @@ def _write_manifest(outdir: Path, command: str, config: dict, inputs: list, outp
         "wall_clock_seconds": seconds,
         "edges_before_contraction": edges_before,
         "edges_after_contraction": edges_after,
+        **extra,
     }
     for p in outputs:
         if not Path(p).exists():
@@ -272,8 +273,11 @@ def cmd_infer(args) -> int:
     assignment = infer(g, model, cluster_count=args.clusters)
     _write_assignment(out / "assignment.csv", assignment, g)
     print(f"inferred labels for {g.n} nodes")
+    labelled_by = {"forward": assignment.forward_nodes, "vote": assignment.vote_nodes,
+                   "fallback": assignment.fallback_nodes}
     _write_manifest(out, "infer", dataclasses.asdict(model.config), [args.checkpoint, args.edges],
-                    [out / "assignment.csv"], time.perf_counter() - t0)
+                    [out / "assignment.csv"], time.perf_counter() - t0,
+                    labelled_by=labelled_by, vote_hops=assignment.vote_hops)
     return 0
 
 

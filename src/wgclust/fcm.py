@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ClusterAssignment", "fcm_fit", "hard_labels"]
+__all__ = ["ClusterAssignment", "fcm_fit", "hard_labels", "memberships_for"]
 
 SIM_CLAMP = 1e-8
 FCM_TOL = 1e-6  # a fit stops once no membership moves by this much in a round
@@ -36,10 +36,20 @@ def hard_labels(memberships: np.ndarray) -> np.ndarray:
     return np.argmax(memberships, axis=1)
 
 
+def _similarities(h: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Clamped inner products of every row with every center (of every stacked fit)."""
+    return np.maximum(np.matmul(h, np.swapaxes(centers, -1, -2)), SIM_CLAMP)
+
+
 def _memberships(sims: np.ndarray) -> np.ndarray:
     y = sims / sims.sum(axis=-1, keepdims=True)
     # the second pass moves about a third of the entries by an ulp; fits depend on those bits
     return y / y.sum(axis=-1, keepdims=True)
+
+
+def memberships_for(h, centers: np.ndarray) -> np.ndarray:
+    """Memberships of the rows of ``h`` in fitted clusters, by the rule ``fcm_fit`` rounds use."""
+    return _memberships(_similarities(np.ascontiguousarray(h, dtype=np.float64), centers))
 
 
 def fcm_fit(h, k, iters: int = 30, seed: int = 0, restarts: int = 1) -> ClusterAssignment:
@@ -78,8 +88,7 @@ def fcm_fit(h, k, iters: int = 30, seed: int = 0, restarts: int = 1) -> ClusterA
     ids, centers, y = np.arange(restarts), h[starts], np.full((restarts, n, k), 1.0 / k)
     final_y, final_centers = np.empty_like(y), np.empty_like(centers)
     for _ in range(iters):
-        sims = np.maximum(np.matmul(h, centers.transpose(0, 2, 1)), SIM_CLAMP)
-        y_new = _memberships(sims)
+        y_new = _memberships(_similarities(h, centers))
         centers = np.matmul(y_new.transpose(0, 2, 1), h) / y_new.sum(axis=1)[:, :, None]
         stop = np.abs(y_new - y).max(axis=(1, 2)) < FCM_TOL
         y = y_new
@@ -89,8 +98,7 @@ def fcm_fit(h, k, iters: int = 30, seed: int = 0, restarts: int = 1) -> ClusterA
             if ids.size == 0:
                 break
     final_y[ids], final_centers[ids] = y, centers
-    sims = np.maximum(np.matmul(h, final_centers.transpose(0, 2, 1)), SIM_CLAMP)
-    cohesion = (final_y * sims).sum(axis=(1, 2))
+    cohesion = (final_y * _similarities(h, final_centers)).sum(axis=(1, 2))
     best = int(np.argmax(cohesion))  # the first maximum; h is finite, so is the cohesion
     y = final_y[best]
     return ClusterAssignment(memberships=y, centers=final_centers[best], labels=hard_labels(y))

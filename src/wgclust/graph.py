@@ -308,7 +308,7 @@ def save_labels(labeled: LabeledGraph, path) -> None:
 
 
 def induce_subgraph(g: WeightedGraph, nodes: np.ndarray) -> WeightedGraph:
-    """Subgraph on ``nodes`` (sorted unique ids).
+    """Subgraph on ``nodes`` (unique ids, in any order).
 
     Keeps exactly the edges with both endpoints selected, weights unchanged.
     ``nodes[i]`` becomes node i of the subgraph, whose tokens are its own

@@ -27,10 +27,11 @@ from .attention import (
     network_backward,
     network_forward,
     network_forward_cached,
+    non_finite_activation,
 )
 from .config import TrainConfig, config_to_text, parse_config_text
 from .contraction import SubgraphSelection, contract
-from .fcm import fcm_fit
+from .fcm import ClusterAssignment, fcm_fit, hard_labels, memberships_for
 # build_graph is not called here; benchmarks/tracing.py wraps it at this lookup site
 from .graph import WeightedGraph, build_graph, induce_subgraph
 from .losses import (
@@ -44,8 +45,8 @@ from .losses import (
     update_edge_weights,
 )
 
-__all__ = ["TrainedModel", "train", "infer", "gradient_check", "save_checkpoint", "load_checkpoint",
-           "write_loss_history"]
+__all__ = ["TrainedModel", "InferredAssignment", "train", "infer", "gradient_check",
+           "save_checkpoint", "load_checkpoint", "write_loss_history"]
 
 MIN_LOSS_IMPROVEMENT = 1e-5
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -96,24 +97,47 @@ class TrainedModel:
     selection: SubgraphSelection | None
     node_ids: tuple[str, ...]
 
-    def params_for(self, g: WeightedGraph) -> ModelParams:
-        """The parameters with the embedding rows in ``g``'s node order, matched by token.
+    def rows_for(self, g: WeightedGraph) -> np.ndarray:
+        """The embedding row of every node of ``g``, matched by token.
 
-        The model's own parameters when ``g`` names its nodes in the model's
-        order. Raises ValueError when ``g`` has another node count, or names a
-        node the model never saw.
+        Raises ValueError when ``g`` has another node count, or names a node
+        the model never saw.
         """
-        if g.node_ids == self.node_ids:
-            return self.params
         rows = self.params.embedding.shape[0]
         if g.n != rows:
             raise ValueError(f"graph has {g.n} nodes but the model embeds {rows}")
+        if g.node_ids == self.node_ids:
+            return np.arange(rows)
         row_of = dict(zip(self.node_ids, range(rows)))
         try:
-            order = [row_of[token] for token in g.node_ids]
+            return np.array([row_of[token] for token in g.node_ids], dtype=np.int64)
         except KeyError as exc:
             raise ValueError(f"graph node {exc.args[0]!r} is not one the model embeds") from None
-        return ModelParams(embedding=self.params.embedding[order], layers=self.params.layers)
+
+    def params_for(self, g: WeightedGraph) -> ModelParams:
+        """The parameters with the embedding rows in ``g``'s node order (``rows_for``).
+
+        The model's own parameters when ``g`` names its nodes in the model's order.
+        """
+        if g.node_ids == self.node_ids:
+            return self.params
+        return ModelParams(embedding=self.params.embedding[self.rows_for(g)],
+                           layers=self.params.layers)
+
+
+@dataclass(frozen=True)
+class InferredAssignment(ClusterAssignment):
+    """``infer``'s assignment of every node, with how many nodes each step labelled.
+
+    ``forward_nodes`` got the fuzzy c-means fit on the forward, ``vote_nodes``
+    the neighbour vote (in ``vote_hops`` hops) and ``fallback_nodes`` the
+    fitted centers applied to a forward over their own components.
+    """
+
+    forward_nodes: int
+    vote_nodes: int
+    fallback_nodes: int
+    vote_hops: int
 
 
 def _select_training_graph(g, cluster_count, config):
@@ -235,19 +259,110 @@ def train(g: WeightedGraph, cluster_count: int, config: TrainConfig) -> TrainedM
     )
 
 
-def infer(g: WeightedGraph, model: TrainedModel, cluster_count: int | None = None):
-    """Full-graph forward (no contraction, no backward state) and a fresh fuzzy c-means fit.
+def infer(g: WeightedGraph, model: TrainedModel,
+          cluster_count: int | None = None) -> InferredAssignment:
+    """Label every node of ``g``: fit on the model's selected nodes, vote for the rest.
 
-    Each node of ``g`` gets the embedding row of its token (``model.params_for``).
-    Raises ValueError when ``g`` and the model disagree on the node count, or
-    when ``g`` names a node the model never saw.
+    The selected nodes are every node for a model trained without
+    contraction, and each node of ``g`` takes the embedding row of its token
+    (``model.rows_for``). The forward (no backward state) and a fresh fuzzy
+    c-means fit run on ``g`` itself when every node is selected, otherwise on
+    ``induce_subgraph(g, selected)`` in the model's row order, which is the
+    training subgraph when ``g`` is the training graph. Then, hop by hop
+    until nothing changes, each unlabelled neighbour of the last hop's nodes
+    takes the weight-normalised sum of its labelled neighbours' memberships
+    (label propagation; Zhu & Ghahramani 2002). A node in a component with
+    no selected node gets ``memberships_for`` the fitted centers of its
+    representation from a forward over its own component, which is the one a
+    full-graph forward gives it, since attention never crosses components.
+    Labels are each row's argmax.
+
+    Raises ValueError when ``g`` and the model disagree on the node count,
+    when ``g`` names a node the model never saw, and when ``cluster_count``
+    exceeds the number of nodes the contraction kept.
     """
     config = model.config
     k = cluster_count if cluster_count is not None else model.cluster_count
-    params = model.params_for(g)
-    h = network_forward(build_attention_structure(g, config), params, config)[0]
+    params = model.params
+    if model.selection is None:
+        selected = np.arange(params.embedding.shape[0])
+    else:
+        selected = model.selection.selected
+        if k > selected.size:
+            raise ValueError(
+                f"cluster count {k} exceeds the {selected.size} nodes the contraction kept; "
+                f"infer fits its clusters on those nodes"
+            )
+    if selected.size == g.n:
+        nodes, working, work = np.arange(g.n), g, model.params_for(g)
+    else:
+        rows = model.rows_for(g)
+        node_of_row = np.empty(g.n, dtype=np.int64)
+        node_of_row[rows] = np.arange(g.n)
+        nodes = node_of_row[selected]
+        working = induce_subgraph(g, nodes)
+        work = ModelParams(embedding=params.embedding[selected], layers=params.layers)
+    h = _forward(working, nodes, work, config)
     infer_seed = int(_rng(config.seed, _RNG_INFER).integers(2**31))
-    return fcm_fit(h, k, iters=config.fcm_iters, seed=infer_seed, restarts=config.fcm_restarts)
+    fit = fcm_fit(h, k, iters=config.fcm_iters, seed=infer_seed, restarts=config.fcm_restarts)
+
+    # an unlabelled node's row stays 0 until it is labelled, so it adds nothing to a vote
+    memberships = np.zeros((g.n, k))
+    memberships[nodes] = fit.memberships
+    labelled = np.zeros(g.n, dtype=bool)
+    labelled[nodes] = True
+    hops = _vote(g, memberships, labelled, nodes)
+    voted = int(labelled.sum()) - nodes.size
+    # every node is labelled when every node is selected, so ``rows`` exists here
+    rest = np.flatnonzero(~labelled)
+    if rest.size:
+        own = ModelParams(embedding=params.embedding[rows[rest]], layers=params.layers)
+        h_rest = _forward(induce_subgraph(g, rest), rest, own, config)
+        memberships[rest] = memberships_for(h_rest, fit.centers)
+    return InferredAssignment(
+        memberships=memberships, centers=fit.centers, labels=hard_labels(memberships),
+        forward_nodes=nodes.size, vote_nodes=voted, fallback_nodes=rest.size, vote_hops=hops,
+    )
+
+
+def _forward(working, nodes, params, config) -> np.ndarray:
+    """The forward's representation on ``working``, the subgraph on ``nodes`` of a graph.
+
+    A non-finite activation is named by its node of that graph, ``nodes[i]``.
+    """
+    try:
+        return network_forward(build_attention_structure(working, config), params, config)[0]
+    except FloatingPointError as exc:
+        if not hasattr(exc, "node"):
+            raise
+        raise non_finite_activation(exc.layer, int(nodes[exc.node])) from None
+
+
+def _vote(g: WeightedGraph, memberships: np.ndarray, labelled: np.ndarray, last: np.ndarray) -> int:
+    """Spread memberships from the labelled nodes, hop by hop; returns the hop count.
+
+    A hop labels every unlabelled neighbour of the nodes ``last`` labelled,
+    each with the weight-normalised sum of the rows of its neighbours
+    labelled before the hop, and fills ``memberships`` and ``labelled`` in
+    place; an unlabelled node's row of ``memberships`` must be 0. A node's
+    row of the adjacency is read in the hop that reaches it and in the next.
+    """
+    import scipy.sparse as sp
+
+    adjacency = sp.csr_matrix((g.weights, g.indices, g.indptr), shape=(g.n, g.n))
+    hops = 0
+    while not labelled.all():
+        near = adjacency[last].indices
+        reach = np.unique(near[~labelled[near]])
+        if reach.size == 0:
+            break
+        # every reached node has a labelled neighbour, so no vote sums to 0
+        votes = adjacency[reach] @ memberships
+        memberships[reach] = votes / votes.sum(axis=1, keepdims=True)
+        labelled[reach] = True
+        last = reach
+        hops += 1
+    return hops
 
 
 def gradient_check(config: TrainConfig, g: WeightedGraph, fd_step: float = 1e-5) -> float:
@@ -356,6 +471,20 @@ def _check_checkpoint_shapes(config: TrainConfig, params: ModelParams) -> None:
             )
 
 
+def _node_list(key: str, value: np.ndarray, rows: int) -> np.ndarray:
+    """A selection key as int64 rows; ValueError naming it unless strictly increasing in [0, rows)."""
+    if value.ndim != 1 or value.dtype.kind not in "iu":
+        raise ValueError(
+            f"checkpoint key {key} has dtype {value.dtype} and shape {value.shape}; "
+            f"expected a 1-D integer array"
+        )
+    if value.size and not (0 <= value.min() and value.max() < rows):
+        raise ValueError(f"checkpoint key {key} names a row outside [0, {rows})")
+    if (value[1:] <= value[:-1]).any():
+        raise ValueError(f"checkpoint key {key} is not strictly increasing")
+    return value.astype(np.int64, copy=False)
+
+
 # what np.load and reading an archive member raise on a malformed file
 _UNREADABLE = (ValueError, EOFError, zipfile.BadZipFile)
 
@@ -377,7 +506,10 @@ def load_checkpoint(path) -> TrainedModel:
     Raises ValueError naming the file when it is not an .npz archive, and
     naming the key when one is missing or unreadable, a float array holds a
     NaN or inf, a scalar key is not a 0-d integer (or string, for
-    config_text), or an array disagrees with the checkpoint's config.
+    config_text), or an array disagrees with the checkpoint's config. Of
+    selected_nodes and core_nodes, both or neither must be present; each must
+    be a 1-D integer array of embedding rows, strictly increasing, and every
+    core must be selected.
     """
     with open(path, "rb") as fh, _open_checkpoint(fh, path) as z:
         def get(key: str) -> np.ndarray:
@@ -433,10 +565,17 @@ def load_checkpoint(path) -> TrainedModel:
                 f"checkpoint key loss_history has shape {history.shape}; expected (epochs, 4)"
             )
         selection = None
-        if "selected_nodes" in z:
+        if "selected_nodes" in z or "core_nodes" in z:
+            selected, cores = (_node_list(key, get(key), rows)
+                               for key in ("selected_nodes", "core_nodes"))
+            stray = np.setdiff1d(cores, selected)
+            if stray.size:
+                raise ValueError(
+                    f"checkpoint key core_nodes names row {stray[0]}, which selected_nodes lacks"
+                )
             selection = SubgraphSelection(
-                selected=get("selected_nodes"),
-                core_nodes=get("core_nodes"),
+                selected=selected,
+                core_nodes=cores,
                 subgraph=None,  # not needed after training; rebuildable from the source graph
             )
         return TrainedModel(

@@ -266,6 +266,46 @@ class TestTrainInferEval:
             train_out / "assignment.csv"
         ).read_bytes()
 
+    def test_manifest_counts_how_infer_labelled_the_nodes(self, tmp_path):
+        """Cliques a0-a3 and b0-b3 are selected; c is one vote hop away, d two, and p, q, r
+        lie in a component with no selected node."""
+        edges = tmp_path / "edges.tsv"
+        pairs = [(f"{x}{i}", f"{x}{j}") for x in "ab" for i in range(4) for j in range(i + 1, 4)]
+        pairs += [("a0", "b0"), ("a3", "c"), ("c", "d"), ("p", "q"), ("q", "r")]
+        edges.write_text("".join(f"{u}\t{v}\t2.0\n" for u, v in pairs))
+        (tmp_path / "fast.cfg").write_text(FAST_CONFIG)
+        assert run_cli("train", "--edges", edges, "--clusters", 2, "--config", tmp_path / "fast.cfg",
+                       "--out", tmp_path / "train") == 0
+        checkpoint = tmp_path / "train" / "checkpoint.npz"
+        with np.load(checkpoint) as z:
+            tokens = z["node_ids"].tolist()
+        selected = np.array(sorted(tokens.index(f"{x}{i}") for x in "ab" for i in range(4)))
+        _with_key("selected_nodes", selected)(checkpoint, tmp_path / "contracted.npz")
+        _with_key("core_nodes", selected[:2])(tmp_path / "contracted.npz",
+                                              tmp_path / "contracted.npz")
+        assert run_cli("infer", "--checkpoint", tmp_path / "contracted.npz", "--edges", edges,
+                       "--out", tmp_path / "infer") == 0
+        manifest = json.loads((tmp_path / "infer" / "run_manifest.json").read_text())
+        assert manifest["labelled_by"] == {"forward": 8, "vote": 2, "fallback": 3}
+        assert manifest["vote_hops"] == 2
+
+    def test_clusters_above_the_selection_names_the_contraction(self, tmp_path, capsys):
+        assert run_cli("synth", "--nodes", 60, "--clusters", 2, "--p-in", 0.5, "--p-out", 0.05,
+                       "--seed", 3, "--out", tmp_path / "synth") == 0
+        edges = tmp_path / "synth" / "edges.tsv"
+        assert run_cli("train", "--edges", edges, "--clusters", 2, "--epochs", 1, "--heads", 2,
+                       "--layer-count", 1, "--importance-threshold", 0.01,
+                       "--out", tmp_path / "train") == 0
+        with np.load(tmp_path / "train" / "checkpoint.npz") as z:
+            kept = z["selected_nodes"].size
+        assert kept < 60
+        rc = run_cli("infer", "--checkpoint", tmp_path / "train" / "checkpoint.npz",
+                     "--edges", edges, "--clusters", kept + 1, "--out", tmp_path / "infer")
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cluster count {kept + 1} exceeds the {kept} nodes the "
+                              f"contraction kept"), err
+
     def test_tokens_with_commas_round_trip(self, synth_dir, tmp_path):
         """train -> infer -> eval -> attention-dump scores a graph whose tokens hold commas
         and quotes as it scores the same graph with plain tokens."""
@@ -406,6 +446,31 @@ class TestNodeTokens:
         assert sorted(attention["shuffled"]) == pairs
         np.testing.assert_allclose([attention["shuffled"][p] for p in pairs],
                                    [attention["original"][p] for p in pairs], rtol=1e-9, atol=1e-12)
+
+    def test_contracted_model_labels_a_shuffled_edge_file_token_for_token(self, tmp_path):
+        assert run_cli("synth", "--nodes", 60, "--clusters", 2, "--p-in", 0.5, "--p-out", 0.05,
+                       "--seed", 3, "--out", tmp_path / "synth") == 0
+        edges = tmp_path / "synth" / "edges.tsv"
+        lines = edges.read_text().splitlines(keepends=True)
+        shuffled = tmp_path / "shuffled.tsv"
+        shuffled.write_text("".join(lines[i] for i in np.random.default_rng(0).permutation(
+            len(lines))))
+        assert run_cli("train", "--edges", edges, "--clusters", 2, "--epochs", 5, "--heads", 2,
+                       "--layer-count", 1, "--importance-threshold", 0.01,
+                       "--out", tmp_path / "train") == 0
+        with np.load(tmp_path / "train" / "checkpoint.npz") as z:
+            assert 2 <= z["selected_nodes"].size < 60
+        rows = {}
+        for tag, path in (("original", edges), ("shuffled", shuffled)):
+            assert run_cli("infer", "--checkpoint", tmp_path / "train" / "checkpoint.npz",
+                           "--edges", path, "--out", tmp_path / tag) == 0
+            with open(tmp_path / tag / "assignment.csv", newline="") as fh:
+                rows[tag] = {row[0]: row[1:] for row in list(csv.reader(fh))[1:]}
+        assert rows["shuffled"].keys() == rows["original"].keys()
+        for token, (label, *memberships) in rows["original"].items():
+            assert rows["shuffled"][token][0] == label, token
+            np.testing.assert_allclose(np.array(rows["shuffled"][token][1:], dtype=float),
+                                       np.array(memberships, dtype=float), rtol=1e-12)
 
     @pytest.mark.parametrize("command", ["infer", "attention-dump"])
     def test_graph_naming_a_node_the_model_never_saw_rejected(self, trained_checkpoint, tmp_path,

@@ -524,6 +524,15 @@ class TestInducedSubgraph:
         ) // 2
         assert sub.num_edges == expected
 
+    def test_nodes_in_any_order_are_renumbered_in_that_order(self):
+        g = synth_weighted_sbm(30, 3, 0.5, 0.1, 4.0, 1.0, seed=11).graph
+        nodes = np.array([21, 0, 13, 5, 2, 8, 1])
+        sub = induce_subgraph(g, nodes)
+        assert_invariants(sub)
+        for i, a in enumerate(nodes):
+            expected = {j: w for j, b in enumerate(nodes) for c, w in neighbors(g, int(a)) if c == b}
+            assert dict(neighbors(sub, i)) == expected
+
 
 @settings(max_examples=25)
 @given(

@@ -5,7 +5,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+from wgclust.attention import ModelParams, build_attention_structure, network_forward
 from wgclust.config import SELF_LOOP_MODES, TrainConfig, config_to_text, parse_config_text
+from wgclust.contraction import SubgraphSelection
+from wgclust.fcm import memberships_for
 from wgclust.graph import build_graph, synth_weighted_sbm
 from wgclust.metrics import evaluate
 from wgclust.trainer import (
@@ -18,6 +21,22 @@ from wgclust.trainer import (
 
 TINY = dict(heads=2, layer_count=2, embed_dim=6, attn_dim=5, hidden_dim=6,
             fcm_restarts=2, negatives=2)
+
+
+def two_hop_graph():
+    """Two 4-cliques joined by a0-b0, a tail a3-c-d, and a separate path p-q-r.
+
+    Returns (graph, selected): the cliques' nodes are selected, so c is one
+    vote hop away, d two, and p, q, r lie in a component with no selected node.
+    """
+    tokens = ["a0", "a1", "a2", "a3", "b0", "b1", "b2", "b3", "c", "d", "p", "q", "r"]
+    at = {t: i for i, t in enumerate(tokens)}
+    pairs = [(f"{x}{i}", f"{x}{j}", 3.0) for x in "ab" for i in range(4) for j in range(i + 1, 4)]
+    pairs += [("a0", "b0", 1.0), ("a3", "c", 2.0), ("c", "d", 1.5), ("p", "q", 1.0),
+              ("q", "r", 2.0)]
+    u, v, w = zip(*pairs)
+    g = build_graph(len(tokens), [at[t] for t in u], [at[t] for t in v], w, node_ids=tuple(tokens))
+    return g, np.arange(8)
 
 
 def six_node_graph():
@@ -181,7 +200,8 @@ class TestInfer:
         import wgclust.trainer as trainer_module
 
         lab = synth_weighted_sbm(30, 2, 0.6, 0.1, 3.0, 1.0, seed=8)
-        cfg = TrainConfig(epochs=3, no_contraction=no_contraction, core_count=4, **TINY)
+        cfg = TrainConfig(epochs=3, no_contraction=no_contraction, core_count=4,
+                          importance_threshold=0.03, **TINY)
         built = []
         build = trainer_module.build_attention_structure
 
@@ -194,16 +214,128 @@ class TestInfer:
         # training builds one structure, on the graph it trains on
         assert len(built) == 1
         assert built[0][0] is (lab.graph if no_contraction else model.selection.subgraph)
-        a = infer(lab.graph, model)
-        assert len(built) == 2 and built[1][0] is lab.graph
-        # an equal graph in another object gets its own structure and the
-        # same labels
+        if not no_contraction:
+            assert model.selection.selected.size < lab.graph.n
+        # each infer builds one structure: on the graph itself, or on the
+        # subgraph of the selected nodes, which is the training subgraph
         copy = build_graph(lab.graph.n, *lab.graph.edge_arrays())
+        a = infer(lab.graph, model)
         b = infer(copy, model)
-        assert len(built) == 3 and built[2][0] is copy
+        assert len(built) == 3
         assert all(config is cfg for _, config in built)
+        for (g, _), given in zip(built[1:], (lab.graph, copy)):
+            if no_contraction:
+                assert g is given
+            else:
+                trained_on = model.selection.subgraph
+                assert g.n == model.selection.selected.size
+                for got, want in zip((g.indptr, g.indices, g.weights),
+                                     (trained_on.indptr, trained_on.indices, trained_on.weights)):
+                    np.testing.assert_array_equal(got, want)
+        # an equal graph in another object gets the same labels
         np.testing.assert_array_equal(a.labels, b.labels)
         np.testing.assert_array_equal(a.memberships, b.memberships)
+
+    def test_selection_of_every_node_is_the_no_contraction_path(self):
+        lab = synth_weighted_sbm(30, 2, 0.6, 0.1, 3.0, 1.0, seed=8)
+        model = train(lab.graph, 2, TrainConfig(epochs=3, no_contraction=True, **TINY))
+        every = dataclasses.replace(model, selection=SubgraphSelection(
+            selected=np.arange(lab.graph.n), core_nodes=np.array([0]), subgraph=None))
+        a, b = infer(lab.graph, model), infer(lab.graph, every)
+        assert np.array_equal(a.memberships, b.memberships)
+        assert np.array_equal(a.labels, b.labels)
+        assert (b.forward_nodes, b.vote_nodes, b.fallback_nodes, b.vote_hops) == (30, 0, 0, 0)
+
+    def test_vote_reaches_two_hops_and_fallback_labels_a_component_without_selected_nodes(self):
+        g, selected = two_hop_graph()
+        model = train(g, 2, TrainConfig(epochs=3, no_contraction=True, seed=1, **TINY))
+        model = dataclasses.replace(model, selection=SubgraphSelection(
+            selected=selected, core_nodes=selected[:1], subgraph=None))
+        a = infer(g, model)
+        assert (a.forward_nodes, a.vote_nodes, a.fallback_nodes, a.vote_hops) == (8, 2, 3, 2)
+        np.testing.assert_allclose(a.memberships.sum(axis=1), 1.0, rtol=0, atol=1e-9)
+        np.testing.assert_array_equal(a.labels, a.memberships.argmax(axis=1))
+        a3, c, d = (g.node_ids.index(t) for t in ("a3", "c", "d"))
+        # c's only labelled neighbour is a3 and d's is c, so each takes that row
+        np.testing.assert_allclose(a.memberships[c], a.memberships[a3], rtol=1e-15)
+        np.testing.assert_allclose(a.memberships[d], a.memberships[c], rtol=1e-15)
+        # the component p-q-r gets the fitted centers applied to its full-graph representation
+        h = network_forward(build_attention_structure(g, model.config), model.params,
+                            model.config)[0]
+        rest = [g.node_ids.index(t) for t in "pqr"]
+        np.testing.assert_allclose(a.memberships[rest], memberships_for(h[rest], a.centers),
+                                   rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("token", ["b0", "p"])
+    def test_non_finite_activation_names_the_graph_node(self, token):
+        # b0 is node 0 of the selected b-clique's subgraph and p node 0 of the
+        # fallback's component p-q-r; a NaN row makes its own entries, the
+        # subgraph's first, non-finite
+        g, _ = two_hop_graph()
+        model = train(g, 2, TrainConfig(epochs=1, no_contraction=True, seed=1, **TINY))
+        embedding = model.params.embedding.copy()
+        node = g.node_ids.index(token)
+        embedding[node] = np.nan
+        selected = np.arange(4, 8)
+        model = dataclasses.replace(
+            model, params=ModelParams(embedding=embedding, layers=model.params.layers),
+            selection=SubgraphSelection(selected=selected, core_nodes=selected[:1], subgraph=None))
+        with pytest.raises(FloatingPointError, match=f"layer 0: non-finite activation at node "
+                                                      f"{node}$"):
+            infer(g, model)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_vote_matches_a_loop_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        iu, ju = np.triu_indices(40, 1)
+        keep = rng.random(iu.size) < 0.05  # sparse: several hops and unreached components
+        g = build_graph(40, iu[keep], ju[keep], rng.uniform(0.5, 4.0, int(keep.sum())))
+        selected = np.sort(rng.choice(40, size=8, replace=False))
+        model = train(g, 2, TrainConfig(epochs=0, no_contraction=True, seed=seed, **TINY))
+        model = dataclasses.replace(model, selection=SubgraphSelection(
+            selected=selected, core_nodes=selected[:1], subgraph=None))
+        a = infer(g, model)
+
+        def neighbours(i):
+            lo, hi = g.indptr[i], g.indptr[i + 1]
+            return zip(g.indices[lo:hi].tolist(), g.weights[lo:hi].tolist())
+
+        rows = {i: a.memberships[i] for i in selected.tolist()}
+        last, hops = list(rows), 0
+        while True:
+            reach = sorted({j for i in last for j, _ in neighbours(i) if j not in rows})
+            if not reach:
+                break
+            votes = {i: sum(w * rows[j] for j, w in neighbours(i) if j in rows)
+                        / sum(w for j, w in neighbours(i) if j in rows) for i in reach}
+            rows.update(votes)
+            last, hops = reach, hops + 1
+        assert (a.vote_nodes, a.vote_hops) == (len(rows) - 8, hops)
+        assert a.fallback_nodes == 40 - len(rows)
+        for i, row in rows.items():
+            np.testing.assert_allclose(a.memberships[i], row, rtol=1e-12)
+
+    def test_random_sampling_model_labels_every_node(self):
+        lab = synth_weighted_sbm(60, 3, 0.5, 0.05, 3.0, 1.0, seed=13)
+        cfg = TrainConfig(epochs=2, importance_threshold=0.02, random_sampling=True, **TINY)
+        model = train(lab.graph, 3, cfg)
+        assert model.selection.selected.size < lab.graph.n
+        a = infer(lab.graph, model)
+        assert a.forward_nodes == model.selection.selected.size
+        assert a.forward_nodes + a.vote_nodes + a.fallback_nodes == lab.graph.n
+        assert a.labels.shape == (lab.graph.n,) and set(a.labels.tolist()) <= {0, 1, 2}
+        assert np.isfinite(a.memberships).all()
+        np.testing.assert_allclose(a.memberships.sum(axis=1), 1.0, rtol=0, atol=1e-9)
+        np.testing.assert_array_equal(a.labels, a.memberships.argmax(axis=1))
+
+    def test_cluster_count_above_the_selection_names_the_contraction(self):
+        lab = synth_weighted_sbm(30, 2, 0.6, 0.1, 3.0, 1.0, seed=8)
+        model = train(lab.graph, 2, TrainConfig(epochs=1, core_count=4, importance_threshold=0.03,
+                                                **TINY))
+        kept = model.selection.selected.size
+        with pytest.raises(ValueError, match=f"cluster count {kept + 1} exceeds the {kept} nodes "
+                                             f"the contraction kept"):
+            infer(lab.graph, model, cluster_count=kept + 1)
 
     def test_node_count_mismatch_rejected(self):
         lab = synth_weighted_sbm(20, 2, 0.6, 0.1, 3.0, 1.0, seed=9)
@@ -391,7 +523,7 @@ class TestCheckpoint:
             save_checkpoint(model, tmp_path / "m.npz")
 
     @pytest.mark.parametrize("key", ["format_version", "config_text", "layer1_w2", "core_nodes",
-                                     "node_ids"])
+                                     "selected_nodes", "node_ids"])
     def test_missing_key_named(self, tmp_path, key):
         lab = synth_weighted_sbm(25, 2, 0.6, 0.1, 3.0, 1.0, seed=14)
         model = train(lab.graph, 2, TrainConfig(epochs=1, importance_threshold=0.001, **TINY))
@@ -400,6 +532,36 @@ class TestCheckpoint:
             data = {k: v for k, v in z.items() if k != key}
         np.savez(tmp_path / "bad.npz", **data)
         with pytest.raises(ValueError, match=f"checkpoint lacks key {key}$"):
+            load_checkpoint(tmp_path / "bad.npz")
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("selected_nodes", lambda sel, cores: sel[None, :],
+         r"checkpoint key selected_nodes has dtype int64 and shape \(1, \d+\); "
+         r"expected a 1-D integer array"),
+        ("core_nodes", lambda sel, cores: cores.astype(float),
+         r"checkpoint key core_nodes has dtype float64 .* expected a 1-D integer array"),
+        ("selected_nodes", lambda sel, cores: sel[::-1],
+         r"checkpoint key selected_nodes is not strictly increasing$"),
+        ("core_nodes", lambda sel, cores: np.repeat(cores, 2),
+         r"checkpoint key core_nodes is not strictly increasing$"),
+        ("selected_nodes", lambda sel, cores: np.append(sel, 25),
+         r"checkpoint key selected_nodes names a row outside \[0, 25\)$"),
+        ("core_nodes", lambda sel, cores: np.insert(cores, 0, -1),
+         r"checkpoint key core_nodes names a row outside \[0, 25\)$"),
+        ("core_nodes", lambda sel, cores: np.setdiff1d(np.arange(25), sel)[:1],
+         r"checkpoint key core_nodes names row \d+, which selected_nodes lacks$"),
+    ], ids=["2-d selected", "float cores", "decreasing selected", "repeated core",
+            "selected past the rows", "negative core", "core not selected"])
+    def test_malformed_selection_named(self, tmp_path, key, value, message):
+        lab = synth_weighted_sbm(25, 2, 0.6, 0.1, 3.0, 1.0, seed=14)
+        model = train(lab.graph, 2, TrainConfig(epochs=1, importance_threshold=0.03, **TINY))
+        assert model.selection.selected.size < lab.graph.n
+        save_checkpoint(model, tmp_path / "m.npz")
+        with np.load(tmp_path / "m.npz") as z:
+            data = dict(z)
+        data[key] = value(data["selected_nodes"], data["core_nodes"])
+        np.savez(tmp_path / "bad.npz", **data)
+        with pytest.raises(ValueError, match=message):
             load_checkpoint(tmp_path / "bad.npz")
 
     def test_history_survives_round_trip(self, tmp_path):
