@@ -177,7 +177,9 @@ def build_attention_structure(g: WeightedGraph, config: TrainConfig) -> Attentio
     indptr = g.indptr + np.arange(g.n + 1, dtype=np.int64)
     denom = g.weighted_degree() + w_self
     factors = w_entry / denom[src]
-    rev = np.lexsort((src, dst))
+    # the entries are in (src, dst) order, so a stable sort on dst alone is
+    # lexsort's (dst, src) order, with no key array to allocate
+    rev = np.argsort(dst, kind="stable")
     upper = src <= dst
     entries = src.size
     # int32 halves every per-entry index array whenever the entry count allows

@@ -30,7 +30,14 @@ from .contraction import DISTANCE_MODES, ContractionConfig, contract
 from .fcm import ClusterAssignment
 from .metrics import evaluate
 from .ml100k import build_ml100k
-from .trainer import infer, load_checkpoint, save_checkpoint, train, write_loss_history
+from .trainer import (
+    InferredAssignment,
+    infer,
+    load_checkpoint,
+    save_checkpoint,
+    train,
+    write_loss_history,
+)
 
 __all__ = ["ABLATIONS", "build_parser", "main"]
 
@@ -42,6 +49,10 @@ ABLATIONS = {
     "ewo": {"no_weight_update": True},
     "no-contraction": {"no_contraction": True},
 }
+
+# attention-dump rows converted to Python values at a time: the objects of the
+# whole dump would raise the process's peak memory
+_DUMP_BLOCK = 8192
 
 
 def _sha256(path) -> str:
@@ -100,8 +111,8 @@ def _write_assignment(path, assignment: ClusterAssignment, g: graphio.WeightedGr
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["node", "label"] + [f"Y_{j}" for j in range(k)])
         writer.writerows(
-            [tok, int(label)] + [repr(float(y)) for y in memberships]
-            for tok, label, memberships in zip(g.node_ids, assignment.labels, assignment.memberships)
+            [tok, label, *map(repr, memberships)] for tok, label, memberships
+            in zip(g.node_ids, assignment.labels.tolist(), assignment.memberships.tolist())
         )
 
 
@@ -165,8 +176,7 @@ def cmd_synth(args) -> int:
         )
         noise_path = out / "noise_edges.tsv"
         with open(noise_path, "w", encoding="utf-8") as fh:
-            for u, v in added:
-                fh.write(f"{u}\t{v}\n")
+            fh.writelines(f"{u}\t{v}\n" for u, v in added.tolist())
         outputs.append(noise_path)
         noise_info = {"noise_fraction": args.noise_fraction, "noise_edges": len(added)}
     graphio.save_edge_list(g, out / "edges.tsv")
@@ -187,11 +197,10 @@ def cmd_contract(args) -> int:
     sel = contract(g, cc, args.clusters)
     graphio.save_edge_list(sel.subgraph, out / "subgraph_edges.tsv")
     with open(out / "selection.tsv", "w", encoding="utf-8") as fh:
-        for new, old in enumerate(sel.selected):
-            fh.write(f"{g.node_ids[old]}\t{new}\n")
+        fh.writelines(f"{g.node_ids[old]}\t{new}\n"
+                      for new, old in enumerate(sel.selected.tolist()))
     with open(out / "cores.tsv", "w", encoding="utf-8") as fh:
-        for c in sel.core_nodes:
-            fh.write(f"{g.node_ids[c]}\n")
+        fh.writelines(f"{g.node_ids[c]}\n" for c in sel.core_nodes.tolist())
     print(
         f"contracted {g.n} nodes / {g.num_edges} edges -> "
         f"{sel.subgraph.n} nodes / {sel.subgraph.num_edges} edges"
@@ -215,7 +224,14 @@ def _run_single_training(edges_path, clusters, config: TrainConfig, outdir: Path
     _write_assignment(outdir / "assignment.csv", assignment, g)
     edges_before = g.num_edges
     edges_after = model.selection.subgraph.num_edges if model.selection else g.num_edges
-    return seconds, edges_before, edges_after
+    return seconds, edges_before, edges_after, _labelling(assignment)
+
+
+def _labelling(assignment: InferredAssignment) -> dict:
+    """The manifest fields that say how ``infer`` labelled the nodes."""
+    return {"labelled_by": {"forward": assignment.forward_nodes, "vote": assignment.vote_nodes,
+                            "fallback": assignment.fallback_nodes},
+            "vote_hops": assignment.vote_hops}
 
 
 def _parse_seeds(text: str) -> list[int]:
@@ -255,9 +271,12 @@ def cmd_train(args) -> int:
             results = list(pool.map(run, configs, dirs))
     outputs = [d / name for d in dirs for name in
                ("checkpoint.npz", "loss_history.csv", "config_echo.txt", "assignment.csv")]
-    seconds, before, after = results[0]
+    seconds, before, after, labelling = results[0]
+    if sweep:  # one entry per seed, keyed by the seed
+        labelling = {key: {str(s): result[3][key] for s, result in zip(seeds, results)}
+                     for key in labelling}
     _write_manifest(out, "train-sweep" if sweep else "train", dataclasses.asdict(config),
-                    [args.edges], outputs, time.perf_counter() - t0, before, after)
+                    [args.edges], outputs, time.perf_counter() - t0, before, after, **labelling)
     if sweep:
         print(f"trained {len(seeds)} seeds; outputs in {out}")
     else:
@@ -273,11 +292,8 @@ def cmd_infer(args) -> int:
     assignment = infer(g, model, cluster_count=args.clusters)
     _write_assignment(out / "assignment.csv", assignment, g)
     print(f"inferred labels for {g.n} nodes")
-    labelled_by = {"forward": assignment.forward_nodes, "vote": assignment.vote_nodes,
-                   "fallback": assignment.fallback_nodes}
     _write_manifest(out, "infer", dataclasses.asdict(model.config), [args.checkpoint, args.edges],
-                    [out / "assignment.csv"], time.perf_counter() - t0,
-                    labelled_by=labelled_by, vote_hops=assignment.vote_hops)
+                    [out / "assignment.csv"], time.perf_counter() - t0, **_labelling(assignment))
     return 0
 
 
@@ -317,7 +333,10 @@ def cmd_attention_dump(args) -> int:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["i", "j", "a_ij"])
-        writer.writerows([names[i], names[j], repr(float(a))] for i, j, a in zip(s.src, s.dst, avg))
+        for at in range(0, avg.size, _DUMP_BLOCK):
+            block = slice(at, at + _DUMP_BLOCK)
+            rows = zip(s.src[block].tolist(), s.dst[block].tolist(), avg[block].tolist())
+            writer.writerows([names[i], names[j], repr(a)] for i, j, a in rows)
     print(f"dumped {s.src.size} attention coefficients to {path}")
     _write_manifest(out, "attention-dump", {}, [args.checkpoint, args.edges], [path],
                     time.perf_counter() - t0)
@@ -393,7 +412,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("attention-dump", help="export final-layer head-averaged coefficients")
+    p = sub.add_parser(
+        "attention-dump", help="export final-layer head-averaged coefficients",
+        description="Export the final layer's head-averaged attention coefficient of every "
+                    "candidate entry (each edge direction and each self-loop) of --edges. The "
+                    "forward runs on the whole graph. On a contracted model only the selected "
+                    "nodes' embedding rows were trained; the others keep their random initial "
+                    "values, so the coefficients around those nodes come from untrained rows.",
+    )
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--edges", required=True)
     p.add_argument("--out", required=True)

@@ -12,7 +12,7 @@ synthesizes its own. Every graph names node i by the token ``node_ids[i]``
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, islice, repeat
+from itertools import compress, repeat
 
 import numpy as np
 
@@ -30,10 +30,13 @@ __all__ = [
     "inject_noise_edges",
 ]
 
-# lines per block in load_edge_list: a block's token lists are transient, so
-# peak memory stays near that of the parsed arrays instead of growing with a
-# whole file's tokens
-_LOAD_BLOCK = 8192
+# characters read per block in load_edge_list (a block then ends at its last
+# newline): a block's token lists are transient, so peak memory stays near that
+# of the parsed arrays instead of growing with a whole file's tokens
+_LOAD_BLOCK = 1 << 17
+# lines formatted per write in save_edge_list: one string per block, without
+# holding the whole file's line objects at once
+_SAVE_BLOCK = 8192
 # the largest mean numpy's Poisson sampler accepts (it raises "lam value too large" above)
 _POISSON_LAM_MAX = np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max)
 
@@ -129,28 +132,33 @@ def build_graph(n, u, v, w, node_ids=None) -> WeightedGraph:
             raise ValueError("self-loops are not allowed")
         if np.any(w <= 0):
             raise ValueError("edge weights must be strictly positive")
-    lo = np.minimum(u, v)
-    hi = np.maximum(u, v)
-    # a stable sort on one int64 key is lexsort's (lo, hi) order, ties kept;
-    # the key fits in int64 while n < 3e9
-    order = np.argsort(lo * n + hi, kind="stable")
-    lo, hi, w = lo[order], hi[order], w[order]
-    if lo.size:
-        dup = np.zeros(lo.size, dtype=bool)
-        dup[1:] = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
-        if dup.any():
-            first = np.flatnonzero(~dup)
-            group = np.cumsum(~dup) - 1
-            wsum = np.bincount(group, weights=w)
-            lo, hi, w = lo[first], hi[first], wsum
+    lo, hi, w = _merge_duplicates(n, np.minimum(u, v), np.maximum(u, v), w)
     src = np.concatenate([lo, hi])
     dst = np.concatenate([hi, lo])
     ww = np.concatenate([w, w])
-    order = np.argsort(src * n + dst, kind="stable")
+    order = np.argsort(src * n + dst)  # the keys are distinct now
     src, dst, ww = src[order], dst[order], ww[order]
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
     return WeightedGraph(n=n, indptr=indptr, indices=dst, weights=ww, node_ids=node_ids)
+
+
+def _merge_duplicates(n, lo, hi, w):
+    """(lo, hi, w) sorted by (lo, hi), each repeated pair once with its weights summed."""
+    key = lo * n + hi  # lexsort's (lo, hi) order; it fits in int64 while n < 3e9
+    if not np.any(key[1:] <= key[:-1]):
+        return lo, hi, w
+    # any sort orders distinct keys alike; only duplicates need the stable
+    # sort, which keeps them in input order so their weights sum in that order
+    order = np.argsort(key)
+    sorted_key = key[order]
+    dup = np.zeros(key.size, dtype=bool)
+    dup[1:] = sorted_key[1:] == sorted_key[:-1]
+    if not dup.any():
+        return lo[order], hi[order], w[order]
+    order = np.argsort(key, kind="stable")
+    first = order[~dup]
+    return lo[first], hi[first], np.bincount(np.cumsum(~dup) - 1, weights=w[order])
 
 
 def load_edge_list(path) -> WeightedGraph:
@@ -166,20 +174,84 @@ def load_edge_list(path) -> WeightedGraph:
     (``node_ids``) so results can be joined back. Duplicate (u, v) lines have
     their weights summed and (u, v) equals (v, u).
 
-    The file is read in blocks of ``_LOAD_BLOCK`` lines, and each block is
-    split, converted and checked as whole arrays.
+    The file is read in blocks of whole lines, about ``_LOAD_BLOCK``
+    characters each. A plain block, whose lines are all
+    ``tok<TAB>tok<TAB>tok`` in printable ASCII without spaces, with non-empty
+    fields, no leading ``#``, no self-loop and finite positive weights (as
+    ``save_edge_list`` writes them for such tokens), is split and checked as
+    one string. Any other block, with comments, blank or
+    whitespace-separated lines, other text or any fault, takes the per-line
+    parser, which alone names errors. Both give the same arrays and tokens.
     """
     lookup: dict[str, int] = {}
     blocks = []
     lineno = 1
     with open(path, encoding="utf-8") as fh:
-        while raw := list(islice(fh, _LOAD_BLOCK)):
-            blocks.append(_parse_edge_block(path, lineno, raw, lookup))
-            lineno += len(raw)
+        for text in _text_blocks(fh):
+            block = _parse_plain_block(text, lookup)
+            if block is None:
+                block = _parse_edge_block(path, lineno, text.split("\n")[:-1], lookup)
+            blocks.append(block)
+            lineno += text.count("\n")
     if not lookup:
         raise ValueError(f"{path}: no edges")
     u, v, w = (np.concatenate(column) for column in zip(*blocks))
     return build_graph(len(lookup), u, v, w, node_ids=tuple(lookup))
+
+
+def _text_blocks(fh):
+    """The text of ``fh`` in blocks of whole lines, each ending in a newline."""
+    tail = ""
+    while chunk := fh.read(_LOAD_BLOCK):
+        text = tail + chunk
+        cut = text.rfind("\n") + 1
+        tail = text[cut:]
+        if cut:
+            yield text[:cut]
+    if tail:
+        yield tail + "\n"
+
+
+def _parse_plain_block(text: str, lookup: dict[str, int]):
+    """(u, v, w) arrays of a plain block of edge-list lines, or None if it is not plain.
+
+    Its bytes must be tabs, newlines and printable ASCII other than space,
+    with exactly ``tok<TAB>tok<TAB>tok<NEWLINE>`` per line: then stripping
+    changes no line and ``str.split`` yields each line's three tokens. A bad
+    weight or a self-loop also returns None, and the per-line parser then
+    raises the error that names it.
+    """
+    if not text.isascii():
+        return None
+    b = np.frombuffer(text.encode("ascii"), np.uint8)
+    # every control byte or space is a tab or newline in the pattern, and no byte is DEL
+    at = np.flatnonzero(b <= 32)
+    if at.size % 3 or not (b[at].reshape(-1, 3) == (9, 9, 10)).all() or b.max() == 127:
+        return None
+    # no empty field, and no line starts with "#" (a comment)
+    if at[0] == 0 or (np.diff(at) == 1).any() or b[0] == 35 or (b[at[2:-1:3] + 1] == 35).any():
+        return None
+    toks = text.split()
+    wtoks = toks[2::3]
+    del toks[2::3]  # toks is now u0, v0, u1, v1, ...
+    try:
+        w = np.fromiter(map(float, wtoks), np.float64, len(wtoks))
+    except ValueError:
+        return None
+    if not (np.isfinite(w) & (w > 0)).all():
+        return None
+    u, v = _intern(toks, lookup)
+    if (u == v).any():
+        return None
+    return u, v, w
+
+
+def _intern(toks: list[str], lookup: dict[str, int]):
+    """Dense ids of the tokens u0, v0, u1, v1, ... as (u, v); new tokens join ``lookup``."""
+    fresh = [tok for tok in dict.fromkeys(toks) if tok not in lookup]
+    lookup.update(zip(fresh, range(len(lookup), len(lookup) + len(fresh))))
+    ids = np.fromiter(map(lookup.__getitem__, toks), np.int64, len(toks))
+    return ids[0::2], ids[1::2]
 
 
 def _parse_edge_block(path, first_lineno: int, raw: list[str], lookup: dict[str, int]):
@@ -209,13 +281,9 @@ def _parse_edge_block(path, first_lineno: int, raw: list[str], lookup: dict[str,
         parsed = [_float_or_none(tok) for tok in wtoks]
         not_number = np.array([x is None for x in parsed], dtype=bool)
         w = np.array([1.0 if x is None else x for x in parsed], dtype=np.float64)
-    fresh = [tok for tok in dict.fromkeys(toks) if tok not in lookup]
-    lookup.update(zip(fresh, range(len(lookup), len(lookup) + len(fresh))))
-    ids = np.fromiter(map(lookup.__getitem__, toks), np.int64, len(toks))
-    u, v = ids[0::2], ids[1::2]
-    # a blank token is new to lookup: an earlier block holding one has raised
+    u, v = _intern(toks, lookup)
     blank = np.zeros(len(wtoks), dtype=bool)
-    if not all(map(str.strip, fresh)):
+    if not all(map(str.strip, toks)):
         blank = np.array([not (a.strip() and b.strip()) for a, b in zip(toks[0::2], toks[1::2])])
     # per row, in the order the checks apply to one line
     faults = (blank, not_number, ~(np.isfinite(w) & (w > 0)), u == v)
@@ -258,8 +326,10 @@ def save_edge_list(g: WeightedGraph, path) -> None:
     u, v, w = g.edge_arrays()
     names = g.node_ids
     with open(path, "w", encoding="utf-8") as fh:
-        for a, b, x in zip(u, v, w):
-            fh.write(f"{names[a]}\t{names[b]}\t{float(x)!r}\n")
+        for at in range(0, u.size, _SAVE_BLOCK):  # one write per block of lines
+            block = slice(at, at + _SAVE_BLOCK)
+            fh.write("".join([f"{names[a]}\t{names[b]}\t{x!r}\n" for a, b, x
+                              in zip(u[block].tolist(), v[block].tolist(), w[block].tolist())]))
 
 
 def save_id_map(g: WeightedGraph, path) -> None:
@@ -303,8 +373,8 @@ def load_labels(path) -> dict[str, int]:
 def save_labels(labeled: LabeledGraph, path) -> None:
     """Write one `node<TAB>label` line per node, named by the graph's tokens."""
     with open(path, "w", encoding="utf-8") as fh:
-        for tok, lab in zip(labeled.graph.node_ids, labeled.labels):
-            fh.write(f"{tok}\t{int(lab)}\n")
+        fh.writelines(f"{tok}\t{int(lab)}\n" for tok, lab in zip(labeled.graph.node_ids,
+                                                           labeled.labels.tolist()))
 
 
 def induce_subgraph(g: WeightedGraph, nodes: np.ndarray) -> WeightedGraph:

@@ -5,6 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given
+from hypothesis import strategies as st
 
 import wgclust.entmax as entmax_module
 from wgclust import attention
@@ -276,6 +278,23 @@ class TestEdgeWeightFactor:
             np.testing.assert_array_equal(s.dst[s.rev], s.src)
             np.testing.assert_array_equal(s.edge_pos, np.flatnonzero(s.src != s.dst))
             np.testing.assert_array_equal(s.dst[s.edge_pos], g.indices)
+
+
+
+@st.composite
+def random_graphs(draw):
+    """A graph of up to 40 nodes, isolated nodes and repeated pairs allowed."""
+    n = draw(st.integers(1, 40))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                          .filter(lambda pair: pair[0] != pair[1]), max_size=120))
+    u, v = (np.array([pair[k] for pair in pairs], dtype=np.int64) for k in (0, 1))
+    return build_graph(n, u, v, np.ones(len(pairs)))
+
+
+@given(g=random_graphs())
+def test_reverse_entry_is_the_lexsort_order(g):
+    s = build_attention_structure(g, TrainConfig())
+    np.testing.assert_array_equal(s.rev, np.lexsort((s.src, s.dst)))
 
 
 class TestHeadBatchedLayer:

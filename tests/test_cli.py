@@ -289,6 +289,33 @@ class TestTrainInferEval:
         assert manifest["labelled_by"] == {"forward": 8, "vote": 2, "fallback": 3}
         assert manifest["vote_hops"] == 2
 
+    def test_train_manifest_says_how_the_nodes_were_labelled(self, tmp_path):
+        assert run_cli("synth", "--nodes", 60, "--clusters", 2, "--p-in", 0.5, "--p-out", 0.05,
+                       "--seed", 3, "--out", tmp_path / "synth") == 0
+        edges = tmp_path / "synth" / "edges.tsv"
+        flags = ["--clusters", 2, "--epochs", 1, "--heads", 2, "--layer-count", 1,
+                 "--importance-threshold", 0.01]
+        assert run_cli("train", "--edges", edges, *flags, "--out", tmp_path / "train") == 0
+        assert run_cli("infer", "--checkpoint", tmp_path / "train" / "checkpoint.npz",
+                       "--edges", edges, "--out", tmp_path / "infer") == 0
+        with np.load(tmp_path / "train" / "checkpoint.npz") as z:
+            kept = z["selected_nodes"].size
+        train = json.loads((tmp_path / "train" / "run_manifest.json").read_text())
+        inferred = json.loads((tmp_path / "infer" / "run_manifest.json").read_text())
+        assert train["labelled_by"]["forward"] == kept < 60
+        assert sum(train["labelled_by"].values()) == 60
+        assert train["vote_hops"] >= 1
+        assert (train["labelled_by"], train["vote_hops"]) == (inferred["labelled_by"],
+                                                              inferred["vote_hops"])
+        # a sweep records each seed's; seed 0 is the default the single run used
+        assert run_cli("train", "--edges", edges, *flags, "--seeds", "0,1",
+                       "--out", tmp_path / "sweep") == 0
+        sweep = json.loads((tmp_path / "sweep" / "run_manifest.json").read_text())
+        assert set(sweep["labelled_by"]) == set(sweep["vote_hops"]) == {"0", "1"}
+        assert sweep["labelled_by"]["0"] == train["labelled_by"]
+        assert sweep["vote_hops"]["0"] == train["vote_hops"]
+        assert sum(sweep["labelled_by"]["1"].values()) == 60
+
     def test_clusters_above_the_selection_names_the_contraction(self, tmp_path, capsys):
         assert run_cli("synth", "--nodes", 60, "--clusters", 2, "--p-in", 0.5, "--p-out", 0.05,
                        "--seed", 3, "--out", tmp_path / "synth") == 0

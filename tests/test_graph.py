@@ -322,6 +322,136 @@ class TestBlockParserMatchesReference:
                 assert load_outcome(load_edge_list, path) == want
 
 
+# printable ASCII other than space; a token that opens a line must not start a comment
+PLAIN_TOKEN = st.text(st.characters(min_codepoint=33, max_codepoint=126), min_size=1, max_size=4)
+PLAIN_WEIGHT = st.one_of(
+    st.sampled_from(["1", "2.0", "0.5", "1e3", "7", "3.0000000000000004", "1_5"]),
+    st.floats(min_value=5e-324, max_value=1e300).map(repr),
+)
+
+
+@st.composite
+def plain_edge_list(draw):
+    """``tok<TAB>tok<TAB>w`` lines over a few printable tokens, so edges repeat in both orientations."""
+    tokens = draw(st.lists(PLAIN_TOKEN.filter(lambda t: not t.startswith("#")),
+                           min_size=2, max_size=10, unique=True))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(tokens), st.sampled_from(tokens))
+                          .filter(lambda pair: pair[0] != pair[1]), min_size=1, max_size=40))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    text = ending.join(f"{a}\t{b}\t{draw(PLAIN_WEIGHT)}" for a, b in pairs)
+    return text + draw(st.sampled_from(["", ending]))
+
+
+def per_line_parser_forbidden(path, first_lineno, raw, lookup):
+    raise AssertionError(f"lines {first_lineno}..{first_lineno + len(raw) - 1} left the array path")
+
+
+def load_by_array_path(path):
+    """``load_edge_list(path)``, failing if any block takes the per-line parser."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_module, "_parse_edge_block", per_line_parser_forbidden)
+        return load_edge_list(path)
+
+
+def load_by_per_line_path(path):
+    """``load_edge_list(path)`` with every block taking the per-line parser."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_module, "_parse_plain_block", lambda text, lookup: None)
+        return load_edge_list(path)
+
+
+def counting(parse, counts, name):
+    """``parse``, adding one to ``counts[name]`` for each block it parses."""
+    def wrapped(*args):
+        block = parse(*args)
+        counts[name] += block is not None
+        return block
+    return wrapped
+
+
+class TestArrayPath:
+    @settings(max_examples=100)
+    @given(text=plain_edge_list(), block=st.sampled_from([1, 7, 32, 1 << 18]))
+    def test_plain_files_give_the_per_line_arrays(self, tmp_path_factory, text, block):
+        path = write_edge_list(tmp_path_factory, text)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph_module, "_LOAD_BLOCK", block)
+            fast, slow = load_by_array_path(path), load_by_per_line_path(path)
+        assert (fast.n, fast.node_ids) == (slow.n, slow.node_ids)
+        for name in ("indptr", "indices", "weights"):
+            got, want = getattr(fast, name), getattr(slow, name)
+            assert got.dtype == want.dtype, name
+            np.testing.assert_array_equal(got, want)
+
+    PLAIN = [f"{i}\t{i + 1}\t{i % 3 + 1}.5" for i in range(12)]
+    OTHER = ["# a comment", "#c\t1\t2", "", "3 9 2.0", " 4\t10\t1.0", "\t4\t10\t1.0",
+             "4\t10\t1.0\t", "x y\tz\t1", "é\t1\t2"]
+
+    @pytest.mark.parametrize("other", OTHER)
+    def test_blocks_of_both_kinds_straddling_the_block_size(self, tmp_path, other):
+        """Each block size moves the block boundaries across the non-plain line."""
+        path = tmp_path / "e.tsv"
+        path.write_text("\n".join(self.PLAIN[:5] + [other] + self.PLAIN[5:]) + "\n",
+                        encoding="utf-8")
+        want = reference_load_edge_list(path)
+        counts = {"_parse_plain_block": 0, "_parse_edge_block": 0}
+        for block in range(1, 80):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(graph_module, "_LOAD_BLOCK", block)
+                for name in counts:
+                    mp.setattr(graph_module, name, counting(getattr(graph_module, name), counts, name))
+                assert_same_outcome(load_edge_list(path), want)
+        assert all(counts.values()), counts
+
+    FAULTS = {
+        "self-loop": ("4\t4\t1.0", "self-loop '4' in input"),
+        "zero weight": ("4\t5\t0", "rejected non-positive weight 0"),
+        "negative weight": ("4\t5\t-2.5", "rejected non-positive weight -2.5"),
+        "nan weight": ("4\t5\tnan", "rejected non-positive weight nan"),
+        "inf weight": ("4\t5\tinf", "rejected non-positive weight inf"),
+        "non-numeric weight": ("4\t5\t1.0x", "weight '1.0x' is not a number"),
+        "empty field": ("4\t\t1.0", "empty node token in '4\\t\\t1.0'"),
+        "two fields": ("4\t5", "expected 'u<TAB>v<TAB>w', got '4\\t5'"),
+        "four fields": ("4\t5\t1\t2", "expected 'u<TAB>v<TAB>w', got '4\\t5\\t1\\t2'"),
+    }
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    @pytest.mark.parametrize("block", [1, 20, 1 << 18])
+    def test_fault_in_a_plain_block_is_named_as_before(self, tmp_path, fault, block):
+        line, message = self.FAULTS[fault]
+        path = tmp_path / "e.tsv"
+        path.write_text("\n".join(self.PLAIN[:7] + [line] + self.PLAIN[7:]) + "\n")
+        want = f"{path}: line 8: {message}"
+        assert load_outcome(reference_load_edge_list, path) == want
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph_module, "_LOAD_BLOCK", block)
+            assert load_outcome(load_edge_list, path) == want
+
+    def test_every_block_save_edge_list_writes_takes_the_array_path(self, tmp_path):
+        """A silent fallback to the per-line parser would only show as a slower benchmark."""
+        lab = synth_weighted_sbm(200, 4, 0.3, 0.02, 5.0, 1.0, seed=1)
+        noisy, _ = inject_noise_edges(lab.graph, 0.2, seed=2)
+        u, v, w = noisy.edge_arrays()
+        refined = build_graph(noisy.n, u, v, w * np.pi / 7,  # fractional, as training leaves them
+                              node_ids=tuple(f"movie_{i}" for i in range(noisy.n)))
+        for g in (noisy, refined):
+            path = tmp_path / "e.tsv"
+            save_edge_list(g, path)
+            for block in (64, graph_module._LOAD_BLOCK):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(graph_module, "_LOAD_BLOCK", block)
+                    assert_same_outcome(load_by_array_path(path), reference_load_edge_list(path))
+
+    def test_every_block_wgclust_synth_writes_takes_the_array_path(self, tmp_path):
+        from wgclust.cli import main
+
+        argv = ["synth", "--nodes", "300", "--clusters", "3", "--p-in", "0.3", "--p-out", "0.02",
+                "--noise-fraction", "0.1", "--seed", "4", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        path = tmp_path / "edges.tsv"
+        assert_same_outcome(load_by_array_path(path), reference_load_edge_list(path))
+
+
 class TestLabelIO:
     def test_round_trip(self, tmp_path):
         labels = np.array([0, 2, 1, 1])
