@@ -109,6 +109,13 @@ class LabeledGraph:
     def __post_init__(self):
         if self.labels.shape != (self.graph.n,):
             raise ValueError("label array length must equal node count")
+        if self.labels.dtype.kind not in "iu":
+            whole = (np.floor(self.labels) == self.labels if self.labels.dtype.kind == "f"
+                     else np.zeros(self.labels.shape, dtype=bool))
+            if not whole.all():
+                i = int(np.argmin(whole))
+                raise ValueError(f"label {self.labels[i].item()!r} of node "
+                                 f"{self.graph.node_ids[i]!r} is not an integer")
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.cluster_count):
             raise ValueError("labels must lie in 0..K-1")
         self.labels.flags.writeable = False
@@ -247,10 +254,18 @@ def _parse_plain_block(text: str, lookup: dict[str, int]):
 
 
 def _intern(toks: list[str], lookup: dict[str, int]):
-    """Dense ids of the tokens u0, v0, u1, v1, ... as (u, v); new tokens join ``lookup``."""
-    fresh = [tok for tok in dict.fromkeys(toks) if tok not in lookup]
-    lookup.update(zip(fresh, range(len(lookup), len(lookup) + len(fresh))))
-    ids = np.fromiter(map(lookup.__getitem__, toks), np.int64, len(toks))
+    """Dense ids of the tokens u0, v0, u1, v1, ... as (u, v); new tokens join ``lookup``.
+
+    Most blocks bring no new token, so the lookup is tried first; the pass
+    that numbers new tokens in order of first appearance runs only when it
+    fails.
+    """
+    try:
+        ids = np.fromiter(map(lookup.__getitem__, toks), np.int64, len(toks))
+    except KeyError:
+        fresh = [tok for tok in dict.fromkeys(toks) if tok not in lookup]
+        lookup.update(zip(fresh, range(len(lookup), len(lookup) + len(fresh))))
+        ids = np.fromiter(map(lookup.__getitem__, toks), np.int64, len(toks))
     return ids[0::2], ids[1::2]
 
 

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wgclust.contraction as contraction_module
 from wgclust.contraction import (
@@ -299,6 +301,103 @@ class TestPersonalizedPagerank:
         g = sbm_with_tail_and_isolated_node()
         with pytest.raises(RuntimeError, match=r"from node 17 did not converge \(residual"):
             personalized_pagerank(g, [60, 17, 25], 0.5)
+
+
+@st.composite
+def graphs_with_seeds(draw):
+    """(graph, seeds): disconnected random parts with weights over twelve decades,
+    an isolated node (sometimes a seed), and a path off node 0 whose weights
+    alternate between 1 and 1e-150, so that its far nodes' scores underflow to 0."""
+    u, v, w, n = [], [], [], 0
+    for _ in range(draw(st.integers(1, 3))):
+        size = draw(st.integers(2, 12))
+        pairs = draw(st.lists(st.tuples(st.integers(0, size - 1), st.integers(0, size - 1))
+                              .filter(lambda pair: pair[0] != pair[1]), min_size=1, max_size=30))
+        for a, b in pairs:
+            u.append(n + a)
+            v.append(n + b)
+            w.append(10.0 ** draw(st.floats(-6, 6)))
+        n += size
+    isolated = n
+    n += 1
+    tail = 0
+    for hop in range(draw(st.integers(0, 12))):
+        u.append(tail)
+        v.append(n)
+        w.append(10.0 ** (-150 * (hop % 2)))
+        tail, n = n, n + 1
+    seeds = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        seeds.append(isolated)
+    return build_graph(n, u, v, w), seeds
+
+
+class TestCertifiedThreshold:
+    @settings(max_examples=150, deadline=None)
+    @given(case=graphs_with_seeds(), teleport=st.floats(0.0, 1.0, exclude_min=True),
+           data=st.data())
+    def test_keep_decisions_equal_the_converged_ones(self, case, teleport, data):
+        g, seeds = case
+        try:
+            converged = personalized_pagerank(g, seeds, teleport)
+        except RuntimeError:  # a teleport too small to converge within the pass cap
+            return
+        # 0, exact converged scores, so that some nodes tie with the threshold,
+        # and scores moved by a relative 1e-12 to 0.1, so that the bounds decide
+        picked = data.draw(st.lists(st.sampled_from(np.unique(converged).tolist()),
+                                    min_size=1, max_size=6))
+        shift = 10.0 ** data.draw(st.floats(-12, -1))
+        for theta in [0.0] + [x * f for x in picked for f in (1 - shift, 1.0, 1 + shift)]:
+            got = personalized_pagerank(g, seeds, teleport, theta)
+            assert got.shape == converged.shape
+            np.testing.assert_array_equal(got.max(axis=1) > theta,
+                                          converged.max(axis=1) > theta, err_msg=f"θ = {theta!r}")
+
+    @pytest.mark.parametrize("teleport", [0.2, 0.5, 0.8])
+    def test_thresholds_near_every_score_of_columns_converging_at_unequal_rates(self, teleport):
+        # every node a seed, weights over five decades: the columns' bounds
+        # differ widely, so a node's decision must use its widest one
+        g = build_graph(3, [2, 1, 1, 2, 1], [1, 2, 0, 0, 0],
+                        [348.0, 0.0172, 0.00279, 0.143, 0.0757])
+        converged = personalized_pagerank(g, [2, 0, 1], teleport)
+        for score in np.unique(converged):
+            for theta in score * (1 + np.outer([-1, 1], 10.0 ** -np.arange(1, 9)).ravel()):
+                got = personalized_pagerank(g, [2, 0, 1], teleport, theta)
+                np.testing.assert_array_equal(got.max(axis=1) > theta,
+                                              converged.max(axis=1) > theta, err_msg=f"θ = {theta!r}")
+
+    def test_underflowed_tail_is_dropped_at_threshold_zero(self):
+        g = build_graph(11, np.arange(10), np.arange(1, 11), 10.0 ** (-150.0 * (np.arange(10) % 2)))
+        converged = personalized_pagerank(g, [0], 0.5)[:, 0]
+        assert (converged[:6] > 0).all() and (converged[6:] == 0).all()
+        got = personalized_pagerank(g, [0], 0.5, 0.0)
+        np.testing.assert_array_equal(got.max(axis=1) > 0, converged > 0)
+
+    def test_columns_stop_early_without_changing_the_keep_decisions(self):
+        g = sbm_with_tail_and_isolated_node()
+        seeds = [60, 0, 17, 25, 44, 59, 61, 63, 3]
+        converged = personalized_pagerank(g, seeds, 0.5)
+        got = personalized_pagerank(g, seeds, 0.5, 0.02)
+        same = (got == converged).all(axis=0)
+        assert same[0] and not same.all()  # the isolated seed, and some column stopped early
+        np.testing.assert_array_equal(got.max(axis=1) > 0.02, converged.max(axis=1) > 0.02)
+
+    def test_decisions_end_the_loop_before_the_pass_cap(self, monkeypatch):
+        g = sbm_with_tail_and_isolated_node()
+        seeds = [60, 17, 25]
+        converged = personalized_pagerank(g, seeds, 0.5)
+        passes = max(single_seed_pagerank(g, s, 0.5)[1] for s in seeds)
+        monkeypatch.setattr(contraction_module, "PPR_MAX_ITER", passes // 2)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            personalized_pagerank(g, seeds, 0.5)
+        got = personalized_pagerank(g, seeds, 0.5, 0.02)
+        np.testing.assert_array_equal(got.max(axis=1) > 0.02, converged.max(axis=1) > 0.02)
+
+    def test_pass_cap_names_a_seed_still_running(self, monkeypatch):
+        monkeypatch.setattr(contraction_module, "PPR_MAX_ITER", 1)
+        g = sbm_with_tail_and_isolated_node()
+        with pytest.raises(RuntimeError, match=r"from node 17 did not converge \(residual"):
+            personalized_pagerank(g, [60, 17, 25], 0.5, 0.02)
 
 
 class TestContract:

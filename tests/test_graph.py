@@ -1,6 +1,7 @@
 """Graph container, edge-list IO, synthetic benchmark, and noise injection."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -442,6 +443,21 @@ class TestArrayPath:
                     mp.setattr(graph_module, "_LOAD_BLOCK", block)
                     assert_same_outcome(load_by_array_path(path), reference_load_edge_list(path))
 
+    @pytest.mark.parametrize("new_line", ["x\t3\t1", "3\tx\t1", "x\ty\t1", "y\tx\t1"])
+    def test_a_third_block_with_new_tokens_midway_numbers_them_as_before(self, tmp_path, new_line):
+        """Blocks of ten 6-character lines; the third brings new tokens on its fifth line."""
+        lines = [f"{i % 7}\t{(3 * i + 1) % 7 + (i % 7 == (3 * i + 1) % 7)}\t{i % 9 + 1}"
+                 for i in range(40)]
+        lines[24] = new_line
+        path = tmp_path / "e.tsv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph_module, "_LOAD_BLOCK", 60)
+            got = load_by_array_path(path)
+        want = reference_load_edge_list(path)
+        assert_same_outcome(got, want)
+        assert "x" in got.node_ids
+
     def test_every_block_wgclust_synth_writes_takes_the_array_path(self, tmp_path):
         from wgclust.cli import main
 
@@ -464,6 +480,21 @@ class TestLabelIO:
         p = tmp_path / "labels.tsv"
         save_labels(LabeledGraph(g, np.array([1, 0, 1]), 2), p)
         assert p.read_text(encoding="utf-8") == "movie_9\t1\nx\t0\né\t1\n"
+
+    @pytest.mark.parametrize("labels, message", [
+        ([0.5, 1.7, 1.0], "label 0.5 of node 'a' is not an integer"),
+        ([1.0, 0.0, float("nan")], "label nan of node 'c' is not an integer"),
+        (["0", "1", "1"], "label '0' of node 'a' is not an integer"),
+    ])
+    def test_non_integer_label_is_named(self, labels, message):
+        g = build_graph(3, [0], [2], [1.0], node_ids=("a", "b", "c"))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            LabeledGraph(g, np.array(labels), 2)
+
+    def test_integral_float_labels_are_written_as_integers(self, tmp_path):
+        p = tmp_path / "labels.tsv"
+        save_labels(LabeledGraph(build_graph(3, [0], [2], [1.0]), np.array([1.0, 0.0, 1.0]), 2), p)
+        assert p.read_text(encoding="utf-8") == "0\t1\n1\t0\n2\t1\n"
 
     def test_comments_blanks_and_whitespace_rows(self, tmp_path):
         p = tmp_path / "labels.tsv"
