@@ -8,6 +8,6 @@ from .graph import LabeledGraph, WeightedGraph, inject_noise_edges, load_edge_li
 from .losses import LossBreakdown, modularity, total_loss, update_edge_weights
 from .metrics import EvalReport
 from .ml100k import Ml100kBuildReport, build_ml100k
-from .trainer import TrainedModel, gradient_check, infer, train
+from .trainer import TrainedModel, infer, train
 
 __version__ = "0.1.0"

@@ -343,6 +343,7 @@ def cmd_attention_dump(args) -> int:
     return 0
 
 
+@functools.cache  # built once per process: parsing leaves the parser unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="wgclust", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -12,7 +12,6 @@ synthesizes its own. Every graph names node i by the token ``node_ids[i]``
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, repeat
 
 import numpy as np
 
@@ -187,8 +186,8 @@ def load_edge_list(path) -> WeightedGraph:
     fields, no leading ``#``, no self-loop and finite positive weights (as
     ``save_edge_list`` writes them for such tokens), is split and checked as
     one string. Any other block, with comments, blank or
-    whitespace-separated lines, other text or any fault, takes the per-line
-    parser, which alone names errors. Both give the same arrays and tokens.
+    whitespace-separated lines, other text or any fault, takes a per-line
+    loop, which alone names errors. Both give the same arrays and tokens.
     """
     lookup: dict[str, int] = {}
     blocks = []
@@ -225,7 +224,7 @@ def _parse_plain_block(text: str, lookup: dict[str, int]):
     Its bytes must be tabs, newlines and printable ASCII other than space,
     with exactly ``tok<TAB>tok<TAB>tok<NEWLINE>`` per line: then stripping
     changes no line and ``str.split`` yields each line's three tokens. A bad
-    weight or a self-loop also returns None, and the per-line parser then
+    weight or a self-loop also returns None, and the per-line loop then
     raises the error that names it.
     """
     if not text.isascii():
@@ -270,67 +269,34 @@ def _intern(toks: list[str], lookup: dict[str, int]):
 
 
 def _parse_edge_block(path, first_lineno: int, raw: list[str], lookup: dict[str, int]):
-    """(u, v, w) arrays of one block of edge-list lines; new node tokens join ``lookup``."""
-    lines = list(map(str.strip, raw))
-    keep = np.fromiter(map(len, lines), np.int64, len(lines)) > 0
-    keep &= ~np.fromiter(map(str.startswith, lines, repeat("#")), bool, len(lines))
-    linenos = first_lineno + np.flatnonzero(keep)
-    kept = lines if keep.all() else list(compress(lines, keep))
-    body = kept
-    tabs = np.fromiter(map(str.count, body, repeat("\t")), np.int64, len(body))
-    bare = np.flatnonzero(tabs == 0)
-    if bare.size:  # whitespace-separated lines
-        body = list(kept)
-        for i in bare:
-            body[i] = "\t".join(body[i].split())
-            tabs[i] = body[i].count("\t")
-    three = tabs == 2
-    rows = body if three.all() else list(compress(body, three))
-    toks = "\t".join(rows).split("\t") if rows else []
-    wtoks = toks[2::3]
-    del toks[2::3]  # toks is now u0, v0, u1, v1, ...
-    try:
-        w = np.fromiter(map(float, wtoks), np.float64, len(wtoks))
-        not_number = np.zeros(len(wtoks), dtype=bool)
-    except ValueError:
-        parsed = [_float_or_none(tok) for tok in wtoks]
-        not_number = np.array([x is None for x in parsed], dtype=bool)
-        w = np.array([1.0 if x is None else x for x in parsed], dtype=np.float64)
-    u, v = _intern(toks, lookup)
-    blank = np.zeros(len(wtoks), dtype=bool)
-    if not all(map(str.strip, toks)):
-        blank = np.array([not (a.strip() and b.strip()) for a, b in zip(toks[0::2], toks[1::2])])
-    # per row, in the order the checks apply to one line
-    faults = (blank, not_number, ~(np.isfinite(w) & (w > 0)), u == v)
-    if not three.all() or np.logical_or.reduce(faults).any():
-        _raise_first_fault(path, linenos, kept, three, faults, toks, wtoks)
-    return u, v, w
+    """(u, v, w) arrays of one block of edge-list lines; new node tokens join ``lookup``.
 
-
-def _float_or_none(tok: str):
-    try:
-        return float(tok)
-    except ValueError:
-        return None
-
-
-def _raise_first_fault(path, linenos, kept, three, faults, toks, wtoks):
-    """Raise the error of the block's first faulty line, in file order."""
-    rows = np.flatnonzero(three)
-    bad_row = np.logical_or.reduce(faults)
-    first = min(np.flatnonzero(~three)[:1].tolist() + rows[bad_row][:1].tolist())
-    where = f"{path}: line {int(linenos[first])}"
-    if not three[first]:
-        raise ValueError(f"{where}: expected 'u<TAB>v<TAB>w', got {kept[first]!r}")
-    r = int(np.searchsorted(rows, first))
-    blank, not_number, non_positive, _ = (mask[r] for mask in faults)
-    if blank:
-        raise ValueError(f"{where}: empty node token in {kept[first]!r}")
-    if not_number:
-        raise ValueError(f"{where}: weight {wtoks[r]!r} is not a number")
-    if non_positive:
-        raise ValueError(f"{where}: rejected non-positive weight {wtoks[r]}")
-    raise ValueError(f"{where}: self-loop {toks[2 * r]!r} in input")
+    Line by line: the first faulty line raises, its checks in the order field
+    count, blank node token, weight parse, weight sign, self-loop.
+    """
+    us, vs, ws = [], [], []
+    for lineno, line in enumerate(map(str.strip, raw), start=first_lineno):
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t") if "\t" in line else line.split()
+        if len(parts) != 3:
+            raise ValueError(f"{path}: line {lineno}: expected 'u<TAB>v<TAB>w', got {line!r}")
+        a, b, wtok = parts
+        if not (a.strip() and b.strip()):
+            raise ValueError(f"{path}: line {lineno}: empty node token in {line!r}")
+        try:
+            w = float(wtok)
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: weight {wtok!r} is not a number") from None
+        if not 0 < w < np.inf:  # also false for nan
+            raise ValueError(f"{path}: line {lineno}: rejected non-positive weight {wtok}")
+        if a == b:
+            raise ValueError(f"{path}: line {lineno}: self-loop {a!r} in input")
+        us.append(lookup.setdefault(a, len(lookup)))
+        vs.append(lookup.setdefault(b, len(lookup)))
+        ws.append(w)
+    return (np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64),
+            np.array(ws, dtype=np.float64))
 
 
 def save_edge_list(g: WeightedGraph, path) -> None:

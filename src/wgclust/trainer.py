@@ -45,7 +45,7 @@ from .losses import (
     update_edge_weights,
 )
 
-__all__ = ["TrainedModel", "InferredAssignment", "train", "infer", "gradient_check",
+__all__ = ["TrainedModel", "InferredAssignment", "train", "infer", "epoch_step",
            "save_checkpoint", "load_checkpoint", "write_loss_history"]
 
 MIN_LOSS_IMPROVEMENT = 1e-5
@@ -160,7 +160,7 @@ def _select_training_graph(g, cluster_count, config):
     return selection, selection.subgraph
 
 
-def _epoch_step(structure, model, config, epoch_constants, backward=True):
+def epoch_step(structure, model, config, epoch_constants, backward=True):
     """One epoch: forward, refinement, objective and (unless ``backward`` is off) gradient.
 
     The working graph is the one ``structure`` was built on. The record's
@@ -170,8 +170,8 @@ def _epoch_step(structure, model, config, epoch_constants, backward=True):
 
     ``epoch_constants(h, refined)`` returns the (labels, samples) that stay
     fixed for the epoch: ``train`` clusters ``h`` and samples the refined
-    graph, ``gradient_check`` returns the same pair every time. Returns
-    (LossBreakdown, parameter gradients or None).
+    graph; a finite-difference check returns the same pair every time.
+    Returns (LossBreakdown, parameter gradients or None).
     """
     working = structure.graph
     h_final, record = network_forward_cached(structure, model, config)
@@ -234,7 +234,7 @@ def train(g: WeightedGraph, cluster_count: int, config: TrainConfig) -> TrainedM
 
     for epoch in range(config.epochs):
         try:
-            breakdown, grads = _epoch_step(structure, work, config, cluster_and_sample)
+            breakdown, grads = epoch_step(structure, work, config, cluster_and_sample)
         except (RuntimeError, FloatingPointError) as exc:
             raise type(exc)(f"epoch {epoch}: {exc}") from None
         history.append(astuple(breakdown))
@@ -363,54 +363,6 @@ def _vote(g: WeightedGraph, memberships: np.ndarray, labelled: np.ndarray, last:
         last = reach
         hops += 1
     return hops
-
-
-def gradient_check(config: TrainConfig, g: WeightedGraph, fd_step: float = 1e-5) -> float:
-    """Worst relative error between analytic and central-difference gradients.
-
-    Labels and contrastive samples are drawn once and held fixed; every
-    scalar parameter (embedding rows, both projection stacks, head fusion)
-    is perturbed by +-fd_step. Both sides evaluate the training epoch step.
-    Per coordinate the error is
-    |g_a - g_fd| / max(|g_a| + |g_fd|, 1e-3 * gradient_scale, 1e-8), so
-    coordinates far below the gradient's dominant magnitude are measured
-    against that scale instead of their own finite-difference noise.
-    """
-    if g.n > 8:
-        raise ValueError("gradient_check expects a tiny graph (n <= 8)")
-    structure = build_attention_structure(g, config)
-    params = init_model_params(
-        g.n, config.layer_dims(), config.attn_dim, config.heads, _rng(config.seed, _RNG_INIT)
-    )
-    h0 = network_forward(structure, params, config)[0]
-    labels = fcm_fit(h0, min(3, g.n), iters=config.fcm_iters, seed=0, restarts=2).labels
-    samples = draw_structure_samples(g, config.negatives, _rng(config.seed, _RNG_EPOCH))
-
-    def fixed(h, refined):
-        return labels, samples
-
-    def loss_of(model: ModelParams) -> float:
-        return _epoch_step(structure, model, config, fixed, backward=False)[0].total
-
-    _, grads = _epoch_step(structure, params, config, fixed)
-
-    worst = 0.0
-    probe = params.copy()
-    scale = max(float(np.abs(a).max()) for a in grads.flat_arrays())
-    for arr, g_arr in zip(probe.flat_arrays(), grads.flat_arrays()):
-        flat = arr.reshape(-1)
-        gflat = g_arr.reshape(-1)
-        for i in range(flat.size):
-            keep = flat[i]
-            flat[i] = keep + fd_step
-            up = loss_of(probe)
-            flat[i] = keep - fd_step
-            down = loss_of(probe)
-            flat[i] = keep
-            fd = (up - down) / (2.0 * fd_step)
-            err = abs(gflat[i] - fd) / max(abs(gflat[i]) + abs(fd), 1e-3 * scale, 1e-8)
-            worst = max(worst, err)
-    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,10 @@ from wgclust.config import TrainConfig
 from wgclust.graph import build_graph, inject_noise_edges, synth_weighted_sbm
 from wgclust.losses import modularity
 from wgclust.metrics import evaluate
-from wgclust.trainer import gradient_check, infer, train
+from wgclust.trainer import infer, train
 
 from graph_helpers import neighbors
-from numeric_helpers import entmax, entmax_vjp, softmax
+from numeric_helpers import entmax, entmax_vjp, gradient_check, softmax
 
 # shared benchmark configuration for the training criteria: within the tuning
 # grids where the source settings give one (layers in 2..6, alpha 1.55,

@@ -377,6 +377,16 @@ class TestTrainInferEval:
         echo = (out / "config_echo.txt").read_text()
         assert "softmax_instead_of_entmax = true" in echo
 
+    def test_an_ablation_does_not_reach_the_next_call(self, synth_dir, tmp_path):
+        """One process builds its parser once; a flag of one call must not stay for the next."""
+        cfg = tmp_path / "fast.cfg"
+        cfg.write_text(FAST_CONFIG)
+        for name, extra in (("ewo", ["--ablation", "ewo"]), ("plain", [])):
+            assert run_cli("train", "--edges", synth_dir / "edges.tsv", "--clusters", 2,
+                           "--config", cfg, *extra, "--out", tmp_path / name) == 0
+        assert "no_weight_update = true" in (tmp_path / "ewo" / "config_echo.txt").read_text()
+        assert "no_weight_update = false" in (tmp_path / "plain" / "config_echo.txt").read_text()
+
     def test_every_override_flag_reaches_config_echo(self, synth_dir, tmp_path):
         cfg = tmp_path / "fast.cfg"
         cfg.write_text(FAST_CONFIG)

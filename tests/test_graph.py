@@ -27,7 +27,7 @@ from graph_helpers import assert_invariants, has_edge, neighbors
 def reference_load_edge_list(path):
     """Line-at-a-time edge-list reader, the reference ``load_edge_list`` must match.
 
-    Each line's checks run in the order whose first failure the block parser
+    Each line's checks run in the order whose first failure ``load_edge_list``
     reports: field count, blank node token, weight parse, weight sign, self-loop.
     """
     id_map = {}

@@ -11,13 +11,9 @@ from wgclust.contraction import SubgraphSelection
 from wgclust.fcm import memberships_for
 from wgclust.graph import build_graph, synth_weighted_sbm
 from wgclust.metrics import evaluate
-from wgclust.trainer import (
-    gradient_check,
-    infer,
-    load_checkpoint,
-    save_checkpoint,
-    train,
-)
+from wgclust.trainer import infer, load_checkpoint, save_checkpoint, train
+
+from numeric_helpers import gradient_check
 
 TINY = dict(heads=2, layer_count=2, embed_dim=6, attn_dim=5, hidden_dim=6,
             fcm_restarts=2, negatives=2)
