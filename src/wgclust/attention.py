@@ -71,15 +71,6 @@ class ModelParams:
     embedding: np.ndarray
     layers: list[LayerParams]
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(
-            embedding=self.embedding.copy(),
-            layers=[
-                LayerParams(w1=l.w1.copy(), w2=l.w2.copy(), gamma=l.gamma.copy())
-                for l in self.layers
-            ],
-        )
-
     def flat_arrays(self) -> list[np.ndarray]:
         out = [self.embedding]
         for l in self.layers:
@@ -142,17 +133,11 @@ class AttentionStructure:
     head_indices: np.ndarray
 
 
-def _self_loop_weights(g: WeightedGraph, mode: str) -> np.ndarray:
-    deg = np.diff(g.indptr)
-    has_edges = deg > 0
+def _self_loop_weights(g: WeightedGraph) -> np.ndarray:
+    has_edges = np.diff(g.indptr) > 0
     w_self = np.ones(g.n)  # isolated nodes: w_ii = 1 so f_ii = 1
     # empty rows have zero length, so the non-empty starts delimit every row
-    starts = g.indptr[:-1][has_edges]
-    if mode == "mean":
-        w_self[has_edges] = np.add.reduceat(g.weights, starts) / deg[has_edges]
-    else:
-        reduce = np.maximum if mode == "max" else np.minimum
-        w_self[has_edges] = reduce.reduceat(g.weights, starts)
+    w_self[has_edges] = np.maximum.reduceat(g.weights, g.indptr[:-1][has_edges])
     return w_self
 
 
@@ -160,12 +145,12 @@ def build_attention_structure(g: WeightedGraph, config: TrainConfig) -> Attentio
     """Precompute the candidate-entry arrays, f_iz and the head pattern for a working graph.
 
     f_iz is the candidate's weight divided by node i's weighted degree plus
-    its self-loop weight, which is the max, mean, or min of the incident
-    weights (``config.self_loop_mode``); an isolated node's only candidate is
-    itself with f = 1. The head pattern covers ``config.heads`` heads.
+    its self-loop weight, the largest incident weight; an isolated node's
+    only candidate is itself with f = 1. The head pattern covers
+    ``config.heads`` heads.
     """
     heads = config.heads
-    w_self = _self_loop_weights(g, config.self_loop_mode)
+    w_self = _self_loop_weights(g)
     nodes = np.arange(g.n, dtype=np.int64)
     edge_src = g.directed_src()
     # rows are sorted by (src, dst), so each self-loop's place in the flat

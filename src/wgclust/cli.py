@@ -26,7 +26,7 @@ import numpy as np
 from . import graph as graphio
 from .attention import build_attention_structure, network_forward
 from .config import TrainConfig, config_to_text, load_config_file
-from .contraction import DISTANCE_MODES, ContractionConfig, contract
+from .contraction import ContractionConfig, contract
 from .fcm import ClusterAssignment
 from .metrics import evaluate
 from .ml100k import build_ml100k
@@ -171,9 +171,7 @@ def cmd_synth(args) -> int:
     outputs = [out / "edges.tsv", out / "labels.tsv"]
     noise_info = {}
     if args.noise_fraction != 0:  # inject_noise_edges rejects nan, inf and negatives
-        g, added = graphio.inject_noise_edges(
-            g, args.noise_fraction, args.seed + 1, unit_weight=args.noise_unit_weight
-        )
+        g, added = graphio.inject_noise_edges(g, args.noise_fraction, args.seed + 1)
         noise_path = out / "noise_edges.tsv"
         with open(noise_path, "w", encoding="utf-8") as fh:
             fh.writelines(f"{u}\t{v}\n" for u, v in added.tolist())
@@ -252,7 +250,10 @@ def cmd_train(args) -> int:
     """Train once per seed: into --out for one seed, into --out/seed_<s> for a sweep."""
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-    seeds = _parse_seeds(args.seeds) if args.seeds else None
+    if args.seed is not None and args.seeds is not None:
+        raise ValueError("--seed and --seeds are both given; --seeds lists every seed to "
+                         "train, so give one of them")
+    seeds = _parse_seeds(args.seeds) if args.seeds is not None else None
     out = _outdir(args)
     config = _load_train_config(args)
     seeds = seeds or [config.seed]
@@ -362,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w-in-mean", type=float, default=5.0)
     p.add_argument("--w-out-mean", type=float, default=1.0)
     p.add_argument("--noise-fraction", type=float, default=0.0)
-    p.add_argument("--noise-unit-weight", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
@@ -374,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--density-weight", type=float, default=None)
     p.add_argument("--teleport", type=float, default=None)
     p.add_argument("--threshold", dest="importance_threshold", type=float, default=None)
-    p.add_argument("--distance-mode", choices=DISTANCE_MODES, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_contract)
 

@@ -12,23 +12,20 @@ from dataclasses import dataclass
 
 from .contraction import ContractionConfig
 
-__all__ = ["SELF_LOOP_MODES", "TrainConfig", "parse_config_text", "load_config_file",
-           "config_to_text"]
-
-SELF_LOOP_MODES = ("max", "mean", "min")
+__all__ = ["TrainConfig", "parse_config_text", "load_config_file", "config_to_text"]
 
 
 @dataclass(frozen=True)
 class TrainConfig(ContractionConfig):
     """Every knob of the training pipeline.
 
-    Contraction: the five ContractionConfig fields (core_count,
-    density_weight, teleport, importance_threshold, distance_mode), which
+    Contraction: the four ContractionConfig fields (core_count,
+    density_weight, teleport, importance_threshold), which
     that class declares, documents and validates; this class extends it and
     is passed to ``contract`` as it is.
     Network: heads per layer, layer count, embedding dim, attn_dim (width of
     the logit projections), hidden_dim (width of every layer's output),
-    entmax_alpha, self_loop_mode (max/mean/min).
+    entmax_alpha.
     Objective: modularity_weight scales the modularity loss, negatives is
     the per-node negative-sample count.
     Clustering: every epoch and every inference runs a fresh fuzzy c-means
@@ -54,7 +51,6 @@ class TrainConfig(ContractionConfig):
     seed: int = 0
     fcm_iters: int = 30
     fcm_restarts: int = 8
-    self_loop_mode: str = "max"
     no_contraction: bool = False
     random_sampling: bool = False
     softmax_instead_of_entmax: bool = False
@@ -81,8 +77,6 @@ class TrainConfig(ContractionConfig):
             raise ValueError("epochs and patience must be >= 0")
         if self.fcm_iters < 1 or self.fcm_restarts < 1:
             raise ValueError("fcm_iters and fcm_restarts must be >= 1")
-        if self.self_loop_mode not in SELF_LOOP_MODES:
-            raise ValueError(f"self_loop_mode must be one of {SELF_LOOP_MODES}")
         if self.no_contraction and self.random_sampling:
             raise ValueError(
                 "no_contraction and random_sampling are both set; random_sampling replaces "
@@ -111,9 +105,7 @@ def _parse_value(name: str, raw: str):
         raise ValueError(f"expected a boolean, got {raw!r}")
     if kind == "int | None" and raw.lower() in ("none", ""):
         return None
-    parse = {"int": int, "int | None": int, "float": float}.get(kind)
-    if parse is None:
-        return raw
+    parse = {"int": int, "int | None": int, "float": float}[kind]
     try:
         return parse(raw)
     except ValueError:
@@ -122,8 +114,11 @@ def _parse_value(name: str, raw: str):
 
 
 def parse_config_text(text: str) -> TrainConfig:
-    """Parse `key = value` lines (blank lines and # comments allowed)."""
-    values = {}
+    """Parse `key = value` lines (blank lines and # comments allowed).
+
+    Each key may appear once; a repeat raises, as an unknown key does.
+    """
+    values, first_line = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -134,6 +129,9 @@ def parse_config_text(text: str) -> TrainConfig:
         key = key.strip()
         if key not in _FIELDS:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
+        if key in first_line:
+            raise ValueError(f"config line {lineno}: key {key!r} repeats line {first_line[key]}")
+        first_line[key] = lineno
         try:
             values[key] = _parse_value(key, val)
         except ValueError as exc:

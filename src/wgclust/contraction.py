@@ -21,7 +21,6 @@ if TYPE_CHECKING:  # scipy loads at the first call that needs it
     import scipy.sparse as sp
 
 __all__ = [
-    "DISTANCE_MODES",
     "ContractionConfig",
     "SubgraphSelection",
     "rank_score",
@@ -32,7 +31,6 @@ __all__ = [
 
 PPR_TOL = 1e-10
 PPR_MAX_ITER = 1000
-DISTANCE_MODES = ("reciprocal", "unit")
 
 
 @dataclass(frozen=True)
@@ -43,15 +41,13 @@ class ContractionConfig:
     time). density_weight blends the density rank against the distance rank
     in [0, 1]. teleport is the PageRank restart probability in (0, 1].
     importance_threshold keeps a node when its best per-core PageRank score
-    exceeds it. distance_mode is "reciprocal" (edge length 1/w, default) or
-    "unit" (hop counts).
+    exceeds it.
     """
 
     core_count: int | None = None
     density_weight: float = 0.5
     teleport: float = 0.5
     importance_threshold: float = 0.0
-    distance_mode: str = "reciprocal"
 
     def __post_init__(self):
         # covers the float fields of subclasses too (TrainConfig calls this first)
@@ -64,8 +60,6 @@ class ContractionConfig:
             raise ValueError("teleport must lie in (0, 1]")
         if self.importance_threshold < 0:
             raise ValueError("importance_threshold must be >= 0")
-        if self.distance_mode not in DISTANCE_MODES:
-            raise ValueError(f"distance_mode must be one of {DISTANCE_MODES}")
         if self.core_count is not None and self.core_count < 1:
             raise ValueError("core_count must be >= 1")
 
@@ -87,20 +81,18 @@ class SubgraphSelection:
     subgraph: WeightedGraph
 
 
-def _length_csr(g: WeightedGraph, mode: str) -> sp.csr_matrix:
+def _length_csr(g: WeightedGraph) -> sp.csr_matrix:
     import scipy.sparse as sp
 
-    lengths = 1.0 / g.weights if mode == "reciprocal" else np.ones_like(g.weights)
-    return sp.csr_matrix((lengths, g.indices, g.indptr), shape=(g.n, g.n))
+    return sp.csr_matrix((1.0 / g.weights, g.indices, g.indptr), shape=(g.n, g.n))
 
 
-def _unreachable_sentinel(g: WeightedGraph, mode: str) -> float:
+def _unreachable_sentinel(g: WeightedGraph) -> float:
     # Upper bound on any path length: n hops of the longest edge. Rounded
     # division is monotone, so 1/min(w) is exactly the largest 1/w.
     if g.num_edges == 0:
         return float(g.n)
-    max_len = 1.0 / float(g.weights.min()) if mode == "reciprocal" else 1.0
-    return g.n * max_len
+    return g.n * (1.0 / float(g.weights.min()))
 
 
 def _distance_sum(lengths: sp.csr_matrix, sentinel: float, cores) -> np.ndarray:
@@ -130,9 +122,9 @@ def select_core_nodes(g: WeightedGraph, config: ContractionConfig, cluster_count
     The first core is the densest node; each later round scores the remaining
     candidates by blending their density rank with the rank of summed
     distance to the cores chosen so far, and takes the argmax (ties to the
-    lowest id). Edge length is 1/w ("reciprocal", strong ties are short) or
-    1 ("unit"); an unreachable pair counts n times the longest edge, so a
-    disconnected node ranks as maximally distant without infinities.
+    lowest id). Edge length is 1/w, so strong ties are short; an unreachable
+    pair counts n times the longest edge, so a disconnected node ranks as
+    maximally distant without infinities.
     """
     o = config.resolved_core_count(g.n, cluster_count)
     rho = g.weighted_degree()  # density: summed incident edge weight
@@ -141,8 +133,8 @@ def select_core_nodes(g: WeightedGraph, config: ContractionConfig, cluster_count
     chosen[cores] = True
     dist_sum = np.zeros(g.n)
     eps = config.density_weight
-    lengths = _length_csr(g, config.distance_mode)
-    sentinel = _unreachable_sentinel(g, config.distance_mode)
+    lengths = _length_csr(g)
+    sentinel = _unreachable_sentinel(g)
     # a candidate's density rank among the candidates: its rank among all
     # nodes minus the chosen cores with a smaller density
     dens_rank = rank_score(rho)

@@ -406,14 +406,13 @@ def synth_weighted_sbm(n, K, p_in, p_out, w_in_mean, w_out_mean, seed) -> Labele
     return LabeledGraph(graph=g, labels=labels, cluster_count=K)
 
 
-def inject_noise_edges(g, fraction, seed, unit_weight=False):
+def inject_noise_edges(g, fraction, seed):
     """Add ``floor(fraction * |E|)`` uniformly random non-edges.
 
     Noise weights are drawn uniformly from the multiset of existing edge
-    weights so noise is indistinguishable by weight alone; ``unit_weight``
-    forces constant weight 1 instead. Returns (new graph, added edges as an
-    (m, 2) int array of (u, v) pairs with u < v). A ``fraction`` that is not
-    finite and >= 0 raises ``ValueError``.
+    weights so noise is indistinguishable by weight alone. Returns (new
+    graph, added edges as an (m, 2) int array of (u, v) pairs with u < v).
+    A ``fraction`` that is not finite and >= 0 raises ``ValueError``.
     """
     if not (0 <= fraction < np.inf):
         raise ValueError(f"fraction must be finite and >= 0, got {fraction}")
@@ -439,15 +438,11 @@ def inject_noise_edges(g, fraction, seed, unit_weight=False):
         seen.add(pair)
         chosen.append(pair)
     added = np.array(chosen, dtype=np.int64)
-    if unit_weight:
-        new_w = np.ones(add)
-    else:
-        new_w = rng.choice(w, size=add, replace=True)
     out = build_graph(
         g.n,
         np.concatenate([u, added[:, 0]]),
         np.concatenate([v, added[:, 1]]),
-        np.concatenate([w, new_w]),
+        np.concatenate([w, rng.choice(w, size=add, replace=True)]),
         node_ids=g.node_ids,
     )
     return out, added

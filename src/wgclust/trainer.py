@@ -8,8 +8,9 @@ drawn positive/negative samples are treated as constants within an epoch;
 gradients reach the modularity term only through the attention coefficients
 inside the edge-weight refinement.
 
-Everything is seeded and reduction orders are fixed, so a (graph, K, config)
-triple maps to a bit-identical trained model.
+Everything is seeded and reduction orders are fixed, so at a fixed BLAS
+thread count a (graph, K, config) triple maps to a bit-identical trained
+model; a different thread count can change the last bits of the products.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ __all__ = ["TrainedModel", "InferredAssignment", "train", "infer", "epoch_step",
 
 MIN_LOSS_IMPROVEMENT = 1e-5
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 # spawn keys for the independent random streams derived from config.seed
 _RNG_INIT, _RNG_EPOCH, _RNG_FCM, _RNG_INFER, _RNG_SAMPLE_ABLATION = range(5)
@@ -371,7 +372,7 @@ def _vote(g: WeightedGraph, memberships: np.ndarray, labelled: np.ndarray, last:
 
 
 def save_checkpoint(model: TrainedModel, path) -> None:
-    """Write the model as an .npz with documented keys (see README)."""
+    """Write the model as an .npz with documented keys (see README) to ``path`` as given."""
     data: dict[str, np.ndarray] = {
         "format_version": np.array(CHECKPOINT_VERSION),
         "config_text": np.array(config_to_text(model.config)),
@@ -388,7 +389,8 @@ def save_checkpoint(model: TrainedModel, path) -> None:
     if model.selection is not None:
         data["selected_nodes"] = model.selection.selected
         data["core_nodes"] = model.selection.core_nodes
-    np.savez(path, **data)
+    with open(path, "wb") as fh:  # np.savez appends .npz to a path that lacks it
+        np.savez(fh, **data)
 
 
 def _node_id_array(node_ids) -> np.ndarray:

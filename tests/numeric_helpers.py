@@ -2,7 +2,13 @@
 
 import numpy as np
 
-from wgclust.attention import build_attention_structure, init_model_params, network_forward
+from wgclust.attention import (
+    LayerParams,
+    ModelParams,
+    build_attention_structure,
+    init_model_params,
+    network_forward,
+)
 from wgclust.entmax import segment_entmax, segment_entmax_vjp
 from wgclust.fcm import fcm_fit
 from wgclust.losses import draw_structure_samples
@@ -29,6 +35,15 @@ def entmax_vjp(p, alpha, upstream):
     """Gradient w.r.t. the scores of one row, given p = entmax(z, alpha) and the gradient w.r.t. p."""
     p = np.asarray(p, dtype=np.float64)
     return segment_entmax_vjp(p, np.array([0, p.size]), alpha, np.asarray(upstream, dtype=np.float64))
+
+
+def copy_params(params):
+    """A deep copy of a ModelParams: every array copied, so a probe can perturb it in place."""
+    return ModelParams(
+        embedding=params.embedding.copy(),
+        layers=[LayerParams(w1=l.w1.copy(), w2=l.w2.copy(), gamma=l.gamma.copy())
+                for l in params.layers],
+    )
 
 
 def _stream(seed, key):
@@ -66,7 +81,7 @@ def gradient_check(config, g, fd_step=1e-5):
     _, grads = epoch_step(structure, params, config, fixed)
 
     worst = 0.0
-    probe = params.copy()
+    probe = copy_params(params)
     scale = max(float(np.abs(a).max()) for a in grads.flat_arrays())
     for arr, g_arr in zip(probe.flat_arrays(), grads.flat_arrays()):
         flat = arr.reshape(-1)

@@ -34,11 +34,10 @@ from wgclust.config import TrainConfig
 from wgclust.graph import build_graph, synth_weighted_sbm
 
 from graph_helpers import neighbors
-from numeric_helpers import entmax, softmax
+from numeric_helpers import copy_params, entmax, softmax
 
 
-def straight_line_layer(g, h_in, params, alpha, use_factor=True, use_entmax=True,
-                        self_loop_mode="max"):
+def straight_line_layer(g, h_in, params, alpha, use_factor=True, use_entmax=True):
     """Node-by-node re-implementation of one attention layer (loops, no reuse)."""
     n = g.n
     heads = params.heads
@@ -47,11 +46,7 @@ def straight_line_layer(g, h_in, params, alpha, use_factor=True, use_entmax=True
     coeffs = {}
     for i in range(n):
         nbrs = neighbors(g, i)
-        if nbrs:
-            row_w = [w for _, w in nbrs]
-            w_self = {"max": max, "min": min}.get(self_loop_mode, lambda x: sum(x) / len(x))(row_w)
-        else:
-            w_self = 1.0
+        w_self = max(w for _, w in nbrs) if nbrs else 1.0
         cand = sorted([j for j, _ in nbrs] + [i])
         wmap = dict(nbrs)
         wmap[i] = w_self
@@ -76,38 +71,38 @@ def straight_line_layer(g, h_in, params, alpha, use_factor=True, use_entmax=True
     return out, coeffs
 
 
-def per_node_factors(g, i, mode="max"):
+def per_node_factors(g, i):
     """Node-by-node reference for f_iz, keyed by candidate id (including i)."""
     nbrs = neighbors(g, i)
     if not nbrs:
         return {i: 1.0}
     row_w = [w for _, w in nbrs]
-    w_self = {"max": max(row_w), "mean": sum(row_w) / len(row_w), "min": min(row_w)}[mode]
+    w_self = max(row_w)
     denom = sum(row_w) + w_self
     out = {z: w / denom for z, w in nbrs}
     out[i] = w_self / denom
     return out
 
 
-def structure_factors(g, i, mode="max"):
+def structure_factors(g, i):
     """f_iz of node i as build_attention_structure stores them, keyed by candidate id."""
-    s = build_attention_structure(g, TrainConfig(self_loop_mode=mode))
+    s = build_attention_structure(g, TrainConfig())
     lo, hi = s.indptr[i], s.indptr[i + 1]
     return {int(z): float(f) for z, f in zip(s.dst[lo:hi], s.factors[lo:hi])}
 
 
-def run_network(g, model, alpha, self_loop_mode="max", config=None):
+def run_network(g, model, alpha, config=None):
     """All layers over a graph; returns (H_final, AttentionRecord)."""
-    config = config or TrainConfig(entmax_alpha=alpha, self_loop_mode=self_loop_mode)
+    config = config or TrainConfig(entmax_alpha=alpha)
     config = config.replace(heads=model.layers[0].heads)
     structure = build_attention_structure(g, config)
     return network_forward_cached(structure, model, config)
 
 
-def run_layer(g, h_in, params, alpha, self_loop_mode="max"):
+def run_layer(g, h_in, params, alpha):
     """One layer over a graph; returns (h_out, AttentionRecord)."""
     model = ModelParams(embedding=np.asarray(h_in, dtype=np.float64), layers=[params])
-    return run_network(g, model, alpha, self_loop_mode)
+    return run_network(g, model, alpha)
 
 
 def coefficient(record, layer, head, i, z):
@@ -218,7 +213,7 @@ def tiny_graph():
 class TestEdgeWeightFactor:
     def test_max_self_loop(self):
         g = build_graph(3, [0, 0], [1, 2], [2.0, 6.0])
-        f = structure_factors(g, 0, mode="max")
+        f = structure_factors(g, 0)
         assert f[1] == pytest.approx(2 / 14)
         assert f[2] == pytest.approx(6 / 14)
         assert f[0] == pytest.approx(6 / 14)
@@ -234,21 +229,15 @@ class TestEdgeWeightFactor:
         f = structure_factors(g, 2)
         assert f == {2: 1.0}
 
-    def test_mean_and_min_modes(self):
-        g = build_graph(3, [0, 0], [1, 2], [2.0, 6.0])
-        assert structure_factors(g, 0, mode="mean")[0] == pytest.approx(4 / 12)
-        assert structure_factors(g, 0, mode="min")[0] == pytest.approx(2 / 10)
-
     def test_structure_factors_match_per_node_api(self):
         lab = synth_weighted_sbm(15, 2, 0.5, 0.2, 3.0, 1.0, seed=0)
         g = lab.graph
-        s = build_attention_structure(g, TrainConfig(self_loop_mode="max"))
+        s = build_attention_structure(g, TrainConfig())
         for e in range(s.src.size):
             i, z = int(s.src[e]), int(s.dst[e])
             assert s.factors[e] == pytest.approx(per_node_factors(g, i)[z], abs=1e-14)
 
-    @pytest.mark.parametrize("mode", ["max", "mean", "min"])
-    def test_structure_matches_per_node_loop(self, mode):
+    def test_structure_matches_per_node_loop(self):
         sbm = synth_weighted_sbm(40, 2, 0.3, 0.05, 3.0, 1.0, seed=4).graph
         graphs = [
             with_isolated_node(sbm),
@@ -256,24 +245,17 @@ class TestEdgeWeightFactor:
             build_graph(3, [], [], []),
         ]
         for g in graphs:
-            s = build_attention_structure(g, TrainConfig(self_loop_mode=mode))
+            s = build_attention_structure(g, TrainConfig())
             deg = np.diff(g.indptr)
             np.testing.assert_array_equal(s.indptr, np.concatenate([[0], np.cumsum(deg + 1)]))
-            # mean sums a row in another order than the reference: each side is
-            # within (deg - 1) eps of the exact sum, relative
-            rtol = 2 * deg.max(initial=1) * np.finfo(float).eps if mode == "mean" else 0.0
             for i in range(g.n):
-                ref = per_node_factors(g, i, mode)
+                ref = per_node_factors(g, i)
                 lo, hi = s.indptr[i], s.indptr[i + 1]
                 cand = sorted(ref)
                 np.testing.assert_array_equal(s.src[lo:hi], i)
                 np.testing.assert_array_equal(s.dst[lo:hi], cand)
                 np.testing.assert_array_equal(s.src[lo:hi] == s.dst[lo:hi], np.array(cand) == i)
-                expect = np.array([ref[z] for z in cand])
-                if rtol == 0.0:
-                    np.testing.assert_array_equal(s.factors[lo:hi], expect)
-                else:
-                    np.testing.assert_allclose(s.factors[lo:hi], expect, rtol=rtol, atol=0)
+                np.testing.assert_array_equal(s.factors[lo:hi], [ref[z] for z in cand])
             np.testing.assert_array_equal(s.src[s.rev], s.dst)
             np.testing.assert_array_equal(s.dst[s.rev], s.src)
             np.testing.assert_array_equal(s.edge_pos, np.flatnonzero(s.src != s.dst))
@@ -556,7 +538,7 @@ def worst_fd_error(model, loss_of, grads, step=1e-5):
     noise floor (the entmax threshold is solved to 1e-10), so they are
     measured against 1% of the dominant magnitude instead.
     """
-    probe = model.copy()
+    probe = copy_params(model)
     worst = 0.0
     scale = max(float(np.abs(a).max()) for a in grads.flat_arrays())
     for arr, g_arr in zip(probe.flat_arrays(), grads.flat_arrays()):
@@ -592,7 +574,7 @@ class TestEdgeAttention:
         g = synth_weighted_sbm(5, 2, 0.9, 0.5, 2.0, 1.0, seed=12).graph
         rng = np.random.default_rng(25)
         model = init_model_params(g.n, [3, 4, 3], attn_dim=3, heads=2, rng=rng)
-        config = TrainConfig(entmax_alpha=1.55, heads=2, self_loop_mode="max")
+        config = TrainConfig(entmax_alpha=1.55, heads=2)
         structure = build_attention_structure(g, config)
         src = g.directed_src()
         table = rng.normal(size=(g.n, g.n))
@@ -647,7 +629,7 @@ class TestLayerGradients:
         g = lab.graph
         rng = np.random.default_rng(13)
         model = init_model_params(g.n, [3, 4, 3], attn_dim=3, heads=2, rng=rng)
-        config = TrainConfig(entmax_alpha=1.55, heads=2, self_loop_mode="max")
+        config = TrainConfig(entmax_alpha=1.55, heads=2)
         structure = build_attention_structure(g, config)
         target = rng.normal(size=(g.n, 3))
 

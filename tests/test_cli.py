@@ -184,13 +184,13 @@ class TestContract:
         out = tmp_path / "contracted"
         assert run_cli(
             "contract", "--edges", synth_dir / "edges.tsv", "--clusters", 2, "--cores", 3,
-            "--threshold", 0.01, "--distance-mode", "unit", "--density-weight", 0.25,
+            "--threshold", 0.01, "--density-weight", 0.25,
             "--teleport", 0.75, "--out", out,
         ) == 0
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["config"] == {
             "core_count": 3, "density_weight": 0.25, "teleport": 0.75,
-            "importance_threshold": 0.01, "distance_mode": "unit",
+            "importance_threshold": 0.01,
         }
         assert len((out / "cores.tsv").read_text().splitlines()) == 3
 
@@ -572,12 +572,21 @@ class TestErrors:
     @pytest.mark.parametrize("seeds, message", [
         ("1,,2", "error: --seeds lists '', which is not an integer"),
         ("1,x", "error: --seeds lists 'x', which is not an integer"),
+        ("", "error: --seeds lists '', which is not an integer"),
     ])
     def test_bad_seed_token_named(self, synth_dir, tmp_path, capsys, seeds, message):
         rc = run_cli("train", "--edges", synth_dir / "edges.tsv", "--clusters", 2,
                      "--seeds", seeds, "--out", tmp_path / "o")
         assert rc == 1
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_seed_with_seeds_rejected(self, synth_dir, tmp_path, capsys):
+        rc = run_cli("train", "--edges", synth_dir / "edges.tsv", "--clusters", 2,
+                     "--seed", 3, "--seeds", "5", "--out", tmp_path / "o")
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --seed and --seeds are both given"), err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("jobs", [0, -4])
@@ -686,14 +695,17 @@ class TestErrors:
         err = capsys.readouterr().err
         assert re.match(r"error: epoch \d+: layer \d+: non-finite activation at node \d+", err), err
 
-    def test_unknown_self_loop_mode_in_config_file_rejected(self, synth_dir, tmp_path, capsys):
+    def test_repeated_key_in_config_file_rejected(self, synth_dir, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(FAST_CONFIG + "self_loop_mode = median\n")
+        text = FAST_CONFIG + "epochs = 50\n"
+        cfg.write_text(text)
+        lines = text.splitlines()
+        first, repeat = (i + 1 for i, line in enumerate(lines) if line.startswith("epochs"))
         rc = run_cli("train", "--edges", synth_dir / "edges.tsv", "--clusters", 2,
                      "--config", cfg, "--out", tmp_path / "o")
         assert rc == 1
         err = capsys.readouterr().err
-        assert err == "error: self_loop_mode must be one of ('max', 'mean', 'min')\n", err
+        assert err == f"error: config line {repeat}: key 'epochs' repeats line {first}\n", err
         assert not (tmp_path / "o" / "checkpoint.npz").exists()
 
     def test_random_sampling_without_contraction_rejected(self, synth_dir, tmp_path, capsys):

@@ -21,13 +21,13 @@ from wgclust.graph import build_graph, synth_weighted_sbm
 from graph_helpers import neighbors
 
 
-def distance_to_cores(g, cores, mode="reciprocal"):
+def distance_to_cores(g, cores):
     """Summed undirected shortest-path distance from every node to each core.
 
-    Edge length is 1/w ("reciprocal") or 1 ("unit"); an unreachable pair
-    counts n times the longest edge. The reference for core selection.
+    Edge length is 1/w; an unreachable pair counts n times the longest edge.
+    The reference for core selection.
     """
-    lengths = 1.0 / g.weights if mode == "reciprocal" else np.ones_like(g.weights)
+    lengths = 1.0 / g.weights
     mat = sp.csr_matrix((lengths, g.indices, g.indptr), shape=(g.n, g.n))
     dist = sp.csgraph.dijkstra(mat, directed=False, indices=cores)
     dist[~np.isfinite(dist)] = g.n * lengths.max()
@@ -103,45 +103,43 @@ class TestNodeDensity:
 class TestDistanceToCores:
     def test_core_contributes_zero_to_itself(self):
         g = build_graph(3, [0, 1], [1, 2], [1.0, 1.0])
-        theta = distance_to_cores(g, [0], mode="unit")
+        theta = distance_to_cores(g, [0])
         assert theta[0] == 0.0
 
-    def test_unit_path_length(self):
-        g = build_graph(3, [0, 1], [1, 2], [5.0, 9.0])
-        theta = distance_to_cores(g, [0], mode="unit")
+    def test_unit_weights_count_hops(self):
+        # every edge weighs 1, so each reciprocal length is one hop
+        g = build_graph(3, [0, 1], [1, 2], [1.0, 1.0])
+        theta = distance_to_cores(g, [0])
         assert theta[2] == 2.0
 
     def test_reciprocal_weights(self):
         # path a-b-c with w=2 each: lengths 1/2 + 1/2 = 1.0
         g = build_graph(3, [0, 1], [1, 2], [2.0, 2.0])
-        theta = distance_to_cores(g, [0], mode="reciprocal")
+        theta = distance_to_cores(g, [0])
         assert theta[2] == pytest.approx(1.0)
 
     def test_unreachable_uses_sentinel(self):
         g = build_graph(4, [0, 2], [1, 3], [1.0, 2.0])
-        theta = distance_to_cores(g, [0], mode="unit")
-        assert theta[2] == g.n * 1.0
-        theta_r = distance_to_cores(g, [0], mode="reciprocal")
-        assert theta_r[2] == g.n * 1.0  # max length = 1/min weight = 1
+        theta = distance_to_cores(g, [0])
+        assert theta[2] == g.n * 1.0  # max length = 1/min weight = 1
 
     def test_sum_over_multiple_cores(self):
         g = build_graph(3, [0, 1], [1, 2], [1.0, 1.0])
-        theta = distance_to_cores(g, [0, 2], mode="unit")
+        theta = distance_to_cores(g, [0, 2])
         assert theta[1] == 2.0  # one hop to each core
 
-    @pytest.mark.parametrize("mode", ["reciprocal", "unit"])
-    def test_equals_undirected_search(self, mode):
+    def test_equals_undirected_search(self):
         # the stored CSR holds both directions, so the directed search core
         # selection runs must give the undirected distances exactly
         g = synth_weighted_sbm(80, 3, 0.2, 0.02, 3.0, 1.0, seed=21).graph
         g = build_graph(g.n + 1, *g.edge_arrays())  # plus an unreachable node
         cores = [0, 17, 40]
         got = contraction_module._distance_sum(
-            contraction_module._length_csr(g, mode),
-            contraction_module._unreachable_sentinel(g, mode),
+            contraction_module._length_csr(g),
+            contraction_module._unreachable_sentinel(g),
             cores,
         )
-        assert np.array_equal(got, distance_to_cores(g, cores, mode))
+        assert np.array_equal(got, distance_to_cores(g, cores))
 
 
 class TestRankScore:
@@ -187,7 +185,7 @@ class TestSelectCoreNodes:
         cores = select_core_nodes(g, config)
         first = cores[0]
         rho = g.weighted_degree()
-        theta = distance_to_cores(g, [first], mode="reciprocal")
+        theta = distance_to_cores(g, [first])
         candidates = [i for i in range(8) if i != first]
         rr = {}
         for i in candidates:
@@ -197,18 +195,17 @@ class TestSelectCoreNodes:
         best = max(sorted(rr), key=lambda i: rr[i])
         assert cores[1] == best
 
-    @pytest.mark.parametrize("mode", ["reciprocal", "unit"])
-    def test_equals_per_round_distance_to_cores(self, mode):
+    def test_equals_per_round_distance_to_cores(self):
         # the selection builds the edge lengths once; a loop that calls the
         # reference distance_to_cores every round must pick the same cores
         g = synth_weighted_sbm(80, 3, 0.2, 0.02, 3.0, 1.0, seed=22).graph
         g = build_graph(g.n + 1, *g.edge_arrays())  # plus an unreachable node
-        config = ContractionConfig(core_count=7, density_weight=0.3, distance_mode=mode)
+        config = ContractionConfig(core_count=7, density_weight=0.3)
         rho = g.weighted_degree()
         cores = [int(np.argmax(rho))]
         dist_sum = np.zeros(g.n)
         for _ in range(6):
-            dist_sum += distance_to_cores(g, cores[-1:], mode)
+            dist_sum += distance_to_cores(g, cores[-1:])
             candidates = np.setdiff1d(np.arange(g.n), cores)
             score = 0.3 * rank_score(rho[candidates]) + 0.7 * rank_score(dist_sum[candidates])
             cores.append(int(candidates[np.argmax(score)]))

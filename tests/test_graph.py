@@ -621,15 +621,6 @@ class TestNoiseInjection:
         u, v, w = noisy.edge_arrays()
         assert set(np.unique(w)) <= {2.0, 4.0, 8.0}
 
-    def test_unit_weight_flag(self):
-        g = build_graph(30, [0, 1, 2], [1, 2, 3], [2.0, 4.0, 8.0])
-        noisy, added = inject_noise_edges(g, 1.0, seed=6, unit_weight=True)
-        pairs = {(int(a), int(b)) for a, b in added}
-        u, v, w = noisy.edge_arrays()
-        for a, b, x in zip(u, v, w):
-            if (int(a), int(b)) in pairs:
-                assert x == 1.0
-
     def test_insufficient_non_edges(self):
         g = build_graph(3, [0, 0, 1], [1, 2, 2], [1, 1, 1])  # complete triangle
         with pytest.raises(ValueError, match="non-edges"):

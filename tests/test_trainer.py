@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from wgclust.attention import ModelParams, build_attention_structure, network_forward
-from wgclust.config import SELF_LOOP_MODES, TrainConfig, config_to_text, parse_config_text
+from wgclust.config import TrainConfig, config_to_text, parse_config_text
 from wgclust.contraction import SubgraphSelection
 from wgclust.fcm import memberships_for
 from wgclust.graph import build_graph, synth_weighted_sbm
@@ -503,6 +503,30 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="unsupported checkpoint version 2"):
             load_checkpoint(tmp_path / "v2.npz")
 
+    def test_version_3_checkpoint_rejected(self, tmp_path):
+        lab = synth_weighted_sbm(20, 2, 0.6, 0.1, 3.0, 1.0, seed=16)
+        model = train(lab.graph, 2, TrainConfig(epochs=1, no_contraction=True, **TINY))
+        save_checkpoint(model, tmp_path / "m.npz")
+        with np.load(tmp_path / "m.npz") as z:
+            data = dict(z)
+        # a version-3 file's config named the distance and self-loop rules
+        old_keys = "distance_mode = reciprocal\nself_loop_mode = max\n"
+        data.update(format_version=np.array(3),
+                    config_text=np.array(str(data["config_text"]) + old_keys))
+        np.savez(tmp_path / "v3.npz", **data)
+        with pytest.raises(ValueError, match="unsupported checkpoint version 3"):
+            load_checkpoint(tmp_path / "v3.npz")
+
+    def test_path_without_npz_suffix_kept(self, tmp_path):
+        lab = synth_weighted_sbm(20, 2, 0.6, 0.1, 3.0, 1.0, seed=16)
+        model = train(lab.graph, 2, TrainConfig(epochs=1, no_contraction=True, **TINY))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+        loaded = load_checkpoint(path)
+        for a, b in zip(model.params.flat_arrays(), loaded.params.flat_arrays()):
+            np.testing.assert_array_equal(a, b)
+
     def test_node_tokens_round_trip(self, tmp_path):
         u, v, w = six_node_graph().edge_arrays()
         tokens = ("a", "b b", "c,\"", "ü", "0", "")
@@ -579,22 +603,21 @@ class TestConfigFormat:
         with pytest.raises(ValueError, match="unknown key"):
             parse_config_text("not_a_real_knob = 3\n")
         for key in ("vanilla_gat", "fcm_mode", "warm_start_fcm", "reuse_centers",
-                    "persist_refined"):
+                    "persist_refined", "distance_mode", "self_loop_mode"):
             with pytest.raises(ValueError, match=f"unknown key '{key}'"):
                 parse_config_text(f"{key} = true\n")
 
     def test_contraction_fields_are_validated_by_contraction_config(self):
         from wgclust.contraction import ContractionConfig
 
-        cfg = TrainConfig(density_weight=0.25, teleport=0.75, distance_mode="unit", core_count=3,
+        cfg = TrainConfig(density_weight=0.25, teleport=0.75, core_count=3,
                           importance_threshold=0.01)
         assert isinstance(cfg, ContractionConfig)
         inherited = {f.name for f in dataclasses.fields(ContractionConfig)}
         assert {name: getattr(cfg, name) for name in inherited} == dict(
             core_count=3, density_weight=0.25, teleport=0.75, importance_threshold=0.01,
-            distance_mode="unit",
         )
-        for bad in ({"density_weight": 1.5}, {"teleport": 0.0}, {"distance_mode": "hops"}):
+        for bad in ({"density_weight": 1.5}, {"teleport": 0.0}):
             with pytest.raises(ValueError):
                 TrainConfig(**bad)
 
@@ -603,25 +626,31 @@ class TestConfigFormat:
         text = (
             "density_weight = 0.25\nentmax_alpha = 1.7\nmodularity_weight = 0.05\n"
             "teleport = 0.75\ncore_count = 4\nimportance_threshold = 0.002\n"
-            "distance_mode = unit\nheads = 2\nlayer_count = 2\nembed_dim = 6\n"
+            "heads = 2\nlayer_count = 2\nembed_dim = 6\n"
             "attn_dim = 5\nhidden_dim = 6\nlearning_rate = 0.01\nnegatives = 3\n"
             "epochs = 9\npatience = 4\nseed = 11\nfcm_iters = 12\nfcm_restarts = 2\n"
-            "self_loop_mode = mean\nno_contraction = false\nrandom_sampling = true\n"
+            "no_contraction = false\nrandom_sampling = true\n"
             "softmax_instead_of_entmax = false\ndrop_f_iz = true\nno_weight_update = false\n"
         )
         expect = TrainConfig(
             density_weight=0.25, entmax_alpha=1.7, modularity_weight=0.05, teleport=0.75,
-            core_count=4, importance_threshold=0.002, distance_mode="unit", heads=2,
+            core_count=4, importance_threshold=0.002, heads=2,
             layer_count=2, embed_dim=6, attn_dim=5, hidden_dim=6, learning_rate=0.01,
             negatives=3, epochs=9, patience=4, seed=11, fcm_iters=12, fcm_restarts=2,
-            self_loop_mode="mean", random_sampling=True, drop_f_iz=True,
+            random_sampling=True, drop_f_iz=True,
         )
         assert parse_config_text(text) == expect
         assert len(text.splitlines()) == len(dataclasses.fields(TrainConfig))
-        assert config_to_text(expect).splitlines()[:5] == [
+        assert config_to_text(expect).splitlines()[:4] == [
             "core_count = 4", "density_weight = 0.25", "teleport = 0.75",
-            "importance_threshold = 0.002", "distance_mode = unit",
+            "importance_threshold = 0.002",
         ]
+
+    def test_repeated_key_rejected(self):
+        text = "# a comment\nepochs = 5\nheads = 2\n\nepochs = 50\n"
+        with pytest.raises(ValueError, match=r"^config line 5: key 'epochs' repeats line 2$"):
+            parse_config_text(text)
+        assert parse_config_text(text.replace("epochs = 50", "seed = 3")).epochs == 5
 
     def test_random_sampling_without_contraction_rejected(self):
         # random_sampling replaces the contraction that no_contraction skips
@@ -632,14 +661,6 @@ class TestConfigFormat:
             parse_config_text("no_contraction = true\nrandom_sampling = true\n")
         with pytest.raises(ValueError, match=message):
             TrainConfig(random_sampling=True).replace(no_contraction=True)
-
-    def test_self_loop_mode_names_the_modes(self):
-        assert SELF_LOOP_MODES == ("max", "mean", "min")
-        message = r"self_loop_mode must be one of \('max', 'mean', 'min'\)"
-        with pytest.raises(ValueError, match=message):
-            TrainConfig(self_loop_mode="median")
-        with pytest.raises(ValueError, match=message):
-            parse_config_text("self_loop_mode = median\n")
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):
