@@ -262,7 +262,6 @@ class TestEdgeWeightFactor:
             np.testing.assert_array_equal(s.dst[s.edge_pos], g.indices)
 
 
-
 @st.composite
 def random_graphs(draw):
     """A graph of up to 40 nodes, isolated nodes and repeated pairs allowed."""

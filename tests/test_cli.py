@@ -708,6 +708,34 @@ class TestErrors:
         assert err == f"error: config line {repeat}: key 'epochs' repeats line {first}\n", err
         assert not (tmp_path / "o" / "checkpoint.npz").exists()
 
+    @pytest.mark.parametrize("line", ["distance_mode = reciprocal", "self_loop_mode = max"])
+    def test_removed_rule_key_in_config_file_rejected(self, synth_dir, tmp_path, capsys, line):
+        # a config echo from format 3 or older names the distance and self-loop rules
+        cfg = tmp_path / "old.cfg"
+        text = FAST_CONFIG + line + "\n"
+        cfg.write_text(text)
+        rc = run_cli("train", "--edges", synth_dir / "edges.tsv", "--clusters", 2,
+                     "--config", cfg, "--out", tmp_path / "o")
+        assert rc == 1
+        key = line.split(" = ")[0]
+        err = capsys.readouterr().err
+        assert err == f"error: config line {len(text.splitlines())}: unknown key {key!r}\n", err
+        assert not (tmp_path / "o" / "checkpoint.npz").exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        ("contract", ["--distance-mode", "unit"]),
+        ("synth", ["--noise-unit-weight"]),
+    ], ids=["contract", "synth"])
+    def test_removed_rule_flag_rejected(self, synth_dir, tmp_path, capsys, command, flag):
+        inputs = {"contract": ["--edges", synth_dir / "edges.tsv"],
+                  "synth": ["--nodes", 30, "--p-in", 0.6, "--p-out", 0.1]}
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(command, *inputs[command], "--clusters", 2, *flag, "--out", out)
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}\n" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_random_sampling_without_contraction_rejected(self, synth_dir, tmp_path, capsys):
         rc = run_cli("train", "--edges", synth_dir / "edges.tsv", "--clusters", 2,
                      "--ablation", "cgc", "--ablation", "no-contraction", "--out", tmp_path / "o")
