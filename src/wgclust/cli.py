@@ -220,9 +220,11 @@ def _run_single_training(edges_path, clusters, config: TrainConfig, outdir: Path
     write_loss_history(model, outdir / "loss_history.csv")
     (outdir / "config_echo.txt").write_text(config_to_text(config), encoding="utf-8")
     _write_assignment(outdir / "assignment.csv", assignment, g)
-    edges_before = g.num_edges
-    edges_after = model.selection.subgraph.num_edges if model.selection else g.num_edges
-    return seconds, edges_before, edges_after, _labelling(assignment)
+    kept = np.zeros(g.n, dtype=bool)
+    kept[model.selected] = True
+    # the edges with both ends selected: those of the subgraph training ran on
+    edges_after = int(np.count_nonzero(kept[g.directed_src()] & kept[g.indices])) // 2
+    return seconds, g.num_edges, edges_after, _labelling(assignment)
 
 
 def _labelling(assignment: InferredAssignment) -> dict:
@@ -274,6 +276,7 @@ def cmd_train(args) -> int:
                ("checkpoint.npz", "loss_history.csv", "config_echo.txt", "assignment.csv")]
     seconds, before, after, labelling = results[0]
     if sweep:  # one entry per seed, keyed by the seed
+        after = {str(s): result[2] for s, result in zip(seeds, results)}
         labelling = {key: {str(s): result[3][key] for s, result in zip(seeds, results)}
                      for key in labelling}
     _write_manifest(out, "train-sweep" if sweep else "train", dataclasses.asdict(config),
@@ -290,7 +293,7 @@ def cmd_infer(args) -> int:
     t0 = time.perf_counter()
     model = load_checkpoint(args.checkpoint)
     g = graphio.load_edge_list(args.edges)
-    assignment = infer(g, model, cluster_count=args.clusters)
+    assignment = infer(g, model)
     _write_assignment(out / "assignment.csv", assignment, g)
     print(f"inferred labels for {g.n} nodes")
     _write_manifest(out, "infer", dataclasses.asdict(model.config), [args.checkpoint, args.edges],
@@ -402,7 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("infer", help="label a graph with a trained checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--edges", required=True)
-    p.add_argument("--clusters", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_infer)
 

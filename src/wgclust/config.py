@@ -28,8 +28,9 @@ class TrainConfig(ContractionConfig):
     entmax_alpha.
     Objective: modularity_weight scales the modularity loss, negatives is
     the per-node negative-sample count.
-    Clustering: every epoch and every inference runs a fresh fuzzy c-means
-    fit, fcm_iters rounds from the best of fcm_restarts seeded center draws.
+    Clustering has no knobs: every epoch and every inference runs a fresh
+    fuzzy c-means fit, 30 rounds from the best of 8 seeded center draws
+    (``trainer.FCM_ITERS``, ``trainer.FCM_RESTARTS``).
     Optimization: adaptive-moment updates with decay 0.9/0.999, eps 1e-8.
     Ablations: no_contraction, random_sampling (contraction replaced by a
     same-size uniform node sample), softmax_instead_of_entmax, drop_f_iz,
@@ -49,8 +50,6 @@ class TrainConfig(ContractionConfig):
     epochs: int = 200
     patience: int = 20
     seed: int = 0
-    fcm_iters: int = 30
-    fcm_restarts: int = 8
     no_contraction: bool = False
     random_sampling: bool = False
     softmax_instead_of_entmax: bool = False
@@ -75,8 +74,6 @@ class TrainConfig(ContractionConfig):
             raise ValueError("negatives must be >= 0")
         if self.epochs < 0 or self.patience < 0:
             raise ValueError("epochs and patience must be >= 0")
-        if self.fcm_iters < 1 or self.fcm_restarts < 1:
-            raise ValueError("fcm_iters and fcm_restarts must be >= 1")
         if self.no_contraction and self.random_sampling:
             raise ValueError(
                 "no_contraction and random_sampling are both set; random_sampling replaces "

@@ -31,7 +31,7 @@ from .attention import (
     non_finite_activation,
 )
 from .config import TrainConfig, config_to_text, parse_config_text
-from .contraction import SubgraphSelection, contract
+from .contraction import contract
 from .fcm import ClusterAssignment, fcm_fit, hard_labels, memberships_for
 # build_graph is not called here; benchmarks/tracing.py wraps it at this lookup site
 from .graph import WeightedGraph, build_graph, induce_subgraph
@@ -51,7 +51,9 @@ __all__ = ["TrainedModel", "InferredAssignment", "train", "infer", "epoch_step",
 
 MIN_LOSS_IMPROVEMENT = 1e-5
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
-CHECKPOINT_VERSION = 4
+# every fuzzy c-means fit: this many rounds from the best of this many seeded center draws
+FCM_ITERS, FCM_RESTARTS = 30, 8
+CHECKPOINT_VERSION = 5
 
 # spawn keys for the independent random streams derived from config.seed
 _RNG_INIT, _RNG_EPOCH, _RNG_FCM, _RNG_INFER, _RNG_SAMPLE_ABLATION = range(5)
@@ -89,13 +91,15 @@ class TrainedModel:
     ``loss_history`` has one row per epoch: L_G, L_M, total, Q.
     ``node_ids`` names the node of every embedding row: row i embeds the
     token ``node_ids[i]`` of the graph the model was trained on.
+    ``selected`` lists, in increasing order, the rows training fitted: the
+    nodes contraction (or its random-sampling ablation) kept, or every row.
     """
 
     params: ModelParams
     cluster_count: int
     config: TrainConfig
     loss_history: np.ndarray
-    selection: SubgraphSelection | None
+    selected: np.ndarray
     node_ids: tuple[str, ...]
 
     def rows_for(self, g: WeightedGraph) -> np.ndarray:
@@ -142,23 +146,21 @@ class InferredAssignment(ClusterAssignment):
 
 
 def _select_training_graph(g, cluster_count, config):
-    """Contract (or randomly sample, or pass through) the training graph."""
+    """(nodes, working graph): contract, randomly sample or pass through the training graph.
+
+    The nodes are increasing and the working graph is the subgraph on them.
+    """
     if config.no_contraction:
-        return None, g
+        return np.arange(g.n), g
     selection = contract(g, config, cluster_count)
+    nodes, working = selection.selected, selection.subgraph
     if config.random_sampling:
         rng = _rng(config.seed, _RNG_SAMPLE_ABLATION)
-        nodes = np.sort(rng.choice(g.n, size=selection.selected.size, replace=False))
-        selection = SubgraphSelection(
-            selected=nodes,
-            core_nodes=np.empty(0, dtype=np.int64),
-            subgraph=induce_subgraph(g, nodes),
-        )
-    if selection.selected.size < cluster_count:
-        raise ValueError(
-            f"contraction kept {selection.selected.size} nodes, fewer than K={cluster_count}"
-        )
-    return selection, selection.subgraph
+        nodes = np.sort(rng.choice(g.n, size=nodes.size, replace=False))
+        working = induce_subgraph(g, nodes)
+    if nodes.size < cluster_count:
+        raise ValueError(f"contraction kept {nodes.size} nodes, fewer than K={cluster_count}")
+    return nodes, working
 
 
 def epoch_step(structure, model, config, epoch_constants, backward=True):
@@ -205,12 +207,12 @@ def train(g: WeightedGraph, cluster_count: int, config: TrainConfig) -> TrainedM
     Stops at ``config.epochs`` or once the total loss has failed to improve
     by at least 1e-5 for ``config.patience`` consecutive epochs (patience 0
     disables early stopping). Raises on divergence (non-finite loss) and when
-    contraction keeps fewer than K nodes.
+    contraction keeps fewer than K nodes; a non-finite activation is named by
+    its node of ``g``.
     """
     if cluster_count < 2:
         raise ValueError("cluster_count must be >= 2")
-    selection, working = _select_training_graph(g, cluster_count, config)
-    sub_nodes = selection.selected if selection is not None else np.arange(g.n)
+    sub_nodes, working = _select_training_graph(g, cluster_count, config)
 
     init_rng = _rng(config.seed, _RNG_INIT)
     params = init_model_params(g.n, config.layer_dims(), config.attn_dim, config.heads, init_rng)
@@ -228,15 +230,15 @@ def train(g: WeightedGraph, cluster_count: int, config: TrainConfig) -> TrainedM
     structure = build_attention_structure(working, config)
 
     def cluster_and_sample(h, refined):
-        assignment = fcm_fit(
-            h, cluster_count, iters=config.fcm_iters, seed=fcm_seed, restarts=config.fcm_restarts
-        )
+        assignment = fcm_fit(h, cluster_count, iters=FCM_ITERS, seed=fcm_seed,
+                             restarts=FCM_RESTARTS)
         return assignment.labels, draw_structure_samples(refined, config.negatives, epoch_rng)
 
     for epoch in range(config.epochs):
         try:
             breakdown, grads = epoch_step(structure, work, config, cluster_and_sample)
         except (RuntimeError, FloatingPointError) as exc:
+            exc = _in_graph(exc, sub_nodes)
             raise type(exc)(f"epoch {epoch}: {exc}") from None
         history.append(astuple(breakdown))
         adam.step(work.flat_arrays(), grads.flat_arrays())
@@ -255,16 +257,16 @@ def train(g: WeightedGraph, cluster_count: int, config: TrainConfig) -> TrainedM
         cluster_count=cluster_count,
         config=config,
         loss_history=np.array(history).reshape(-1, 4),
-        selection=selection,
+        selected=sub_nodes,
         node_ids=g.node_ids,
     )
 
 
-def infer(g: WeightedGraph, model: TrainedModel,
-          cluster_count: int | None = None) -> InferredAssignment:
+def infer(g: WeightedGraph, model: TrainedModel) -> InferredAssignment:
     """Label every node of ``g``: fit on the model's selected nodes, vote for the rest.
 
-    The selected nodes are every node for a model trained without
+    The fit has ``model.cluster_count`` clusters. The selected nodes are
+    every node for a model trained without
     contraction, and each node of ``g`` takes the embedding row of its token
     (``model.rows_for``). The forward (no backward state) and a fresh fuzzy
     c-means fit run on ``g`` itself when every node is selected, otherwise on
@@ -279,21 +281,9 @@ def infer(g: WeightedGraph, model: TrainedModel,
     Labels are each row's argmax.
 
     Raises ValueError when ``g`` and the model disagree on the node count,
-    when ``g`` names a node the model never saw, and when ``cluster_count``
-    exceeds the number of nodes the contraction kept.
+    and when ``g`` names a node the model never saw.
     """
-    config = model.config
-    k = cluster_count if cluster_count is not None else model.cluster_count
-    params = model.params
-    if model.selection is None:
-        selected = np.arange(params.embedding.shape[0])
-    else:
-        selected = model.selection.selected
-        if k > selected.size:
-            raise ValueError(
-                f"cluster count {k} exceeds the {selected.size} nodes the contraction kept; "
-                f"infer fits its clusters on those nodes"
-            )
+    config, params, selected, k = model.config, model.params, model.selected, model.cluster_count
     if selected.size == g.n:
         nodes, working, work = np.arange(g.n), g, model.params_for(g)
     else:
@@ -305,7 +295,7 @@ def infer(g: WeightedGraph, model: TrainedModel,
         work = ModelParams(embedding=params.embedding[selected], layers=params.layers)
     h = _forward(working, nodes, work, config)
     infer_seed = int(_rng(config.seed, _RNG_INFER).integers(2**31))
-    fit = fcm_fit(h, k, iters=config.fcm_iters, seed=infer_seed, restarts=config.fcm_restarts)
+    fit = fcm_fit(h, k, iters=FCM_ITERS, seed=infer_seed, restarts=FCM_RESTARTS)
 
     # an unlabelled node's row stays 0 until it is labelled, so it adds nothing to a vote
     memberships = np.zeros((g.n, k))
@@ -334,9 +324,14 @@ def _forward(working, nodes, params, config) -> np.ndarray:
     try:
         return network_forward(build_attention_structure(working, config), params, config)[0]
     except FloatingPointError as exc:
-        if not hasattr(exc, "node"):
-            raise
-        raise non_finite_activation(exc.layer, int(nodes[exc.node])) from None
+        raise _in_graph(exc, nodes) from None
+
+
+def _in_graph(exc: Exception, nodes: np.ndarray) -> Exception:
+    """``exc``, raised on the subgraph on ``nodes``; a non-finite activation names ``nodes[i]``."""
+    if not hasattr(exc, "node"):
+        return exc
+    return non_finite_activation(exc.layer, int(nodes[exc.node]))
 
 
 def _vote(g: WeightedGraph, memberships: np.ndarray, labelled: np.ndarray, last: np.ndarray) -> int:
@@ -379,16 +374,13 @@ def save_checkpoint(model: TrainedModel, path) -> None:
         "cluster_count": np.array(model.cluster_count),
         "embedding": model.params.embedding,
         "node_ids": _node_id_array(model.node_ids),
-        "layer_count": np.array(len(model.params.layers)),
         "loss_history": model.loss_history,
+        "selected_nodes": model.selected,
     }
     for i, layer in enumerate(model.params.layers):
         data[f"layer{i}_w1"] = layer.w1
         data[f"layer{i}_w2"] = layer.w2
         data[f"layer{i}_gamma"] = layer.gamma
-    if model.selection is not None:
-        data["selected_nodes"] = model.selection.selected
-        data["core_nodes"] = model.selection.core_nodes
     with open(path, "wb") as fh:  # np.savez appends .npz to a path that lacks it
         np.savez(fh, **data)
 
@@ -425,17 +417,17 @@ def _check_checkpoint_shapes(config: TrainConfig, params: ModelParams) -> None:
             )
 
 
-def _node_list(key: str, value: np.ndarray, rows: int) -> np.ndarray:
-    """A selection key as int64 rows; ValueError naming it unless strictly increasing in [0, rows)."""
+def _selected_rows(value: np.ndarray, rows: int) -> np.ndarray:
+    """selected_nodes as int64 rows; ValueError naming it unless strictly increasing in [0, rows)."""
     if value.ndim != 1 or value.dtype.kind not in "iu":
         raise ValueError(
-            f"checkpoint key {key} has dtype {value.dtype} and shape {value.shape}; "
+            f"checkpoint key selected_nodes has dtype {value.dtype} and shape {value.shape}; "
             f"expected a 1-D integer array"
         )
     if value.size and not (0 <= value.min() and value.max() < rows):
-        raise ValueError(f"checkpoint key {key} names a row outside [0, {rows})")
+        raise ValueError(f"checkpoint key selected_nodes names a row outside [0, {rows})")
     if (value[1:] <= value[:-1]).any():
-        raise ValueError(f"checkpoint key {key} is not strictly increasing")
+        raise ValueError("checkpoint key selected_nodes is not strictly increasing")
     return value.astype(np.int64, copy=False)
 
 
@@ -460,10 +452,9 @@ def load_checkpoint(path) -> TrainedModel:
     Raises ValueError naming the file when it is not an .npz archive, and
     naming the key when one is missing or unreadable, a float array holds a
     NaN or inf, a scalar key is not a 0-d integer (or string, for
-    config_text), or an array disagrees with the checkpoint's config. Of
-    selected_nodes and core_nodes, both or neither must be present; each must
-    be a 1-D integer array of embedding rows, strictly increasing, and every
-    core must be selected.
+    config_text), or an array disagrees with the checkpoint's config.
+    selected_nodes must be a 1-D integer array of embedding rows, strictly
+    increasing, and cluster_count must lie in [2, its size].
     """
     with open(path, "rb") as fh, _open_checkpoint(fh, path) as z:
         def get(key: str) -> np.ndarray:
@@ -490,16 +481,11 @@ def load_checkpoint(path) -> TrainedModel:
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
         config = parse_config_text(str(scalar("config_text", "U")))
-        layer_count = int(scalar("layer_count", "iu"))
-        if layer_count != config.layer_count:
-            raise ValueError(
-                f"checkpoint key layer_count is {layer_count}; config_text says {config.layer_count}"
-            )
         layers = [
             LayerParams(
                 w1=get(f"layer{i}_w1"), w2=get(f"layer{i}_w2"), gamma=get(f"layer{i}_gamma")
             )
-            for i in range(layer_count)
+            for i in range(config.layer_count)
         ]
         params = ModelParams(embedding=get("embedding"), layers=layers)
         _check_checkpoint_shapes(config, params)
@@ -518,26 +504,19 @@ def load_checkpoint(path) -> TrainedModel:
             raise ValueError(
                 f"checkpoint key loss_history has shape {history.shape}; expected (epochs, 4)"
             )
-        selection = None
-        if "selected_nodes" in z or "core_nodes" in z:
-            selected, cores = (_node_list(key, get(key), rows)
-                               for key in ("selected_nodes", "core_nodes"))
-            stray = np.setdiff1d(cores, selected)
-            if stray.size:
-                raise ValueError(
-                    f"checkpoint key core_nodes names row {stray[0]}, which selected_nodes lacks"
-                )
-            selection = SubgraphSelection(
-                selected=selected,
-                core_nodes=cores,
-                subgraph=None,  # not needed after training; rebuildable from the source graph
+        selected = _selected_rows(get("selected_nodes"), rows)
+        cluster_count = int(scalar("cluster_count", "iu"))
+        if not 2 <= cluster_count <= selected.size:
+            raise ValueError(
+                f"checkpoint key cluster_count is {cluster_count}; expected 2 to the "
+                f"{selected.size} rows of selected_nodes"
             )
         return TrainedModel(
             params=params,
-            cluster_count=int(scalar("cluster_count", "iu")),
+            cluster_count=cluster_count,
             config=config,
             loss_history=history,
-            selection=selection,
+            selected=selected,
             node_ids=tuple(node_ids.tolist()),
         )
 

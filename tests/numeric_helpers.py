@@ -12,7 +12,7 @@ from wgclust.attention import (
 from wgclust.entmax import segment_entmax, segment_entmax_vjp
 from wgclust.fcm import fcm_fit
 from wgclust.losses import draw_structure_samples
-from wgclust.trainer import epoch_step
+from wgclust.trainer import FCM_ITERS, epoch_step
 
 # the spawn keys of train's init and epoch streams, derived from config.seed
 RNG_INIT, RNG_EPOCH = 0, 1
@@ -69,7 +69,7 @@ def gradient_check(config, g, fd_step=1e-5):
         g.n, config.layer_dims(), config.attn_dim, config.heads, _stream(config.seed, RNG_INIT)
     )
     h0 = network_forward(structure, params, config)[0]
-    labels = fcm_fit(h0, min(3, g.n), iters=config.fcm_iters, seed=0, restarts=2).labels
+    labels = fcm_fit(h0, min(3, g.n), iters=FCM_ITERS, seed=0, restarts=2).labels
     samples = draw_structure_samples(g, config.negatives, _stream(config.seed, RNG_EPOCH))
 
     def fixed(h, refined):

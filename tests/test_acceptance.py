@@ -17,7 +17,7 @@ import pytest
 from wgclust.attention import build_attention_structure, network_forward
 from wgclust.cli import main as cli_main
 from wgclust.config import TrainConfig
-from wgclust.graph import build_graph, inject_noise_edges, synth_weighted_sbm
+from wgclust.graph import build_graph, induce_subgraph, inject_noise_edges, synth_weighted_sbm
 from wgclust.losses import modularity
 from wgclust.metrics import evaluate
 from wgclust.trainer import infer, train
@@ -97,7 +97,7 @@ def test_criterion_2_gradient_correctness():
     )
     cfg = TrainConfig(
         heads=2, layer_count=3, embed_dim=6, attn_dim=5, hidden_dim=6,
-        entmax_alpha=1.55, negatives=2, fcm_restarts=2, no_contraction=True,
+        entmax_alpha=1.55, negatives=2, no_contraction=True,
     )
     pipeline_err = gradient_check(cfg, g)
     elapsed = time.perf_counter() - t0
@@ -252,7 +252,7 @@ def test_criterion_7_contraction_speedup():
         labels = infer(g, model).labels
         sub_times.append(time.perf_counter() - t0)
         sub_accs.append(evaluate(labels, lab.labels).accuracy)
-        assert model.selection.subgraph.num_edges < g.num_edges / 2
+        assert induce_subgraph(g, model.selected).num_edges < g.num_edges / 2
     ratio = sum(sub_times) / sum(full_times)
     gap = abs(float(np.median(full_accs)) - float(np.median(sub_accs)))
     assert ratio <= 0.5

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from wgclust.cli import main
-from wgclust.graph import load_edge_list
+from wgclust.graph import induce_subgraph, load_edge_list
 from wgclust.metrics import evaluate
 
 FAST_CONFIG = """
@@ -22,7 +22,6 @@ embed_dim = 8
 attn_dim = 8
 hidden_dim = 8
 epochs = 5
-fcm_restarts = 2
 negatives = 2
 no_contraction = true
 """
@@ -281,8 +280,6 @@ class TestTrainInferEval:
             tokens = z["node_ids"].tolist()
         selected = np.array(sorted(tokens.index(f"{x}{i}") for x in "ab" for i in range(4)))
         _with_key("selected_nodes", selected)(checkpoint, tmp_path / "contracted.npz")
-        _with_key("core_nodes", selected[:2])(tmp_path / "contracted.npz",
-                                              tmp_path / "contracted.npz")
         assert run_cli("infer", "--checkpoint", tmp_path / "contracted.npz", "--edges", edges,
                        "--out", tmp_path / "infer") == 0
         manifest = json.loads((tmp_path / "infer" / "run_manifest.json").read_text())
@@ -316,22 +313,40 @@ class TestTrainInferEval:
         assert sweep["vote_hops"]["0"] == train["vote_hops"]
         assert sum(sweep["labelled_by"]["1"].values()) == 60
 
-    def test_clusters_above_the_selection_names_the_contraction(self, tmp_path, capsys):
+    def test_train_edge_count_is_the_one_contract_kept(self, tmp_path):
         assert run_cli("synth", "--nodes", 60, "--clusters", 2, "--p-in", 0.5, "--p-out", 0.05,
                        "--seed", 3, "--out", tmp_path / "synth") == 0
         edges = tmp_path / "synth" / "edges.tsv"
+        assert run_cli("contract", "--edges", edges, "--clusters", 2, "--threshold", 0.01,
+                       "--out", tmp_path / "contract") == 0
+        flags = ["--clusters", 2, "--epochs", 1, "--heads", 2, "--layer-count", 1,
+                 "--importance-threshold", 0.01]
+        assert run_cli("train", "--edges", edges, *flags, "--out", tmp_path / "train") == 0
+        assert run_cli("train", "--edges", edges, *flags, "--ablation", "no-contraction",
+                       "--out", tmp_path / "full") == 0
+        contracted, trained, full = (json.loads((tmp_path / d / "run_manifest.json").read_text())
+                                     for d in ("contract", "train", "full"))
+        before = contracted["edges_before_contraction"]
+        assert trained["edges_after_contraction"] == contracted["edges_after_contraction"] < before
+        assert full["edges_after_contraction"] == full["edges_before_contraction"] == before
+
+    def test_sweep_records_each_seeds_edge_count(self, tmp_path):
+        assert run_cli("synth", "--nodes", 200, "--clusters", 2, "--p-in", 0.2, "--p-out", 0.01,
+                       "--seed", 0, "--out", tmp_path / "synth") == 0
+        edges = tmp_path / "synth" / "edges.tsv"
+        # the random-sampling ablation keeps other nodes for each seed
         assert run_cli("train", "--edges", edges, "--clusters", 2, "--epochs", 1, "--heads", 2,
-                       "--layer-count", 1, "--importance-threshold", 0.01,
-                       "--out", tmp_path / "train") == 0
-        with np.load(tmp_path / "train" / "checkpoint.npz") as z:
-            kept = z["selected_nodes"].size
-        assert kept < 60
-        rc = run_cli("infer", "--checkpoint", tmp_path / "train" / "checkpoint.npz",
-                     "--edges", edges, "--clusters", kept + 1, "--out", tmp_path / "infer")
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: cluster count {kept + 1} exceeds the {kept} nodes the "
-                              f"contraction kept"), err
+                       "--layer-count", 1, "--importance-threshold", 0.003, "--ablation", "cgc",
+                       "--seeds", "0,1", "--out", tmp_path / "sweep") == 0
+        g = load_edge_list(edges)
+        kept = {}
+        for seed in ("0", "1"):
+            with np.load(tmp_path / "sweep" / f"seed_{seed}" / "checkpoint.npz") as z:
+                kept[seed] = induce_subgraph(g, z["selected_nodes"]).num_edges
+        assert kept["0"] != kept["1"]
+        manifest = json.loads((tmp_path / "sweep" / "run_manifest.json").read_text())
+        assert manifest["edges_after_contraction"] == kept
+        assert manifest["edges_before_contraction"] == g.num_edges
 
     def test_tokens_with_commas_round_trip(self, synth_dir, tmp_path):
         """train -> infer -> eval -> attention-dump scores a graph whose tokens hold commas
@@ -708,9 +723,11 @@ class TestErrors:
         assert err == f"error: config line {repeat}: key 'epochs' repeats line {first}\n", err
         assert not (tmp_path / "o" / "checkpoint.npz").exists()
 
-    @pytest.mark.parametrize("line", ["distance_mode = reciprocal", "self_loop_mode = max"])
+    # a config echo from format 3 or older names the distance and self-loop rules, and
+    # one from format 4 or older the FCM round and restart counts
+    @pytest.mark.parametrize("line", ["distance_mode = reciprocal", "self_loop_mode = max",
+                                      "fcm_iters = 30", "fcm_restarts = 8"])
     def test_removed_rule_key_in_config_file_rejected(self, synth_dir, tmp_path, capsys, line):
-        # a config echo from format 3 or older names the distance and self-loop rules
         cfg = tmp_path / "old.cfg"
         text = FAST_CONFIG + line + "\n"
         cfg.write_text(text)
@@ -722,16 +739,20 @@ class TestErrors:
         assert err == f"error: config line {len(text.splitlines())}: unknown key {key!r}\n", err
         assert not (tmp_path / "o" / "checkpoint.npz").exists()
 
+    # infer fits the checkpoint's cluster_count clusters, so it takes no --clusters
     @pytest.mark.parametrize("command, flag", [
         ("contract", ["--distance-mode", "unit"]),
         ("synth", ["--noise-unit-weight"]),
-    ], ids=["contract", "synth"])
+        ("infer", ["--clusters", "2"]),
+    ], ids=["contract", "synth", "infer"])
     def test_removed_rule_flag_rejected(self, synth_dir, tmp_path, capsys, command, flag):
-        inputs = {"contract": ["--edges", synth_dir / "edges.tsv"],
-                  "synth": ["--nodes", 30, "--p-in", 0.6, "--p-out", 0.1]}
+        inputs = {"contract": ["--edges", synth_dir / "edges.tsv", "--clusters", 2],
+                  "synth": ["--nodes", 30, "--p-in", 0.6, "--p-out", 0.1, "--clusters", 2],
+                  "infer": ["--checkpoint", tmp_path / "absent.npz",
+                            "--edges", synth_dir / "edges.tsv"]}
         out = tmp_path / "o"
         with pytest.raises(SystemExit) as exit_info:
-            run_cli(command, *inputs[command], "--clusters", 2, *flag, "--out", out)
+            run_cli(command, *inputs[command], *flag, "--out", out)
         assert exit_info.value.code == 2
         assert f"unrecognized arguments: {' '.join(flag)}\n" in capsys.readouterr().err
         assert not out.exists()

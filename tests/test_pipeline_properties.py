@@ -35,7 +35,6 @@ layer_count = 2
 embed_dim = 6
 attn_dim = 5
 hidden_dim = 6
-fcm_restarts = 2
 negatives = 2
 epochs = 2
 """

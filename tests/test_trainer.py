@@ -7,16 +7,15 @@ import pytest
 
 from wgclust.attention import ModelParams, build_attention_structure, network_forward
 from wgclust.config import TrainConfig, config_to_text, parse_config_text
-from wgclust.contraction import SubgraphSelection
+from wgclust.contraction import contract
 from wgclust.fcm import memberships_for
-from wgclust.graph import build_graph, synth_weighted_sbm
+from wgclust.graph import build_graph, induce_subgraph, synth_weighted_sbm
 from wgclust.metrics import evaluate
 from wgclust.trainer import infer, load_checkpoint, save_checkpoint, train
 
 from numeric_helpers import gradient_check
 
-TINY = dict(heads=2, layer_count=2, embed_dim=6, attn_dim=5, hidden_dim=6,
-            fcm_restarts=2, negatives=2)
+TINY = dict(heads=2, layer_count=2, embed_dim=6, attn_dim=5, hidden_dim=6, negatives=2)
 
 
 def two_hop_graph():
@@ -82,6 +81,17 @@ class TestTrainBasics:
         cfg = TrainConfig(core_count=2, importance_threshold=1.0, **TINY)  # keeps only cores
         with pytest.raises(ValueError, match="fewer than K"):
             train(lab.graph, 3, cfg)
+
+    def test_contracted_non_finite_activation_names_the_graph_node(self):
+        g = synth_weighted_sbm(200, 2, 0.2, 0.01, 5.0, 1.0, seed=0).graph
+        cfg = TrainConfig(layer_count=2, heads=2, embed_dim=8, attn_dim=8, hidden_dim=8,
+                          epochs=5, patience=0, learning_rate=1e200, importance_threshold=3e-3)
+        # contraction drops node 0, so node 0 of the training subgraph is another node
+        selected = contract(g, cfg, 2).selected
+        assert selected[0] != 0
+        with pytest.raises(FloatingPointError, match=f"^epoch 1: layer 0: non-finite activation "
+                                                      f"at node {selected[0]}$"):
+            train(g, 2, cfg)
 
     def test_loss_history_written(self):
         lab = synth_weighted_sbm(20, 2, 0.5, 0.1, 3.0, 1.0, seed=4)
@@ -209,9 +219,15 @@ class TestInfer:
         model = train(lab.graph, 2, cfg)
         # training builds one structure, on the graph it trains on
         assert len(built) == 1
-        assert built[0][0] is (lab.graph if no_contraction else model.selection.subgraph)
-        if not no_contraction:
-            assert model.selection.selected.size < lab.graph.n
+        trained_on = built[0][0]
+        if no_contraction:
+            assert trained_on is lab.graph
+        else:
+            assert model.selected.size < lab.graph.n
+            expect = induce_subgraph(lab.graph, model.selected)
+            for got, want in zip((trained_on.indptr, trained_on.indices, trained_on.weights),
+                                 (expect.indptr, expect.indices, expect.weights)):
+                np.testing.assert_array_equal(got, want)
         # each infer builds one structure: on the graph itself, or on the
         # subgraph of the selected nodes, which is the training subgraph
         copy = build_graph(lab.graph.n, *lab.graph.edge_arrays())
@@ -223,8 +239,7 @@ class TestInfer:
             if no_contraction:
                 assert g is given
             else:
-                trained_on = model.selection.subgraph
-                assert g.n == model.selection.selected.size
+                assert g.n == model.selected.size
                 for got, want in zip((g.indptr, g.indices, g.weights),
                                      (trained_on.indptr, trained_on.indices, trained_on.weights)):
                     np.testing.assert_array_equal(got, want)
@@ -235,18 +250,14 @@ class TestInfer:
     def test_selection_of_every_node_is_the_no_contraction_path(self):
         lab = synth_weighted_sbm(30, 2, 0.6, 0.1, 3.0, 1.0, seed=8)
         model = train(lab.graph, 2, TrainConfig(epochs=3, no_contraction=True, **TINY))
-        every = dataclasses.replace(model, selection=SubgraphSelection(
-            selected=np.arange(lab.graph.n), core_nodes=np.array([0]), subgraph=None))
-        a, b = infer(lab.graph, model), infer(lab.graph, every)
-        assert np.array_equal(a.memberships, b.memberships)
-        assert np.array_equal(a.labels, b.labels)
-        assert (b.forward_nodes, b.vote_nodes, b.fallback_nodes, b.vote_hops) == (30, 0, 0, 0)
+        np.testing.assert_array_equal(model.selected, np.arange(lab.graph.n))
+        a = infer(lab.graph, model)
+        assert (a.forward_nodes, a.vote_nodes, a.fallback_nodes, a.vote_hops) == (30, 0, 0, 0)
 
     def test_vote_reaches_two_hops_and_fallback_labels_a_component_without_selected_nodes(self):
         g, selected = two_hop_graph()
         model = train(g, 2, TrainConfig(epochs=3, no_contraction=True, seed=1, **TINY))
-        model = dataclasses.replace(model, selection=SubgraphSelection(
-            selected=selected, core_nodes=selected[:1], subgraph=None))
+        model = dataclasses.replace(model, selected=selected)
         a = infer(g, model)
         assert (a.forward_nodes, a.vote_nodes, a.fallback_nodes, a.vote_hops) == (8, 2, 3, 2)
         np.testing.assert_allclose(a.memberships.sum(axis=1), 1.0, rtol=0, atol=1e-9)
@@ -275,7 +286,7 @@ class TestInfer:
         selected = np.arange(4, 8)
         model = dataclasses.replace(
             model, params=ModelParams(embedding=embedding, layers=model.params.layers),
-            selection=SubgraphSelection(selected=selected, core_nodes=selected[:1], subgraph=None))
+            selected=selected)
         with pytest.raises(FloatingPointError, match=f"layer 0: non-finite activation at node "
                                                       f"{node}$"):
             infer(g, model)
@@ -288,8 +299,7 @@ class TestInfer:
         g = build_graph(40, iu[keep], ju[keep], rng.uniform(0.5, 4.0, int(keep.sum())))
         selected = np.sort(rng.choice(40, size=8, replace=False))
         model = train(g, 2, TrainConfig(epochs=0, no_contraction=True, seed=seed, **TINY))
-        model = dataclasses.replace(model, selection=SubgraphSelection(
-            selected=selected, core_nodes=selected[:1], subgraph=None))
+        model = dataclasses.replace(model, selected=selected)
         a = infer(g, model)
 
         def neighbours(i):
@@ -315,23 +325,14 @@ class TestInfer:
         lab = synth_weighted_sbm(60, 3, 0.5, 0.05, 3.0, 1.0, seed=13)
         cfg = TrainConfig(epochs=2, importance_threshold=0.02, random_sampling=True, **TINY)
         model = train(lab.graph, 3, cfg)
-        assert model.selection.selected.size < lab.graph.n
+        assert model.selected.size < lab.graph.n
         a = infer(lab.graph, model)
-        assert a.forward_nodes == model.selection.selected.size
+        assert a.forward_nodes == model.selected.size
         assert a.forward_nodes + a.vote_nodes + a.fallback_nodes == lab.graph.n
         assert a.labels.shape == (lab.graph.n,) and set(a.labels.tolist()) <= {0, 1, 2}
         assert np.isfinite(a.memberships).all()
         np.testing.assert_allclose(a.memberships.sum(axis=1), 1.0, rtol=0, atol=1e-9)
         np.testing.assert_array_equal(a.labels, a.memberships.argmax(axis=1))
-
-    def test_cluster_count_above_the_selection_names_the_contraction(self):
-        lab = synth_weighted_sbm(30, 2, 0.6, 0.1, 3.0, 1.0, seed=8)
-        model = train(lab.graph, 2, TrainConfig(epochs=1, core_count=4, importance_threshold=0.03,
-                                                **TINY))
-        kept = model.selection.selected.size
-        with pytest.raises(ValueError, match=f"cluster count {kept + 1} exceeds the {kept} nodes "
-                                             f"the contraction kept"):
-            infer(lab.graph, model, cluster_count=kept + 1)
 
     def test_node_count_mismatch_rejected(self):
         lab = synth_weighted_sbm(20, 2, 0.6, 0.1, 3.0, 1.0, seed=9)
@@ -388,7 +389,7 @@ class TestInfer:
             cluster_count=model.cluster_count,
             config=model.config,
             loss_history=model.loss_history,
-            selection=None,
+            selected=model.selected,
             node_ids=model.node_ids,
         )
         ap = infer(gp, model_p)
@@ -435,10 +436,7 @@ class TestAblations:
         cfg = TrainConfig(epochs=1, importance_threshold=0.02, **TINY)
         m_contract = train(lab.graph, 3, cfg)
         m_random = train(lab.graph, 3, cfg.replace(random_sampling=True))
-        assert (
-            m_random.selection.selected.size == m_contract.selection.selected.size
-        )
-        assert m_random.selection.core_nodes.size == 0
+        assert m_random.selected.size == m_contract.selected.size
 
 
 class TestCheckpoint:
@@ -457,17 +455,15 @@ class TestCheckpoint:
         np.testing.assert_array_equal(a1.memberships, a2.memberships)
         np.testing.assert_array_equal(a1.labels, a2.labels)
 
-    @pytest.mark.parametrize(
-        "key", ["layer_count", "layer0_w1", "layer1_gamma", "embedding"]
-    )
+    @pytest.mark.parametrize("key", ["layer0_w1", "layer1_gamma", "embedding"])
     def test_checkpoint_disagreeing_with_config_rejected(self, tmp_path, key):
         lab = synth_weighted_sbm(20, 2, 0.6, 0.1, 3.0, 1.0, seed=16)
         model = train(lab.graph, 2, TrainConfig(epochs=1, no_contraction=True, **TINY))
         save_checkpoint(model, tmp_path / "m.npz")
         with np.load(tmp_path / "m.npz") as z:
             data = dict(z)
-        # one layer fewer, or one column fewer on the last axis
-        data[key] = np.array(1) if key == "layer_count" else data[key][..., :-1]
+        # one column fewer on the last axis
+        data[key] = data[key][..., :-1]
         np.savez(tmp_path / "bad.npz", **data)
         with pytest.raises(ValueError, match=key):
             load_checkpoint(tmp_path / "bad.npz")
@@ -503,19 +499,20 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="unsupported checkpoint version 2"):
             load_checkpoint(tmp_path / "v2.npz")
 
-    def test_version_3_checkpoint_rejected(self, tmp_path):
+    def test_version_4_checkpoint_rejected(self, tmp_path):
         lab = synth_weighted_sbm(20, 2, 0.6, 0.1, 3.0, 1.0, seed=16)
         model = train(lab.graph, 2, TrainConfig(epochs=1, no_contraction=True, **TINY))
         save_checkpoint(model, tmp_path / "m.npz")
         with np.load(tmp_path / "m.npz") as z:
-            data = dict(z)
-        # a version-3 file's config named the distance and self-loop rules
-        old_keys = "distance_mode = reciprocal\nself_loop_mode = max\n"
-        data.update(format_version=np.array(3),
+            # a version-4 file held no selected_nodes without contraction
+            data = {k: v for k, v in z.items() if k != "selected_nodes"}
+        # and it held layer_count, and its config named the FCM round and restart counts
+        old_keys = "fcm_iters = 30\nfcm_restarts = 8\n"
+        data.update(format_version=np.array(4), layer_count=np.array(2),
                     config_text=np.array(str(data["config_text"]) + old_keys))
-        np.savez(tmp_path / "v3.npz", **data)
-        with pytest.raises(ValueError, match="unsupported checkpoint version 3"):
-            load_checkpoint(tmp_path / "v3.npz")
+        np.savez(tmp_path / "v4.npz", **data)
+        with pytest.raises(ValueError, match="unsupported checkpoint version 4$"):
+            load_checkpoint(tmp_path / "v4.npz")
 
     def test_path_without_npz_suffix_kept(self, tmp_path):
         lab = synth_weighted_sbm(20, 2, 0.6, 0.1, 3.0, 1.0, seed=16)
@@ -542,11 +539,13 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=r"node token 'f\\x00' cannot be stored"):
             save_checkpoint(model, tmp_path / "m.npz")
 
-    @pytest.mark.parametrize("key", ["format_version", "config_text", "layer1_w2", "core_nodes",
+    @pytest.mark.parametrize("no_contraction", [False, True])
+    @pytest.mark.parametrize("key", ["format_version", "config_text", "layer1_w2",
                                      "selected_nodes", "node_ids"])
-    def test_missing_key_named(self, tmp_path, key):
+    def test_missing_key_named(self, tmp_path, key, no_contraction):
         lab = synth_weighted_sbm(25, 2, 0.6, 0.1, 3.0, 1.0, seed=14)
-        model = train(lab.graph, 2, TrainConfig(epochs=1, importance_threshold=0.001, **TINY))
+        model = train(lab.graph, 2, TrainConfig(epochs=1, importance_threshold=0.001,
+                                                no_contraction=no_contraction, **TINY))
         save_checkpoint(model, tmp_path / "m.npz")
         with np.load(tmp_path / "m.npz") as z:
             data = {k: v for k, v in z.items() if k != key}
@@ -555,34 +554,57 @@ class TestCheckpoint:
             load_checkpoint(tmp_path / "bad.npz")
 
     @pytest.mark.parametrize("key, value, message", [
-        ("selected_nodes", lambda sel, cores: sel[None, :],
+        ("selected_nodes", lambda sel: sel[None, :],
          r"checkpoint key selected_nodes has dtype int64 and shape \(1, \d+\); "
          r"expected a 1-D integer array"),
-        ("core_nodes", lambda sel, cores: cores.astype(float),
-         r"checkpoint key core_nodes has dtype float64 .* expected a 1-D integer array"),
-        ("selected_nodes", lambda sel, cores: sel[::-1],
+        ("selected_nodes", lambda sel: sel.astype(float),
+         r"checkpoint key selected_nodes has dtype float64 .* expected a 1-D integer array"),
+        ("selected_nodes", lambda sel: sel[::-1],
          r"checkpoint key selected_nodes is not strictly increasing$"),
-        ("core_nodes", lambda sel, cores: np.repeat(cores, 2),
-         r"checkpoint key core_nodes is not strictly increasing$"),
-        ("selected_nodes", lambda sel, cores: np.append(sel, 25),
+        ("selected_nodes", lambda sel: np.repeat(sel, 2),
+         r"checkpoint key selected_nodes is not strictly increasing$"),
+        ("selected_nodes", lambda sel: np.append(sel, 25),
          r"checkpoint key selected_nodes names a row outside \[0, 25\)$"),
-        ("core_nodes", lambda sel, cores: np.insert(cores, 0, -1),
-         r"checkpoint key core_nodes names a row outside \[0, 25\)$"),
-        ("core_nodes", lambda sel, cores: np.setdiff1d(np.arange(25), sel)[:1],
-         r"checkpoint key core_nodes names row \d+, which selected_nodes lacks$"),
-    ], ids=["2-d selected", "float cores", "decreasing selected", "repeated core",
-            "selected past the rows", "negative core", "core not selected"])
+        ("selected_nodes", lambda sel: np.insert(sel, 0, -1),
+         r"checkpoint key selected_nodes names a row outside \[0, 25\)$"),
+        ("cluster_count", lambda sel: np.array(1),
+         r"checkpoint key cluster_count is 1; expected 2 to the \d+ rows of selected_nodes$"),
+        ("cluster_count", lambda sel: np.array(sel.size + 1),
+         r"checkpoint key cluster_count is \d+; expected 2 to the \d+ rows of selected_nodes$"),
+    ], ids=["2-d selected", "float selected", "decreasing selected", "repeated selected",
+            "selected past the rows", "negative selected", "one cluster",
+            "more clusters than selected rows"])
     def test_malformed_selection_named(self, tmp_path, key, value, message):
         lab = synth_weighted_sbm(25, 2, 0.6, 0.1, 3.0, 1.0, seed=14)
         model = train(lab.graph, 2, TrainConfig(epochs=1, importance_threshold=0.03, **TINY))
-        assert model.selection.selected.size < lab.graph.n
+        assert model.selected.size < lab.graph.n
         save_checkpoint(model, tmp_path / "m.npz")
         with np.load(tmp_path / "m.npz") as z:
             data = dict(z)
-        data[key] = value(data["selected_nodes"], data["core_nodes"])
+        data[key] = value(data["selected_nodes"])
         np.savez(tmp_path / "bad.npz", **data)
         with pytest.raises(ValueError, match=message):
             load_checkpoint(tmp_path / "bad.npz")
+
+    @pytest.mark.parametrize("no_contraction", [False, True])
+    def test_every_written_key_is_read(self, tmp_path, monkeypatch, no_contraction):
+        lab = synth_weighted_sbm(25, 2, 0.6, 0.1, 3.0, 1.0, seed=14)
+        model = train(lab.graph, 2, TrainConfig(epochs=1, importance_threshold=0.03,
+                                                no_contraction=no_contraction, **TINY))
+        assert (model.selected.size == lab.graph.n) == no_contraction
+        save_checkpoint(model, tmp_path / "m.npz")
+        with np.load(tmp_path / "m.npz") as z:
+            written = set(z.files)
+        read = set()
+        npz_getitem = np.lib.npyio.NpzFile.__getitem__
+
+        def recording_getitem(archive, key):
+            read.add(key)
+            return npz_getitem(archive, key)
+
+        monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", recording_getitem)
+        load_checkpoint(tmp_path / "m.npz")
+        assert read == written
 
     def test_history_survives_round_trip(self, tmp_path):
         lab = synth_weighted_sbm(20, 2, 0.6, 0.1, 3.0, 1.0, seed=15)
@@ -603,7 +625,8 @@ class TestConfigFormat:
         with pytest.raises(ValueError, match="unknown key"):
             parse_config_text("not_a_real_knob = 3\n")
         for key in ("vanilla_gat", "fcm_mode", "warm_start_fcm", "reuse_centers",
-                    "persist_refined", "distance_mode", "self_loop_mode"):
+                    "persist_refined", "distance_mode", "self_loop_mode", "fcm_iters",
+                    "fcm_restarts"):
             with pytest.raises(ValueError, match=f"unknown key '{key}'"):
                 parse_config_text(f"{key} = true\n")
 
@@ -628,7 +651,7 @@ class TestConfigFormat:
             "teleport = 0.75\ncore_count = 4\nimportance_threshold = 0.002\n"
             "heads = 2\nlayer_count = 2\nembed_dim = 6\n"
             "attn_dim = 5\nhidden_dim = 6\nlearning_rate = 0.01\nnegatives = 3\n"
-            "epochs = 9\npatience = 4\nseed = 11\nfcm_iters = 12\nfcm_restarts = 2\n"
+            "epochs = 9\npatience = 4\nseed = 11\n"
             "no_contraction = false\nrandom_sampling = true\n"
             "softmax_instead_of_entmax = false\ndrop_f_iz = true\nno_weight_update = false\n"
         )
@@ -636,7 +659,7 @@ class TestConfigFormat:
             density_weight=0.25, entmax_alpha=1.7, modularity_weight=0.05, teleport=0.75,
             core_count=4, importance_threshold=0.002, heads=2,
             layer_count=2, embed_dim=6, attn_dim=5, hidden_dim=6, learning_rate=0.01,
-            negatives=3, epochs=9, patience=4, seed=11, fcm_iters=12, fcm_restarts=2,
+            negatives=3, epochs=9, patience=4, seed=11,
             random_sampling=True, drop_f_iz=True,
         )
         assert parse_config_text(text) == expect
