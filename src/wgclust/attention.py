@@ -16,6 +16,7 @@ involved.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -191,8 +192,7 @@ def build_attention_structure(g: WeightedGraph, config: TrainConfig) -> Attentio
     )
 
 
-@dataclass
-class _LayerCache:
+class _LayerCache(NamedTuple):
     h_in: np.ndarray
     proj_attn: np.ndarray  # (heads, n, d_attn)
     proj_val: np.ndarray  # (heads, n, d_out)
@@ -209,6 +209,8 @@ class AttentionRecord:
     reverse sweep reads (inputs, projections, activations). Only
     ``network_forward_cached`` makes a record; ``network_forward``, which
     labels and dumps attention, returns the final head average alone.
+    ``network_backward`` consumes the record: it removes each layer from
+    ``layers`` as its sweep starts, so read the coefficients before it runs.
     """
 
     structure: AttentionStructure
@@ -354,34 +356,44 @@ def _backward_layer(structure, params, config, cache, d_out, d_coeffs_extra=None
 
     One full-size buffer holds the coefficient gradient and then, after the
     normalizer's VJP runs in place on it, the logit gradient; both are
-    head-major, as the products read them.
+    head-major, as the products read them. Each array of ``cache`` is dropped
+    after its last use, so when the caller holds no other reference to the
+    cache, the coefficients are freed before the logit gradient's
+    aggregations run.
     """
     heads = params.heads
-    d_gamma = np.einsum("ne,hne->h", d_out, _elu(cache.pre_act))
-    d_pre = params.gamma[:, None, None] * d_out[None] * _elu_grad(cache.pre_act)
-    d_val = _aggregate(structure, cache.coeffs, d_pre, transpose=True)
-    d_h_in = np.zeros_like(cache.h_in)
+    h_in, proj_attn, proj_val, coeffs, pre_act = cache
+    del cache
+    d_gamma = np.einsum("ne,hne->h", d_out, _elu(pre_act))
+    d_pre = params.gamma[:, None, None] * d_out[None] * _elu_grad(pre_act)
+    del pre_act
+    d_val = _aggregate(structure, coeffs, d_pre, transpose=True)
+    d_h_in = np.zeros_like(h_in)
     d_w2 = np.empty_like(params.w2)
     for t in range(heads):
-        d_w2[t] = cache.h_in.T @ d_val[t]
+        d_w2[t] = h_in.T @ d_val[t]
         d_h_in += d_val[t] @ params.w2[t].T
     del d_val
-    d_coeffs = np.empty_like(cache.coeffs)
-    _pair_dots(_node_major(d_pre), _node_major(cache.proj_val), structure.src, structure.dst,
-               out=d_coeffs.T)
+    d_coeffs = np.empty_like(coeffs)
+    # the node-major operands replace their head-major sources one at a time
+    d_pre = _node_major(d_pre)
+    proj_val = _node_major(proj_val)
+    _pair_dots(d_pre, proj_val, structure.src, structure.dst, out=d_coeffs.T)
+    del d_pre, proj_val
     if d_coeffs_extra is not None:
         d_coeffs += d_coeffs_extra
     # the VJP overwrites d_coeffs with the logit gradient
-    p, d_entries, indptr = cache.coeffs.T, d_coeffs.T, structure.indptr
+    p, d_entries, indptr = coeffs.T, d_coeffs.T, structure.indptr
     if config.softmax_instead_of_entmax:
         segment_softmax_vjp(p, indptr, d_entries, out=d_entries)
     else:
         segment_entmax_vjp(p, indptr, config.entmax_alpha, d_entries, out=d_entries)
-    d_proj = _aggregate(structure, d_coeffs, cache.proj_attn)
-    d_proj += _aggregate(structure, d_coeffs, cache.proj_attn, transpose=True)
+    del p, coeffs
+    d_proj = _aggregate(structure, d_coeffs, proj_attn)
+    d_proj += _aggregate(structure, d_coeffs, proj_attn, transpose=True)
     d_w1 = np.empty_like(params.w1)
     for t in range(heads):
-        d_w1[t] = cache.h_in.T @ d_proj[t]
+        d_w1[t] = h_in.T @ d_proj[t]
         d_h_in += d_proj[t] @ params.w1[t].T
     return d_h_in, LayerParams(w1=d_w1, w2=d_w2, gamma=d_gamma)
 
@@ -423,6 +435,10 @@ def network_forward_cached(structure, model: ModelParams, config: TrainConfig):
 def network_backward(record, model, config, d_h_final, d_edge_attention=None) -> ModelParams:
     """Reverse sweep through every layer of ``record``'s forward pass down to the embedding table.
 
+    The sweep consumes the record: each layer leaves ``record.layers`` as its
+    sweep starts, and its backward state is freed as the sweep reads it, so
+    the record holds no layer state afterwards.
+
     d_edge_attention, when given, is the gradient of ``record.edge_attention()``
     (the modularity loss reaches the final layer's coefficients through the
     edge-weight refinement). It follows the convention of
@@ -440,7 +456,8 @@ def network_backward(record, model, config, d_h_final, d_edge_attention=None) ->
     layer_grads = [None] * len(model.layers)
     d_h = d_h_final
     for li in range(last, -1, -1):
-        d_h, layer_grads[li] = _backward_layer(s, model.layers[li], config, record.layers[li],
+        # popped into the call, so the sweep holds the layer's only reference
+        d_h, layer_grads[li] = _backward_layer(s, model.layers[li], config, record.layers.pop(),
                                                d_h, extra)
         extra = None  # only the last layer reads it
     return ModelParams(embedding=d_h, layers=layer_grads)

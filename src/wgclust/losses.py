@@ -29,6 +29,7 @@ __all__ = [
     "modularity",
     "modularity_weight_grad",
     "draw_structure_samples",
+    "short_of_negatives",
     "structure_loss_from_samples",
     "structure_loss_grad",
     "total_loss",
@@ -123,11 +124,12 @@ def refinement_coeff_grad(g: WeightedGraph, refined: RefinedGraph,
     """
     d_work = np.zeros(g.indices.size)
     d_work[refined.kept] = d_refined
-    return d_work * g.weights
+    d_work *= g.weights
+    return d_work
 
 
 def _modularity_terms(g: WeightedGraph, labels: np.ndarray):
-    """(src, intra mask, matched weight s1, 2m, per-cluster degree sums) of a labeling."""
+    """(per-entry source labels, intra mask, matched weight s1, 2m, per-cluster degree sums)."""
     two_m = g.total_weight_2m
     if two_m == 0:
         raise ValueError("modularity of an empty graph is undefined")
@@ -136,11 +138,11 @@ def _modularity_terms(g: WeightedGraph, labels: np.ndarray):
             f"modularity needs a total edge weight 2m within [{1 / _MAX_TWO_M:g}, {_MAX_TWO_M:g}] "
             f"(its cube must stay a normal float); this graph has 2m = {two_m:.3g}"
         )
-    src = g.directed_src()
-    intra = labels[src] == labels[g.indices]
+    src_labels = labels[g.directed_src()]
+    intra = src_labels == labels[g.indices]
     s1 = float(g.weights[intra].sum())
     d_per_cluster = np.bincount(labels, weights=g.weighted_degree())
-    return src, intra, s1, two_m, d_per_cluster
+    return src_labels, intra, s1, two_m, d_per_cluster
 
 
 def modularity(g: WeightedGraph, labels) -> float:
@@ -164,16 +166,22 @@ def modularity_weight_grad(g: WeightedGraph, labels) -> np.ndarray:
     sum.
     """
     labels = np.asarray(labels)
-    src, intra, s1, two_m, d_per_cluster = _modularity_terms(g, labels)
+    src_labels, intra, s1, two_m, d_per_cluster = _modularity_terms(g, labels)
     d_sq = float((d_per_cluster**2).sum())
-    d_i = d_per_cluster[labels[src]]
-    d_j = d_per_cluster[labels[g.indices]]
-    return (
-        2.0 * intra / two_m
-        - 2.0 * s1 / two_m**2
-        - 2.0 * (d_i + d_j) / two_m**2
-        + 4.0 * d_sq / two_m**3
-    )
+    # 2 intra / 2m - 2 s1 / (2m)^2 - 2 (d_i + d_j) / (2m)^2 + 4 d_sq / (2m)^3, left to
+    # right, each step in place on one of two per-entry buffers
+    d_ij = d_per_cluster[src_labels]
+    del src_labels
+    d_ij += d_per_cluster[labels[g.indices]]
+    d_ij *= 2.0
+    d_ij /= two_m**2
+    grad = 2.0 * intra
+    del intra
+    grad /= two_m
+    grad -= 2.0 * s1 / two_m**2
+    grad -= d_ij
+    grad += 4.0 * d_sq / two_m**3
+    return grad
 
 
 @dataclass(frozen=True)
@@ -268,10 +276,19 @@ def _short_of_negatives(g, probs, q, i, draws, found) -> RuntimeError:
     valid[i] = False
     valid[g.indices[g.indptr[i] : g.indptr[i + 1]]] = False
     mass = float(probs[valid].sum())
-    return RuntimeError(
-        f"negative sampling for node {i} accepted {found} of {q} negatives "
-        f"in {draws} draws; its valid probability mass is {mass:.3g}"
-    )
+    return short_of_negatives(i, f"accepted {found} of {q} negatives in {draws} draws; "
+                                 f"its valid probability mass is {mass:.3g}")
+
+
+def short_of_negatives(node: int, detail: str) -> RuntimeError:
+    """Sampling's error for a ``node`` still short of negatives, which ``detail`` describes.
+
+    It keeps both as its ``node`` and ``detail`` attributes, so that a caller
+    that sampled a subgraph can name the node of the whole graph.
+    """
+    exc = RuntimeError(f"negative sampling for node {node} {detail}")
+    exc.node, exc.detail = node, detail
+    return exc
 
 
 def _log_sigmoid(x: np.ndarray) -> np.ndarray:

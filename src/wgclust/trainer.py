@@ -40,6 +40,7 @@ from .losses import (
     modularity,
     modularity_weight_grad,
     refinement_coeff_grad,
+    short_of_negatives,
     structure_loss_from_samples,
     structure_loss_grad,
     total_loss,
@@ -193,12 +194,18 @@ def epoch_step(structure, model, config, epoch_constants, backward=True):
     if not backward:
         return breakdown, None
     d_h = structure_loss_grad(h_final, samples)
+    del samples
     if config.no_weight_update or config.modularity_weight == 0.0:
         return breakdown, network_backward(record, model, config, d_h)
-    # passed unnamed, so that network_backward holds the only reference and can drop it
-    return breakdown, network_backward(record, model, config, d_h, refinement_coeff_grad(
+    d_edge = [refinement_coeff_grad(
         working, refined, config.modularity_weight * -modularity_weight_grad(refined, labels)
-    ))
+    )]
+    del refined
+    # Release order: the samples and the refined graph go before the sweep starts;
+    # popped into the call, the edge gradient's only reference is network_backward's,
+    # which drops it once it is spread over the heads; the sweep then frees each
+    # layer of the record as it goes.
+    return breakdown, network_backward(record, model, config, d_h, d_edge.pop())
 
 
 def train(g: WeightedGraph, cluster_count: int, config: TrainConfig) -> TrainedModel:
@@ -207,8 +214,8 @@ def train(g: WeightedGraph, cluster_count: int, config: TrainConfig) -> TrainedM
     Stops at ``config.epochs`` or once the total loss has failed to improve
     by at least 1e-5 for ``config.patience`` consecutive epochs (patience 0
     disables early stopping). Raises on divergence (non-finite loss) and when
-    contraction keeps fewer than K nodes; a non-finite activation is named by
-    its node of ``g``.
+    contraction keeps fewer than K nodes; a non-finite activation, or a node
+    that negative sampling cannot serve, is named by its node of ``g``.
     """
     if cluster_count < 2:
         raise ValueError("cluster_count must be >= 2")
@@ -328,10 +335,17 @@ def _forward(working, nodes, params, config) -> np.ndarray:
 
 
 def _in_graph(exc: Exception, nodes: np.ndarray) -> Exception:
-    """``exc``, raised on the subgraph on ``nodes``; a non-finite activation names ``nodes[i]``."""
+    """``exc``, raised on the subgraph on ``nodes``; an error naming node i names ``nodes[i]``.
+
+    The errors that name a node are a non-finite activation and a node short
+    of negatives.
+    """
     if not hasattr(exc, "node"):
         return exc
-    return non_finite_activation(exc.layer, int(nodes[exc.node]))
+    node = int(nodes[exc.node])
+    if isinstance(exc, FloatingPointError):
+        return non_finite_activation(exc.layer, node)
+    return short_of_negatives(node, exc.detail)
 
 
 def _vote(g: WeightedGraph, memberships: np.ndarray, labelled: np.ndarray, last: np.ndarray) -> int:

@@ -344,11 +344,14 @@ class TestHeadBatchedLayer:
             d_avg[s.edge_pos] = d_edge * 0.5
             d_final = (d_avg / heads)[:, None]
             h, record = network_forward_cached(s, model, config)
-            grads = network_backward(record, model, config, d_h, d_edge)
             ref_h, ref_coeffs, ref_grads = ref_network(s, model, config, d_h, d_final)
             assert np.array_equal(h, ref_h), name
+            # the backward consumes the record, so its coefficients are read first
+            assert len(record.layers) == len(ref_coeffs), name
             for got, want in zip(record.layers, ref_coeffs):
                 assert np.array_equal(got.coeffs.T, want), name
+            grads = network_backward(record, model, config, d_h, d_edge)
+            assert record.layers == [], name
             for got, want in zip(grads.flat_arrays(), ref_grads.flat_arrays()):
                 assert np.array_equal(got, want), name
             plain_h, final_avg = network_forward(s, model, config)

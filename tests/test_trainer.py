@@ -1,17 +1,27 @@
 """Training loop determinism, gradient correctness, inference, checkpoints."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from wgclust.attention import ModelParams, build_attention_structure, network_forward
+import wgclust.entmax as entmax_module
+from wgclust import attention as attention_module
+from wgclust import losses as losses_module
+from wgclust.attention import (
+    ModelParams,
+    build_attention_structure,
+    init_model_params,
+    network_forward,
+)
 from wgclust.config import TrainConfig, config_to_text, parse_config_text
 from wgclust.contraction import contract
 from wgclust.fcm import memberships_for
 from wgclust.graph import build_graph, induce_subgraph, synth_weighted_sbm
 from wgclust.metrics import evaluate
-from wgclust.trainer import infer, load_checkpoint, save_checkpoint, train
+from wgclust.losses import draw_structure_samples
+from wgclust.trainer import epoch_step, infer, load_checkpoint, save_checkpoint, train
 
 from numeric_helpers import gradient_check
 
@@ -91,6 +101,19 @@ class TestTrainBasics:
         assert selected[0] != 0
         with pytest.raises(FloatingPointError, match=f"^epoch 1: layer 0: non-finite activation "
                                                       f"at node {selected[0]}$"):
+            train(g, 2, cfg)
+
+    def test_contracted_sampling_error_names_the_graph_node(self, monkeypatch):
+        g = synth_weighted_sbm(200, 2, 0.2, 0.01, 5.0, 1.0, seed=0).graph
+        cfg = TrainConfig(layer_count=2, heads=2, embed_dim=8, attn_dim=8, hidden_dim=8,
+                          epochs=1, patience=0, negatives=2, importance_threshold=3e-3)
+        selected = contract(g, cfg, 2).selected
+        assert selected[0] != 0
+        # one draw leaves the walk's first node, node 0 of the subgraph, a negative short
+        monkeypatch.setattr(losses_module, "SAMPLE_MAX_DRAWS", 1)
+        with pytest.raises(RuntimeError, match=f"^epoch 0: negative sampling for node "
+                                               f"{selected[0]} accepted 1 of 2 negatives "
+                                               f"in 1 draws;"):
             train(g, 2, cfg)
 
     def test_loss_history_written(self):
@@ -189,6 +212,44 @@ class TestGradientCheck:
         lab = synth_weighted_sbm(30, 2, 0.5, 0.1, 2.0, 1.0, seed=7)
         with pytest.raises(ValueError, match="tiny"):
             gradient_check(TrainConfig(**TINY), lab.graph)
+
+
+class TestEpochMemory:
+    def test_full_graph_epoch_holds_three_entry_buffers(self, monkeypatch):
+        # a dense graph, so one (heads, entries) array is 30 per-node arrays;
+        # small blocks keep the solver's, the VJP's and the dots' block temporaries small
+        monkeypatch.setattr(entmax_module, "_SOLVE_BLOCK_FLOATS", 1024)
+        monkeypatch.setattr(attention_module, "_PAIR_DOT_FLOATS", 1024)
+        g = synth_weighted_sbm(200, 2, 0.8, 0.4, 3.0, 1.0, seed=26).graph
+        heads, width = 4, 4
+        config = TrainConfig(heads=heads, layer_count=2, embed_dim=width, attn_dim=width,
+                             hidden_dim=width, no_contraction=True)
+        s = build_attention_structure(g, config)
+        rng = np.random.default_rng(27)
+        model = init_model_params(g.n, config.layer_dims(), width, heads, rng)
+        labels = rng.integers(0, 2, size=g.n)
+        samples = draw_structure_samples(g, config.negatives, rng)
+
+        def fixed(h, refined):
+            return labels, samples
+
+        epoch_step(s, model, config, fixed)  # the first products import scipy.sparse
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            epoch_step(s, model, config, fixed)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        entry_bytes = heads * s.src.size * 8
+        node_bytes = heads * g.n * width * 8
+        assert entry_bytes >= 30 * node_bytes
+        # the record's two coefficient buffers, plus either the sweep's coefficient
+        # gradient and edge-gradient row (a quarter of a buffer) or the objective's
+        # per-entry arrays, plus per-node arrays; a sweep that kept the refined graph
+        # and every layer's state to its end peaked at 4.3 buffers
+        assert peak <= 3.3 * entry_bytes + 12 * node_bytes, (peak / entry_bytes)
 
 
 class TestInfer:
