@@ -39,7 +39,6 @@ __all__ = [
     "network_forward_cached",
     "network_backward",
     "init_model_params",
-    "non_finite_activation",
 ]
 
 # floats per gathered operand in _pair_dots (256 KB): a block of entries takes
@@ -291,23 +290,13 @@ def _elu_grad(x: np.ndarray) -> np.ndarray:
     return np.where(x > 0, 1.0, np.exp(np.minimum(x, 0.0)))
 
 
-def non_finite_activation(layer: int, node: int) -> FloatingPointError:
-    """The forward's error for a non-finite activation of ``node`` in layer ``layer``.
-
-    It keeps both as its ``layer`` and ``node`` attributes, so that a caller
-    that ran the forward on a subgraph can name the node of the whole graph.
-    """
-    exc = FloatingPointError(f"layer {layer}: non-finite activation at node {node}")
-    exc.layer, exc.node = layer, node
-    return exc
-
-
-def _require_finite(li, values, node_of_row=None) -> None:
-    """Raise ``non_finite_activation`` for layer ``li`` and the node of the first non-finite row."""
+def _require_finite(li, values, structure, node_of_row=None) -> None:
+    """Raise FloatingPointError naming layer ``li`` and the first non-finite row's node token."""
     if not np.all(np.isfinite(values)):
         row = int(np.flatnonzero(~np.isfinite(values).all(axis=1))[0])
         node = row if node_of_row is None else int(node_of_row[row])
-        raise non_finite_activation(li, node)
+        raise FloatingPointError(
+            f"layer {li}: non-finite activation at node {structure.graph.node_ids[node]!r}")
 
 
 def _coefficients(li, structure, proj_attn, config) -> np.ndarray:
@@ -319,14 +308,14 @@ def _coefficients(li, structure, proj_attn, config) -> np.ndarray:
     logits = _symmetric_logits(structure, proj_attn)
     if not config.drop_f_iz:
         logits += structure.factors[:, None]
-    _require_finite(li, logits, structure.src)
+    _require_finite(li, logits, structure, structure.src)
     if config.softmax_instead_of_entmax:
         return segment_softmax(logits, structure.indptr)
     return segment_entmax(logits, structure.indptr, config.entmax_alpha)
 
 
 def _forward_layer(li, structure, h_in, params, config) -> tuple[np.ndarray, _LayerCache]:
-    """Layer ``li``: (fused output, backward state); a FloatingPointError names the layer.
+    """Layer ``li``: (fused output, backward state); a FloatingPointError names the layer and node.
 
     Raises ValueError when the layer's head count is not the structure's.
     """
@@ -341,7 +330,7 @@ def _forward_layer(li, structure, h_in, params, config) -> tuple[np.ndarray, _La
     coeffs = np.ascontiguousarray(_coefficients(li, structure, proj_attn, config).T)
     pre_act = _aggregate(structure, coeffs, proj_val)
     h_out = np.einsum("h,hne->ne", params.gamma, _elu(pre_act))
-    _require_finite(li, h_out)
+    _require_finite(li, h_out, structure)
     return h_out, _LayerCache(h_in=h_in, proj_attn=proj_attn, proj_val=proj_val, coeffs=coeffs,
                               pre_act=pre_act)
 

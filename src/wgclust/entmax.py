@@ -26,7 +26,8 @@ own), and each block runs its Newton passes while it stays in cache. Every
 row still takes the same number of passes, the first at which all rows have
 converged: a block whose rows converged earlier runs the missing passes from
 its saved tau afterwards. The output is the same bit for bit whatever the
-block size. The VJP goes through the same blocks.
+block size. The VJP, the softmax limit and its VJP go through the same
+blocks.
 
 Working memory is the output plus one block: a block forms its shifted
 scores from the input and the per-row maxima each time it is visited (a
@@ -224,12 +225,15 @@ def segment_entmax_vjp(p, indptr, alpha: float, upstream, out=None) -> np.ndarra
 
 
 def segment_softmax(values, indptr) -> np.ndarray:
-    """Row-wise softmax on a segmented array (the entmax alpha -> 1 limit)."""
+    """Row-wise softmax on a segmented array (the entmax alpha -> 1 limit), block by block."""
     values = np.asarray(values, dtype=np.float64)
-    starts, lens = indptr[:-1], np.diff(indptr)
-    shifted = values - np.repeat(np.maximum.reduceat(values, starts, axis=0), lens, axis=0)
-    e = np.exp(shifted)
-    return e / np.repeat(np.add.reduceat(e, starts, axis=0), lens, axis=0)
+    p = np.empty_like(values)
+    for _, vals, starts, lens in _row_blocks(indptr, math.prod(values.shape[1:])):
+        vb = values[vals]
+        e = vb - np.repeat(np.maximum.reduceat(vb, starts, axis=0), lens, axis=0)
+        np.exp(e, out=e)
+        np.divide(e, np.repeat(np.add.reduceat(e, starts, axis=0), lens, axis=0), out=p[vals])
+    return p
 
 
 def segment_softmax_vjp(p, indptr, upstream, out=None) -> np.ndarray:

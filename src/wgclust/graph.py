@@ -362,15 +362,15 @@ def induce_subgraph(g: WeightedGraph, nodes: np.ndarray) -> WeightedGraph:
     """Subgraph on ``nodes`` (unique ids, in any order).
 
     Keeps exactly the edges with both endpoints selected, weights unchanged.
-    ``nodes[i]`` becomes node i of the subgraph, whose tokens are its own
-    dense ids (``str(i)``).
+    ``nodes[i]`` becomes node i of the subgraph and keeps its token.
     """
     nodes = np.asarray(nodes, dtype=np.int64)
     old_to_new = np.full(g.n, -1, dtype=np.int64)
     old_to_new[nodes] = np.arange(nodes.size)
     u, v, w = g.edge_arrays()
     keep = (old_to_new[u] >= 0) & (old_to_new[v] >= 0)
-    return build_graph(nodes.size, old_to_new[u[keep]], old_to_new[v[keep]], w[keep])
+    return build_graph(nodes.size, old_to_new[u[keep]], old_to_new[v[keep]], w[keep],
+                       node_ids=tuple(g.node_ids[i] for i in nodes.tolist()))
 
 
 def synth_weighted_sbm(n, K, p_in, p_out, w_in_mean, w_out_mean, seed) -> LabeledGraph:

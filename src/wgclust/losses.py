@@ -29,7 +29,6 @@ __all__ = [
     "modularity",
     "modularity_weight_grad",
     "draw_structure_samples",
-    "short_of_negatives",
     "structure_loss_from_samples",
     "structure_loss_grad",
     "total_loss",
@@ -276,19 +275,8 @@ def _short_of_negatives(g, probs, q, i, draws, found) -> RuntimeError:
     valid[i] = False
     valid[g.indices[g.indptr[i] : g.indptr[i + 1]]] = False
     mass = float(probs[valid].sum())
-    return short_of_negatives(i, f"accepted {found} of {q} negatives in {draws} draws; "
-                                 f"its valid probability mass is {mass:.3g}")
-
-
-def short_of_negatives(node: int, detail: str) -> RuntimeError:
-    """Sampling's error for a ``node`` still short of negatives, which ``detail`` describes.
-
-    It keeps both as its ``node`` and ``detail`` attributes, so that a caller
-    that sampled a subgraph can name the node of the whole graph.
-    """
-    exc = RuntimeError(f"negative sampling for node {node} {detail}")
-    exc.node, exc.detail = node, detail
-    return exc
+    return RuntimeError(f"negative sampling for node {g.node_ids[i]!r} accepted {found} of {q} "
+                        f"negatives in {draws} draws; its valid probability mass is {mass:.3g}")
 
 
 def _log_sigmoid(x: np.ndarray) -> np.ndarray:

@@ -28,7 +28,6 @@ from .attention import (
     network_backward,
     network_forward,
     network_forward_cached,
-    non_finite_activation,
 )
 from .config import TrainConfig, config_to_text, parse_config_text
 from .contraction import contract
@@ -40,7 +39,6 @@ from .losses import (
     modularity,
     modularity_weight_grad,
     refinement_coeff_grad,
-    short_of_negatives,
     structure_loss_from_samples,
     structure_loss_grad,
     total_loss,
@@ -214,8 +212,9 @@ def train(g: WeightedGraph, cluster_count: int, config: TrainConfig) -> TrainedM
     Stops at ``config.epochs`` or once the total loss has failed to improve
     by at least 1e-5 for ``config.patience`` consecutive epochs (patience 0
     disables early stopping). Raises on divergence (non-finite loss) and when
-    contraction keeps fewer than K nodes; a non-finite activation, or a node
-    that negative sampling cannot serve, is named by its node of ``g``.
+    contraction keeps fewer than K nodes; the error for a non-finite
+    activation, or for a node that negative sampling cannot serve, names the
+    node by its token in ``g``.
     """
     if cluster_count < 2:
         raise ValueError("cluster_count must be >= 2")
@@ -245,7 +244,6 @@ def train(g: WeightedGraph, cluster_count: int, config: TrainConfig) -> TrainedM
         try:
             breakdown, grads = epoch_step(structure, work, config, cluster_and_sample)
         except (RuntimeError, FloatingPointError) as exc:
-            exc = _in_graph(exc, sub_nodes)
             raise type(exc)(f"epoch {epoch}: {exc}") from None
         history.append(astuple(breakdown))
         adam.step(work.flat_arrays(), grads.flat_arrays())
@@ -288,7 +286,8 @@ def infer(g: WeightedGraph, model: TrainedModel) -> InferredAssignment:
     Labels are each row's argmax.
 
     Raises ValueError when ``g`` and the model disagree on the node count,
-    and when ``g`` names a node the model never saw.
+    and when ``g`` names a node the model never saw; a non-finite activation
+    raises FloatingPointError naming the node by its token in ``g``.
     """
     config, params, selected, k = model.config, model.params, model.selected, model.cluster_count
     if selected.size == g.n:
@@ -300,7 +299,7 @@ def infer(g: WeightedGraph, model: TrainedModel) -> InferredAssignment:
         nodes = node_of_row[selected]
         working = induce_subgraph(g, nodes)
         work = ModelParams(embedding=params.embedding[selected], layers=params.layers)
-    h = _forward(working, nodes, work, config)
+    h = network_forward(build_attention_structure(working, config), work, config)[0]
     infer_seed = int(_rng(config.seed, _RNG_INFER).integers(2**31))
     fit = fcm_fit(h, k, iters=FCM_ITERS, seed=infer_seed, restarts=FCM_RESTARTS)
 
@@ -315,37 +314,13 @@ def infer(g: WeightedGraph, model: TrainedModel) -> InferredAssignment:
     rest = np.flatnonzero(~labelled)
     if rest.size:
         own = ModelParams(embedding=params.embedding[rows[rest]], layers=params.layers)
-        h_rest = _forward(induce_subgraph(g, rest), rest, own, config)
+        h_rest = network_forward(build_attention_structure(induce_subgraph(g, rest), config),
+                                 own, config)[0]
         memberships[rest] = memberships_for(h_rest, fit.centers)
     return InferredAssignment(
         memberships=memberships, centers=fit.centers, labels=hard_labels(memberships),
         forward_nodes=nodes.size, vote_nodes=voted, fallback_nodes=rest.size, vote_hops=hops,
     )
-
-
-def _forward(working, nodes, params, config) -> np.ndarray:
-    """The forward's representation on ``working``, the subgraph on ``nodes`` of a graph.
-
-    A non-finite activation is named by its node of that graph, ``nodes[i]``.
-    """
-    try:
-        return network_forward(build_attention_structure(working, config), params, config)[0]
-    except FloatingPointError as exc:
-        raise _in_graph(exc, nodes) from None
-
-
-def _in_graph(exc: Exception, nodes: np.ndarray) -> Exception:
-    """``exc``, raised on the subgraph on ``nodes``; an error naming node i names ``nodes[i]``.
-
-    The errors that name a node are a non-finite activation and a node short
-    of negatives.
-    """
-    if not hasattr(exc, "node"):
-        return exc
-    node = int(nodes[exc.node])
-    if isinstance(exc, FloatingPointError):
-        return non_finite_activation(exc.layer, node)
-    return short_of_negatives(node, exc.detail)
 
 
 def _vote(g: WeightedGraph, memberships: np.ndarray, labelled: np.ndarray, last: np.ndarray) -> int:

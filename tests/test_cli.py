@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 from wgclust.cli import main
-from wgclust.graph import induce_subgraph, load_edge_list
+from wgclust.config import load_config_file
+from wgclust.contraction import contract
+from wgclust.graph import induce_subgraph, load_edge_list, synth_weighted_sbm
 from wgclust.metrics import evaluate
 
 FAST_CONFIG = """
@@ -55,6 +57,23 @@ def trained_checkpoint(tmp_path_factory):
         "--config", root / "fast.cfg", "--out", root / "train",
     ) == 0
     return root / "train" / "checkpoint.npz", root / "synth" / "edges.tsv"
+
+
+def _shuffled_copy(edges, out):
+    """``out``: the lines of the edge file ``edges`` in a seeded random order.
+
+    The loader numbers nodes in the order the lines first name them, so most
+    nodes of the copy get a dense id that differs from their token.
+    """
+    lines = edges.read_text().splitlines(keepends=True)
+    out.write_text("".join(lines[i] for i in np.random.default_rng(0).permutation(len(lines))))
+    return out
+
+
+def _tokened_edges(path):
+    """{frozenset of the two tokens: weight} of every line of an edge file."""
+    pairs = (line.split("\t") for line in path.read_text().splitlines())
+    return {frozenset((a, b)): float(w) for a, b, w in pairs}
 
 
 def _with_key(key, value):
@@ -118,9 +137,10 @@ def _first_nan(values):
 # case -> (key, its replacement from the valid value, expected error)
 NON_FINITE_PARAMETERS = {
     "NaN in embedding": ("embedding", _first_nan, r"checkpoint key embedding holds a NaN or inf"),
-    # finite, but every logit of layer 0 overflows
+    # finite, but every logit of layer 0 overflows, so the first entry's node, the
+    # edge file's first token, is named
     "layer0_w1 times 1e200": ("layer0_w1", lambda w1: w1 * 1e200,
-                              r"layer 0: non-finite activation at node \d+"),
+                              r"layer 0: non-finite activation at node '0'$"),
 }
 
 
@@ -178,6 +198,20 @@ class TestContract:
         assert len(selection) == sub.n
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["edges_after_contraction"] <= manifest["edges_before_contraction"]
+
+    def test_subgraph_edges_are_the_input_edges_among_the_selected_tokens(self, synth_dir,
+                                                                         tmp_path):
+        # integer tokens in shuffled order: a subgraph named by its own dense ids
+        # would name other input nodes
+        edges = _shuffled_copy(synth_dir / "edges.tsv", tmp_path / "shuffled.tsv")
+        out = tmp_path / "contracted"
+        assert run_cli("contract", "--edges", edges, "--clusters", 2, "--threshold", 0.01,
+                       "--out", out) == 0
+        kept = {line.split("\t")[0] for line in (out / "selection.tsv").read_text().splitlines()}
+        everything = _tokened_edges(edges)
+        among = {pair: w for pair, w in everything.items() if pair <= kept}
+        assert 0 < len(among) < len(everything)
+        assert _tokened_edges(out / "subgraph_edges.tsv") == among
 
     def test_contraction_flags_reach_manifest(self, synth_dir, tmp_path):
         out = tmp_path / "contracted"
@@ -472,10 +506,7 @@ class TestNodeTokens:
         assert run_cli("synth", "--nodes", 60, "--clusters", 2, "--p-in", 0.5, "--p-out", 0.05,
                        "--seed", 3, "--out", tmp_path / "synth") == 0
         edges = tmp_path / "synth" / "edges.tsv"
-        lines = edges.read_text().splitlines(keepends=True)
-        shuffled = tmp_path / "shuffled.tsv"
-        order = np.random.default_rng(0).permutation(len(lines))
-        shuffled.write_text("".join(lines[i] for i in order))
+        shuffled = _shuffled_copy(edges, tmp_path / "shuffled.tsv")
         assert load_edge_list(shuffled).node_ids != load_edge_list(edges).node_ids
         assert run_cli("train", "--edges", edges, "--clusters", 2, "--epochs", 5, "--heads", 2,
                        "--layer-count", 1, "--out", tmp_path / "train") == 0
@@ -503,10 +534,7 @@ class TestNodeTokens:
         assert run_cli("synth", "--nodes", 60, "--clusters", 2, "--p-in", 0.5, "--p-out", 0.05,
                        "--seed", 3, "--out", tmp_path / "synth") == 0
         edges = tmp_path / "synth" / "edges.tsv"
-        lines = edges.read_text().splitlines(keepends=True)
-        shuffled = tmp_path / "shuffled.tsv"
-        shuffled.write_text("".join(lines[i] for i in np.random.default_rng(0).permutation(
-            len(lines))))
+        shuffled = _shuffled_copy(edges, tmp_path / "shuffled.tsv")
         assert run_cli("train", "--edges", edges, "--clusters", 2, "--epochs", 5, "--heads", 2,
                        "--layer-count", 1, "--importance-threshold", 0.01,
                        "--out", tmp_path / "train") == 0
@@ -523,6 +551,28 @@ class TestNodeTokens:
             assert rows["shuffled"][token][0] == label, token
             np.testing.assert_allclose(np.array(rows["shuffled"][token][1:], dtype=float),
                                        np.array(memberships, dtype=float), rtol=1e-12)
+
+    def test_contracted_training_names_a_non_finite_node_by_its_token(self, tmp_path, capsys):
+        g = synth_weighted_sbm(200, 2, 0.2, 0.01, 5.0, 1.0, seed=0).graph
+        u, v, w = g.edge_arrays()
+        ordered = tmp_path / "ordered.tsv"
+        ordered.write_text("".join(f"v{a}\tv{b}\t{x!r}\n" for a, b, x
+                                   in zip(u.tolist(), v.tolist(), w.tolist())))
+        edges = _shuffled_copy(ordered, tmp_path / "edges.tsv")
+        cfg = tmp_path / "contracted.cfg"
+        cfg.write_text("layer_count = 2\nheads = 2\nembed_dim = 8\nattn_dim = 8\n"
+                       "hidden_dim = 8\nepochs = 5\npatience = 0\nlearning_rate = 1e200\n"
+                       "importance_threshold = 0.003\n")
+        loaded = load_edge_list(edges)
+        # every logit overflows after the first step, so node 0 of the training
+        # subgraph is named; its dense id in the file is not the number in its token
+        first = int(contract(loaded, load_config_file(cfg), 2).selected[0])
+        token = loaded.node_ids[first]
+        assert token != f"v{first}"
+        assert run_cli("train", "--edges", edges, "--clusters", 2, "--config", cfg,
+                       "--out", tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert err == f"error: epoch 1: layer 0: non-finite activation at node {token!r}\n", err
 
     @pytest.mark.parametrize("command", ["infer", "attention-dump"])
     def test_graph_naming_a_node_the_model_never_saw_rejected(self, trained_checkpoint, tmp_path,
@@ -708,7 +758,7 @@ class TestErrors:
                      "--config", cfg, "--learning-rate", "1e200", "--out", tmp_path / "o")
         assert rc == 1
         err = capsys.readouterr().err
-        assert re.match(r"error: epoch \d+: layer \d+: non-finite activation at node \d+", err), err
+        assert err == "error: epoch 1: layer 0: non-finite activation at node '0'\n", err
 
     def test_repeated_key_in_config_file_rejected(self, synth_dir, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

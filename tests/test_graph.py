@@ -632,10 +632,14 @@ class TestNodeTokens:
         g = build_graph(5, [0, 3], [1, 4], [1.0, 2.0])
         assert g.node_ids == ("0", "1", "2", "3", "4")
 
-    def test_induced_subgraph_is_named_by_its_own_dense_ids(self):
+    def test_induced_subgraph_keeps_the_tokens(self):
         g = build_graph(5, [0, 1, 3], [1, 3, 4], [1.0, 2.0, 3.0], node_ids=tuple("abcde"))
-        sub = induce_subgraph(g, np.array([1, 3, 4]))
-        assert sub.node_ids == ("0", "1", "2")
+        assert induce_subgraph(g, np.array([1, 3, 4])).node_ids == ("b", "d", "e")
+        # node i of the subgraph is nodes[i], in any order
+        sub = induce_subgraph(g, np.array([4, 1, 3]))
+        assert sub.node_ids == ("e", "b", "d")
+        assert [(sub.node_ids[a], sub.node_ids[b]) for a, b in zip(*sub.edge_arrays()[:2])] \
+            == [("e", "d"), ("b", "d")]
 
     def test_noisy_graph_keeps_the_tokens(self):
         g = build_graph(6, [0, 2], [1, 3], [1.0, 2.0], node_ids=tuple("uvwxyz"))

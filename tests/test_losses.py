@@ -459,7 +459,7 @@ class TestNegativeSampler:
         finally:
             signal.alarm(0)
         message = str(info.value)
-        assert "node 0 " in message
+        assert "node '0' " in message
         assert f"in {losses_module.SAMPLE_MAX_DRAWS} draws" in message
         assert "mass is 2.72e-226" in message
 
@@ -483,7 +483,7 @@ class TestNegativeSampler:
         samples = draw_structure_samples(g, 1, np.random.default_rng(5))
         np.testing.assert_array_equal(samples.negatives, expected.negatives)
         monkeypatch.setattr(losses_module, "SAMPLE_MAX_DRAWS", most - 1)
-        with pytest.raises(RuntimeError, match=rf"node {draws.index(most)} accepted 0 of 1 "
+        with pytest.raises(RuntimeError, match=rf"node '{draws.index(most)}' accepted 0 of 1 "
                                                rf"negatives in {most - 1} draws"):
             draw_structure_samples(g, 1, np.random.default_rng(5))
 

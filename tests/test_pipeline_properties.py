@@ -42,7 +42,7 @@ epochs = 2
 # every way such a run may stop, each naming its cause
 CAUSES = re.compile(
     r"error: (epoch \d+: weight refinement pruned every edge"
-    r"|epoch \d+: negative sampling for node \d+ accepted \d+ of \d+ negatives in \d+ draws;.*"
+    r"|epoch \d+: negative sampling for node '\d+' accepted \d+ of \d+ negatives in \d+ draws;.*"
     r"|modularity needs a total edge weight 2m within .*; this graph has 2m = .*)\n"
 )
 
