@@ -11,6 +11,7 @@ synthesizes its own. Every graph names node i by the token ``node_ids[i]``
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,17 @@ __all__ = [
 # newline): a block's token lists are transient, so peak memory stays near that
 # of the parsed arrays instead of growing with a whole file's tokens
 _LOAD_BLOCK = 1 << 17
+# the longest node token the integer path reads: 18 digits always fit int64
+_INT_TOKEN_DIGITS = 18
+# a canonical integer token of k bytes has a value in [_DIGITS_FLOOR[k], _DIGITS_CEIL[k])
+_DIGITS_FLOOR = np.array([1, 0] + [10**k for k in range(1, _INT_TOKEN_DIGITS)], dtype=np.int64)
+_DIGITS_CEIL = np.array([0] + [10**k for k in range(1, _INT_TOKEN_DIGITS + 1)], dtype=np.int64)
+# one row of an integer block, as numpy's reader returns it
+_INT_ROW = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
+# the integer path's id table holds at most this many slots per token seen (and
+# at least _ID_TABLE_MIN); a block whose values need more takes the split path
+_ID_TABLE_SLOTS = 4
+_ID_TABLE_MIN = 1 << 16
 # lines formatted per write in save_edge_list: one string per block, without
 # holding the whole file's line objects at once
 _SAVE_BLOCK = 8192
@@ -124,7 +136,10 @@ def build_graph(n, u, v, w, node_ids=None) -> WeightedGraph:
     """Assemble a WeightedGraph from undirected edge arrays.
 
     Duplicate (u, v) pairs -- in either orientation -- have their weights
-    summed. Self-loops and non-positive weights raise.
+    summed in input order. Self-loops and non-positive weights raise. The
+    directed entries are sorted once by (source, target); only when that
+    sort finds a repeated pair are the duplicates merged by a stable sort
+    and the merged entries sorted again.
     """
     u = np.asarray(u, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
@@ -138,33 +153,40 @@ def build_graph(n, u, v, w, node_ids=None) -> WeightedGraph:
             raise ValueError("self-loops are not allowed")
         if np.any(w <= 0):
             raise ValueError("edge weights must be strictly positive")
-    lo, hi, w = _merge_duplicates(n, np.minimum(u, v), np.maximum(u, v), w)
-    src = np.concatenate([lo, hi])
-    dst = np.concatenate([hi, lo])
-    ww = np.concatenate([w, w])
-    order = np.argsort(src * n + dst)  # the keys are distinct now
-    src, dst, ww = src[order], dst[order], ww[order]
+    key, order = _sorted_entry_keys(n, u, v)
+    if np.any(key[1:] == key[:-1]):
+        u, v, w = _merge_duplicates(n, np.minimum(u, v), np.maximum(u, v), w)
+        key, order = _sorted_entry_keys(n, u, v)  # the keys are distinct now
+    ww = np.concatenate([w, w])[order]
+    del order
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    np.cumsum(np.bincount(u, minlength=n) + np.bincount(v, minlength=n), out=indptr[1:])
+    dst = np.remainder(key, n, out=key)
     return WeightedGraph(n=n, indptr=indptr, indices=dst, weights=ww, node_ids=node_ids)
 
 
-def _merge_duplicates(n, lo, hi, w):
-    """(lo, hi, w) sorted by (lo, hi), each repeated pair once with its weights summed."""
-    key = lo * n + hi  # lexsort's (lo, hi) order; it fits in int64 while n < 3e9
-    if not np.any(key[1:] <= key[:-1]):
-        return lo, hi, w
-    # any sort orders distinct keys alike; only duplicates need the stable
-    # sort, which keeps them in input order so their weights sum in that order
+def _sorted_entry_keys(n, u, v):
+    """The sorted keys src * n + dst of the directed entries (u -> v, then v -> u), and their order.
+
+    The key order is (src, dst) order; it fits in int64 while n < 3e9.
+    """
+    key = np.concatenate([u * n + v, v * n + u])
     order = np.argsort(key)
-    sorted_key = key[order]
-    dup = np.zeros(key.size, dtype=bool)
-    dup[1:] = sorted_key[1:] == sorted_key[:-1]
-    if not dup.any():
-        return lo[order], hi[order], w[order]
+    return key[order], order
+
+
+def _merge_duplicates(n, lo, hi, w):
+    """(lo, hi, w) sorted by (lo, hi), each repeated pair once with its weights summed.
+
+    The sort is stable, so a pair's weights are summed in input order.
+    """
+    key = lo * n + hi
     order = np.argsort(key, kind="stable")
-    first = order[~dup]
-    return lo[first], hi[first], np.bincount(np.cumsum(~dup) - 1, weights=w[order])
+    key = key[order]
+    first = np.ones(key.size, dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    order_first = order[first]
+    return lo[order_first], hi[order_first], np.bincount(np.cumsum(first) - 1, weights=w[order])
 
 
 def load_edge_list(path) -> WeightedGraph:
@@ -184,25 +206,69 @@ def load_edge_list(path) -> WeightedGraph:
     characters each. A plain block, whose lines are all
     ``tok<TAB>tok<TAB>tok`` in printable ASCII without spaces, with non-empty
     fields, no leading ``#``, no self-loop and finite positive weights (as
-    ``save_edge_list`` writes them for such tokens), is split and checked as
-    one string. Any other block, with comments, blank or
-    whitespace-separated lines, other text or any fault, takes a per-line
-    loop, which alone names errors. Both give the same arrays and tokens.
+    ``save_edge_list`` writes them for such tokens), is read as one string:
+    by numpy's C reader when every node token is a canonical decimal integer
+    (digits only, at most 18 of them, no leading zero unless it is ``0``)
+    and every weight holds only digits and ``.eE+-``, and by ``str.split``
+    otherwise. Any other block, with comments, blank or whitespace-separated
+    lines, other text or any fault, takes a per-line loop, which alone names
+    errors. All three give the same arrays and tokens.
     """
-    lookup: dict[str, int] = {}
+    ids = _TokenIds()
     blocks = []
     lineno = 1
     with open(path, encoding="utf-8") as fh:
         for text in _text_blocks(fh):
-            block = _parse_plain_block(text, lookup)
+            block = _parse_plain_block(text, ids)
             if block is None:
-                block = _parse_edge_block(path, lineno, text.split("\n")[:-1], lookup)
+                block = _parse_edge_block(path, lineno, text.split("\n")[:-1], ids.lookup)
             blocks.append(block)
             lineno += text.count("\n")
-    if not lookup:
+    if not ids.lookup:
         raise ValueError(f"{path}: no edges")
     u, v, w = (np.concatenate(column) for column in zip(*blocks))
-    return build_graph(len(lookup), u, v, w, node_ids=tuple(lookup))
+    return build_graph(len(ids.lookup), u, v, w, node_ids=tuple(ids.lookup))
+
+
+class _TokenIds:
+    """Dense node ids, numbered in order of first appearance across a file's blocks.
+
+    ``lookup`` maps each token to its id. ``table[t]`` caches the id of the
+    canonical integer token ``str(t)``, or holds -1 where it has none yet, so
+    a block of integer tokens is numbered by array indexing: only the tokens
+    the table has not cached touch ``lookup``.
+    """
+
+    def __init__(self):
+        self.lookup: dict[str, int] = {}
+        self.table = np.empty(0, dtype=np.int64)
+
+    def number_integers(self, u: np.ndarray, v: np.ndarray):
+        """Dense ids (u, v) of the canonical integer tokens with these values (>= 0), or None.
+
+        New tokens join ``lookup`` in order of first appearance in u0, v0,
+        u1, v1, ... None, with nothing changed, when the largest value would
+        make the table hold more than ``_ID_TABLE_SLOTS`` slots per token
+        seen.
+        """
+        top = int(max(u.max(), v.max()))
+        if top >= self.table.size:
+            if top >= max(_ID_TABLE_MIN, _ID_TABLE_SLOTS * (2 * u.size + len(self.lookup))):
+                return None
+            grown = np.full(top + 1, -1, dtype=np.int64)
+            grown[: self.table.size] = self.table
+            self.table = grown
+        du, dv = self.table[u], self.table[v]
+        if (du < 0).any() or (dv < 0).any():
+            values = np.column_stack([u, v]).ravel()  # u0, v0, u1, v1, ...
+            uncached = np.flatnonzero(self.table[values] < 0)
+            first = np.full(top + 1, values.size)  # first position of each uncached value
+            np.minimum.at(first, values[uncached], uncached)
+            fresh = np.flatnonzero(first < values.size)
+            for t in fresh[np.argsort(first[fresh])].tolist():
+                self.table[t] = self.lookup.setdefault(str(t), len(self.lookup))
+            du, dv = self.table[u], self.table[v]
+        return du, dv
 
 
 def _text_blocks(fh):
@@ -218,18 +284,20 @@ def _text_blocks(fh):
         yield tail + "\n"
 
 
-def _parse_plain_block(text: str, lookup: dict[str, int]):
+def _parse_plain_block(text: str, ids: _TokenIds):
     """(u, v, w) arrays of a plain block of edge-list lines, or None if it is not plain.
 
     Its bytes must be tabs, newlines and printable ASCII other than space,
     with exactly ``tok<TAB>tok<TAB>tok<NEWLINE>`` per line: then stripping
-    changes no line and ``str.split`` yields each line's three tokens. A bad
-    weight or a self-loop also returns None, and the per-line loop then
-    raises the error that names it.
+    changes no line and ``str.split`` yields each line's three tokens. A
+    block of integer tokens is read by ``_read_integer_block``, any other by
+    ``_split_plain_block``. A bad weight or a self-loop also returns None,
+    and the per-line loop then raises the error that names it.
     """
     if not text.isascii():
         return None
-    b = np.frombuffer(text.encode("ascii"), np.uint8)
+    raw = text.encode("ascii")
+    b = np.frombuffer(raw, np.uint8)
     # every control byte or space is a tab or newline in the pattern, and no byte is DEL
     at = np.flatnonzero(b <= 32)
     if at.size % 3 or not (b[at].reshape(-1, 3) == (9, 9, 10)).all() or b.max() == 127:
@@ -237,6 +305,49 @@ def _parse_plain_block(text: str, lookup: dict[str, int]):
     # no empty field, and no line starts with "#" (a comment)
     if at[0] == 0 or (np.diff(at) == 1).any() or b[0] == 35 or (b[at[2:-1:3] + 1] == 35).any():
         return None
+    block = _read_integer_block(text, raw, at, ids)
+    return block if block is not None else _split_plain_block(text, ids.lookup)
+
+
+def _read_integer_block(text: str, raw: bytes, at: np.ndarray, ids: _TokenIds):
+    """(u, v, w) of a plain block read by numpy's C reader, or None if it does not qualify.
+
+    ``raw`` is the block's bytes and ``at`` the offsets of its tabs and
+    newlines. Only digits and ``.eE+-`` may appear in fields: on these bytes
+    numpy's reader and ``float`` read a weight alike (``float`` alone reads
+    ``1_0``, ``inf`` or ``nan``). Every node token must be canonical, so
+    that it is ``str(int(tok))``: at most ``_INT_TOKEN_DIGITS`` bytes, and as
+    many as its value has digits, which rules out signs, leading zeros and
+    all but digits. A bad weight, a self-loop, or token values too sparse
+    for the id table also give None.
+    """
+    if raw.translate(None, b"0123456789.eE+-\t\n"):
+        return None
+    tab1, tab2, ends = at[0::3], at[1::3], at[2::3]
+    u_len = tab1 - np.concatenate(([0], ends[:-1] + 1))
+    v_len = tab2 - tab1 - 1
+    if max(u_len.max(), v_len.max()) > _INT_TOKEN_DIGITS:
+        return None
+    try:
+        with warnings.catch_warnings():
+            # numpy < 2 reads an int field such as "1e2" as a float, with this warning
+            warnings.simplefilter("error", DeprecationWarning)
+            rows = np.loadtxt(text.splitlines(), dtype=_INT_ROW, delimiter="\t",
+                              comments=None, quotechar=None, ndmin=1)
+    except (ValueError, DeprecationWarning):
+        return None
+    u, v, w = rows["u"], rows["v"], rows["w"]
+    if not (np.isfinite(w) & (w > 0)).all() or (u == v).any():
+        return None
+    for tok, length in ((u, u_len), (v, v_len)):
+        if not ((_DIGITS_FLOOR[length] <= tok) & (tok < _DIGITS_CEIL[length])).all():
+            return None
+    dense = ids.number_integers(u, v)
+    return None if dense is None else (*dense, w.copy())
+
+
+def _split_plain_block(text: str, lookup: dict[str, int]):
+    """(u, v, w) of a plain block split by ``str.split``, or None on a bad weight or self-loop."""
     toks = text.split()
     wtoks = toks[2::3]
     del toks[2::3]  # toks is now u0, v0, u1, v1, ...
@@ -302,15 +413,36 @@ def _parse_edge_block(path, first_lineno: int, raw: list[str], lookup: dict[str,
 def save_edge_list(g: WeightedGraph, path) -> None:
     """Write one `u<TAB>v<TAB>w` line per undirected edge, nodes named by their tokens.
 
-    The weights are written as ``repr`` of the float, so they round-trip exactly.
+    The weights are written as ``repr`` of the float, so they round-trip
+    exactly. A node token that would not read back raises ``ValueError``
+    naming it, before the file is opened (see ``_check_tokens_read_back``).
     """
-    u, v, w = g.edge_arrays()
     names = g.node_ids
+    _check_tokens_read_back(names)
+    u, v, w = g.edge_arrays()
     with open(path, "w", encoding="utf-8") as fh:
         for at in range(0, u.size, _SAVE_BLOCK):  # one write per block of lines
             block = slice(at, at + _SAVE_BLOCK)
             fh.write("".join([f"{names[a]}\t{names[b]}\t{x!r}\n" for a, b, x
                               in zip(u[block].tolist(), v[block].tolist(), w[block].tolist())]))
+
+
+def _check_tokens_read_back(tokens) -> None:
+    """Raise ValueError naming the first token that the readers would not give back.
+
+    ``load_edge_list`` and ``load_labels`` strip each line, skip lines that
+    start with ``#`` and split fields at tabs, so a written token must be
+    non-empty, must not start with ``#``, must have no leading or trailing
+    whitespace and must hold no tab, CR or LF.
+    """
+    for tok in tokens:
+        if (not tok or tok[0] == "#" or tok != tok.strip()
+                or "\t" in tok or "\r" in tok or "\n" in tok):
+            raise ValueError(
+                f"node token {tok!r} cannot be written to a text file: it would not read back "
+                "(a token must be non-empty, must not start with '#', must have no leading or "
+                "trailing whitespace and must hold no tab, CR or LF)"
+            )
 
 
 def save_id_map(g: WeightedGraph, path) -> None:
@@ -352,7 +484,12 @@ def load_labels(path) -> dict[str, int]:
 
 
 def save_labels(labeled: LabeledGraph, path) -> None:
-    """Write one `node<TAB>label` line per node, named by the graph's tokens."""
+    """Write one `node<TAB>label` line per node, named by the graph's tokens.
+
+    A token that would not read back raises ``ValueError`` naming it, before
+    the file is opened.
+    """
+    _check_tokens_read_back(labeled.graph.node_ids)
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(f"{tok}\t{int(lab)}\n" for tok, lab in zip(labeled.graph.node_ids,
                                                            labeled.labels.tolist()))

@@ -128,7 +128,9 @@ def refinement_coeff_grad(g: WeightedGraph, refined: RefinedGraph,
 
 
 def _modularity_terms(g: WeightedGraph, labels: np.ndarray):
-    """(per-entry source labels, intra mask, matched weight s1, 2m, per-cluster degree sums)."""
+    """(Q, per-entry source labels, intra mask, matched weight s1, 2m, per-cluster degree sums)."""
+    if labels.shape != (g.n,):
+        raise ValueError("labels must cover all nodes")
     two_m = g.total_weight_2m
     if two_m == 0:
         raise ValueError("modularity of an empty graph is undefined")
@@ -141,7 +143,8 @@ def _modularity_terms(g: WeightedGraph, labels: np.ndarray):
     intra = src_labels == labels[g.indices]
     s1 = float(g.weights[intra].sum())
     d_per_cluster = np.bincount(labels, weights=g.weighted_degree())
-    return src_labels, intra, s1, two_m, d_per_cluster
+    q = s1 / two_m - float((d_per_cluster**2).sum()) / two_m**2
+    return q, src_labels, intra, s1, two_m, d_per_cluster
 
 
 def modularity(g: WeightedGraph, labels) -> float:
@@ -150,22 +153,19 @@ def modularity(g: WeightedGraph, labels) -> float:
     Q = (1/2m) sum_ij (w_ij - k_i k_j / 2m) delta(c_i, c_j) over ordered
     pairs including i = j (stored graphs have w_ii = 0).
     """
-    labels = np.asarray(labels)
-    if labels.shape != (g.n,):
-        raise ValueError("labels must cover all nodes")
-    _, _, s1, two_m, d_per_cluster = _modularity_terms(g, labels)
-    return s1 / two_m - float((d_per_cluster**2).sum()) / two_m**2
+    return _modularity_terms(g, np.asarray(labels))[0]
 
 
-def modularity_weight_grad(g: WeightedGraph, labels) -> np.ndarray:
-    """dQ/dw per directed CSR entry (both entries of an edge share the value).
+def modularity_weight_grad(g: WeightedGraph, labels) -> tuple[float, np.ndarray]:
+    """(Q, dQ/dw per directed CSR entry) from one pass over the graph.
 
-    Derivative of Q treating each undirected edge weight as one variable that
-    feeds 2m, both endpoint degrees, and (when intra-cluster) the matched-weight
-    sum.
+    Q is bit-identical to ``modularity(g, labels)``. The derivative treats
+    each undirected edge weight as one variable that feeds 2m, both endpoint
+    degrees, and (when intra-cluster) the matched-weight sum; both entries of
+    an edge share the value.
     """
     labels = np.asarray(labels)
-    src_labels, intra, s1, two_m, d_per_cluster = _modularity_terms(g, labels)
+    q, src_labels, intra, s1, two_m, d_per_cluster = _modularity_terms(g, labels)
     d_sq = float((d_per_cluster**2).sum())
     # 2 intra / 2m - 2 s1 / (2m)^2 - 2 (d_i + d_j) / (2m)^2 + 4 d_sq / (2m)^3, left to
     # right, each step in place on one of two per-entry buffers
@@ -180,7 +180,7 @@ def modularity_weight_grad(g: WeightedGraph, labels) -> np.ndarray:
     grad -= 2.0 * s1 / two_m**2
     grad -= d_ij
     grad += 4.0 * d_sq / two_m**3
-    return grad
+    return q, grad
 
 
 @dataclass(frozen=True)

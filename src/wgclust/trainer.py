@@ -184,7 +184,12 @@ def epoch_step(structure, model, config, epoch_constants, backward=True):
     if refined.num_edges == 0:
         raise RuntimeError("weight refinement pruned every edge")
     labels, samples = epoch_constants(h_final, refined)
-    q = modularity(refined, labels)
+    # Q and dQ/dw come from one pass over the refined graph when the sweep needs both
+    weight_grad = backward and not config.no_weight_update and config.modularity_weight != 0.0
+    if weight_grad:
+        q, d_refined = modularity_weight_grad(refined, labels)
+    else:
+        q = modularity(refined, labels)
     l_g = structure_loss_from_samples(h_final, samples)
     breakdown = total_loss(l_g, -q, config.modularity_weight)
     if not np.isfinite(breakdown.total):
@@ -193,12 +198,11 @@ def epoch_step(structure, model, config, epoch_constants, backward=True):
         return breakdown, None
     d_h = structure_loss_grad(h_final, samples)
     del samples
-    if config.no_weight_update or config.modularity_weight == 0.0:
+    if not weight_grad:
         return breakdown, network_backward(record, model, config, d_h)
-    d_edge = [refinement_coeff_grad(
-        working, refined, config.modularity_weight * -modularity_weight_grad(refined, labels)
-    )]
-    del refined
+    d_refined *= -config.modularity_weight  # the loss is -weight * Q
+    d_edge = [refinement_coeff_grad(working, refined, d_refined)]
+    del refined, d_refined
     # Release order: the samples and the refined graph go before the sweep starts;
     # popped into the call, the edge gradient's only reference is network_backward's,
     # which drops it once it is spread over the heads; the sweep then frees each

@@ -213,6 +213,15 @@ class TestContract:
         assert 0 < len(among) < len(everything)
         assert _tokened_edges(out / "subgraph_edges.tsv") == among
 
+    def test_a_kept_token_that_would_not_read_back_is_an_error(self, tmp_path, capsys):
+        edges = tmp_path / "e.tsv"
+        edges.write_text("x\t#b\t1.0\nc\t#b\t2.0\nx\tc\t3.0\n")
+        out = tmp_path / "contracted"
+        assert run_cli("contract", "--edges", edges, "--clusters", 2, "--cores", 1,
+                       "--threshold", 0, "--out", out) == 1
+        assert "node token '#b' cannot be written" in capsys.readouterr().err
+        assert not (out / "subgraph_edges.tsv").exists()
+
     def test_contraction_flags_reach_manifest(self, synth_dir, tmp_path):
         out = tmp_path / "contracted"
         assert run_cli(

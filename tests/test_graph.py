@@ -235,10 +235,17 @@ class TestEdgeListIO:
 
 
 LINE_TEXT = st.text(st.characters(exclude_characters="\r\n"), max_size=3)
-# tokens valid anywhere, then ones a line's fields or checks can trip on
-NODE_TOKENS = ["0", "1", "2", "10", "a", "movie_9", "é", "#x", "x y", ""]
-WEIGHT_TOKENS = ["1", "2.5", "0.125", "1e3", " 7", "1_5", "3.0000000000000004",
-                 "0", "-1", "nan", "inf", "x", "", "1,5"]
+# node tokens valid anywhere: canonical integers, integers that are not canonical or
+# have 19 digits, one too large for the integer path's id table, and text
+VALID_NODE_TOKENS = ["0", "1", "2", "10", "007", "+5", "-0", "1234567890123456789",
+                     "999999999999999999", "a", "movie_9", "é"]
+# weights valid anywhere, including some that float reads but numpy's reader does not
+VALID_WEIGHT_TOKENS = ["1", "2.5", "0.125", "1e3", " 7", "1_5", "1_0", ".5", "5.",
+                       "3.0000000000000004"]
+# then tokens that a line's fields or checks can trip on
+NODE_TOKENS = VALID_NODE_TOKENS + ["#x", "x y", ""]
+WEIGHT_TOKENS = VALID_WEIGHT_TOKENS + ["0", "-1", "nan", "inf", "1e400", "1e-400", "0x10",
+                                       "x", "", "1,5"]
 
 
 @st.composite
@@ -249,7 +256,7 @@ def edge_list_text(draw, valid: bool):
     but a line break, so most files hold some fault.
     """
     if valid:
-        node, weight = st.sampled_from(NODE_TOKENS[:7]), st.sampled_from(WEIGHT_TOKENS[:7])
+        node, weight = st.sampled_from(VALID_NODE_TOKENS), st.sampled_from(VALID_WEIGHT_TOKENS)
     else:
         node = st.one_of(st.sampled_from(NODE_TOKENS), LINE_TEXT)
         weight = st.one_of(st.sampled_from(WEIGHT_TOKENS), st.floats().map(repr), LINE_TEXT)
@@ -279,7 +286,7 @@ def write_edge_list(tmp_path_factory, text):
 
 class TestBlockParserMatchesReference:
     @settings(max_examples=60)
-    @given(text=edge_list_text(valid=True), block=st.sampled_from([1, 3, 8192]))
+    @given(text=edge_list_text(valid=True), block=st.sampled_from([1, 3, 24, 8192]))
     def test_valid_files(self, tmp_path_factory, text, block):
         path = write_edge_list(tmp_path_factory, text)
         want = load_outcome(reference_load_edge_list, path)
@@ -290,7 +297,7 @@ class TestBlockParserMatchesReference:
         assert_same_outcome(got, want)
 
     @settings(max_examples=150)
-    @given(text=edge_list_text(valid=False), block=st.sampled_from([1, 3, 8192]))
+    @given(text=edge_list_text(valid=False), block=st.sampled_from([1, 3, 24, 8192]))
     def test_any_lines_same_graph_or_same_error(self, tmp_path_factory, text, block):
         path = write_edge_list(tmp_path_factory, text)
         want = load_outcome(reference_load_edge_list, path)
@@ -325,26 +332,40 @@ class TestBlockParserMatchesReference:
 
 # printable ASCII other than space; a token that opens a line must not start a comment
 PLAIN_TOKEN = st.text(st.characters(min_codepoint=33, max_codepoint=126), min_size=1, max_size=4)
+# integers: canonical ones (dense, or too large for the integer path's id table) and not
+INT_TOKEN = st.one_of(
+    st.integers(0, 40).map(str),
+    st.integers(0, 10**18 - 1).map(str),
+    st.sampled_from(["007", "00", "+5", "-0", "-3", "1234567890123456789", "9" * 18]),
+)
 PLAIN_WEIGHT = st.one_of(
-    st.sampled_from(["1", "2.0", "0.5", "1e3", "7", "3.0000000000000004", "1_5"]),
+    st.sampled_from(["1", "2.0", "0.5", "1e3", "7", "3.0000000000000004", "1_5", ".5", "5.",
+                     "1E+2", "2.5e-3"]),
     st.floats(min_value=5e-324, max_value=1e300).map(repr),
 )
+# weights for which the per-line loop raises, or that only float reads
+FAULTY_WEIGHT = st.sampled_from(["1_0", "0x10", "inf", "nan", "-1", "0", "1e400", "1e-400", "1e",
+                                 "+-1", "1..5", "e5"])
 
 
 @st.composite
-def plain_edge_list(draw):
-    """``tok<TAB>tok<TAB>w`` lines over a few printable tokens, so edges repeat in both orientations."""
-    tokens = draw(st.lists(PLAIN_TOKEN.filter(lambda t: not t.startswith("#")),
-                           min_size=2, max_size=10, unique=True))
-    pairs = draw(st.lists(st.tuples(st.sampled_from(tokens), st.sampled_from(tokens))
+def plain_edge_list(draw, tokens=PLAIN_TOKEN, weights=PLAIN_WEIGHT):
+    """``tok<TAB>tok<TAB>w`` lines over a few tokens, so edges repeat in both orientations."""
+    pool = draw(st.lists(tokens.filter(lambda t: not t.startswith("#")),
+                         min_size=2, max_size=10, unique=True))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(pool))
                           .filter(lambda pair: pair[0] != pair[1]), min_size=1, max_size=40))
     ending = draw(st.sampled_from(["\n", "\r\n"]))
-    text = ending.join(f"{a}\t{b}\t{draw(PLAIN_WEIGHT)}" for a, b in pairs)
+    text = ending.join(f"{a}\t{b}\t{draw(weights)}" for a, b in pairs)
     return text + draw(st.sampled_from(["", ending]))
 
 
 def per_line_parser_forbidden(path, first_lineno, raw, lookup):
     raise AssertionError(f"lines {first_lineno}..{first_lineno + len(raw) - 1} left the array path")
+
+
+def split_forbidden(text, lookup):
+    raise AssertionError(f"a block left numpy's reader: {text[:40]!r}")
 
 
 def load_by_array_path(path):
@@ -354,10 +375,25 @@ def load_by_array_path(path):
         return load_edge_list(path)
 
 
+def load_by_integer_path(path):
+    """``load_edge_list(path)``, failing unless every block is read by numpy's reader."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_module, "_parse_edge_block", per_line_parser_forbidden)
+        mp.setattr(graph_module, "_split_plain_block", split_forbidden)
+        return load_edge_list(path)
+
+
+def load_by_split_path(path):
+    """``load_edge_list(path)`` with no block read by numpy's reader."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_module, "_read_integer_block", lambda *args: None)
+        return load_edge_list(path)
+
+
 def load_by_per_line_path(path):
     """``load_edge_list(path)`` with every block taking the per-line parser."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(graph_module, "_parse_plain_block", lambda text, lookup: None)
+        mp.setattr(graph_module, "_parse_plain_block", lambda *args: None)
         return load_edge_list(path)
 
 
@@ -370,19 +406,86 @@ def counting(parse, counts, name):
     return wrapped
 
 
+PATHS = ("_read_integer_block", "_split_plain_block", "_parse_edge_block")
+
+
+def load_counting_paths(path, block):
+    """(graph or error message, blocks each path read) of ``load_edge_list(path)``.
+
+    The file is read in blocks of about ``block`` characters.
+    """
+    counts = dict.fromkeys(PATHS, 0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_module, "_LOAD_BLOCK", block)
+        for name in PATHS:
+            mp.setattr(graph_module, name, counting(getattr(graph_module, name), counts, name))
+        return load_outcome(load_edge_list, path), counts
+
+
 class TestArrayPath:
     @settings(max_examples=100)
-    @given(text=plain_edge_list(), block=st.sampled_from([1, 7, 32, 1 << 18]))
+    @given(text=st.one_of(plain_edge_list(), plain_edge_list(tokens=INT_TOKEN),
+                          plain_edge_list(tokens=st.one_of(INT_TOKEN, PLAIN_TOKEN))),
+           block=st.sampled_from([1, 7, 32, 1 << 18]))
     def test_plain_files_give_the_per_line_arrays(self, tmp_path_factory, text, block):
         path = write_edge_list(tmp_path_factory, text)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(graph_module, "_LOAD_BLOCK", block)
-            fast, slow = load_by_array_path(path), load_by_per_line_path(path)
-        assert (fast.n, fast.node_ids) == (slow.n, slow.node_ids)
-        for name in ("indptr", "indices", "weights"):
-            got, want = getattr(fast, name), getattr(slow, name)
-            assert got.dtype == want.dtype, name
-            np.testing.assert_array_equal(got, want)
+            fast, split = load_by_array_path(path), load_by_split_path(path)
+            slow = load_by_per_line_path(path)
+        for got in (fast, split):
+            assert (got.n, got.node_ids) == (slow.n, slow.node_ids)
+            for name in ("indptr", "indices", "weights"):
+                assert getattr(got, name).dtype == getattr(slow, name).dtype, name
+                np.testing.assert_array_equal(getattr(got, name), getattr(slow, name))
+
+    @settings(max_examples=150)
+    @given(text=plain_edge_list(tokens=INT_TOKEN,
+                                weights=st.one_of(PLAIN_WEIGHT, PLAIN_WEIGHT, FAULTY_WEIGHT)),
+           block=st.sampled_from([1, 7, 32, 1 << 18]))
+    def test_integer_files_give_the_per_line_outcome(self, tmp_path_factory, text, block):
+        """The same arrays and tokens as the per-line loop, or the same error."""
+        path = write_edge_list(tmp_path_factory, text)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph_module, "_LOAD_BLOCK", block)
+            got = load_outcome(load_edge_list, path)
+        assert_same_outcome(got, load_outcome(load_by_per_line_path, path))
+
+    def test_one_file_mixes_all_three_paths(self, tmp_path):
+        lines = ([f"{i}\t{i + 1}\t{i % 3 + 1}.5" for i in range(6)]  # numpy's reader
+                 + ["a\t3\t2.0", "3\ta\t1e3", "b\t5\t7"]  # the split path
+                 + ["# a comment", "5 7  2.0", "", "6\t-0\t1_0"]  # the per-line loop
+                 + ["2\t1\t0.25", "6\t0\t1E+2", "-0\t6\t3", "a\t6\t1", "6\t9\t5."])
+        path = tmp_path / "e.tsv"
+        path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+        want = reference_load_edge_list(path)
+        assert want.num_edges < len(lines) - 3  # duplicates in both orientations were merged
+        got, counts = load_counting_paths(path, 40)
+        assert_same_outcome(got, want)
+        assert all(counts.values()), counts
+
+    @pytest.mark.parametrize("large", ["70000", "1000000000", "999999999999999999"])
+    def test_values_too_sparse_for_the_table_take_the_split_path(self, tmp_path, large):
+        path = tmp_path / "e.tsv"
+        path.write_text("0\t1\t1.0\n1\t2\t2.0\n" + f"2\t{large}\t3.0\n{large}\t0\t1.0\n")
+        got, counts = load_counting_paths(path, 16)
+        assert_same_outcome(got, reference_load_edge_list(path))
+        # the first block is small and dense; each later one holds the large value
+        assert counts["_read_integer_block"] == 1 and counts["_parse_edge_block"] == 0, counts
+        assert counts["_split_plain_block"] >= 1, counts
+
+    def test_the_table_grows_across_blocks(self, tmp_path):
+        """Block by block the values grow, and tokens the split path met come back."""
+        lines = ["x\t3\t1.0", "3\t0\t1.0"]
+        lines += [f"{i}\t{i + 997}\t{i % 5 + 1}.0" for i in range(0, 3000, 7)]
+        lines += ["3\t0\t2.0", "x\t3\t1.0", "70000\t3\t1.0", "3\t70000\t4.0"]
+        path = tmp_path / "e.tsv"
+        path.write_text("\n".join(lines) + "\n")
+        want = reference_load_edge_list(path)
+        for block in (12, 100):
+            got, counts = load_counting_paths(path, block)
+            assert_same_outcome(got, want)
+            assert counts["_read_integer_block"] and counts["_split_plain_block"], counts
 
     PLAIN = [f"{i}\t{i + 1}\t{i % 3 + 1}.5" for i in range(12)]
     OTHER = ["# a comment", "#c\t1\t2", "", "3 9 2.0", " 4\t10\t1.0", "\t4\t10\t1.0",
@@ -395,14 +498,13 @@ class TestArrayPath:
         path.write_text("\n".join(self.PLAIN[:5] + [other] + self.PLAIN[5:]) + "\n",
                         encoding="utf-8")
         want = reference_load_edge_list(path)
-        counts = {"_parse_plain_block": 0, "_parse_edge_block": 0}
+        total = dict.fromkeys(PATHS, 0)
         for block in range(1, 80):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(graph_module, "_LOAD_BLOCK", block)
-                for name in counts:
-                    mp.setattr(graph_module, name, counting(getattr(graph_module, name), counts, name))
-                assert_same_outcome(load_edge_list(path), want)
-        assert all(counts.values()), counts
+            got, counts = load_counting_paths(path, block)
+            assert_same_outcome(got, want)
+            for name in PATHS:
+                total[name] += counts[name]
+        assert total["_read_integer_block"] and total["_parse_edge_block"], total
 
     FAULTS = {
         "self-loop": ("4\t4\t1.0", "self-loop '4' in input"),
@@ -429,19 +531,30 @@ class TestArrayPath:
             assert load_outcome(load_edge_list, path) == want
 
     def test_every_block_save_edge_list_writes_takes_the_array_path(self, tmp_path):
-        """A silent fallback to the per-line parser would only show as a slower benchmark."""
+        """A silent fallback to a slower parser would only show as a slower benchmark.
+
+        Integer tokens, as ``synth``, ``contract`` and ``build-ml100k`` write
+        them, take numpy's reader in every block; other tokens the split path.
+        """
         lab = synth_weighted_sbm(200, 4, 0.3, 0.02, 5.0, 1.0, seed=1)
         noisy, _ = inject_noise_edges(lab.graph, 0.2, seed=2)
         u, v, w = noisy.edge_arrays()
-        refined = build_graph(noisy.n, u, v, w * np.pi / 7,  # fractional, as training leaves them
-                              node_ids=tuple(f"movie_{i}" for i in range(noisy.n)))
-        for g in (noisy, refined):
+        fractional = w * np.pi / 7  # as training leaves them
+        shuffled = np.random.default_rng(3).permutation(noisy.n)
+        graphs = [
+            (noisy, load_by_integer_path),
+            (build_graph(noisy.n, u, v, fractional, node_ids=tuple(
+                str(i + 1) for i in shuffled.tolist())), load_by_integer_path),
+            (build_graph(noisy.n, u, v, fractional, node_ids=tuple(
+                f"movie_{i}" for i in range(noisy.n))), load_by_array_path),
+        ]
+        for g, load in graphs:
             path = tmp_path / "e.tsv"
             save_edge_list(g, path)
             for block in (64, graph_module._LOAD_BLOCK):
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(graph_module, "_LOAD_BLOCK", block)
-                    assert_same_outcome(load_by_array_path(path), reference_load_edge_list(path))
+                    assert_same_outcome(load(path), reference_load_edge_list(path))
 
     @pytest.mark.parametrize("new_line", ["x\t3\t1", "3\tx\t1", "x\ty\t1", "y\tx\t1"])
     def test_a_third_block_with_new_tokens_midway_numbers_them_as_before(self, tmp_path, new_line):
@@ -465,7 +578,7 @@ class TestArrayPath:
                 "--noise-fraction", "0.1", "--seed", "4", "--out", str(tmp_path)]
         assert main(argv) == 0
         path = tmp_path / "edges.tsv"
-        assert_same_outcome(load_by_array_path(path), reference_load_edge_list(path))
+        assert_same_outcome(load_by_integer_path(path), reference_load_edge_list(path))
 
 
 class TestLabelIO:
@@ -531,6 +644,43 @@ class TestLabelIO:
         p.write_text(text)
         with pytest.raises(ValueError, match=message):
             load_labels(p)
+
+
+# tokens a reader would not give back: empty, a comment, stripped, or split
+UNWRITABLE_TOKENS = ["", "#b", " a", "a ", "\xa0a", "a\x1c", "a\tb", "a\rb", "a\nb"]
+
+
+class TestWritersRefuseTokensThatDoNotReadBack:
+    def test_a_token_read_as_a_comment_is_named(self, tmp_path):
+        src = tmp_path / "e.tsv"
+        src.write_text("x\t#b\t1.0\nc\t#b\t2.0\nx\tc\t3.0\n")
+        g = load_edge_list(src)
+        assert g.num_edges == 3
+        for write in (save_edge_list, lambda g, path: save_labels(
+                LabeledGraph(g, np.zeros(g.n, dtype=int), 1), path)):
+            out = tmp_path / "copy.tsv"
+            with pytest.raises(ValueError, match=re.escape("node token '#b' cannot be written")):
+                write(g, out)
+            assert not out.exists()
+
+    @pytest.mark.parametrize("token", UNWRITABLE_TOKENS)
+    def test_each_writer_names_the_first_such_token(self, tmp_path, token):
+        g = build_graph(4, [0, 1, 2], [1, 2, 3], [1.0, 2.0, 0.5],
+                        node_ids=("ok", token, "#later", "fine"))
+        message = re.escape(f"node token {token!r} cannot be written")
+        with pytest.raises(ValueError, match=message):
+            save_edge_list(g, tmp_path / "e.tsv")
+        with pytest.raises(ValueError, match=message):
+            save_labels(LabeledGraph(g, np.array([0, 1, 0, 1]), 2), tmp_path / "labels.tsv")
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("token", ["a b", "x#", "é", "-0", "007", "a\x0bb", "1_0"])
+    def test_other_tokens_read_back(self, tmp_path, token):
+        g = build_graph(3, [0, 1], [1, 2], [1.0, 2.5], node_ids=("ok", token, "fine"))
+        save_edge_list(g, tmp_path / "e.tsv")
+        assert_same_outcome(load_edge_list(tmp_path / "e.tsv"), g)
+        save_labels(LabeledGraph(g, np.array([0, 1, 0]), 2), tmp_path / "labels.tsv")
+        assert load_labels(tmp_path / "labels.tsv") == {"ok": 0, token: 1, "fine": 0}
 
 
 class TestSyntheticBlocks:

@@ -88,13 +88,34 @@ def reference_update_edge_weights(g, edge_attention):
 
 def reference_refinement_coeff_grad(working, refined, modularity_weight, labels):
     """The modularity edge-attention gradient with its scatter found by a searchsorted over int64 keys."""
-    dq_refined = modularity_weight_grad(refined, labels)
+    dq_refined = modularity_weight_grad(refined, labels)[1]
     work_keys = working.directed_src() * working.n + working.indices
     ref_keys = refined.directed_src() * refined.n + refined.indices
     pos = np.searchsorted(work_keys, ref_keys)
     dq_work = np.zeros(work_keys.size)
     dq_work[pos] = dq_refined
     return modularity_weight * (-dq_work) * working.weights
+
+
+def two_pass_weight_grad(g, labels):
+    """dQ/dw as computed when it took its own pass over the graph, after Q's."""
+    labels = np.asarray(labels)
+    src_labels = labels[g.directed_src()]
+    intra = src_labels == labels[g.indices]
+    s1 = float(g.weights[intra].sum())
+    two_m = g.total_weight_2m
+    d_per_cluster = np.bincount(labels, weights=g.weighted_degree())
+    d_sq = float((d_per_cluster**2).sum())
+    d_ij = d_per_cluster[src_labels]
+    d_ij += d_per_cluster[labels[g.indices]]
+    d_ij *= 2.0
+    d_ij /= two_m**2
+    grad = 2.0 * intra
+    grad /= two_m
+    grad -= 2.0 * s1 / two_m**2
+    grad -= d_ij
+    grad += 4.0 * d_sq / two_m**3
+    return grad
 
 
 def symmetric_entries(g, table):
@@ -221,7 +242,7 @@ class TestUpdateEdgeWeights:
         if out.num_edges:
             labels = rng.integers(0, 3, size=n)
             want = reference_refinement_coeff_grad(g, expected, 0.3, labels)
-            got = refinement_coeff_grad(g, out, 0.3 * -modularity_weight_grad(out, labels))
+            got = refinement_coeff_grad(g, out, 0.3 * -modularity_weight_grad(out, labels)[1])
             np.testing.assert_array_equal(got, want)
 
     def test_coeff_grad_matches_finite_differences(self):
@@ -232,7 +253,8 @@ class TestUpdateEdgeWeights:
         attention = symmetric_entries(g, rng.random((g.n, g.n)) * 0.8 + 0.2)
         refined = update_edge_weights(g, attention)
         assert refined.num_edges == g.num_edges
-        got = refinement_coeff_grad(g, refined, weight * -modularity_weight_grad(refined, labels))
+        d_refined = weight * -modularity_weight_grad(refined, labels)[1]
+        got = refinement_coeff_grad(g, refined, d_refined)
         assert got.shape == attention.shape
 
         def objective(a):
@@ -255,6 +277,24 @@ class TestUpdateEdgeWeights:
 
 
 class TestModularity:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 25), clusters=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    def test_one_pass_gives_modularity_and_the_two_pass_gradient_bit_for_bit(
+            self, n, clusters, seed):
+        rng = np.random.default_rng(seed)
+        u, v = rng.integers(0, n, size=(2, 3 * n))
+        keep = u != v
+        w = rng.random(keep.sum()) * 10 ** rng.uniform(-3, 3) + 1e-3
+        g = build_graph(n, u[keep], v[keep], w)
+        labels = rng.integers(0, clusters, size=n)
+        if not g.num_edges:
+            return
+        q, grad = modularity_weight_grad(g, labels)
+        assert q == modularity(g, labels)
+        want = two_pass_weight_grad(g, labels)
+        assert grad.dtype == want.dtype
+        np.testing.assert_array_equal(grad, want)
+
     def test_two_disjoint_dyads(self):
         g = build_graph(4, [0, 2], [1, 3], [1.0, 1.0])
         assert modularity(g, [0, 0, 1, 1]) == pytest.approx(0.5, abs=1e-12)
@@ -310,8 +350,8 @@ class TestModularity:
         u, v, w = lab.graph.edge_arrays()
         scaled = build_graph(lab.graph.n, u, v, w * (scale / w.sum()))  # 2m = 2 * scale
         assert modularity(scaled, lab.labels) == pytest.approx(modularity(lab.graph, lab.labels))
-        np.testing.assert_allclose(modularity_weight_grad(scaled, lab.labels) * scale,
-                                   modularity_weight_grad(lab.graph, lab.labels) * w.sum())
+        np.testing.assert_allclose(modularity_weight_grad(scaled, lab.labels)[1] * scale,
+                                   modularity_weight_grad(lab.graph, lab.labels)[1] * w.sum())
 
     @pytest.mark.parametrize("weight", [1e-300, 1e-101, 1e100, 1e300])
     def test_two_m_beyond_normal_cube_rejected(self, weight):
@@ -325,7 +365,7 @@ class TestModularity:
         lab = synth_weighted_sbm(10, 2, 0.6, 0.3, 3.0, 1.0, seed=5)
         g = lab.graph
         labels = lab.labels
-        grad = modularity_weight_grad(g, labels)
+        grad = modularity_weight_grad(g, labels)[1]
         u, v, w = g.edge_arrays()
         h = 1e-6
         src = g.directed_src()

@@ -20,7 +20,7 @@ from wgclust.contraction import contract
 from wgclust.fcm import memberships_for
 from wgclust.graph import build_graph, induce_subgraph, synth_weighted_sbm
 from wgclust.metrics import evaluate
-from wgclust.losses import draw_structure_samples
+from wgclust.losses import draw_structure_samples, modularity
 from wgclust.trainer import epoch_step, infer, load_checkpoint, save_checkpoint, train
 
 from numeric_helpers import gradient_check
@@ -255,6 +255,31 @@ class TestEpochMemory:
         assert peak <= 3.3 * entry_bytes + 12 * node_bytes, (peak / entry_bytes)
 
 
+class TestEpochObjective:
+    @pytest.mark.parametrize("backward", [True, False])
+    def test_one_modularity_pass_per_epoch(self, monkeypatch, backward):
+        lab = synth_weighted_sbm(40, 2, 0.5, 0.1, 3.0, 1.0, seed=3)
+        config = TrainConfig(no_contraction=True, **TINY)
+        s = build_attention_structure(lab.graph, config)
+        model = init_model_params(lab.graph.n, config.layer_dims(), config.attn_dim,
+                                  config.heads, np.random.default_rng(4))
+        labels = lab.labels
+        samples = draw_structure_samples(lab.graph, config.negatives, np.random.default_rng(5))
+        passes = []
+        terms = losses_module._modularity_terms
+
+        def counted(*args):
+            passes.append(args)
+            return terms(*args)
+
+        monkeypatch.setattr(losses_module, "_modularity_terms", counted)
+        breakdown, grads = epoch_step(s, model, config, lambda h, refined: (labels, samples),
+                                      backward=backward)
+        assert len(passes) == 1
+        assert (grads is not None) == backward
+        assert breakdown.modularity_q == modularity(passes[0][0], labels)
+
+
 class TestInfer:
     def test_deterministic_reassignment_of_training_nodes(self):
         lab = synth_weighted_sbm(30, 2, 0.6, 0.1, 3.0, 1.0, seed=8)
@@ -478,7 +503,6 @@ class TestAblations:
 
     def test_no_weight_update_modularity_uses_original_weights(self, monkeypatch):
         import wgclust.trainer as trainer_module
-        from wgclust.losses import modularity
 
         lab = synth_weighted_sbm(20, 2, 0.6, 0.1, 3.0, 1.0, seed=12)
         cfg = TrainConfig(epochs=1, no_contraction=True, no_weight_update=True, seed=4, **TINY)
